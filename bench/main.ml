@@ -41,7 +41,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("cluster", "sharded multi-node serving with failover (stress matrix)", Fig_cluster.all);
     ("stream", "STREAM bandwidth calibration + delegation bytes A/B", Fig_stream.all);
     ("profile", "cycle attribution and observability zero-perturbation", Fig_profile.all);
-    ("bechamel", "Bechamel kernels (one per figure)", Bechamel_suite.run);
   ]
 
 (* Every experiment's table rows also land in BENCH_<name>.json. *)

@@ -33,6 +33,14 @@ let failpoint_stuck_transition = ref false
    cost batching exists to amortize. *)
 let max_batch = 7
 
+(* Per-delegation runtime work in cycles — calibration constants documented
+   in EXPERIMENTS.md: argument marshalling on the sender, request
+   unmarshalling and dispatch on the server. Local calls pay a quarter of
+   the dispatch cost (the §5.2 remark about interposition overhead on
+   local operations). *)
+let marshal_cost = 100
+let dispatch_cost = 250
+
 (* One operation inside a multi-op message. An entry is *claimed* (its op
    taken) before the dispatch work is charged, so a second server never
    double-executes and a crash mid-dispatch leaves a recognisably lost
@@ -89,6 +97,10 @@ and remote = {
   mutable issued_at : int;
       (* issue time, the adaptive controller's issue->done latency signal;
          -1 when adaptation is off or once the latency has been recorded *)
+  mutable deadline : int;
+      (* self-healing escalation deadline: -1 until the first observation
+         arms it, re-armed by every escalation and re-issue; [max_int]
+         when self-healing is off *)
 }
 
 (* Hierarchical aggregation (the batching analogue of the paper's §4.2
@@ -177,8 +189,6 @@ type 'a t = {
   locality_size : int;
   hash : int -> int;
   check_budget : int;
-  marshal_cost : int;
-  dispatch_cost : int;
   self_healing : bool;
   await_timeout : int;
   batch : int;
@@ -234,12 +244,14 @@ type 'a t = {
 
 let npartitions t = Array.length t.partitions
 
-let bucket_of_key t key = abs (t.hash key) mod Array.length t.ns_table
+(* [abs] after [mod]: [abs min_int] is negative *)
+let bucket_of_key t key = abs (t.hash key mod Array.length t.ns_table)
 
-let partition_of_key t key =
-  let b = bucket_of_key t key in
-  Simops.charge_read (t.ns_base + (b / 8));
-  t.ns_table.(b)
+let bucket_owner t ~bucket =
+  Simops.charge_read (t.ns_base + (bucket / 8));
+  t.ns_table.(bucket)
+
+let partition_of_key t key = bucket_owner t ~bucket:(bucket_of_key t key)
 let partition_data t pid = t.partitions.(pid).data
 let client_hw t i = t.placement.(i)
 
@@ -419,10 +431,20 @@ let handle_exit t sid =
         fail_over t cl.my_pid
 
 let create sched ~nclients ~locality_size ~hash ?ns_sz ?(ring_slots = 16) ?(check_budget = 4)
-    ?(marshal_cost = 100) ?(dispatch_cost = 250) ?(dedicated_pollers = false)
-    ?(self_healing = false) ?(await_timeout = 50_000) ?(batch = 1) ?(batch_age = 1500)
-    ?(adaptive = false) ?(direct = false) ?(versions = 0) ?placement ~mk_data () =
+    ?(dedicated_pollers = false) ?(self_healing = false) ?(await_timeout = 50_000) ?(batch = 1)
+    ?(batch_age = 1500) ?(adaptive = false) ?(direct = false) ?(versions = 0) ?placement ~mk_data
+    () =
   assert (nclients > 0 && locality_size > 0);
+  (* configurations that cannot make progress: a ring with no slot, peers
+     that never serve, a table of negative size, a timeout already due *)
+  List.iter
+    (fun (bad, what) -> if bad then invalid_arg ("Dps.create: " ^ what))
+    [
+      (ring_slots < 1, "ring_slots < 1");
+      (check_budget < 1, "check_budget < 1");
+      (versions < 0, "versions < 0");
+      (await_timeout < 1, "await_timeout < 1");
+    ];
   (* [direct] starts every partition in direct mode (the static-CNA
      baseline); it needs the adaptive machinery even with no controller *)
   let adaptive = adaptive || direct in
@@ -493,8 +515,6 @@ let create sched ~nclients ~locality_size ~hash ?ns_sz ?(ring_slots = 16) ?(chec
       locality_size;
       hash;
       check_budget;
-      marshal_cost;
-      dispatch_cost;
       self_healing;
       await_timeout;
       batch;
@@ -600,7 +620,29 @@ let me t =
   | Some c -> c
   | None -> failwith "Dps: thread not attached"
 
-let cursor_advance cl scanned n = if n > 0 then cl.cursor <- (cl.cursor + max 1 scanned) mod n
+(* Retire a served (or discarded) batch: hand every waiting sender its
+   outcome — done, or lost for an entry that never ran — then clear claim
+   and toggle and count the slot out. Runs in the same atomic block as the
+   caller's releasing store, before its charge: a server killed at the
+   store must not leave a cleared slot still counted — that count would
+   never drain. *)
+let retire t ~pid ring slot =
+  let n = slot.count in
+  for i = 0 to n - 1 do
+    let e = slot.entries.(i) in
+    (match e.ecell with
+    | Some r ->
+        r.state <- (if e.edone then Done e.eret else Lost);
+        r.fresh <- Some slot
+    | None -> ());
+    e.ecell <- None;
+    e.ecancelled <- false
+  done;
+  slot.claim <- -1;
+  slot.toggle <- false;
+  ring.recv_idx <- ring.recv_idx + 1;
+  ring.rpending <- ring.rpending - n;
+  t.pending.(pid) <- t.pending.(pid) - n
 
 (* Serve the requests pending in one ring, assuming exclusive access (the
    ring lock, if any, is held by the caller). The batch is the unit of
@@ -636,7 +678,7 @@ let serve_slots t ~pid ring ~budget =
                    takeover of this slot after we crash mid-dispatch re-runs
                    it. Safe against double dispatch because only a dead
                    claimer's slot can be re-claimed. *)
-                Simops.work t.dispatch_cost;
+                Simops.work dispatch_cost;
                 e.eret <- op ();
                 e.edone <- true;
                 e.eop <- None;
@@ -651,7 +693,7 @@ let serve_slots t ~pid ring ~budget =
                     Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "dispatch"
                 | _ -> ());
                 (* request unmarshalling and dispatch, per operation *)
-                Simops.work t.dispatch_cost;
+                Simops.work dispatch_cost;
                 e.eret <- op ();
                 e.edone <- true;
                 incr served
@@ -659,27 +701,9 @@ let serve_slots t ~pid ring ~budget =
           done;
           (* one releasing store acks the whole batch: fill every completion
              cell, clear the toggle, then a single line transfer *)
-          for i = 0 to n - 1 do
-            let e = slot.entries.(i) in
-            (match e.ecell with
-            | Some r ->
-                r.state <- (if e.edone then Done e.eret else Lost);
-                r.fresh <- Some slot
-            | None -> ());
-            e.ecell <- None;
-            e.ecancelled <- false
-          done;
-          slot.claim <- -1;
-          slot.toggle <- false;
-          (* retire bookkeeping lands in the same atomic block as the
-             toggle clear, before the ack's charge: a server killed at the
-             store must not leave a cleared slot still counted — that
-             count would never drain *)
-          ring.recv_idx <- ring.recv_idx + 1;
+          retire t ~pid ring slot;
           ring.last_served <- Sthread.time ();
           t.last_served.(pid) <- ring.last_served;
-          ring.rpending <- ring.rpending - n;
-          t.pending.(pid) <- t.pending.(pid) - n;
           if !failpoint_skip_completion_fence then Simops.write slot.maddr
           else Simops.write_release slot.maddr)
     end
@@ -690,15 +714,13 @@ let serve_slots t ~pid ring ~budget =
    a lock (dedicated pollers or self-healing), it serializes us with other
    servers; on contention we simply skip the ring. *)
 let serve_ring t ~pid ring ~budget =
-  let proceed =
-    match ring.rlock with None -> true | Some l -> Spinlock.try_acquire l
-  in
-  if not proceed then 0
-  else begin
-    let served = serve_slots t ~pid ring ~budget in
-    (match ring.rlock with None -> () | Some l -> Spinlock.release l);
-    served
-  end
+  match ring.rlock with
+  | None -> serve_slots t ~pid ring ~budget
+  | Some l when Spinlock.try_acquire l ->
+      let served = serve_slots t ~pid ring ~budget in
+      Spinlock.release l;
+      served
+  | Some _ -> 0
 
 (* Forcibly serve one ring: wait out a live lock holder up to [patience],
    break the lock of a dead one. The per-ring step behind takeover. *)
@@ -732,21 +754,33 @@ let takeover_ring t pid ring =
    crashed holders are broken and reclaimed. *)
 let takeover_serve t pid =
   obs_span ~args:[ ("pid", Obs.A_int pid) ] "dps.takeover" (fun () ->
-  let p = t.partitions.(pid) in
-  let served = ref 0 in
-  Array.iter (fun ring -> served := !served + takeover_ring t pid ring) p.rings;
-  if !served > 0 then begin
+  let served =
+    Array.fold_left (fun n ring -> n + takeover_ring t pid ring) 0 t.partitions.(pid).rings
+  in
+  if served > 0 then begin
     t.n_takeovers <- t.n_takeovers + 1;
     t.takeovers_pid.(pid) <- t.takeovers_pid.(pid) + 1
   end;
-  !served)
+  served)
+
+(* Serve every ring of [pid] that holds published work. The occupancy
+   hints keep this proportional to the backlog — probing all N ring locks
+   with charged RMWs would cost more than the backlog itself on a sparse
+   partition. *)
+let serve_backlog t pid =
+  if t.pending.(pid) = 0 then 0
+  else
+    Array.fold_left
+      (fun served ring ->
+        if ring.rpending > 0 then served + serve_ring t ~pid ring ~budget:max_int else served)
+      0 t.partitions.(pid).rings
 
 let run_local t pid op =
   t.n_local <- t.n_local + 1;
   obs_span "dps.local" (fun () ->
       (* the runtime still interposes on local operations (§5.2 notes the
          overhead this causes for small update ratios) *)
-      Simops.work (t.dispatch_cost / 4);
+      Simops.work (dispatch_cost / 4);
       op t.partitions.(pid).data)
 
 (* Direct mode: bypass the rings and serialize on the partition's CNA
@@ -771,12 +805,8 @@ let try_run_direct t pid op =
   obs_span ~args:[ ("pid", Obs.A_int pid) ] "dps.direct" (fun () ->
       let rec attempt n =
         if Cna.try_acquire t.dlocks.(pid) then begin
-          if t.pending.(pid) > 0 then
-            Array.iter
-              (fun ring ->
-                if ring.rpending > 0 then ignore (serve_ring t ~pid ring ~budget:max_int))
-              t.partitions.(pid).rings;
-          Simops.work (t.dispatch_cost / 4);
+          ignore (serve_backlog t pid);
+          Simops.work (dispatch_cost / 4);
           let v = op t.partitions.(pid).data in
           t.n_direct <- t.n_direct + 1;
           t.direct_pid.(pid) <- t.direct_pid.(pid) + 1;
@@ -812,24 +842,11 @@ let discard_rings t pid =
       Array.iter
         (fun slot ->
           if slot.toggle then begin
-            let n = slot.count in
-            for i = 0 to n - 1 do
-              let e = slot.entries.(i) in
-              (match e.ecell with
-              | Some r ->
-                  r.state <- Lost;
-                  r.fresh <- Some slot
-              | None -> ());
-              e.eop <- None;
-              e.ecell <- None;
-              e.edone <- false;
-              e.ecancelled <- false
+            for i = 0 to slot.count - 1 do
+              slot.entries.(i).eop <- None;
+              slot.entries.(i).edone <- false
             done;
-            slot.claim <- -1;
-            slot.toggle <- false;
-            ring.recv_idx <- ring.recv_idx + 1;
-            ring.rpending <- ring.rpending - n;
-            t.pending.(pid) <- t.pending.(pid) - n;
+            retire t ~pid ring slot;
             Simops.write_release slot.maddr
           end)
         ring.slots)
@@ -846,16 +863,7 @@ let quiesce t pid =
   else begin
     let stalls = ref 0 in
     while t.pending.(pid) > 0 do
-      let served = ref 0 in
-      (* the occupancy hint keeps the drain proportional to the rings that
-         actually hold work — probing all N ring locks with charged RMWs
-         would cost more than the backlog itself on a sparse partition *)
-      Array.iter
-        (fun ring ->
-          if ring.rpending > 0 then
-            served := !served + serve_ring t ~pid ring ~budget:max_int)
-        t.partitions.(pid).rings;
-      if !served > 0 then stalls := 0
+      if serve_backlog t pid > 0 then stalls := 0
       else begin
         incr stalls;
         if !stalls >= 8 then begin
@@ -910,14 +918,51 @@ let set_mode t ~pid target =
       note_flip t pid Delegated
   | Direct, `Direct | Delegated, `Delegated -> ()
 
+(* The self-healing deadline of a wait starting now: [await_timeout]
+   cycles out, or never when self-healing is off — so no wait loop needs a
+   [self_healing] test of its own. *)
+let deadline t = if t.self_healing then Sthread.time () + t.await_timeout else max_int
+
+(* Publish [n] operations into a claimed ring slot — the one publish step
+   behind [send_direct] and [flush_stage]: fill the entries, set count and
+   toggle, then one releasing store moves the whole message line to the
+   partition's socket. The publish bookkeeping lands in the same atomic
+   block as the toggle, before the charge: a sender killed at the store
+   must not leave a published slot uncounted — its retire would drive the
+   counts negative. *)
+let publish t cl pid slot n op_at cell_at =
+  for i = 0 to n - 1 do
+    let e = slot.entries.(i) in
+    e.eop <- op_at i;
+    e.eret <- 0;
+    e.edone <- false;
+    e.ecancelled <- false;
+    e.ecell <- cell_at i;
+    match e.ecell with
+    | Some r ->
+        r.state <- Flushed (slot, i);
+        r.pid <- pid;
+        if r.obs_id <> 0 then Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "sent"
+    | None -> ()
+  done;
+  slot.count <- n;
+  slot.toggle <- true;
+  t.n_delegated <- t.n_delegated + n;
+  let ring = t.partitions.(pid).rings.(cl.tid) in
+  ring.rpending <- ring.rpending + n;
+  t.pending.(pid) <- t.pending.(pid) + n;
+  Simops.write_release slot.maddr
+
 (* Claim a free slot in this client's ring to [pid], serving own duties
    while the ring is full. Under self-healing, a ring stuck full past the
    timeout (its servers died) is drained by takeover so the sender is
    never wedged in claim. Mutually recursive with the serving path: serving
-   flushes aged batches, which claims slots. *)
+   flushes aged batches, which claims slots. The loop does not share
+   [await]'s idle policy: its [work 64] comes before the own-ring drain,
+   and one shared policy would reorder those charges. *)
 let rec claim_slot t cl pid =
   let ring = t.partitions.(pid).rings.(cl.tid) in
-  let deadline = ref (if t.self_healing then Sthread.time () + t.await_timeout else max_int) in
+  let due = ref (deadline t) in
   let rec try_claim () =
     let slot = ring.slots.(ring.send_idx mod Array.length ring.slots) in
     Simops.read slot.maddr;
@@ -926,11 +971,10 @@ let rec claim_slot t cl pid =
       if serve_as t cl ~max:t.check_budget = 0 then Simops.work 64;
       (* a full ring on a partition that flipped to direct mode may have
          nobody left serving it — it is our own ring, so drain it ourselves *)
-      if t.adaptive && t.modes.(pid) <> Delegated then
-        ignore (serve_ring t ~pid ring ~budget:max_int);
-      if t.self_healing && Sthread.time () > !deadline then begin
+      if t.modes.(pid) <> Delegated then ignore (serve_ring t ~pid ring ~budget:max_int);
+      if Sthread.time () > !due then begin
         ignore (takeover_serve t pid);
-        deadline := Sthread.time () + t.await_timeout
+        due := deadline t
       end;
       try_claim ()
     end
@@ -952,57 +996,32 @@ and flush_stage t cl stage =
   if stage.sn > 0 then
     obs_span ~args:[ ("n", Obs.A_int stage.sn) ] "dps.flush" (fun () ->
         cl.flushing <- true;
-        let pid = stage.spid in
         let n0 = stage.sn in
         let n =
           if !failpoint_drop_batch_flush && n0 > 1 && stage.scells.(n0 - 1) = None then n0 - 1
           else n0
         in
-        let slot = claim_slot t cl pid in
+        let slot = claim_slot t cl stage.spid in
         (* gather the staged descriptors for the group copy *)
         Simops.charge_read stage.saddr;
-        for i = 0 to n - 1 do
-          let e = slot.entries.(i) in
-          e.eop <- stage.sops.(i);
-          e.eret <- 0;
-          e.edone <- false;
-          e.ecancelled <- false;
-          e.ecell <- stage.scells.(i);
-          match stage.scells.(i) with
-          | Some r ->
-              r.state <- Flushed (slot, i);
-              r.pid <- pid;
-              if r.obs_id <> 0 then
-                Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "sent"
-          | None -> ()
-        done;
-        for i = 0 to n0 - 1 do
-          stage.sops.(i) <- None;
-          stage.scells.(i) <- None
-        done;
+        (* empty the stage in the publish's atomic block, so a sender
+           killed at the store leaves nothing behind to publish twice *)
         stage.sn <- 0;
-        slot.count <- n;
-        slot.toggle <- true;
-        (* as in [send_direct]: count the publish atomically with the
-           toggle, so a sender killed at the store leaves no uncounted
-           published slot behind *)
-        t.n_delegated <- t.n_delegated + n;
         t.n_flushes <- t.n_flushes + 1;
-        t.partitions.(pid).rings.(cl.tid).rpending <-
-          t.partitions.(pid).rings.(cl.tid).rpending + n;
-        t.pending.(pid) <- t.pending.(pid) + n;
-        Simops.write_release slot.maddr;
+        publish t cl stage.spid slot n (Array.get stage.sops) (Array.get stage.scells);
+        Array.fill stage.sops 0 n0 None;
+        Array.fill stage.scells 0 n0 None;
         cl.flushing <- false)
 
-(* Flush every staged batch whose oldest operation is older than
-   [batch_age] — the bound that keeps coalescing from turning into
-   unbounded latency. Runs at every serve, so a client that is busy
-   serving still pushes its own aged batches out. *)
-and flush_aged t cl =
+(* Flush every staged batch whose oldest operation is at least [age]
+   cycles old. Every serve flushes at [batch_age] — the bound that keeps
+   coalescing from turning into unbounded latency, even for a client busy
+   serving; [age] 0 flushes everything staged. *)
+and flush_aged t cl ~age =
   if Array.length t.stages > 0 && not cl.flushing then begin
     let now = Sthread.time () in
     Array.iter
-      (fun st -> if st.sn > 0 && now - st.sopened >= t.batch_age then flush_stage t cl st)
+      (fun st -> if st.sn > 0 && now - st.sopened >= age then flush_stage t cl st)
       t.stages.(cl.tid)
   end
 
@@ -1010,7 +1029,7 @@ and flush_aged t cl =
    partition's rings, scanning round-robin from a persistent cursor so no
    ring starves under load; returns the number served. *)
 and serve_as t cl ~max:budget =
-  flush_aged t cl;
+  flush_aged t cl ~age:t.batch_age;
   let p = t.partitions.(cl.my_pid) in
   let served = ref 0 in
   let i = ref 0 in
@@ -1020,52 +1039,30 @@ and serve_as t cl ~max:budget =
     served := !served + serve_ring t ~pid:cl.my_pid p.rings.(ring_idx) ~budget:(budget - !served);
     incr i
   done;
-  cursor_advance cl !i n;
+  if n > 0 then cl.cursor <- (cl.cursor + max 1 !i) mod n;
   !served
 
 let serve t ~max = serve_as t (me t) ~max
-
-let flush_all t cl =
-  if Array.length t.stages > 0 && not cl.flushing then
-    Array.iter (fun st -> if st.sn > 0 then flush_stage t cl st) t.stages.(cl.tid)
+let flush_all t cl = flush_aged t cl ~age:0
 
 let flush_pending t = flush_all t (me t)
 
-(* Direct, unbatched send — the [batch = 1] fast path, identical to the
-   paper's one-op-per-line protocol. *)
+(* The [batch = 1] send, identical to the paper's one-op-per-line
+   protocol. It marshals straight into the message line rather than
+   running as a one-op stage: the stage path would add a staging-line
+   write and a charged read of it to every delegation. *)
 let send_direct t cl pid fop cell =
   let slot = claim_slot t cl pid in
   (* argument marshalling into the message line *)
-  Simops.work t.marshal_cost;
-  let e = slot.entries.(0) in
-  e.eop <- Some fop;
-  e.eret <- 0;
-  e.edone <- false;
-  e.ecancelled <- false;
-  e.ecell <- cell;
-  (match cell with
-  | Some r ->
-      r.state <- Flushed (slot, 0);
-      r.pid <- pid;
-      if r.obs_id <> 0 then Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "sent"
-  | None -> ());
-  slot.count <- 1;
-  slot.toggle <- true;
-  (* publish bookkeeping in the same atomic block as the toggle, before
-     the charge: a sender killed at the store must not leave a published
-     slot uncounted — its retire would drive the counts negative *)
-  t.n_delegated <- t.n_delegated + 1;
-  t.partitions.(pid).rings.(cl.tid).rpending <-
-    t.partitions.(pid).rings.(cl.tid).rpending + 1;
-  t.pending.(pid) <- t.pending.(pid) + 1;
-  Simops.write_release slot.maddr
+  Simops.work marshal_cost;
+  publish t cl pid slot 1 (fun _ -> Some fop) (fun _ -> cell)
 
 (* Coalescing send: marshal into the thread-private staging line; the
    batch publishes when full or aged. *)
 let stage_op t cl pid fop cell =
   let stage = t.stages.(cl.tid).(pid) in
   (* argument marshalling into the staging line (socket-local) *)
-  Simops.work t.marshal_cost;
+  Simops.work marshal_cost;
   Simops.write stage.saddr;
   if stage.sn = 0 then stage.sopened <- Sthread.time ();
   stage.sops.(stage.sn) <- Some fop;
@@ -1083,259 +1080,202 @@ let issue t cl pid fop cell =
   obs_span "dps.issue" (fun () ->
       if t.batch > 1 then stage_op t cl pid fop cell else send_direct t cl pid fop cell)
 
-(* Build the completion record for a remote operation and issue it.
-   [route] recomputes the target partition on re-issue (a failed-over
-   bucket lands on its new owner); the record re-binds itself in place, so
-   every handle to it observes the retry. *)
-let remote_issue t op ~pid0 ~route =
-  let r =
-    {
-      state = Lost;
-      pid = pid0;
-      fresh = None;
-      reissue = (fun () -> ());
-      obs_id = Obs.next_id ();
-      issued_at = (if t.adaptive then Sthread.time () else -1);
-    }
+(* Route one operation to partition [pid] — the only copy of the adaptive
+   choice. A local operation runs in place; a remote one is counted for the
+   controller and, while its partition is out of delegated mode, tries the
+   CNA lock. A busy lock sends an awaited operation into backoff and a mode
+   re-read, a fire-and-forget one to the ring (see [try_run_direct]).
+   Returns the value when the operation ran here, [None] once it is
+   published or staged. *)
+let submit t cl pid op cell =
+  let delegate () =
+    issue t cl pid (fun () -> op t.partitions.(pid).data) cell;
+    None
   in
-  if r.obs_id <> 0 then
-    Obs.async_begin ~id:r.obs_id
-      ~now:(Sthread.time ())
-      ~args:[ ("pid", Obs.A_int pid0) ]
-      "dps.op";
-  let go pid =
-    r.pid <- pid;
-    let cl = me t in
-    if pid = cl.my_pid then r.state <- Done (run_local t pid op)
-    else if t.adaptive then begin
-      t.remote_pid.(pid) <- t.remote_pid.(pid) + 1;
-      let rec direct_or_delegate backoff =
-        if current_mode t pid <> Delegated then
-          match try_run_direct t pid op with
-          | Some v -> r.state <- Done v
-          | None ->
-              (* lock busy past patience: back off and re-read the mode —
-                 an uncommitted spin a concurrent flip can always redirect,
-                 unlike a position in the lock's waiter queue *)
-              Simops.work backoff;
-              direct_or_delegate (min 1024 (backoff * 2))
-        else issue t cl pid (fun () -> op t.partitions.(pid).data) (Some r)
-      in
-      direct_or_delegate 128
-    end
-    else issue t cl pid (fun () -> op t.partitions.(pid).data) (Some r)
+  let rec route backoff =
+    if not (t.adaptive && current_mode t pid <> Delegated) then delegate ()
+    else
+      match try_run_direct t pid op with
+      | Some _ as v -> v
+      | None when Option.is_none cell -> delegate ()
+      | None ->
+          Simops.work backoff;
+          route (min 1024 (backoff * 2))
   in
-  r.reissue <- (fun () -> go (route ()));
-  go pid0;
-  r
+  if pid = cl.my_pid then Some (run_local t pid op)
+  else begin
+    if t.adaptive then t.remote_pid.(pid) <- t.remote_pid.(pid) + 1;
+    route 128
+  end
+
+(* Issue an operation to partition [pid] and return its completion. A
+   remote operation gets a completion record; [route] recomputes the
+   target partition on re-issue (a failed-over bucket lands on its new
+   owner), and the record re-binds itself in place, so every handle to it
+   observes the retry. *)
+let start t pid op ~route =
+  if pid = (me t).my_pid then Local (run_local t pid op)
+  else begin
+    let r =
+      {
+        state = Lost;
+        pid;
+        fresh = None;
+        reissue = (fun () -> ());
+        obs_id = Obs.next_id ();
+        issued_at = (if t.adaptive then Sthread.time () else -1);
+        deadline = -1;
+      }
+    in
+    if r.obs_id <> 0 then
+      Obs.async_begin ~id:r.obs_id ~now:(Sthread.time ()) ~args:[ ("pid", Obs.A_int pid) ] "dps.op";
+    let go pid =
+      r.pid <- pid;
+      Option.iter (fun v -> r.state <- Done v) (submit t (me t) pid op (Some r))
+    in
+    r.reissue <- (fun () -> go (route ()));
+    go pid;
+    Remote r
+  end
 
 let execute t ~key op =
-  let cl = me t in
-  let pid = partition_of_key t key in
-  if pid = cl.my_pid then Local (run_local t pid op)
-  else Remote (remote_issue t op ~pid0:pid ~route:(fun () -> partition_of_key t key))
+  start t (partition_of_key t key) op ~route:(fun () -> partition_of_key t key)
 
-(* Escalation of a delegation stuck past the timeout: serve the target
+(* Re-route and re-send an operation whose attempt was lost, and re-arm its
+   escalation deadline. *)
+let reissue t r =
+  t.n_retries <- t.n_retries + 1;
+  if r.obs_id <> 0 then Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "reissue";
+  r.reissue ();
+  r.deadline <- deadline t
+
+(* Escalation of a delegation stuck past its deadline: serve the target
    partition's whole ring set ourselves (most stalls resolve right there —
    including our own entry), then decide from the entry's state whether to
-   keep waiting (a live server is mid-dispatch, or our entry already
-   executed and only awaits the batch publish), or cancel and re-issue
-   (lost with a dead server, or wedged behind a lock we could not break).
-   A cancelled entry's cell is detached so a later recovery of the batch
-   cannot complete the superseded attempt. *)
+   keep waiting under a re-armed deadline (a live server is mid-dispatch,
+   or our entry already executed and only awaits the batch publish), or
+   cancel and re-issue (lost with a dead server, or wedged behind a lock we
+   could not break). A cancelled entry's cell is detached so a later
+   recovery of the batch cannot complete the superseded attempt. *)
 let escalate t (r : remote) slot i =
   ignore (takeover_serve t r.pid);
   Simops.read slot.maddr;
   match r.state with
   | Flushed (s, j) when s == slot && j = i && slot.toggle ->
       let e = slot.entries.(i) in
-      if e.eop <> None then begin
+      if
+        e.eop <> None
+        || ((not e.edone) && slot.claim >= 0 && Hashtbl.mem t.dead_tids slot.claim)
+      then begin
         e.eop <- None;
         e.ecancelled <- true;
         e.ecell <- None;
-        `Reissue
-      end
-      else if (not e.edone) && slot.claim >= 0 && Hashtbl.mem t.dead_tids slot.claim then begin
-        (* lost with a server that died mid-dispatch *)
-        e.ecancelled <- true;
-        e.ecell <- None;
-        `Reissue
+        reissue t r
       end
       else begin
         if not (partition_has_live_member t r.pid) then fail_over t r.pid;
-        `Wait
+        r.deadline <- deadline t
       end
-  | _ -> `Check
+  | _ -> r.deadline <- deadline t
+
+(* Charge the pickup read if the server published the completion and we
+   have not yet paid the line transfer that fetches the reply. *)
+let pickup r =
+  match r.fresh with
+  | Some s ->
+      r.fresh <- None;
+      Simops.read s.maddr
+  | None -> ()
+
+(* One observation of a remote completion, the step [try_await] and
+   [await] share: a finished operation pays its pickup read; one lost with
+   a crashed server is re-routed and re-sent; our own unflushed batch is
+   forced out. A published one is polled — every observation of the reply
+   goes through a charged read of the message line, so a completion
+   discovered while serving is still only returned after the poll that
+   would fetch it. [`Pending] leaves the idle duty to the caller. *)
+let rec observe t cl r =
+  match r.state with
+  | Done v ->
+      pickup r;
+      obs_op_done t r;
+      `Done v
+  | Lost -> (
+      pickup r;
+      reissue t r;
+      match r.state with Done _ -> observe t cl r | _ -> `Again)
+  | Staged stage ->
+      flush_stage t cl stage;
+      `Again
+  | Flushed (slot, i) -> (
+      Simops.read slot.maddr;
+      r.fresh <- None;
+      match r.state with Flushed _ -> `Pending (slot, i) | _ -> observe t cl r)
 
 let try_await t completion =
   match completion with
   | Local v -> Some v
   | Remote r -> (
-      (* charge the pickup read if the server published the completion and
-         we have not yet paid the line transfer that fetches the reply *)
-      let pickup () =
-        match r.fresh with
-        | Some s ->
-            r.fresh <- None;
-            Simops.read s.maddr
-        | None -> ()
-      in
-      let reissue () =
-        t.n_retries <- t.n_retries + 1;
-        if r.obs_id <> 0 then Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "reissue";
-        r.reissue ()
-      in
-      match r.state with
-      | Done v ->
-          pickup ();
-          obs_op_done t r;
-          Some v
-      | Lost ->
-          (* the server crashed with our operation: re-route and re-send *)
-          pickup ();
-          reissue ();
-          (match r.state with
-          | Done v ->
-              obs_op_done t r;
-              Some v
-          | _ -> None)
-      | Staged stage ->
-          (* our own unflushed batch: force it out, then keep waiting *)
-          flush_stage t (me t) stage;
-          None
-      | Flushed (slot, _) -> (
-          Simops.read slot.maddr;
-          r.fresh <- None;
-          match r.state with
-          | Done v ->
-              obs_op_done t r;
-              Some v
-          | Lost ->
-              reissue ();
-              (match r.state with
-              | Done v ->
-                  obs_op_done t r;
-                  Some v
-              | _ -> None)
-          | _ ->
-              if t.adaptive && t.modes.(r.pid) <> Delegated then
-                (* the partition flipped under our published op: nobody may
-                   serve its rings any more — drain our own ring, the one
-                   that holds it (contention means the controller or a
-                   direct holder is already on it) *)
-                ignore
-                  (serve_ring t ~pid:r.pid
-                     t.partitions.(r.pid).rings.((me t).tid)
-                     ~budget:max_int)
-              else ignore (serve t ~max:t.check_budget);
-              None))
+      let cl = me t in
+      (* the escalation deadline starts at the first observation *)
+      if r.deadline < 0 then r.deadline <- deadline t;
+      match observe t cl r with
+      | `Done v -> Some v
+      | `Again -> None
+      | `Pending (slot, i) ->
+          let served =
+            if t.modes.(r.pid) <> Delegated then
+              (* the partition flipped under our published op: nobody may
+                 serve its rings any more — drain our own ring, the one
+                 that holds it *)
+              serve_ring t ~pid:r.pid t.partitions.(r.pid).rings.(cl.tid) ~budget:max_int
+            else serve_as t cl ~max:t.check_budget
+          in
+          if served = 0 && Sthread.time () > r.deadline then escalate t r slot i;
+          None)
 
 let await t completion =
   match completion with
   | Local v -> v
   | Remote r ->
       let cl = me t in
+      r.deadline <- deadline t;
       (* escalate the pause while the locality has nothing to serve, so a
          long-running remote operation does not turn into a polling storm *)
       let pause = ref 32 in
-      let deadline = ref (if t.self_healing then Sthread.time () + t.await_timeout else max_int) in
-      let reissue_now () =
-        t.n_retries <- t.n_retries + 1;
-        if r.obs_id <> 0 then Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "reissue";
-        r.reissue ();
-        deadline := Sthread.time () + t.await_timeout;
-        pause := 32
-      in
-      (* charge the pickup read if the server published the completion and
-         we have not yet paid the line transfer that fetches the reply *)
-      let pickup () =
-        match r.fresh with
-        | Some s ->
-            r.fresh <- None;
-            Simops.read s.maddr
-        | None -> ()
-      in
       let rec spin () =
-        match r.state with
-        | Done v ->
-            pickup ();
-            obs_op_done t r;
-            v
-        | Lost ->
-            pickup ();
-            reissue_now ();
+        match observe t cl r with
+        | `Done v -> v
+        | `Again ->
+            pause := 32;
             spin ()
-        | Staged stage ->
-            flush_stage t cl stage;
-            spin ()
-        | Flushed (slot, i) -> poll slot i
-      (* every observation of the reply goes through a charged read of the
-         message line — a completion discovered while serving is still
-         only *returned* after the poll that would fetch it *)
-      and poll slot i =
-        Simops.read slot.maddr;
-        r.fresh <- None;
-        match r.state with
-        | Done v ->
-            obs_op_done t r;
-            v
-        | Lost ->
-            reissue_now ();
-            spin ()
-        | Staged _ -> spin ()
-        | Flushed _ ->
-            if serve_as t cl ~max:t.check_budget > 0 then begin
-              pause := 32;
-              poll slot i
-            end
-            else if
-              t.adaptive
-              && t.modes.(r.pid) <> Delegated
-              && serve_ring t ~pid:r.pid t.partitions.(r.pid).rings.(cl.tid) ~budget:max_int
-                 > 0
-            then begin
-              (* the partition flipped under our published op: nobody may
-                 serve its rings any more — drain our own ring, the one that
-                 holds it; zero served means the controller or a direct
-                 holder has it, so fall through and back off *)
-              pause := 32;
-              poll slot i
-            end
-            else if t.self_healing && Sthread.time () > !deadline then begin
-              match escalate t r slot i with
-              | `Check | `Wait ->
-                  deadline := Sthread.time () + t.await_timeout;
-                  pause := 32;
-                  poll slot i
-              | `Reissue ->
-                  reissue_now ();
-                  pause := 32;
-                  spin ()
+        | `Pending (slot, i) ->
+            if
+              serve_as t cl ~max:t.check_budget > 0
+              (* a flipped partition: drain our own ring as in [try_await];
+                 zero served means the controller or a direct holder has
+                 it, so fall through and back off *)
+              || t.modes.(r.pid) <> Delegated
+                 && serve_ring t ~pid:r.pid t.partitions.(r.pid).rings.(cl.tid) ~budget:max_int
+                    > 0
+            then pause := 32
+            else if Sthread.time () > r.deadline then begin
+              escalate t r slot i;
+              pause := 32
             end
             else begin
               Simops.work !pause;
-              pause := min 4096 (2 * !pause);
-              poll slot i
-            end
+              pause := min 4096 (2 * !pause)
+            end;
+            spin ()
       in
       obs_span "dps.await" spin
 
 let call t ~key op = await t (execute t ~key op)
 
 let execute_async t ~key op =
-  let cl = me t in
   let pid = partition_of_key t key in
-  if pid = cl.my_pid then ignore (run_local t pid op)
-  else if t.adaptive then begin
-    t.remote_pid.(pid) <- t.remote_pid.(pid) + 1;
-    if current_mode t pid <> Delegated then begin
-      match try_run_direct t pid op with
-      | Some _ -> ()
-      | None -> issue t cl pid (fun () -> op t.partitions.(pid).data) None
-    end
-    else issue t cl pid (fun () -> op t.partitions.(pid).data) None
-  end
-  else issue t cl pid (fun () -> op t.partitions.(pid).data) None
+  ignore (submit t (me t) pid op None)
 
 let execute_local t ~key op =
   let pid = partition_of_key t key in
@@ -1344,38 +1284,16 @@ let execute_local t ~key op =
 
 let my_partition t = (me t).my_pid
 
-let first_live_pid t ~fallback =
-  let n = npartitions t in
-  let rec scan i = if i >= n then fallback else if not t.dead.(i) then i else scan (i + 1) in
-  scan 0
-
 let execute_on t ~pid op =
   assert (pid >= 0 && pid < npartitions t);
-  let cl = me t in
-  if pid = cl.my_pid then Local (run_local t pid op)
-  else
-    Remote
-      (remote_issue t op ~pid0:pid
-         ~route:(fun () ->
-           (* a directly-targeted partition that died is re-routed to a
-              live one — best-effort, same relaxed contract as failover *)
-           if t.dead.(pid) then first_live_pid t ~fallback:pid else pid))
+  start t pid op ~route:(fun () ->
+      (* a directly-targeted partition that died is re-routed to the first
+         live one — best-effort, same relaxed contract as failover *)
+      if t.dead.(pid) then
+        Option.value ~default:pid (Array.find_index not t.dead)
+      else pid)
 
 let call_on t ~pid op = await t (execute_on t ~pid op)
-
-let execute_async_on t ~pid op =
-  let cl = me t in
-  if pid = cl.my_pid then ignore (run_local t pid op)
-  else if t.adaptive then begin
-    t.remote_pid.(pid) <- t.remote_pid.(pid) + 1;
-    if current_mode t pid <> Delegated then begin
-      match try_run_direct t pid op with
-      | Some _ -> ()
-      | None -> issue t cl pid (fun () -> op t.partitions.(pid).data) None
-    end
-    else issue t cl pid (fun () -> op t.partitions.(pid).data) None
-  end
-  else issue t cl pid (fun () -> op t.partitions.(pid).data) None
 
 let range t op ~merge =
   let pending =
@@ -1442,8 +1360,7 @@ let rebalance t ~bucket ~to_ ~extract ~insert =
       ~now:(Sthread.time ())
       ~args:[ ("bucket", Obs.A_int bucket); ("to", Obs.A_int to_) ]
       "dps.rebalance";
-  Simops.charge_read (t.ns_base + (bucket / 8));
-  let from = t.ns_table.(bucket) in
+  let from = bucket_owner t ~bucket in
   if from <> to_ then begin
     let moved = ref [] in
     ignore
@@ -1456,10 +1373,6 @@ let rebalance t ~bucket ~to_ ~extract ~insert =
       (fun (key, value) -> ignore (call_on t ~pid:to_ (fun data -> insert data ~key ~value; 0)))
       !moved
   end
-
-let bucket_owner t ~bucket =
-  Simops.charge_read (t.ns_base + (bucket / 8));
-  t.ns_table.(bucket)
 
 let client_done t =
   (match Hashtbl.find_opt t.clients (Sthread.self_id ()) with

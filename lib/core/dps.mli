@@ -48,8 +48,6 @@ val create :
   ?ns_sz:int ->
   ?ring_slots:int ->
   ?check_budget:int ->
-  ?marshal_cost:int ->
-  ?dispatch_cost:int ->
   ?dedicated_pollers:bool ->
   ?self_healing:bool ->
   ?await_timeout:int ->
@@ -71,14 +69,17 @@ val create :
     partition_cnt, ns_sz, hash_fn)].
     [ring_slots] sizes each message ring (default 16); [check_budget] is
     the §4.3 knob: how many delegated requests a thread serves per check of
-    its own pending completion (default 4). [marshal_cost] (default 100)
-    and [dispatch_cost] (default 250) are the runtime's per-delegation
-    sender-side marshalling and server-side dispatch work in cycles —
-    calibration constants documented in EXPERIMENTS.md (local calls pay a
-    quarter of [dispatch_cost], matching the §5.2 remark about
-    interposition overhead on local operations). [dedicated_pollers]
-    (default false) adds the per-ring locks required to run {!run_poller}
-    threads (§4.4 liveness).
+    its own pending completion (default 4). Each delegation charges fixed
+    runtime work: 100 cycles of sender-side marshalling and 250 of
+    server-side dispatch (local calls pay a quarter of the dispatch,
+    matching the §5.2 remark about interposition overhead on local
+    operations) — calibration constants documented in EXPERIMENTS.md.
+    [dedicated_pollers] (default false) adds the per-ring locks required
+    to run {!run_poller} threads (§4.4 liveness).
+
+    Configurations that could never make progress raise
+    [Invalid_argument]: [ring_slots < 1], [check_budget < 1] (peers would
+    never serve), [versions < 0] and [await_timeout < 1].
 
     [self_healing] (default false) arms the fault-tolerant delegation
     paths (and implies the per-ring locks): a sender whose delegation
@@ -199,7 +200,9 @@ val execute : 'a t -> key:int -> ('a -> int) -> completion
 val try_await : 'a t -> completion -> int option
 (** Non-blocking check of a completion record (the paper's
     [await_completion]); serves one batch of delegated requests when the
-    result is not yet available. *)
+    result is not yet available. Under [~self_healing] a polling loop
+    escalates like {!await}: [await_timeout] cycles after the first check,
+    a check that served nothing takes over the target partition's rings. *)
 
 val await : 'a t -> completion -> int
 (** Spin on {!try_await} until the result arrives. *)
@@ -244,7 +247,6 @@ val execute_on : 'a t -> pid:int -> ('a -> int) -> completion
     queues). *)
 
 val call_on : 'a t -> pid:int -> ('a -> int) -> int
-val execute_async_on : 'a t -> pid:int -> ('a -> int) -> unit
 
 val run_poller : 'a t -> pid:int -> unit
 (** §4.4 liveness: body for a dedicated polling thread devoted to locality

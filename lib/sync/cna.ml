@@ -217,15 +217,19 @@ let owner t = if t.tail = None then None else Some t.owner_tid
    dead AND no live thread can be blocked in {!acquire} — DPS's direct
    mode qualifies, since it takes this lock through {!try_acquire}
    exclusively, which never joins the queue. A dead holder's qnode (and
-   any dead waiters stranded behind it) are simply abandoned. *)
+   any dead waiters stranded behind it) are simply abandoned. The reset
+   lands before the charged RMW, in the same atomic block as the caller's
+   dead-holder check: resetting after it would let a second breaker that
+   saw the same dead holder wipe out a live thread's fresh acquisition,
+   leaving two holders and a release that waits forever for a link. *)
 let break_lock t =
   if t.tail <> None then begin
-    Simops.rmw t.tail_addr;
     t.tail <- None;
     t.sec_head <- None;
     t.sec_tail <- None;
     t.local_streak <- 0;
-    t.owner_tid <- -1
+    t.owner_tid <- -1;
+    Simops.rmw t.tail_addr
   end
 
 let remote_transfers t = t.remote_transfers

@@ -11,8 +11,8 @@ module Check = Dps_check.Check
 module Faults = Dps_faults
 module Cna = Dps_sync.Cna
 
-let sweep_simple name scenario () =
-  match Check.explore ~name ~budget:30 scenario with
+let sweep_simple ?(budget = 30) name scenario () =
+  match Check.explore ~name ~budget scenario with
   | Ok () -> ()
   | Error f -> Alcotest.fail f.Check.message
 
@@ -311,6 +311,49 @@ let cna_try_scenario ctl =
       else if Cna.held l then Some "lock still held after all threads exited"
       else None)
 
+(* Recovery from a dead holder, as DPS's direct mode does it: every
+   contender that sees the dead owner breaks the lock, then retries
+   try_acquire. Two breakers racing must not wipe out the acquisition the
+   faster one already won — that leaves two holders, and the loser's
+   release then waits forever for a successor link. A holder counts as
+   inside until its release returns, so the stuck release shows up as an
+   overlap (raised at once: the simulation would never finish). *)
+let cna_break_scenario ctl =
+  Check.with_sim ctl (fun sim ->
+      let l = Cna.create sim.Check.alloc sim.Check.machine in
+      let dead = ref (-1) in
+      let inside = ref false in
+      let wins = ref 0 in
+      Sthread.spawn sim.Check.sched ~hw:0 (fun () ->
+          (* takes the lock and exits holding it *)
+          if Cna.try_acquire l then dead := Sthread.self_id ());
+      for t = 1 to 3 do
+        Sthread.spawn sim.Check.sched ~hw:(13 * t) (fun () ->
+            while !dead < 0 do
+              Sthread.work 20
+            done;
+            let mine = ref 0 in
+            while !mine < 2 do
+              if Cna.try_acquire l then begin
+                if !inside then failwith "two holders after break_lock";
+                inside := true;
+                Sthread.work 30;
+                Cna.release l;
+                inside := false;
+                incr mine;
+                incr wins
+              end
+              else begin
+                (match Cna.owner l with Some h when h = !dead -> Cna.break_lock l | _ -> ());
+                Sthread.work 40
+              end
+            done)
+      done;
+      Sthread.run sim.Check.sched;
+      if !wins <> 6 then Some (Printf.sprintf "%d of 6 acquisitions" !wins)
+      else if Cna.held l then Some "lock still held after all threads exited"
+      else None)
+
 (* --- suite --- *)
 
 let suite =
@@ -327,4 +370,6 @@ let suite =
     ("cna mutual exclusion under schedules", `Quick,
      sweep_simple "cna_mutex" cna_mutex_scenario);
     ("cna try_acquire contract", `Quick, sweep_simple "cna_try" cna_try_scenario);
+    (* the racing-breaker schedule first shows up at index 63 *)
+    ("cna racing lock breakers", `Quick, sweep_simple ~budget:100 "cna_break" cna_break_scenario);
   ]

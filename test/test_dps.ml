@@ -297,6 +297,95 @@ let test_monotonic_writes () =
       if got <> (tid * 1000) + 10 then incr violations);
   Alcotest.(check int) "writes observed in order" 0 !violations
 
+(* A delegation into a locality whose members all exited without serving
+   is rescued only by self-healing escalation. A [try_await] polling loop
+   (the event-driven adapter's pattern) must escalate like [await]. *)
+let test_try_await_escalates () =
+  let completion_time ~poll =
+    let sched = mk_sched () in
+    let dps =
+      Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id ~self_healing:true
+        ~await_timeout:20_000
+        ~mk_data:(fun _ -> ())
+        ()
+    in
+    let done_at = ref None in
+    for c = 0 to 19 do
+      Sthread.spawn sched ~hw:(Dps.client_hw dps c) (fun () ->
+          Dps.attach dps ~client:c;
+          if c = 0 then begin
+            (* key 1 lives on partition 1 *)
+            let comp = Dps.execute dps ~key:1 (fun () -> 7) in
+            if poll then begin
+              let rec spin () =
+                match Dps.try_await dps comp with
+                | Some v -> done_at := Some (v, Sthread.time ())
+                | None ->
+                    if Sthread.time () < 2_000_000 then begin
+                      Sthread.work 64;
+                      spin ()
+                    end
+              in
+              spin ()
+            end
+            else
+              let v = Dps.await dps comp in
+              done_at := Some (v, Sthread.time ())
+          end;
+          Dps.client_done dps;
+          (* partition 1's members leave without ever serving *)
+          if c < 10 then Dps.drain dps)
+    done;
+    Sthread.run sched;
+    !done_at
+  in
+  let bounded what = function
+    | Some (v, at) ->
+        Alcotest.(check int) (what ^ " value") 7 v;
+        Alcotest.(check bool) (what ^ " within 4 timeouts") true (at < 80_000)
+    | None -> Alcotest.failf "%s still pending at 2M cycles" what
+  in
+  bounded "await" (completion_time ~poll:false);
+  bounded "try_await" (completion_time ~poll:true)
+
+(* [abs (hash key)] is negative for [min_int]; the bucket must still land
+   in range (192 buckets for 3 partitions), and every other hash value
+   keeps its old bucket. *)
+let test_bucket_of_min_int_hash () =
+  let h = ref 0 in
+  let dps =
+    Dps.create (mk_sched ()) ~nclients:30 ~locality_size:10
+      ~hash:(fun _ -> !h)
+      ~mk_data:(fun _ -> ())
+      ()
+  in
+  List.iter
+    (fun (hash, bucket) ->
+      h := hash;
+      Alcotest.(check int)
+        (Printf.sprintf "bucket of hash %d" hash)
+        bucket (Dps.bucket_of_key dps 0))
+    [ (min_int, 64); (-193, 1); (-1, 1); (0, 0); (191, 191); (max_int, max_int mod 192) ]
+
+let test_create_rejects_impossible () =
+  let create ?ring_slots ?check_budget ?versions ?await_timeout () =
+    ignore
+      (Dps.create (mk_sched ()) ~nclients:20 ~locality_size:10 ~hash:Fun.id ?ring_slots
+         ?check_budget ?versions ?await_timeout
+         ~mk_data:(fun _ -> ())
+         ())
+  in
+  List.iter
+    (fun (what, make) -> Alcotest.check_raises what (Invalid_argument ("Dps.create: " ^ what)) make)
+    [
+      ("ring_slots < 1", fun () -> create ~ring_slots:0 ());
+      ("check_budget < 1", fun () -> create ~check_budget:0 ());
+      ("versions < 0", fun () -> create ~versions:(-1) ());
+      ("await_timeout < 1", fun () -> create ~await_timeout:0 ());
+    ];
+  (* the smallest legal values still build *)
+  create ~ring_slots:1 ~check_budget:1 ~versions:0 ~await_timeout:1 ()
+
 let suite =
   [
     ("partition mapping", `Quick, test_partition_mapping);
@@ -315,4 +404,7 @@ let suite =
     ("unattached rejected", `Quick, test_unattached_rejected);
     ("deterministic", `Quick, test_deterministic);
     ("four partitions", `Quick, test_four_partitions);
+    ("try_await escalates under self-healing", `Quick, test_try_await_escalates);
+    ("bucket of a min_int hash", `Quick, test_bucket_of_min_int_hash);
+    ("create rejects impossible configs", `Quick, test_create_rejects_impossible);
   ]
