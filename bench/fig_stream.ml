@@ -10,8 +10,8 @@
     pins the bucket parameters.
 
     The A/B runs the coalescible delegation workload under
-    {!Dps_machine.Costs.bw_unlimited} — zero queueing delay, only the
-    byte counters run — and reports interconnect bytes per operation for
+    {!Dps_machine.Costs.bw_unlimited} — the default machine plus byte
+    counters — and reports interconnect bytes per operation for
     DPS vs ffwd.
     DPS's socket-local client-to-leader rings move fewer cross-socket
     bytes per op than ffwd's all-sockets-to-server rings. *)
@@ -142,7 +142,8 @@ let sweep () =
    them). DPS runs with sender-side coalescing on — up to 7 descriptors
    cross the interconnect as one message line — while ffwd's protocol
    inherently posts one request line per operation. Buckets are
-   [bw_unlimited]: zero queueing delay, the byte counters just run. *)
+   [bw_unlimited]: charges are exactly the bandwidth-off machine's, the
+   byte counters just run. *)
 let ab_threads = 80
 let ab_window = 7
 let ab_op_len = 50

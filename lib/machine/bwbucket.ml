@@ -1,29 +1,44 @@
-(* Deterministic token bucket for bandwidth accounting, in simulated
+(* Deterministic token bucket for every finite resource, in simulated
    cycles. [tokens] may go negative: a charge that overdraws the bucket is
    admitted immediately but reports the queueing delay until the refill
    stream would have paid the debt back — so back-to-back charges at the
    same instant see monotonically growing delays, which is exactly the
    queueing behaviour of a saturated memory controller or link. Refill is
    computed lazily from the elapsed simulated time (no periodic events),
-   capped at [burst]. *)
+   capped at [burst].
+
+   Tokens are kept in units of bytes x [per], so a rate of [rate] bytes
+   every [per] cycles stays integral: the refill gains [rate] units per
+   cycle and a charge of [n] bytes costs [n * per] units. *)
 
 type t = {
-  rate : int;  (* bytes per cycle *)
+  rate : int;  (* bytes refilled every [per] cycles *)
+  per : int;
   burst : int;  (* token capacity, bytes *)
-  mutable tokens : int;
+  mutable tokens : int;  (* bytes x per *)
   mutable last : int;  (* simulated time of the last refill *)
   mutable bytes : int;  (* cumulative bytes charged *)
   mutable queue_cycles : int;  (* cumulative queueing delay handed out *)
   mutable queue_events : int;  (* charges that hit an empty bucket *)
 }
 
-let create ~rate ~burst =
-  if rate <= 0 || burst <= 0 then invalid_arg "Bwbucket.create: rate and burst must be positive";
-  { rate; burst; tokens = burst; last = 0; bytes = 0; queue_cycles = 0; queue_events = 0 }
+let create ~rate ~per ~burst =
+  if rate <= 0 || per <= 0 || burst < 0 then
+    invalid_arg "Bwbucket.create: rate and per must be positive, burst non-negative";
+  {
+    rate;
+    per;
+    burst;
+    tokens = burst * per;
+    last = 0;
+    bytes = 0;
+    queue_cycles = 0;
+    queue_events = 0;
+  }
 
 let rate t = t.rate
 let burst t = t.burst
-let tokens t = t.tokens
+let tokens t = t.tokens / t.per
 let bytes t = t.bytes
 let queue_cycles t = t.queue_cycles
 let queue_events t = t.queue_events
@@ -33,8 +48,9 @@ let refill t ~now =
     (* guard the refill product against overflow (huge idle gap x high
        rate) by saturating via division first *)
     let dt = now - t.last in
+    let cap = t.burst * t.per in
     let gain = if dt > max_int / t.rate then max_int else dt * t.rate in
-    t.tokens <- (if gain >= t.burst - t.tokens then t.burst else t.tokens + gain);
+    t.tokens <- (if gain >= cap - t.tokens then cap else t.tokens + gain);
     t.last <- now
   end
 
@@ -42,7 +58,7 @@ let refill t ~now =
    cycles (0 when the bucket still had tokens). *)
 let charge t ~now ~bytes =
   refill t ~now;
-  t.tokens <- t.tokens - bytes;
+  t.tokens <- t.tokens - (bytes * t.per);
   t.bytes <- t.bytes + bytes;
   if t.tokens >= 0 then 0
   else begin

@@ -7,15 +7,19 @@
     the paper's scalability shapes. *)
 
 type bw = {
+  dram_cycles_per_line : int;  (** per-node DRAM service queue: cycles per line *)
   mc_bytes_per_cycle : int;  (** per-socket memory-controller rate *)
   link_bytes_per_cycle : int;  (** per interconnect link direction *)
   mc_burst : int;  (** memory-controller token capacity, bytes *)
   link_burst : int;  (** link token capacity, bytes *)
 }
-(** Token-bucket bandwidth ceilings (see [Bwbucket]). A zero
-    [mc_bytes_per_cycle] disables bandwidth modeling entirely: no buckets
-    are created and every charge is exactly what it was before the model
-    existed. *)
+(** The machine's finite resources, each a [Bwbucket] per node or per
+    link direction. A zero rate means the resource does not exist: no
+    bucket is created and charging it is free. The DRAM service queue is
+    a bucket with a one-line burst; fills from DRAM wait in it. A zero
+    [mc_bytes_per_cycle] turns byte accounting off: no write-backs or DMA
+    are charged and the machine charges exactly what it did before the
+    bandwidth model existed. *)
 
 type t = {
   priv_hit : int;  (** L1/L2 blend *)
@@ -35,17 +39,17 @@ val default : t
 (** Latency costs of the paper's machine, bandwidth modeling off. *)
 
 val bw_off : bw
-(** Bandwidth modeling disabled ([bw:0]) — the default; charge-for-charge
-    identical to the pre-bandwidth-model machine. *)
+(** Bandwidth accounting off ([bw:0]) — the default: only the per-node
+    DRAM service queue (one line every 6 cycles) is finite.
+    Charge-for-charge identical to the pre-bandwidth-model machine. *)
 
 val bw_default : bw
 (** Ceilings calibrated by [bench/fig_stream]: 28 B/cycle per socket
     memory controller (56 GB/s at 2 GHz), 6 B/cycle per interconnect link
-    direction (12 GB/s), bursts of a few KB. *)
+    direction (12 GB/s), bursts of a few KB. The controller bucket stands
+    in for the DRAM service queue, which is off. *)
 
 val bw_unlimited : bw
-(** Buckets so large every charge sees zero queueing delay while the byte
-    counters still run (the bytes-per-op A/B's configuration). Unlike
-    {!bw_off} this still replaces the DRAM service-queue seam with the
-    buckets, so charges are close to — not bit-identical to — the
-    bandwidth-off machine. *)
+(** {!bw_off} plus byte counting: buckets so large every charge sees zero
+    queueing delay, so charges are bit-identical to {!bw_off} while the
+    byte counters run (the bytes-per-op A/B's configuration). *)

@@ -49,17 +49,13 @@ type region = { base : int; nlines : int; pol : policy }
    physically, never read. *)
 let no_line = { home = -1; owner = -1; sharers = Bitset.create 0; wbusy = 0; dirty = false }
 
-(* Bandwidth state, present only when [costs.bw] enables modeling: one
-   token bucket per socket memory controller and one per interconnect
-   link direction. [last_delay] records the bucket component of the most
-   recent access so [access_mlp] can exempt it from pipelining — latency
-   hides behind memory-level parallelism, bandwidth does not. *)
-type bwstate = {
-  mc : Bwbucket.t array;  (* per socket *)
-  link : Bwbucket.t array;  (* per ordered socket pair, Topology.link_index *)
-  mutable last_delay : int;
-}
+let line_bytes = 64
 
+(* Every finite resource is one [Bwbucket], keyed by resource id: each
+   node's DRAM service queue ([dram]) and memory controller ([mc]), and
+   each directed interconnect edge ([link], by [Topology.link_index]). A
+   resource whose rate [costs.bw] leaves at 0 does not exist: its array
+   is empty and charging it is free. *)
 type t = {
   cfg : config;
   priv : Cachebox.t array;  (* per physical core *)
@@ -71,8 +67,13 @@ type t = {
        alongside [next_addr] — one load per lookup where the previous
        [Hashtbl] hashed and chased buckets on every access. Entries
        materialize lazily on first touch, exactly as the hash table did. *)
-  dram_busy : int array;  (* per NUMA node: memory-controller occupancy *)
-  bw : bwstate option;  (* bandwidth buckets; None = modeling off (bw:0) *)
+  dram : Bwbucket.t array;
+  mc : Bwbucket.t array;
+  link : Bwbucket.t array;
+  mutable bw_delay : int;
+    (* bandwidth part of the fill delays since the last [access_mlp], which
+       exempts it from pipelining: latency hides behind memory-level
+       parallelism, bandwidth does not *)
   mutable regions : region array;
   mutable nregions : int;
   mutable next_addr : int;
@@ -80,9 +81,13 @@ type t = {
   active : bool array;
 }
 
+let buckets n ~rate ~per ~burst =
+  if rate = 0 || per = 0 then [||] else Array.init n (fun _ -> Bwbucket.create ~rate ~per ~burst)
+
 let create ?(seed = 42L) cfg =
   let root = Prng.create seed in
   let topo = cfg.topo in
+  let bw = cfg.costs.Costs.bw in
   {
     cfg;
     priv =
@@ -95,21 +100,17 @@ let create ?(seed = 42L) cfg =
       Array.init topo.Topology.sockets (fun _ ->
           Cachebox.create ~capacity:cfg.llc_lines (Prng.split root));
     lines = Array.make 65536 no_line;
-    dram_busy = Array.make topo.Topology.sockets 0;
-    bw =
-      (let b = cfg.costs.Costs.bw in
-       if b.Costs.mc_bytes_per_cycle <= 0 then None
-       else
-         Some
-           {
-             mc =
-               Array.init topo.Topology.sockets (fun _ ->
-                   Bwbucket.create ~rate:b.Costs.mc_bytes_per_cycle ~burst:b.Costs.mc_burst);
-             link =
-               Array.init (Topology.nlinks topo) (fun _ ->
-                   Bwbucket.create ~rate:b.Costs.link_bytes_per_cycle ~burst:b.Costs.link_burst);
-             last_delay = 0;
-           });
+    (* one line of burst: a FIFO server taking [dram_cycles_per_line] per line *)
+    dram =
+      buckets topo.Topology.sockets ~rate:line_bytes ~per:bw.Costs.dram_cycles_per_line
+        ~burst:line_bytes;
+    mc =
+      buckets topo.Topology.sockets ~rate:bw.Costs.mc_bytes_per_cycle ~per:1
+        ~burst:bw.Costs.mc_burst;
+    link =
+      buckets (Topology.nlinks topo) ~rate:bw.Costs.link_bytes_per_cycle ~per:1
+        ~burst:bw.Costs.link_burst;
+    bw_delay = 0;
     regions = Array.make 16 { base = 0; nlines = 0; pol = Interleave };
     nregions = 0;
     next_addr = 0;
@@ -199,33 +200,40 @@ let priv_insert t core addr =
         if l.owner = core then l.owner <- -1
       end
 
-let line_bytes = 64
+let bw_enabled t = Array.length t.mc > 0
+
+(* Charge one line to resource [i] of one kind, or to the edge
+   [src -> dst]; free when the kind does not exist. Returns the queueing
+   delay. *)
+let charge res i ~now =
+  if Array.length res = 0 then 0 else Bwbucket.charge res.(i) ~now ~bytes:line_bytes
+
+let charge_edge t ~src ~dst ~now =
+  if Array.length t.link = 0 then 0
+  else Bwbucket.charge t.link.(Topology.link_index t.cfg.topo ~src ~dst) ~now ~bytes:line_bytes
+
+let queued t stat d =
+  if d > 0 then Stats.incr t.stats stat;
+  d
 
 (* An LLC eviction of a modified line streams it back to the DRAM of its
    home node — memory-controller bytes, plus interconnect bytes when the
    evicting socket is not the home. Write-backs are posted (they do not
    delay the access that caused the eviction) but they drain the same
    token buckets, so later fills queue behind them. Only exists when
-   bandwidth modeling is on: with [bw:0] the eviction is free, as it
-   always was. *)
+   byte accounting is on: with [bw:0] the eviction is free, as it always
+   was. *)
 let llc_insert t ~now sock addr =
   match Cachebox.add t.llc.(sock) addr with
-  | None -> ()
-  | Some victim -> (
-      match t.bw with
-      | None -> ()
-      | Some st ->
-          let l = t.lines.(victim) in
-          if l != no_line && l.dirty then begin
-            l.dirty <- false;
-            Stats.incr t.stats "bw_writebacks";
-            ignore (Bwbucket.charge st.mc.(l.home) ~now ~bytes:line_bytes);
-            if l.home <> sock then
-              ignore
-                (Bwbucket.charge
-                   st.link.(Topology.link_index t.cfg.topo ~src:sock ~dst:l.home)
-                   ~now ~bytes:line_bytes)
-          end)
+  | Some victim when bw_enabled t ->
+      let l = t.lines.(victim) in
+      if l != no_line && l.dirty then begin
+        l.dirty <- false;
+        Stats.incr t.stats "bw_writebacks";
+        ignore (charge t.mc l.home ~now);
+        if l.home <> sock then ignore (charge_edge t ~src:sock ~dst:l.home ~now)
+      end
+  | Some _ | None -> ()
 
 (* First other socket whose LLC holds the line, or -1: the transfer
    source for a cross-socket LLC hit. *)
@@ -262,37 +270,30 @@ let count_fetch t = function
       Stats.incr t.stats "llc_misses";
       Stats.incr t.stats "remote_misses"
 
-(* Charge the bytes a fetch moves against the buckets they traverse:
-   DRAM fills hit the home node's memory controller, cross-socket
-   transfers hit the link from the source socket, remote DRAM fills hit
-   both (overlapped, so the delay is the max). Returns the queueing delay
-   and accumulates it in [last_delay] for {!access_mlp}. *)
-let bw_fill t ~now ~sock line src =
-  match t.bw with
-  | None -> 0
-  | Some st ->
-      let topo = t.cfg.topo in
-      let charge_mc node =
-        let d = Bwbucket.charge st.mc.(node) ~now ~bytes:line_bytes in
-        if d > 0 then Stats.incr t.stats "bw_mc_queueing";
-        d
-      in
-      let charge_link ~src ~dst =
-        let d =
-          Bwbucket.charge st.link.(Topology.link_index topo ~src ~dst) ~now ~bytes:line_bytes
-        in
-        if d > 0 then Stats.incr t.stats "bw_link_queueing";
-        d
-      in
-      let d =
-        match src with
-        | `Dram -> charge_mc line.home
-        | `Remote_dram -> max (charge_mc line.home) (charge_link ~src:line.home ~dst:sock)
-        | `Remote src_sock -> charge_link ~src:src_sock ~dst:sock
-        | `Local_transfer | `Llc | `Upgrade -> 0
-      in
-      st.last_delay <- st.last_delay + d;
-      d
+(* Queueing delay of one line fill. DRAM fills wait in the home node's
+   DRAM service queue and drain its memory controller; cross-socket
+   transfers drain the edge from the source socket; remote DRAM fills do
+   both. The transfers overlap, so the fill waits for the slowest
+   resource. The service queue's wait is a latency stall; whatever the
+   bandwidth buckets add on top is a bandwidth stall, accumulated in
+   [bw_delay] for {!access_mlp}. *)
+let fill_delay t ~now ~sock line src =
+  let from_dram = match src with `Dram | `Remote_dram -> true | _ -> false in
+  let q = if from_dram then queued t "dram_queueing" (charge t.dram line.home ~now) else 0 in
+  let mc = if from_dram then queued t "bw_mc_queueing" (charge t.mc line.home ~now) else 0 in
+  let link =
+    match src with
+    | `Remote_dram -> queued t "bw_link_queueing" (charge_edge t ~src:line.home ~dst:sock ~now)
+    | `Remote s -> queued t "bw_link_queueing" (charge_edge t ~src:s ~dst:sock ~now)
+    | `Dram | `Local_transfer | `Llc | `Upgrade -> 0
+  in
+  let bw = max 0 (max mc link - q) in
+  t.bw_delay <- t.bw_delay + bw;
+  if Dps_obs.Obs.profiling_on () then begin
+    Dps_obs.Obs.note_stall q;
+    Dps_obs.Obs.note_bw_stall bw
+  end;
+  q + bw
 
 let invalidation_cost t line ~core ~sock =
   let c = t.cfg.costs in
@@ -315,18 +316,6 @@ let do_invalidate t line ~core ~sock ~addr =
   Bitset.add line.sharers core;
   line.owner <- core;
   line.dirty <- true
-
-(* A node's memory controller streams one line every few cycles; fetches
-   that reach DRAM queue behind it. A working set homed on one node (the
-   default "node local" policy of Table 2) therefore saturates that node,
-   while interleaving spreads the load — exactly the paper's observation. *)
-let dram_service_cycles = 6
-
-let dram_queue t ~now node =
-  let queue = max 0 (t.dram_busy.(node) - now) in
-  t.dram_busy.(node) <- max now t.dram_busy.(node) + dram_service_cycles;
-  if queue > 0 then Stats.incr t.stats "dram_queueing";
-  queue
 
 (* Address translation: the page walk reads page tables homed where the
    page lives, so pointer chases over big remote working sets pay remote
@@ -357,12 +346,7 @@ let access_slow t ~now ~core ~addr ~kind =
       else begin
         let cost, src = fetch_cost t line ~core ~sock ~addr in
         count_fetch t src;
-        let bw =
-          match t.bw with
-          | None -> (
-              match src with `Dram | `Remote_dram -> dram_queue t ~now line.home | _ -> 0)
-          | Some _ -> bw_fill t ~now ~sock line src
-        in
+        let delay = fill_delay t ~now ~sock line src in
         if line.owner >= 0 && line.owner <> core then begin
           (* Dirty remote copy becomes shared. *)
           Bitset.add line.sharers line.owner;
@@ -371,12 +355,7 @@ let access_slow t ~now ~core ~addr ~kind =
         Bitset.add line.sharers core;
         priv_insert t core addr;
         llc_insert t ~now sock addr;
-        if bw > 0 && Dps_obs.Obs.profiling_on () then begin
-          match t.bw with
-          | None -> Dps_obs.Obs.note_stall bw
-          | Some _ -> Dps_obs.Obs.note_bw_stall bw
-        end;
-        translation + bw + cost
+        translation + delay + cost
       end
   | Write | Rmw ->
       let extra = if kind = Rmw then c.Costs.rmw_extra else 0 in
@@ -392,12 +371,7 @@ let access_slow t ~now ~core ~addr ~kind =
         (match src with
         | `Upgrade -> Stats.incr t.stats "priv_hits"
         | (`Local_transfer | `Llc | `Remote _ | `Dram | `Remote_dram) as s -> count_fetch t s);
-        let bw =
-          match t.bw with
-          | None -> (
-              match src with `Dram | `Remote_dram -> dram_queue t ~now line.home | _ -> 0)
-          | Some _ -> bw_fill t ~now ~sock line src
-        in
+        let delay = fill_delay t ~now ~sock line src in
         let inval = invalidation_cost t line ~core ~sock in
         if inval > 0 then Stats.incr t.stats "invalidations";
         do_invalidate t line ~core ~sock ~addr;
@@ -409,14 +383,8 @@ let access_slow t ~now ~core ~addr ~kind =
         let queue = max 0 (line.wbusy - now) in
         if queue > 0 then Stats.incr t.stats "write_queueing";
         line.wbusy <- max now line.wbusy + transfer;
-        if Dps_obs.Obs.profiling_on () then begin
-          match t.bw with
-          | None -> if bw + queue > 0 then Dps_obs.Obs.note_stall (bw + queue)
-          | Some _ ->
-              if queue > 0 then Dps_obs.Obs.note_stall queue;
-              if bw > 0 then Dps_obs.Obs.note_bw_stall bw
-        end;
-        translation + bw + queue + transfer
+        if queue > 0 && Dps_obs.Obs.profiling_on () then Dps_obs.Obs.note_stall queue;
+        translation + delay + queue + transfer
       end
 
 let access t ~now ~thread ~addr ~kind =
@@ -444,28 +412,21 @@ let access t ~now ~thread ~addr ~kind =
    bytes-per-cycle. With bandwidth off this is exactly the historical
    [max 1 (cost / factor)]. *)
 let access_mlp t ~now ~thread ~addr ~kind ~factor =
-  match t.bw with
-  | None -> max 1 (access t ~now ~thread ~addr ~kind / factor)
-  | Some st ->
-      st.last_delay <- 0;
-      let cost = access t ~now ~thread ~addr ~kind in
-      let bwd = min st.last_delay cost in
-      max 1 ((cost - bwd) / factor) + bwd
+  t.bw_delay <- 0;
+  let cost = access t ~now ~thread ~addr ~kind in
+  let bwd = min t.bw_delay cost in
+  max 1 ((cost - bwd) / factor) + bwd
 
 (* NIC DDIO traffic: packet payload streamed by a DMA engine drains the
    socket's memory-controller bucket like any other memory traffic, so
    network and application bandwidth honestly contend. Returns the
-   queueing delay; 0 (and no accounting) when bandwidth modeling is off. *)
+   queueing delay; 0 (and no accounting) when byte accounting is off. *)
 let bw_charge_dma t ~now ~socket ~bytes =
-  match t.bw with
-  | None -> 0
-  | Some st ->
-      let d = Bwbucket.charge st.mc.(socket) ~now ~bytes in
-      Stats.add t.stats "bw_dma_bytes" bytes;
-      if d > 0 then Stats.incr t.stats "bw_mc_queueing";
-      d
-
-let bw_enabled t = t.bw <> None
+  if not (bw_enabled t) then 0
+  else begin
+    Stats.add t.stats "bw_dma_bytes" bytes;
+    queued t "bw_mc_queueing" (Bwbucket.charge t.mc.(socket) ~now ~bytes)
+  end
 
 type bw_snapshot = {
   mc_bytes : int array;  (* per socket *)
@@ -476,32 +437,29 @@ type bw_snapshot = {
 }
 
 let bw_snapshot t =
-  match t.bw with
-  | None -> None
-  | Some st ->
-      let topo = t.cfg.topo in
-      let n = topo.Topology.sockets in
-      let link_bytes = Array.make_matrix n n 0 in
-      let link_queue_cycles = Array.make_matrix n n 0 in
-      Array.iteri
-        (fun i b ->
-          let src, dst = Topology.link_ends topo i in
-          link_bytes.(src).(dst) <- Bwbucket.bytes b;
-          link_queue_cycles.(src).(dst) <- Bwbucket.queue_cycles b)
-        st.link;
-      Some
-        {
-          mc_bytes = Array.map Bwbucket.bytes st.mc;
-          mc_queue_cycles = Array.map Bwbucket.queue_cycles st.mc;
-          link_bytes;
-          link_queue_cycles;
-          writebacks = Stats.get t.stats "bw_writebacks";
-        }
+  if not (bw_enabled t) then None
+  else begin
+    let topo = t.cfg.topo in
+    let n = topo.Topology.sockets in
+    let link_bytes = Array.make_matrix n n 0 in
+    let link_queue_cycles = Array.make_matrix n n 0 in
+    Array.iteri
+      (fun i b ->
+        let src, dst = Topology.link_ends topo i in
+        link_bytes.(src).(dst) <- Bwbucket.bytes b;
+        link_queue_cycles.(src).(dst) <- Bwbucket.queue_cycles b)
+      t.link;
+    Some
+      {
+        mc_bytes = Array.map Bwbucket.bytes t.mc;
+        mc_queue_cycles = Array.map Bwbucket.queue_cycles t.mc;
+        link_bytes;
+        link_queue_cycles;
+        writebacks = Stats.get t.stats "bw_writebacks";
+      }
+  end
 
-let interconnect_bytes t =
-  match t.bw with
-  | None -> 0
-  | Some st -> Array.fold_left (fun acc b -> acc + Bwbucket.bytes b) 0 st.link
+let interconnect_bytes t = Array.fold_left (fun acc b -> acc + Bwbucket.bytes b) 0 t.link
 
 let set_active t ~thread v = t.active.(thread) <- v
 
@@ -531,41 +489,34 @@ let register_obs t reg =
       Dps_obs.Registry.gauge_fn reg ~help:("machine model counter " ^ name)
         ("machine." ^ name)
         (fun () -> float_of_int (Stats.get t.stats name)))
-    counters;
-  match t.bw with
-  | None -> ()
-  | Some st ->
-      List.iter
-        (fun name ->
-          Dps_obs.Registry.gauge_fn reg ~help:("machine model counter " ^ name)
-            ("machine." ^ name)
-            (fun () -> float_of_int (Stats.get t.stats name)))
-        [ "bw_mc_queueing"; "bw_link_queueing"; "bw_writebacks"; "bw_dma_bytes" ];
-      Array.iteri
-        (fun s b ->
-          let labels = [ ("socket", string_of_int s) ] in
-          Dps_obs.Registry.gauge_fn reg ~labels ~help:"memory-controller bytes charged"
-            "machine.bw_mc_bytes"
-            (fun () -> float_of_int (Bwbucket.bytes b));
-          Dps_obs.Registry.gauge_fn reg ~labels ~help:"cycles spent queued on the memory controller"
-            "machine.bw_mc_queue_cycles"
-            (fun () -> float_of_int (Bwbucket.queue_cycles b));
-          Dps_obs.Registry.gauge_fn reg ~labels
-            ~help:"memory-controller occupancy, 0 (idle) to 1 (token debt)"
-            "machine.bw_mc_occupancy"
-            (fun () ->
-              let tokens = float_of_int (Bwbucket.tokens b) in
-              let burst = float_of_int (Bwbucket.burst b) in
-              Float.max 0. (Float.min 1. (1. -. (tokens /. burst)))))
-        st.mc;
-      Array.iteri
-        (fun i b ->
-          let src, dst = Topology.link_ends t.cfg.topo i in
-          let labels = [ ("src", string_of_int src); ("dst", string_of_int dst) ] in
-          Dps_obs.Registry.gauge_fn reg ~labels ~help:"interconnect-link bytes charged"
-            "machine.bw_link_bytes"
-            (fun () -> float_of_int (Bwbucket.bytes b));
-          Dps_obs.Registry.gauge_fn reg ~labels ~help:"cycles spent queued on the link"
-            "machine.bw_link_queue_cycles"
-            (fun () -> float_of_int (Bwbucket.queue_cycles b)))
-        st.link
+    (if bw_enabled t then
+       counters @ [ "bw_mc_queueing"; "bw_link_queueing"; "bw_writebacks"; "bw_dma_bytes" ]
+     else counters);
+  Array.iteri
+    (fun s b ->
+      let labels = [ ("socket", string_of_int s) ] in
+      Dps_obs.Registry.gauge_fn reg ~labels ~help:"memory-controller bytes charged"
+        "machine.bw_mc_bytes"
+        (fun () -> float_of_int (Bwbucket.bytes b));
+      Dps_obs.Registry.gauge_fn reg ~labels ~help:"cycles spent queued on the memory controller"
+        "machine.bw_mc_queue_cycles"
+        (fun () -> float_of_int (Bwbucket.queue_cycles b));
+      Dps_obs.Registry.gauge_fn reg ~labels
+        ~help:"memory-controller occupancy, 0 (idle) to 1 (token debt)"
+        "machine.bw_mc_occupancy"
+        (fun () ->
+          let tokens = float_of_int (Bwbucket.tokens b) in
+          let burst = float_of_int (Bwbucket.burst b) in
+          Float.max 0. (Float.min 1. (1. -. (tokens /. burst)))))
+    t.mc;
+  Array.iteri
+    (fun i b ->
+      let src, dst = Topology.link_ends t.cfg.topo i in
+      let labels = [ ("src", string_of_int src); ("dst", string_of_int dst) ] in
+      Dps_obs.Registry.gauge_fn reg ~labels ~help:"interconnect-link bytes charged"
+        "machine.bw_link_bytes"
+        (fun () -> float_of_int (Bwbucket.bytes b));
+      Dps_obs.Registry.gauge_fn reg ~labels ~help:"cycles spent queued on the link"
+        "machine.bw_link_queue_cycles"
+        (fun () -> float_of_int (Bwbucket.queue_cycles b)))
+    t.link

@@ -53,16 +53,19 @@ val access_mlp : t -> now:int -> thread:int -> addr:int -> kind:kind -> factor:i
     portion of the cost divides by [factor] (memory-level parallelism
     hides latency behind outstanding requests) while any bandwidth
     queueing delay does not — overlap cannot create bytes-per-cycle.
-    With bandwidth modeling off this is exactly
-    [max 1 (access ... / factor)]. *)
+    The DRAM service queue's wait is latency and pipelines. With byte
+    accounting off this is exactly [max 1 (access ... / factor)]. *)
 
 val bw_charge_dma : t -> now:int -> socket:int -> bytes:int -> int
 (** Charge NIC DDIO DMA traffic against [socket]'s memory-controller
     bucket; returns the queueing delay in cycles. 0, with no accounting,
-    when bandwidth modeling is off. *)
+    when byte accounting is off. *)
 
 val bw_enabled : t -> bool
-(** Whether the config's {!Costs.bw} enabled the token buckets. *)
+(** Whether the config's {!Costs.bw} gave the memory controllers buckets
+    (byte accounting on). The DRAM service queue is a bucket too, but it
+    exists in every configuration with a nonzero
+    [Costs.dram_cycles_per_line], byte accounting or not. *)
 
 type bw_snapshot = {
   mc_bytes : int array;  (** bytes charged per socket memory controller *)
@@ -90,7 +93,8 @@ val home_of : t -> int -> int
 val stats : t -> Dps_simcore.Stats.t
 (** Counters: ["accesses"], ["priv_hits"], ["llc_hits"], ["llc_misses"]
     (served by DRAM or another socket), ["remote_misses"] (cross-socket
-    only), ["invalidations"]; with bandwidth modeling on, also
+    only), ["invalidations"], ["dram_queueing"] (fills that waited in the
+    DRAM service queue), ["write_queueing"]; with byte accounting on, also
     ["bw_mc_queueing"], ["bw_link_queueing"], ["bw_writebacks"] and
     ["bw_dma_bytes"]. *)
 

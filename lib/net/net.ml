@@ -1,6 +1,7 @@
 module Sthread = Dps_sthread.Sthread
 module Machine = Dps_machine.Machine
 module Topology = Dps_machine.Topology
+module Bwbucket = Dps_machine.Bwbucket
 module Obs = Dps_obs.Obs
 
 (* Trace row for a NIC: packets are event-context work with no simulated
@@ -42,8 +43,8 @@ type stats = {
 type nic = {
   socket : int;
   dma_hw : int;  (** per-socket DMA agent: coherence actor for NIC transfers *)
-  mutable rx_free_at : int;  (** client->server link busy horizon *)
-  mutable tx_free_at : int;  (** server->client link busy horizon *)
+  rx_link : Bwbucket.t;  (** client->server direction *)
+  tx_link : Bwbucket.t;  (** server->client direction *)
 }
 
 type conn_state = Connecting | Open | Refused | Closed
@@ -85,6 +86,10 @@ let lines_of_bytes n = (n + line_bytes - 1) / line_bytes
 let create sched ?(config = default_config) () =
   let m = Sthread.machine sched in
   let topo = Machine.topology m in
+  (* a link direction serializes one line every [cycles_per_line]: a
+     bucket with no burst, so a packet's delay is its wait behind earlier
+     packets plus its own serialization *)
+  let link () = Bwbucket.create ~rate:line_bytes ~per:config.cycles_per_line ~burst:0 in
   let nics =
     Array.init topo.Topology.sockets (fun s ->
         {
@@ -94,8 +99,8 @@ let create sched ?(config = default_config) () =
           dma_hw =
             (s * topo.Topology.cores_per_socket * topo.Topology.threads_per_core)
             + min 1 (topo.Topology.threads_per_core - 1);
-          rx_free_at = 0;
-          tx_free_at = 0;
+          rx_link = link ();
+          tx_link = link ();
         })
   in
   {
@@ -140,19 +145,11 @@ let local_fraction t =
   let total = t.st.local_lines + t.st.remote_lines in
   if total = 0 then 1.0 else float_of_int t.st.local_lines /. float_of_int total
 
-(* Reserve the link for [lines] of payload: serialization delays departure,
-   propagation delays arrival. Returns the arrival time. *)
-let reserve_link t ~free_at ~set_free ~lines =
+(* Send [lines] of payload over a link direction: serialization delays
+   departure, propagation delays arrival. Returns the arrival time. *)
+let reserve t link ~lines =
   let now = Sthread.now t.sched in
-  let depart = max now free_at + (lines * t.cfg.cycles_per_line) in
-  set_free depart;
-  depart + t.cfg.link_latency
-
-let reserve_rx t nic ~lines =
-  reserve_link t ~free_at:nic.rx_free_at ~set_free:(fun v -> nic.rx_free_at <- v) ~lines
-
-let reserve_tx t nic ~lines =
-  reserve_link t ~free_at:nic.tx_free_at ~set_free:(fun v -> nic.tx_free_at <- v) ~lines
+  now + Bwbucket.charge link ~now ~bytes:(lines * line_bytes) + t.cfg.link_latency
 
 (* DMA one packet's lines into the receive ring through the coherence
    directory, as the per-socket DMA agent. Returns the charged cycles. *)
@@ -265,7 +262,7 @@ let connect t ~nic ~rx ?(on_refused = fun () -> ()) () =
     }
   in
   t.next_conn <- t.next_conn + 1;
-  let arrive = reserve_rx t nic ~lines:1 in
+  let arrive = reserve t nic.rx_link ~lines:1 in
   Sthread.at t.sched ~time:arrive (fun () ->
       if c.state = Connecting then
         if t.listening then begin
@@ -287,7 +284,7 @@ let send t c data =
          multi-MTU response pays for substring copies *)
       let chunk = if n = len then data else String.sub data !pos n in
       pos := !pos + n;
-      let arrive = reserve_rx t c.nic ~lines:(lines_of_bytes n) in
+      let arrive = reserve t c.nic.rx_link ~lines:(lines_of_bytes n) in
       Sthread.at t.sched ~time:arrive (fun () -> deliver_pkt t c chunk)
     done
   end
@@ -381,7 +378,7 @@ let reply t c data =
       let n = min mtu (len - !pos) in
       let chunk = if n = len then data else String.sub data !pos n in
       pos := !pos + n;
-      let arrive = reserve_tx t c.nic ~lines:(lines_of_bytes n) in
+      let arrive = reserve t c.nic.tx_link ~lines:(lines_of_bytes n) in
       t.st.pkts_tx <- t.st.pkts_tx + 1;
       t.st.bytes_tx <- t.st.bytes_tx + n;
       if Obs.tracing_on () then

@@ -21,7 +21,7 @@ module Sthread := Dps_sthread.Sthread
 
 type config = {
   link_latency : int;  (** propagation cycles per packet, one way *)
-  cycles_per_line : int;  (** link serialization cost per 64 B line *)
+  cycles_per_line : int;  (** link serialization cost per 64 B line; positive *)
   mtu_lines : int;  (** maximum payload lines per packet *)
   ring_lines : int;  (** per-connection rx/tx DMA ring size, in lines *)
   rx_window : int;  (** per-connection buffered-byte cap before backpressure *)
