@@ -1,6 +1,7 @@
 (** Shared plumbing for the paper-figure benchmarks: building machines,
-    populating structures, and running the set benchmark of §5.2 under the
-    shared-memory, ffwd and DPS harnesses. *)
+    populating structures, placing and retiring DPS and ffwd clients, and
+    running the set benchmark of §5.2 under the shared-memory, ffwd and
+    DPS harnesses (which [bin/dps_bench] also runs, one point at a time). *)
 
 module Machine = Dps_machine.Machine
 module Topology = Dps_machine.Topology
@@ -9,6 +10,7 @@ module Alloc = Dps_sthread.Alloc
 module Prng = Dps_simcore.Prng
 module Keydist = Dps_workload.Keydist
 module Driver = Dps_workload.Driver
+module Ffwd = Dps_ffwd.Ffwd
 
 module type SET = Dps_ds.Set_intf.SET
 module Par = Dps_simcore.Par
@@ -129,8 +131,8 @@ let order_for_name name =
   if String.length name >= 3 && String.sub name 0 3 = "bst" then Balanced
   else
     match name with
-    | "lb-b" | "lf-n" | "lf-h" | "bst-tk" -> Balanced
-    | "lb-h" | "lf-f" | "lf-s" -> Shuffled
+    | "lb-b" | "lf-n" | "lf-h" -> Balanced
+    | "lb-h" | "lf-f" -> Shuffled
     | _ -> Descending
 
 (* The §5.2 per-operation mix: pick a key from [0, 2*size), then update
@@ -147,10 +149,49 @@ let mk_op_mix (w : workload) ~insert ~remove ~lookup =
       if Prng.bool p then insert key else remove key
     else lookup key
 
+(* --- client placement and lifecycle, shared by every delegation figure --- *)
+
+(* DPS clients run on DPS's own placement and attach before their first
+   operation; on the way out each retires and drains its partition's
+   rings, so no delegated operation is left unserved. *)
+let measure_dps ~sched dps ~threads ~duration ?min_ops ~op () =
+  Driver.measure ~sched ~threads
+    ~placement:(Array.init threads (Dps.client_hw dps))
+    ~duration ?min_ops
+    ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
+    ~epilogue:(fun ~tid:_ ->
+      Dps.client_done dps;
+      Dps.drain dps)
+    ~op ()
+
+(* ffwd servers take the first hardware thread of each socket. *)
+let ffwd_server_hw m ~servers =
+  let topo = Machine.topology m in
+  Array.init servers (fun i -> i * topo.Topology.cores_per_socket * topo.Topology.threads_per_core)
+
+(* ffwd clients take the default placement minus the server threads of
+   [ffwd_server_hw], and retire when done so the servers can stop. *)
+let measure_ffwd ~sched f ~threads ~duration ?min_ops ~op () =
+  let m = Sthread.machine sched in
+  let topo = Machine.topology m in
+  let server_hw = ffwd_server_hw m ~servers:(Ffwd.nservers f) in
+  let all =
+    Topology.placement topo ~n:(min (Topology.nthreads topo) (threads + Array.length server_hw))
+  in
+  let client_hws =
+    Array.of_list (List.filter (fun hw -> not (Array.mem hw server_hw)) (Array.to_list all))
+  in
+  Driver.measure ~sched ~threads
+    ~placement:(Array.init threads (fun i -> client_hws.(i mod Array.length client_hws)))
+    ~duration ?min_ops
+    ~prologue:(fun ~tid -> Ffwd.attach f ~client:tid)
+    ~epilogue:(fun ~tid:_ -> Ffwd.client_done f)
+    ~op ()
+
 (* --- shared-memory harness --- *)
 
-let run_shared (module S : SET) ~config (w : workload) =
-  let m = Machine.create config in
+let run_shared ?seed (module S : SET) ~config (w : workload) =
+  let m = Machine.create ?seed config in
   let sched = Sthread.create m in
   let alloc = Alloc.create m ~cold:Alloc.Spread in
   let set = S.create alloc in
@@ -172,8 +213,8 @@ let run_shared (module S : SET) ~config (w : workload) =
    parity or stride (populations use odd keys). *)
 let partition_hash k = (k * 0x9E3779B1) lsr 8
 
-let run_dps (module S : SET) ~config ?(locality_size = 10) (w : workload) =
-  let m = Machine.create config in
+let run_dps ?seed (module S : SET) ~config ?(locality_size = 10) (w : workload) =
+  let m = Machine.create ?seed config in
   let sched = Sthread.create m in
   let dps =
     Dps.create sched ~nclients:w.threads ~locality_size
@@ -193,12 +234,7 @@ let run_dps (module S : SET) ~config ?(locality_size = 10) (w : workload) =
     populate (module S) part ~keys:(Array.of_list parts.(p)) ~order:(order_for_name S.name);
     S.maintenance part
   done;
-  let placement = Array.init w.threads (Dps.client_hw dps) in
-  Driver.measure ~sched ~threads:w.threads ~placement ~duration:w.duration ?min_ops:w.min_ops
-    ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-    ~epilogue:(fun ~tid:_ ->
-      Dps.client_done dps;
-      Dps.drain dps)
+  measure_dps ~sched dps ~threads:w.threads ~duration:w.duration ?min_ops:w.min_ops
     ~op:
       (mk_op_mix w
          ~insert:(fun key ->
@@ -211,15 +247,11 @@ let run_dps (module S : SET) ~config ?(locality_size = 10) (w : workload) =
 
 (* --- ffwd harness: data sharded across 1 or 4 dedicated servers --- *)
 
-let run_ffwd (module S : SET) ~config ~servers (w : workload) =
-  let m = Machine.create config in
+let run_ffwd ?seed (module S : SET) ~config ~servers (w : workload) =
+  let m = Machine.create ?seed config in
   let topo = Machine.topology m in
   let sched = Sthread.create m in
-  (* servers take the first hardware thread of each socket *)
-  let server_hw =
-    Array.init servers (fun i ->
-        i * topo.Topology.cores_per_socket * topo.Topology.threads_per_core)
-  in
+  let server_hw = ffwd_server_hw m ~servers in
   let shards =
     Array.map
       (fun hw ->
@@ -227,7 +259,7 @@ let run_ffwd (module S : SET) ~config ~servers (w : workload) =
         S.create (Alloc.create m ~cold:(Alloc.Node node)))
       server_hw
   in
-  let f = Dps_ffwd.Ffwd.create sched ~server_hw ~clients:w.threads in
+  let f = Ffwd.create sched ~server_hw ~clients:w.threads in
   let keys = population_keys ~size:w.size ~seed:11L in
   let per_shard = Array.make servers [] in
   Array.iter (fun k -> per_shard.(k mod servers) <- k :: per_shard.(k mod servers)) keys;
@@ -238,19 +270,10 @@ let run_ffwd (module S : SET) ~config ~servers (w : workload) =
       ~order:(order_for_name S.name);
     S.maintenance shards.(s)
   done;
-  (* clients avoid the server threads *)
-  let all = Topology.placement topo ~n:(min (Topology.nthreads topo) (w.threads + servers)) in
-  let server_set = Array.to_list server_hw in
-  let client_hws =
-    Array.of_list (List.filter (fun hw -> not (List.mem hw server_set)) (Array.to_list all))
-  in
-  let placement = Array.init w.threads (fun i -> client_hws.(i mod Array.length client_hws)) in
   let shard_call key op =
-    Dps_ffwd.Ffwd.call f ~server:(key mod servers) (fun () -> op shards.(key mod servers))
+    Ffwd.call f ~server:(key mod servers) (fun () -> op shards.(key mod servers))
   in
-  Driver.measure ~sched ~threads:w.threads ~placement ~duration:w.duration ?min_ops:w.min_ops
-    ~prologue:(fun ~tid -> Dps_ffwd.Ffwd.attach f ~client:tid)
-    ~epilogue:(fun ~tid:_ -> Dps_ffwd.Ffwd.client_done f)
+  measure_ffwd ~sched f ~threads:w.threads ~duration:w.duration ?min_ops:w.min_ops
     ~op:
       (mk_op_mix w
          ~insert:(fun key ->

@@ -9,7 +9,6 @@
 
 open Bench_common
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 module Prng = Dps_simcore.Prng
 module Driver = Dps_workload.Driver
 
@@ -29,32 +28,6 @@ let locality_size () =
   Printf.printf "x = hyperthreads per locality (partitions = 80/x)\n";
   print_series ~label:"DPS/bst-tk" pts
 
-let run_deleg ?(ring_slots = 16) ?(check_budget = 4) ?(async = false) ?(delay = 0) ~op_len () =
-  let m = Dps_machine.Machine.create full_config in
-  let sched = Sthread.create m in
-  let dps =
-    Dps.create sched ~nclients:80 ~locality_size:10 ~hash:Fun.id ~ring_slots ~check_budget
-      ~mk_data:(fun _ -> ())
-      ()
-  in
-  let placement = Array.init 80 (Dps.client_hw dps) in
-  Driver.measure ~sched ~threads:80 ~placement ~duration:default_duration
-    ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-    ~epilogue:(fun ~tid:_ ->
-      Dps.client_done dps;
-      Dps.drain dps)
-    ~op:(fun ~tid:_ ~step:_ ->
-      let p = Sthread.self_prng () in
-      let key = Prng.int p 512 in
-      let spin () =
-        if op_len > 0 then Simops.work op_len;
-        0
-      in
-      if async then Dps.execute_async dps ~key (fun () -> spin ())
-      else ignore (Dps.call dps ~key (fun () -> spin ()));
-      if delay > 0 then Simops.work delay)
-    ()
-
 let check_budget () =
   print_header
     "Ablation: check budget (serves per own-completion check; 500-cycle ops, 80 threads)";
@@ -62,18 +35,33 @@ let check_budget () =
   List.iter
     (fun (b, r) ->
       Printf.printf "%-8d %12.3f %10d %10d\n%!" b r.Driver.throughput_mops r.Driver.p50
-        r.Driver.p99)
+        r.Driver.p99;
+      json_record ~series:"check_budget" ~x:(string_of_int b)
+        [
+          ("throughput_mops", r.Driver.throughput_mops);
+          ("p50", float_of_int r.Driver.p50);
+          ("p99", float_of_int r.Driver.p99);
+        ])
     (map_points
-       (fun b -> (b, run_deleg ~check_budget:b ~op_len:500 ()))
+       (fun b ->
+         ( b,
+           Fig_deleg.run ~check_budget:b ~mode:Fig_deleg.Dps_sync ~threads:80 ~op_len:500 ~delay:0
+             ~duration:default_duration () ))
        (if quick then [ 1; 4; 32 ] else [ 1; 2; 4; 8; 16; 32 ]))
 
 let ring_slots () =
   print_header "Ablation: ring slots (asynchronous flood, 500-cycle ops + 1000-cycle delay)";
   Printf.printf "%-8s %12s\n" "slots" "Mops/s";
   List.iter
-    (fun (n, r) -> Printf.printf "%-8d %12.3f\n%!" n r.Driver.throughput_mops)
+    (fun (n, r) ->
+      Printf.printf "%-8d %12.3f\n%!" n r.Driver.throughput_mops;
+      json_record ~series:"ring_slots" ~x:(string_of_int n)
+        [ ("throughput_mops", r.Driver.throughput_mops) ])
     (map_points
-       (fun n -> (n, run_deleg ~ring_slots:n ~async:true ~op_len:500 ~delay:1000 ()))
+       (fun n ->
+         ( n,
+           Fig_deleg.run ~ring_slots:n ~mode:Fig_deleg.Dps_async ~threads:80 ~op_len:500 ~delay:1000
+             ~duration:default_duration () ))
        (if quick then [ 2; 16 ] else [ 2; 4; 16; 64 ]))
 
 let pollers () =
@@ -117,12 +105,14 @@ let pollers () =
     | _ -> assert false
   in
   Printf.printf "%-12s %10s %10s\n" "mode" "p50" "p99";
-  Printf.printf "%-12s %10d %10d\n" "no poller"
-    (Dps_simcore.Histogram.percentile no_poller 0.5)
-    (Dps_simcore.Histogram.percentile no_poller 0.99);
-  Printf.printf "%-12s %10d %10d\n%!" "poller"
-    (Dps_simcore.Histogram.percentile with_poller 0.5)
-    (Dps_simcore.Histogram.percentile with_poller 0.99)
+  List.iter
+    (fun (mode, hist) ->
+      let p50 = Dps_simcore.Histogram.percentile hist 0.5
+      and p99 = Dps_simcore.Histogram.percentile hist 0.99 in
+      Printf.printf "%-12s %10d %10d\n%!" mode p50 p99;
+      json_record ~series:"pollers" ~x:mode
+        [ ("p50", float_of_int p50); ("p99", float_of_int p99) ])
+    [ ("no poller", no_poller); ("poller", with_poller) ]
 
 (* The lock family on the contended r/w-object workload — the
    related-work alternatives (Dice et al.) to DPS's restructuring, now

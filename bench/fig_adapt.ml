@@ -134,15 +134,7 @@ let run_one ~label ~mk =
       else Simops.work (think - 1_000 + Prng.int p 2_000)
     end
   in
-  let placement = Array.init threads (Dps.client_hw dps) in
-  let agg =
-    Driver.measure ~sched ~threads ~placement ~duration
-      ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-      ~epilogue:(fun ~tid:_ ->
-        Dps.client_done dps;
-        Dps.drain dps)
-      ~op ()
-  in
+  let agg = measure_dps ~sched dps ~threads ~duration ~op () in
   let to_direct, to_delegated = Dps.mode_flips dps in
   {
     label;

@@ -44,9 +44,10 @@ let ops_per_flush dps =
   if flushes = 0 then 1.0 else float_of_int (Dps.delegated_ops dps) /. float_of_int flushes
 
 (* (a): each step issues a window of small operations against one
-   partition's keys, then awaits them — the coalescible pattern. *)
-let run_window ~batch =
-  let m = Machine.create full_config in
+   partition's keys, then awaits them — the coalescible pattern.
+   [config] and [on_machine] as in {!Fig_deleg.run}. *)
+let run_window ?(config = full_config) ?(on_machine = fun (_ : Machine.t) -> ()) ~batch () =
+  let m = Machine.create config in
   let sched = Sthread.create m in
   let dps = mk_dps sched ~batch ~batch_age:1500 in
   let nparts = Dps.npartitions dps in
@@ -62,15 +63,8 @@ let run_window ~batch =
     in
     Array.iter (fun c -> ignore (Dps.await dps c)) pending
   in
-  let placement = Array.init threads (Dps.client_hw dps) in
-  let r =
-    Driver.measure ~sched ~threads ~placement ~duration:default_duration
-      ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-      ~epilogue:(fun ~tid:_ ->
-        Dps.client_done dps;
-        Dps.drain dps)
-      ~op ()
-  in
+  let r = measure_dps ~sched dps ~threads ~duration:default_duration ~op () in
+  on_machine m;
   (r, ops_per_flush dps)
 
 let fig_sizes () =
@@ -79,7 +73,7 @@ let fig_sizes () =
        "Batch (a): throughput/latency vs batch size (%d threads, %d-cycle ops, windows of %d)"
        threads op_len window);
   let batches = [ 1; 2; 4; 7 ] in
-  let pts = map_points (fun b -> (b, run_window ~batch:b)) batches in
+  let pts = map_points (fun b -> (b, run_window ~batch:b ())) batches in
   List.iter
     (fun (b, (r, opf)) ->
       json_record ~series:"DPS" ~x:(string_of_int b)
@@ -126,15 +120,7 @@ let run_aged ~batch_age =
     Simops.work 2000;
     ignore (Dps.serve dps ~max:4)
   in
-  let placement = Array.init threads (Dps.client_hw dps) in
-  let (_ : Driver.result) =
-    Driver.measure ~sched ~threads ~placement ~duration:default_duration
-      ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-      ~epilogue:(fun ~tid:_ ->
-        Dps.client_done dps;
-        Dps.drain dps)
-      ~op ()
-  in
+  let (_ : Driver.result) = measure_dps ~sched dps ~threads ~duration:default_duration ~op () in
   (lat, ops_per_flush dps)
 
 let fig_age () =

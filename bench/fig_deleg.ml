@@ -9,8 +9,6 @@ module Sthread = Dps_sthread.Sthread
 module Simops = Dps_sthread.Simops
 module Prng = Dps_simcore.Prng
 module Driver = Dps_workload.Driver
-module Topology = Dps_machine.Topology
-module Ffwd = Dps_ffwd.Ffwd
 
 type mode = Dps_sync | Dps_async | Ffwd_servers of int
 
@@ -18,16 +16,21 @@ type mode = Dps_sync | Dps_async | Ffwd_servers of int
    uniformly random keys, pausing [delay] cycles between operations.
    [config] overrides the machine (the bandwidth A/B runs with token
    buckets on); [on_machine] observes the machine after the measurement
-   (e.g. to read bandwidth byte counters). *)
-let run ?(config = full_config) ?(on_machine = fun (_ : Dps_machine.Machine.t) -> ()) ~mode
-    ~threads ~op_len ~delay ~duration () =
+   (e.g. to read bandwidth byte counters); [ring_slots] and
+   [check_budget] pass through to {!Dps.create} for the ablations. *)
+let run ?(config = full_config) ?(on_machine = fun (_ : Dps_machine.Machine.t) -> ()) ?ring_slots
+    ?check_budget ~mode ~threads ~op_len ~delay ~duration () =
   let m = Dps_machine.Machine.create config in
   let sched = Sthread.create m in
+  let spin () =
+    if op_len > 0 then Simops.work op_len;
+    0
+  in
   let result =
     match mode with
     | Dps_sync | Dps_async ->
         let dps =
-          Dps.create sched ~nclients:threads ~locality_size:10
+          Dps.create sched ~nclients:threads ~locality_size:10 ?ring_slots ?check_budget
             ~hash:(fun k -> k)
             ~mk_data:(fun _ -> ())
             ()
@@ -36,48 +39,20 @@ let run ?(config = full_config) ?(on_machine = fun (_ : Dps_machine.Machine.t) -
         let op ~tid:_ ~step:_ =
           let p = Sthread.self_prng () in
           let key = Prng.int p (64 * nparts) in
-          let spin () =
-            if op_len > 0 then Simops.work op_len;
-            0
-          in
           (match mode with
           | Dps_sync -> ignore (Dps.call dps ~key (fun () -> spin ()))
           | Dps_async | Ffwd_servers _ -> Dps.execute_async dps ~key (fun () -> spin ()));
           if delay > 0 then Simops.work delay
         in
-        let placement = Array.init threads (Dps.client_hw dps) in
-        Driver.measure ~sched ~threads ~placement ~duration
-          ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-          ~epilogue:(fun ~tid:_ ->
-            Dps.client_done dps;
-            Dps.drain dps)
-          ~op ()
+        measure_dps ~sched dps ~threads ~duration ~op ()
     | Ffwd_servers servers ->
-        let topo = Dps_machine.Machine.topology m in
-        let server_hw =
-          Array.init servers (fun i ->
-              i * topo.Topology.cores_per_socket * topo.Topology.threads_per_core)
-        in
-        let f = Ffwd.create sched ~server_hw ~clients:threads in
-        let all = Topology.placement topo ~n:(min (Topology.nthreads topo) (threads + servers)) in
-        let server_set = Array.to_list server_hw in
-        let client_hws =
-          Array.of_list (List.filter (fun hw -> not (List.mem hw server_set)) (Array.to_list all))
-        in
-        let placement = Array.init threads (fun i -> client_hws.(i mod Array.length client_hws)) in
+        let f = Ffwd.create sched ~server_hw:(ffwd_server_hw m ~servers) ~clients:threads in
         let op ~tid:_ ~step:_ =
           let p = Sthread.self_prng () in
-          let server = Prng.int p servers in
-          ignore
-            (Ffwd.call f ~server (fun () ->
-                 if op_len > 0 then Simops.work op_len;
-                 0));
+          ignore (Ffwd.call f ~server:(Prng.int p servers) spin);
           if delay > 0 then Simops.work delay
         in
-        Driver.measure ~sched ~threads ~placement ~duration
-          ~prologue:(fun ~tid -> Ffwd.attach f ~client:tid)
-          ~epilogue:(fun ~tid:_ -> Ffwd.client_done f)
-          ~op ()
+        measure_ffwd ~sched f ~threads ~duration ~op ()
   in
   on_machine m;
   result

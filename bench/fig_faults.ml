@@ -63,15 +63,7 @@ let run ~chaos ~duration =
            Simops.work op_len;
            0))
   in
-  let placement = Array.init threads (Dps.client_hw dps) in
-  let r =
-    Driver.measure ~sched ~threads ~placement ~duration
-      ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-      ~epilogue:(fun ~tid:_ ->
-        Dps.client_done dps;
-        Dps.drain dps)
-      ~op ()
-  in
+  let r = measure_dps ~sched dps ~threads ~duration ~op () in
   (r, Dps.health dps)
 
 let print_health ~label (h : Dps.health) =

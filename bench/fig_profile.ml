@@ -16,37 +16,11 @@
     on for the same reason). *)
 
 open Bench_common
-module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
-module Prng = Dps_simcore.Prng
 module Driver = Dps_workload.Driver
 module Obs = Dps_obs.Obs
 
 let run ~threads ~op_len ~duration =
-  let m = Dps_machine.Machine.create full_config in
-  let sched = Sthread.create m in
-  let dps =
-    Dps.create sched ~nclients:threads ~locality_size:10
-      ~hash:(fun k -> k)
-      ~mk_data:(fun _ -> ())
-      ()
-  in
-  let nparts = Dps.npartitions dps in
-  let op ~tid:_ ~step:_ =
-    let p = Sthread.self_prng () in
-    let key = Prng.int p (64 * nparts) in
-    ignore
-      (Dps.call dps ~key (fun () ->
-           if op_len > 0 then Simops.work op_len;
-           0))
-  in
-  let placement = Array.init threads (Dps.client_hw dps) in
-  Driver.measure ~sched ~threads ~placement ~duration
-    ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-    ~epilogue:(fun ~tid:_ ->
-      Dps.client_done dps;
-      Dps.drain dps)
-    ~op ()
+  Fig_deleg.run ~mode:Fig_deleg.Dps_sync ~threads ~op_len ~delay:0 ~duration ()
 
 let all () =
   print_header "Profile: cycle attribution on the delegation hot path";

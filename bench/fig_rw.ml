@@ -45,24 +45,12 @@ let run ~config ~technique ~threads ~objects ~lines ~write_lines ?window
         ()
   | Ffwd_s4 ->
       let servers = 4 in
-      let server_hw =
-        Array.init servers (fun i ->
-            i * topo.Topology.cores_per_socket * topo.Topology.threads_per_core)
-      in
       (* shard i belongs to server (i mod 4); memory homed on that socket *)
       let o =
         Rw.create_partitioned m ~node_of:(fun i -> i mod servers) ~objects ~lines ~write_lines
       in
-      let f = Ffwd.create sched ~server_hw ~clients:threads in
-      let all = Topology.placement topo ~n:(min (Topology.nthreads topo) (threads + servers)) in
-      let server_set = Array.to_list server_hw in
-      let client_hws =
-        Array.of_list (List.filter (fun hw -> not (List.mem hw server_set)) (Array.to_list all))
-      in
-      let placement = Array.init threads (fun i -> client_hws.(i mod Array.length client_hws)) in
-      Driver.measure ~sched ~threads ~placement ~duration ?min_ops
-        ~prologue:(fun ~tid -> Ffwd.attach f ~client:tid)
-        ~epilogue:(fun ~tid:_ -> Ffwd.client_done f)
+      let f = Ffwd.create sched ~server_hw:(ffwd_server_hw m ~servers) ~clients:threads in
+      measure_ffwd ~sched f ~threads ~duration ?min_ops
         ~op:(fun ~tid:_ ~step:_ ->
           let p = Sthread.self_prng () in
           let i = Prng.int p objects in
@@ -89,12 +77,7 @@ let run ~config ~technique ~threads ~objects ~lines ~write_lines ?window
       let o = Rw.create_partitioned m ~node_of ~objects ~lines ~write_lines in
       let alloc = Alloc.create m ~cold:Alloc.Spread in
       let locks = Array.init objects (fun _ -> Mcs.create alloc) in
-      let placement = Array.init threads (Dps.client_hw dps) in
-      Driver.measure ~sched ~threads ~placement ~duration ?min_ops
-        ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-        ~epilogue:(fun ~tid:_ ->
-          Dps.client_done dps;
-          Dps.drain dps)
+      measure_dps ~sched dps ~threads ~duration ?min_ops
         ~op:(fun ~tid:_ ~step:_ ->
           let p = Sthread.self_prng () in
           let i = Prng.int p objects in
@@ -194,7 +177,11 @@ let table2 () =
       ]
   in
   Printf.printf "%-18s %12s\n" "technique" "ops/s";
-  List.iter (fun (label, ops) -> Printf.printf "%-18s %12.0f\n%!" label ops) rows
+  List.iter
+    (fun (label, ops) ->
+      Printf.printf "%-18s %12.0f\n%!" label ops;
+      json_record ~series:"table2" ~x:label [ ("throughput_mops", ops /. 1e6) ])
+    rows
 
 let all () =
   fig7 ();

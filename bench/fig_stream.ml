@@ -18,7 +18,6 @@
 
 open Bench_common
 module Machine = Dps_machine.Machine
-module Topology = Dps_machine.Topology
 module Costs = Dps_machine.Costs
 module Sthread = Dps_sthread.Sthread
 module Driver = Dps_workload.Driver
@@ -137,96 +136,51 @@ let sweep () =
     results
 
 (* Interconnect bytes per delegated operation, DPS vs ffwd, on the
-   coalescible window workload of bench/fig_batch (each step issues a
-   window of small operations against one partition/shard, then awaits
+   coalescible window workload of {!Fig_batch.run_window} (each step issues
+   a window of small operations against one partition/shard, then awaits
    them). DPS runs with sender-side coalescing on — up to 7 descriptors
    cross the interconnect as one message line — while ffwd's protocol
    inherently posts one request line per operation. Buckets are
    [bw_unlimited]: charges are exactly the bandwidth-off machine's, the
    byte counters just run. *)
-let ab_threads = 80
-let ab_window = 7
-let ab_op_len = 50
-
 let ab_config =
   { full_config with Machine.costs = { Costs.default with Costs.bw = Costs.bw_unlimited } }
 
+let bytes_per_op bytes (r : Driver.result) =
+  float_of_int bytes /. float_of_int (r.Driver.ops * Fig_batch.window)
+
 let run_ab_dps () =
-  let m = Machine.create ab_config in
-  let sched = Sthread.create m in
-  let dps =
-    Dps.create sched ~nclients:ab_threads ~locality_size:10 ~batch:7 ~batch_age:1500
-      ~hash:(fun k -> k)
-      ~mk_data:(fun _ -> ())
-      ()
+  let bytes = ref 0 in
+  let r, _ =
+    Fig_batch.run_window ~config:ab_config
+      ~on_machine:(fun m -> bytes := Machine.interconnect_bytes m)
+      ~batch:7 ()
   in
-  let nparts = Dps.npartitions dps in
-  let op ~tid:_ ~step:_ =
-    let p = Sthread.self_prng () in
-    let base = Prng.int p nparts in
-    let pending =
-      Array.init ab_window (fun _ ->
-          let key = base + (nparts * Prng.int p 64) in
-          Dps.execute dps ~key (fun () ->
-              Simops.work ab_op_len;
-              0))
-    in
-    Array.iter (fun c -> ignore (Dps.await dps c)) pending
-  in
-  let placement = Array.init ab_threads (Dps.client_hw dps) in
-  let r =
-    Driver.measure ~sched ~threads:ab_threads ~placement ~duration:default_duration
-      ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-      ~epilogue:(fun ~tid:_ ->
-        Dps.client_done dps;
-        Dps.drain dps)
-      ~op ()
-  in
-  (r, float_of_int (Machine.interconnect_bytes m) /. float_of_int (r.Driver.ops * ab_window))
+  (r, bytes_per_op !bytes r)
 
 let run_ab_ffwd ~servers =
   let m = Machine.create ab_config in
-  let topo = Machine.topology m in
   let sched = Sthread.create m in
-  let server_hw =
-    Array.init servers (fun i ->
-        i * topo.Topology.cores_per_socket * topo.Topology.threads_per_core)
-  in
-  let f = Ffwd.create sched ~server_hw ~clients:ab_threads in
-  let all =
-    Topology.placement topo ~n:(min (Topology.nthreads topo) (ab_threads + servers))
-  in
-  let server_set = Array.to_list server_hw in
-  let client_hws =
-    Array.of_list (List.filter (fun hw -> not (List.mem hw server_set)) (Array.to_list all))
-  in
-  let placement =
-    Array.init ab_threads (fun i -> client_hws.(i mod Array.length client_hws))
-  in
+  let f = Ffwd.create sched ~server_hw:(ffwd_server_hw m ~servers) ~clients:Fig_batch.threads in
   let op ~tid:_ ~step:_ =
     let p = Sthread.self_prng () in
     let server = Prng.int p servers in
-    for _ = 1 to ab_window do
+    for _ = 1 to Fig_batch.window do
       ignore
         (Ffwd.call f ~server (fun () ->
-             Simops.work ab_op_len;
+             Simops.work Fig_batch.op_len;
              0))
     done
   in
-  let r =
-    Driver.measure ~sched ~threads:ab_threads ~placement ~duration:default_duration
-      ~prologue:(fun ~tid -> Ffwd.attach f ~client:tid)
-      ~epilogue:(fun ~tid:_ -> Ffwd.client_done f)
-      ~op ()
-  in
-  (r, float_of_int (Machine.interconnect_bytes m) /. float_of_int (r.Driver.ops * ab_window))
+  let r = measure_ffwd ~sched f ~threads:Fig_batch.threads ~duration:default_duration ~op () in
+  (r, bytes_per_op (Machine.interconnect_bytes m) r)
 
 let deleg_ab () =
   print_header
     (Printf.sprintf
        "STREAM A/B: interconnect bytes per delegated op (windows of %d, %d-cycle ops, %d \
         threads)"
-       ab_window ab_op_len ab_threads);
+       Fig_batch.window Fig_batch.op_len Fig_batch.threads);
   match map_points (fun f -> f ()) [ run_ab_dps; (fun () -> run_ab_ffwd ~servers:4) ] with
   | [ (dps_r, dps_bpo); (ffwd_r, ffwd_bpo) ] ->
       json_record ~series:"bytes_per_op" ~x:"DPS"

@@ -3,187 +3,42 @@
      dune exec bin/dps_bench.exe -- --structure lf-f --harness dps \
        --threads 80 --size 4096 --update 50 --skewed
 
-   Prints throughput, LLC misses per operation and latency percentiles for
-   any of the paper's structures under the shared-memory, ffwd or DPS
-   harness — the building block the figures in bench/ are made of. *)
+   A front end over the figures' own harnesses (Bench_common.run_shared,
+   run_dps and run_ffwd): population, key order, op mix and thread
+   layout are exactly the figures', so a point printed here is the number
+   the figure reports at that point. Prints throughput, LLC misses per
+   operation and latency percentiles. *)
 
 open Cmdliner
-module Machine = Dps_machine.Machine
-module Topology = Dps_machine.Topology
-module Sthread = Dps_sthread.Sthread
-module Alloc = Dps_sthread.Alloc
-module Prng = Dps_simcore.Prng
-module Keydist = Dps_workload.Keydist
+open Dps_bench_figures
 module Driver = Dps_workload.Driver
 
 module type SET = Dps_ds.Set_intf.SET
 
 let structures : (string * (module SET)) list =
-  [
-    ("gl-m", (module Dps_ds.Ll_coarse));
-    ("lb-l", (module Dps_ds.Ll_lazy));
-    ("lf-m", (module Dps_ds.Ll_michael));
-    ("optik", (module Dps_ds.Ll_optik));
-    ("rlu", (module Dps_ds.Rlu_list));
-    ("bst-tk", (module Dps_ds.Bst_tk));
-    ("lf-n", (module Dps_ds.Bst_ellen));
-    ("lf-h", (module Dps_ds.Bst_internal_lf));
-    ("lb-b", (module Dps_ds.Bst_bronson));
-    ("lb-h", (module Dps_ds.Sl_herlihy));
-    ("lf-f", (module Dps_ds.Sl_fraser));
-    ("hash", (module Dps_ds.Hashtable));
-    ("blink", (module Dps_ds.Btree_blink));
-    ("parsec-ll", (module Dps_parsec.Parsec_list));
-  ]
+  List.map
+    (fun (module S : SET) -> (S.name, (module S : SET)))
+    [
+      (module Dps_ds.Ll_coarse);
+      (module Dps_ds.Ll_lazy);
+      (module Dps_ds.Ll_michael);
+      (module Dps_ds.Ll_optik);
+      (module Dps_ds.Rlu_list);
+      (module Dps_ds.Bst_tk);
+      (module Dps_ds.Bst_ellen);
+      (module Dps_ds.Bst_internal_lf);
+      (module Dps_ds.Bst_bronson);
+      (module Dps_ds.Sl_herlihy);
+      (module Dps_ds.Sl_fraser);
+      (module Dps_ds.Hashtable);
+      (module Dps_ds.Btree_blink);
+      (module Dps_parsec.Parsec_list);
+    ]
 
 type harness = Shared | Dps_h | Ffwd_h
 
-let run_point structure (module S : SET) harness threads size update skewed duration servers
-    scaled seed =
-  let config = if scaled then Machine.config_scaled () else Machine.config_default in
-  let m = Machine.create ~seed config in
-  let sched = Sthread.create m in
-  let dist =
-    if skewed then Keydist.zipf ~range:(2 * size) () else Keydist.uniform ~range:(2 * size)
-  in
-  let population =
-    let prng = Prng.create seed in
-    let keys = Array.init size (fun i -> (2 * i) + 1) in
-    for i = size - 1 downto 1 do
-      let j = Prng.int prng (i + 1) in
-      let t = keys.(i) in
-      keys.(i) <- keys.(j);
-      keys.(j) <- t
-    done;
-    keys
-  in
-  (* lists need descending insertion (O(1) at the head); trees get a
-     balanced median-first order *)
-  let order_keys =
-    let sorted = Array.copy population in
-    if
-      String.length structure >= 2
-      && (structure.[0] = 'l' && structure.[1] = 'f' || structure.[0] = 'b' || structure = "lb-b")
-    then begin
-      Array.sort compare sorted;
-      let out = Array.make (Array.length sorted) 0 in
-      let idx = ref 0 in
-      let rec go lo hi =
-        if lo <= hi then begin
-          let mid = (lo + hi) / 2 in
-          out.(!idx) <- sorted.(mid);
-          incr idx;
-          go lo (mid - 1);
-          go (mid + 1) hi
-        end
-      in
-      go 0 (Array.length sorted - 1);
-      out
-    end
-    else begin
-      Array.sort (fun a b -> compare b a) sorted;
-      sorted
-    end
-  in
-  let sorted_desc = order_keys in
-  let populate set keys =
-    Array.iter (fun key -> ignore (S.insert set ~key ~value:key)) keys;
-    S.maintenance set
-  in
-  let mk_op insert remove lookup ~tid:_ ~step:_ =
-    let p = Sthread.self_prng () in
-    let key = Keydist.sample dist p in
-    if Prng.int p 100 < update then if Prng.bool p then insert key else remove key
-    else lookup key
-  in
-  let result =
-    match harness with
-    | Shared ->
-        let set = S.create (Alloc.create m ~cold:Alloc.Spread) in
-        populate set sorted_desc;
-        Driver.measure ~sched ~threads ~duration
-          ~op:
-            (mk_op
-               (fun key -> ignore (S.insert set ~key ~value:key))
-               (fun key -> ignore (S.remove set key))
-               (fun key -> ignore (S.lookup set key)))
-          ()
-    | Dps_h ->
-        let dps =
-          Dps.create sched ~nclients:threads ~locality_size:10
-            ~hash:(fun k -> (k * 0x9E3779B1) lsr 8)
-            ~mk_data:(fun (info : Dps.partition_info) -> S.create info.Dps.alloc)
-            ()
-        in
-        for p = 0 to Dps.npartitions dps - 1 do
-          let keys =
-            Array.of_seq
-              (Seq.filter (fun k -> Dps.partition_of_key dps k = p) (Array.to_seq sorted_desc))
-          in
-          populate (Dps.partition_data dps p) keys
-        done;
-        Driver.measure ~sched ~threads
-          ~placement:(Array.init threads (Dps.client_hw dps))
-          ~duration
-          ~prologue:(fun ~tid -> Dps.attach dps ~client:tid)
-          ~epilogue:(fun ~tid:_ ->
-            Dps.client_done dps;
-            Dps.drain dps)
-          ~op:
-            (mk_op
-               (fun key ->
-                 ignore (Dps.call dps ~key (fun s -> if S.insert s ~key ~value:key then 1 else 0)))
-               (fun key -> ignore (Dps.call dps ~key (fun s -> if S.remove s key then 1 else 0)))
-               (fun key ->
-                 ignore (Dps.call dps ~key (fun s -> if S.lookup s key = None then 0 else 1))))
-          ()
-    | Ffwd_h ->
-        let topo = Machine.topology m in
-        let server_hw =
-          Array.init servers (fun i ->
-              i * topo.Topology.cores_per_socket * topo.Topology.threads_per_core)
-        in
-        let shards =
-          Array.map
-            (fun hw ->
-              let set =
-                S.create (Alloc.create m ~cold:(Alloc.Node (Topology.socket_of_thread topo hw)))
-              in
-              set)
-            server_hw
-        in
-        Array.iteri
-          (fun s shard ->
-            let keys =
-              Array.of_seq (Seq.filter (fun k -> k mod servers = s) (Array.to_seq sorted_desc))
-            in
-            populate shard keys)
-          shards;
-        let f = Dps_ffwd.Ffwd.create sched ~server_hw ~clients:threads in
-        let all = Topology.placement topo ~n:(min (Topology.nthreads topo) (threads + servers)) in
-        let skip = Array.to_list server_hw in
-        let client_hws =
-          Array.of_list (List.filter (fun hw -> not (List.mem hw skip)) (Array.to_list all))
-        in
-        let call key op =
-          Dps_ffwd.Ffwd.call f ~server:(key mod servers) (fun () -> op shards.(key mod servers))
-        in
-        Driver.measure ~sched ~threads
-          ~placement:(Array.init threads (fun i -> client_hws.(i mod Array.length client_hws)))
-          ~duration
-          ~prologue:(fun ~tid -> Dps_ffwd.Ffwd.attach f ~client:tid)
-          ~epilogue:(fun ~tid:_ -> Dps_ffwd.Ffwd.client_done f)
-          ~op:
-            (mk_op
-               (fun key -> ignore (call key (fun s -> if S.insert s ~key ~value:key then 1 else 0)))
-               (fun key -> ignore (call key (fun s -> if S.remove s key then 1 else 0)))
-               (fun key -> ignore (call key (fun s -> if S.lookup s key = None then 0 else 1))))
-          ()
-  in
-  result
-
-(* Fan independent seeds out across domains (bin-level mirror of the
-   bench/ runner): results print in seed order whatever the job count. *)
+(* Independent seeds fan out on the figures' runner: results print in
+   seed order whatever the job count. *)
 let run_bench structure harness threads size update skewed duration servers scaled seed seeds
     jobs =
   let (module S : SET) =
@@ -194,26 +49,24 @@ let run_bench structure harness threads size update skewed duration servers scal
           (String.concat ", " (List.map fst structures));
         exit 2
   in
-  let seed_of i = Int64.add seed (Int64.of_int i) in
-  let results =
-    Dps_simcore.Par.map ~jobs
-      (Array.init (max 1 seeds) (fun i () ->
-           run_point structure
-             (module S : SET)
-             harness threads size update skewed duration servers scaled (seed_of i)))
+  let config = if scaled then Bench_common.scaled_config else Bench_common.full_config in
+  let w = Bench_common.workload ~threads ~size ~update_pct:update ~skewed ~duration () in
+  let run seed =
+    match harness with
+    | Shared -> Bench_common.run_shared ~seed (module S) ~config w
+    | Dps_h -> Bench_common.run_dps ~seed (module S) ~config w
+    | Ffwd_h -> Bench_common.run_ffwd ~seed (module S) ~config ~servers w
   in
-  if Array.length results = 1 then Format.printf "%a@." Driver.pp_result results.(0)
-  else
-    Array.iteri
-      (fun i r -> Format.printf "seed %Ld: %a@." (seed_of i) Driver.pp_result r)
-      results
+  Bench_common.set_jobs jobs;
+  let seeds = List.init (max 1 seeds) (fun i -> Int64.add seed (Int64.of_int i)) in
+  match Bench_common.map_points run seeds with
+  | [ r ] -> Format.printf "%a@." Driver.pp_result r
+  | rs -> List.iter2 (fun s r -> Format.printf "seed %Ld: %a@." s Driver.pp_result r) seeds rs
 
 (* --- command line --- *)
 
 let structure =
-  let doc =
-    "Structure: gl-m, lb-l, lf-m, optik, rlu, bst-tk, lf-n, lf-h, lb-b, lb-h, lf-f, hash, blink."
-  in
+  let doc = "Structure: " ^ String.concat ", " (List.map fst structures) ^ "." in
   Arg.(value & opt string "lf-f" & info [ "structure"; "s" ] ~doc)
 
 let harness =
@@ -227,7 +80,12 @@ let skewed = Arg.(value & flag & info [ "skewed" ] ~doc:"Zipfian keys instead of
 let duration = Arg.(value & opt int 300_000 & info [ "duration" ] ~doc:"Simulated cycles to run.")
 let servers = Arg.(value & opt int 1 & info [ "servers" ] ~doc:"ffwd server count (1-4).")
 let scaled = Arg.(value & flag & info [ "scaled" ] ~doc:"Use the /16-scaled cache hierarchy.")
-let seed = Arg.(value & opt int64 42L & info [ "seed" ] ~doc:"Simulation seed.")
+
+let seed =
+  Arg.(
+    value & opt int64 42L
+    & info [ "seed" ]
+        ~doc:"Machine seed (client key streams); the initial key population is fixed.")
 
 let seeds =
   Arg.(
