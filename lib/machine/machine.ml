@@ -51,6 +51,43 @@ let no_line = { home = -1; owner = -1; sharers = Bitset.create 0; wbusy = 0; dir
 
 let line_bytes = 64
 
+(* The live cells of the {!stats} counters, resolved once at [create]:
+   the access paths bump a cell instead of hashing a counter name per
+   increment. *)
+type counters = {
+  accesses : int ref;
+  priv_hits : int ref;
+  llc_hits : int ref;
+  llc_misses : int ref;
+  remote_misses : int ref;
+  invalidations : int ref;
+  tlb_misses : int ref;
+  dram_queueing : int ref;
+  write_queueing : int ref;
+  bw_mc_queueing : int ref;
+  bw_link_queueing : int ref;
+  bw_writebacks : int ref;
+  bw_dma_bytes : int ref;
+}
+
+let counters stats =
+  let c = Stats.counter stats in
+  {
+    accesses = c "accesses";
+    priv_hits = c "priv_hits";
+    llc_hits = c "llc_hits";
+    llc_misses = c "llc_misses";
+    remote_misses = c "remote_misses";
+    invalidations = c "invalidations";
+    tlb_misses = c "tlb_misses";
+    dram_queueing = c "dram_queueing";
+    write_queueing = c "write_queueing";
+    bw_mc_queueing = c "bw_mc_queueing";
+    bw_link_queueing = c "bw_link_queueing";
+    bw_writebacks = c "bw_writebacks";
+    bw_dma_bytes = c "bw_dma_bytes";
+  }
+
 (* Every finite resource is one [Bwbucket], keyed by resource id: each
    node's DRAM service queue ([dram]) and memory controller ([mc]), and
    each directed interconnect edge ([link], by [Topology.link_index]). A
@@ -78,6 +115,7 @@ type t = {
   mutable nregions : int;
   mutable next_addr : int;
   stats : Stats.t;
+  count : counters;  (* cells of [stats] *)
   active : bool array;
 }
 
@@ -88,6 +126,7 @@ let create ?(seed = 42L) cfg =
   let root = Prng.create seed in
   let topo = cfg.topo in
   let bw = cfg.costs.Costs.bw in
+  let stats = Stats.create () in
   {
     cfg;
     priv =
@@ -114,7 +153,8 @@ let create ?(seed = 42L) cfg =
     regions = Array.make 16 { base = 0; nlines = 0; pol = Interleave };
     nregions = 0;
     next_addr = 0;
-    stats = Stats.create ();
+    stats;
+    count = counters stats;
     active = Array.make (Topology.nthreads topo) false;
   }
 
@@ -212,8 +252,8 @@ let charge_edge t ~src ~dst ~now =
   if Array.length t.link = 0 then 0
   else Bwbucket.charge t.link.(Topology.link_index t.cfg.topo ~src ~dst) ~now ~bytes:line_bytes
 
-let queued t stat d =
-  if d > 0 then Stats.incr t.stats stat;
+let queued cell d =
+  if d > 0 then incr cell;
   d
 
 (* An LLC eviction of a modified line streams it back to the DRAM of its
@@ -229,7 +269,7 @@ let llc_insert t ~now sock addr =
       let l = t.lines.(victim) in
       if l != no_line && l.dirty then begin
         l.dirty <- false;
-        Stats.incr t.stats "bw_writebacks";
+        incr t.count.bw_writebacks;
         ignore (charge t.mc l.home ~now);
         if l.home <> sock then ignore (charge_edge t ~src:sock ~dst:l.home ~now)
       end
@@ -261,14 +301,11 @@ let fetch_cost t line ~core ~sock ~addr =
   end
 
 let count_fetch t = function
-  | `Local_transfer | `Llc -> Stats.incr t.stats "llc_hits"
-  | `Remote _ ->
-      Stats.incr t.stats "llc_misses";
-      Stats.incr t.stats "remote_misses"
-  | `Dram -> Stats.incr t.stats "llc_misses"
-  | `Remote_dram ->
-      Stats.incr t.stats "llc_misses";
-      Stats.incr t.stats "remote_misses"
+  | `Local_transfer | `Llc -> incr t.count.llc_hits
+  | `Remote _ | `Remote_dram ->
+      incr t.count.llc_misses;
+      incr t.count.remote_misses
+  | `Dram -> incr t.count.llc_misses
 
 (* Queueing delay of one line fill. DRAM fills wait in the home node's
    DRAM service queue and drain its memory controller; cross-socket
@@ -279,12 +316,12 @@ let count_fetch t = function
    [bw_delay] for {!access_mlp}. *)
 let fill_delay t ~now ~sock line src =
   let from_dram = match src with `Dram | `Remote_dram -> true | _ -> false in
-  let q = if from_dram then queued t "dram_queueing" (charge t.dram line.home ~now) else 0 in
-  let mc = if from_dram then queued t "bw_mc_queueing" (charge t.mc line.home ~now) else 0 in
+  let q = if from_dram then queued t.count.dram_queueing (charge t.dram line.home ~now) else 0 in
+  let mc = if from_dram then queued t.count.bw_mc_queueing (charge t.mc line.home ~now) else 0 in
   let link =
     match src with
-    | `Remote_dram -> queued t "bw_link_queueing" (charge_edge t ~src:line.home ~dst:sock ~now)
-    | `Remote s -> queued t "bw_link_queueing" (charge_edge t ~src:s ~dst:sock ~now)
+    | `Remote_dram -> queued t.count.bw_link_queueing (charge_edge t ~src:line.home ~dst:sock ~now)
+    | `Remote s -> queued t.count.bw_link_queueing (charge_edge t ~src:s ~dst:sock ~now)
     | `Dram | `Local_transfer | `Llc | `Upgrade -> 0
   in
   let bw = max 0 (max mc link - q) in
@@ -324,7 +361,7 @@ let tlb_cost t ~core ~sock line addr =
   let page = addr lsr 6 in
   if Cachebox.mem t.tlb.(core) page then 0
   else begin
-    Stats.incr t.stats "tlb_misses";
+    incr t.count.tlb_misses;
     ignore (Cachebox.add t.tlb.(core) page);
     if line.home = sock then t.cfg.costs.Costs.walk_local else t.cfg.costs.Costs.walk_remote
   end
@@ -334,13 +371,13 @@ let access_slow t ~now ~core ~addr ~kind =
   let sock = Topology.socket_of_core topo core in
   let line = line_of t addr in
   let c = t.cfg.costs in
-  Stats.incr t.stats "accesses";
+  incr t.count.accesses;
   let translation = tlb_cost t ~core ~sock line addr in
   let present = Cachebox.mem t.priv.(core) addr in
   match kind with
   | Read ->
       if present && (line.owner = core || Bitset.mem line.sharers core) then begin
-        Stats.incr t.stats "priv_hits";
+        incr t.count.priv_hits;
         translation + c.Costs.priv_hit
       end
       else begin
@@ -360,7 +397,7 @@ let access_slow t ~now ~core ~addr ~kind =
   | Write | Rmw ->
       let extra = if kind = Rmw then c.Costs.rmw_extra else 0 in
       if present && line.owner = core then begin
-        Stats.incr t.stats "priv_hits";
+        incr t.count.priv_hits;
         translation + c.Costs.priv_hit + extra
       end
       else begin
@@ -369,11 +406,11 @@ let access_slow t ~now ~core ~addr ~kind =
           else fetch_cost t line ~core ~sock ~addr
         in
         (match src with
-        | `Upgrade -> Stats.incr t.stats "priv_hits"
+        | `Upgrade -> incr t.count.priv_hits
         | (`Local_transfer | `Llc | `Remote _ | `Dram | `Remote_dram) as s -> count_fetch t s);
         let delay = fill_delay t ~now ~sock line src in
         let inval = invalidation_cost t line ~core ~sock in
-        if inval > 0 then Stats.incr t.stats "invalidations";
+        if inval > 0 then incr t.count.invalidations;
         do_invalidate t line ~core ~sock ~addr;
         priv_insert t core addr;
         llc_insert t ~now sock addr;
@@ -381,7 +418,7 @@ let access_slow t ~now ~core ~addr ~kind =
            transfer still in flight. *)
         let transfer = fetch + inval + extra in
         let queue = max 0 (line.wbusy - now) in
-        if queue > 0 then Stats.incr t.stats "write_queueing";
+        if queue > 0 then incr t.count.write_queueing;
         line.wbusy <- max now line.wbusy + transfer;
         if queue > 0 && Dps_obs.Obs.profiling_on () then Dps_obs.Obs.note_stall queue;
         translation + delay + queue + transfer
@@ -400,8 +437,8 @@ let access t ~now ~thread ~addr ~kind =
      bit-identical, only host time changes. *)
   if kind = Read && Cachebox.mem t.priv.(core) addr && Cachebox.mem t.tlb.(core) (addr lsr 6)
   then begin
-    Stats.incr t.stats "accesses";
-    Stats.incr t.stats "priv_hits";
+    incr t.count.accesses;
+    incr t.count.priv_hits;
     t.cfg.costs.Costs.priv_hit
   end
   else access_slow t ~now ~core ~addr ~kind
@@ -424,8 +461,8 @@ let access_mlp t ~now ~thread ~addr ~kind ~factor =
 let bw_charge_dma t ~now ~socket ~bytes =
   if not (bw_enabled t) then 0
   else begin
-    Stats.add t.stats "bw_dma_bytes" bytes;
-    queued t "bw_mc_queueing" (Bwbucket.charge t.mc.(socket) ~now ~bytes)
+    t.count.bw_dma_bytes := !(t.count.bw_dma_bytes) + bytes;
+    queued t.count.bw_mc_queueing (Bwbucket.charge t.mc.(socket) ~now ~bytes)
   end
 
 type bw_snapshot = {
@@ -455,7 +492,7 @@ let bw_snapshot t =
         mc_queue_cycles = Array.map Bwbucket.queue_cycles t.mc;
         link_bytes;
         link_queue_cycles;
-        writebacks = Stats.get t.stats "bw_writebacks";
+        writebacks = !(t.count.bw_writebacks);
       }
   end
 

@@ -1,8 +1,13 @@
 (** Binary min-heap keyed by [(time, seq)], structure-of-arrays.
 
     This is the simulator's event queue. Ties on [time] are broken by an
-    insertion sequence number so the simulation is deterministic. The
-    [next_time]/[take] pair is the hot-loop API: neither allocates. *)
+    insertion sequence number so the simulation is deterministic. The heap
+    orders only int arrays (times, sequence numbers and slot indices);
+    each payload sits at a stable slot of a separate pool from {!push}
+    until it is taken, so sifting never moves a boxed value or pays the
+    GC write barrier. A taken payload's slot is cleared: the heap keeps
+    nothing alive that it has handed back. The [next_time]/[take] pair is
+    the hot-loop API: neither allocates. *)
 
 type 'a t
 

@@ -1,8 +1,11 @@
+(* One [int ref] per name. Hot paths resolve their names once with
+   [counter] and bump the cell directly: hashing the name on every
+   increment would cost more than the simulated access being counted. *)
 type t = (string, int ref) Hashtbl.t
 
 let create () = Hashtbl.create 32
 
-let cell t name =
+let counter t name =
   match Hashtbl.find_opt t name with
   | Some r -> r
   | None ->
@@ -10,11 +13,17 @@ let cell t name =
       Hashtbl.add t name r;
       r
 
-let add t name n = cell t name := !(cell t name) + n
+let add t name n =
+  let r = counter t name in
+  r := !r + n
+
 let incr t name = add t name 1
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-let reset t = Hashtbl.reset t
+
+(* Zero in place rather than drop the cells: callers holding a cell from
+   [counter] keep counting into the table. *)
+let reset t = Hashtbl.iter (fun _ r -> r := 0) t
 
 let to_list t =
-  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t []
+  Hashtbl.fold (fun k v acc -> if !v = 0 then acc else (k, !v) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

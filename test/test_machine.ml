@@ -253,6 +253,28 @@ let test_reads_do_not_queue () =
   let r2 = Machine.access m ~now:0 ~thread:12 ~addr:a ~kind:Machine.Read in
   Alcotest.(check int) "parallel reads" r1 r2
 
+let test_fresh_stats_empty () =
+  Alcotest.(check (list (pair string int)))
+    "no counters on a fresh machine" []
+    (Stats.to_list (Machine.stats (mk_machine ())))
+
+(* The stats handle taken before a run reads live counts after it: the
+   benchmark reads [accesses] this way. *)
+let test_stats_live () =
+  let m = mk_machine () in
+  let st = Machine.stats m in
+  let before = Stats.get st "accesses" in
+  let a = Machine.alloc m (Machine.On_node 0) ~lines:8 in
+  let sched = Dps_sthread.Sthread.create m in
+  Dps_sthread.Sthread.spawn sched ~hw:0 (fun () ->
+      for i = 0 to 7 do
+        Dps_sthread.Sthread.read (a + i);
+        Dps_sthread.Sthread.read (a + i)
+      done);
+  Dps_sthread.Sthread.run sched;
+  Alcotest.(check int) "accesses counted live" 16 (Stats.get st "accesses" - before);
+  Alcotest.(check int) "re-reads hit" 8 (Stats.get st "priv_hits")
+
 let test_work_cost_dilation () =
   let m = mk_machine () in
   Alcotest.(check int) "solo" 100 (Machine.work_cost m ~thread:0 100);
@@ -305,6 +327,8 @@ let suite =
     ("tlb remote walk dearer", `Quick, test_tlb_remote_walk_dearer);
     ("write queueing", `Quick, test_write_queueing);
     ("reads do not queue", `Quick, test_reads_do_not_queue);
+    ("fresh stats empty", `Quick, test_fresh_stats_empty);
+    ("stats read live", `Quick, test_stats_live);
     ("work cost dilation", `Quick, test_work_cost_dilation);
     ("many regions lookup", `Quick, test_many_regions_lookup);
     ("unallocated access rejected", `Quick, test_unallocated_access_rejected);

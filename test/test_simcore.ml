@@ -142,6 +142,90 @@ let test_heap_min_time () =
   Heap.push h ~time:42 ();
   Alcotest.(check (option int)) "min" (Some 42) (Heap.min_time h)
 
+(* A taken payload must become garbage: the slot pool clears the slot, so
+   the heap does not keep dead events (and their continuations) alive. The
+   push and the take sit in their own never-inlined functions so no local
+   of this test still points at the payload. *)
+let[@inline never] push_watched h w ~time =
+  let v = ref (Sys.opaque_identity 42) in
+  Weak.set w 0 (Some v);
+  Heap.push h ~time v
+
+let[@inline never] take_one h = Alcotest.(check int) "taken payload" 42 !(Heap.take h)
+
+let test_heap_no_retention () =
+  let h = Heap.create () in
+  let w = Weak.create 1 in
+  push_watched h w ~time:1;
+  Heap.push h ~time:2 (ref 0);
+  take_one h;
+  Gc.full_major ();
+  Alcotest.(check bool) "taken payload collected" false (Weak.check w 0);
+  Alcotest.(check int) "the other still queued" 1 (Heap.size h)
+
+(* Model check: random interleavings of pushes (with many equal times) and
+   removals against a reference ordered by (time, insertion order). Pushes
+   outnumber removals three to one, so every sequence grows the heap past
+   its first few capacity doublings while removals keep freeing slots for
+   reuse. *)
+type heap_op = Push of int | Take | Pop
+
+let heap_op_gen =
+  QCheck.Gen.(frequency [ (6, map (fun t -> Push t) (0 -- 15)); (1, return Take); (1, return Pop) ])
+
+let show_heap_op = function Push t -> Printf.sprintf "Push %d" t | Take -> "Take" | Pop -> "Pop"
+
+module Ref_set = Set.Make (struct
+  type t = int * int (* time, insertion index *)
+
+  let compare = compare
+end)
+
+let qcheck_heap_model =
+  QCheck.Test.make ~name:"heap agrees with (time, insertion order) model" ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(list show_heap_op)
+       QCheck.Gen.(list_size (1000 -- 2000) heap_op_gen))
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref Ref_set.empty and pushed = ref 0 and peak = ref 0 in
+      (* each payload is boxed and names its own insertion index *)
+      let expect_min got =
+        let ((_, idx) as e) = Ref_set.min_elt !model in
+        model := Ref_set.remove e !model;
+        if !got <> idx then QCheck.Test.fail_reportf "got payload %d, expected %d" !got idx
+      in
+      let step = function
+        | Push time ->
+            Heap.push h ~time (ref !pushed);
+            model := Ref_set.add (time, !pushed) !model;
+            incr pushed;
+            peak := max !peak (Heap.size h)
+        | Take ->
+            if Ref_set.is_empty !model then begin
+              if Heap.next_time h <> max_int then QCheck.Test.fail_report "next_time of empty";
+              match Heap.take h with
+              | _ -> QCheck.Test.fail_report "take of empty returned"
+              | exception Invalid_argument _ -> ()
+            end
+            else begin
+              let time, _ = Ref_set.min_elt !model in
+              if Heap.next_time h <> time then QCheck.Test.fail_report "next_time";
+              expect_min (Heap.take h)
+            end
+        | Pop -> (
+            match Heap.pop h with
+            | None -> if not (Ref_set.is_empty !model) then QCheck.Test.fail_report "pop: None"
+            | Some (time, v) ->
+                if time <> fst (Ref_set.min_elt !model) then QCheck.Test.fail_report "pop: time";
+                expect_min v)
+      in
+      List.iter step ops;
+      while not (Heap.is_empty h) do
+        step Pop
+      done;
+      Ref_set.is_empty !model && !peak > 256)
+
 let test_histogram_percentiles () =
   let h = Histogram.create () in
   for v = 1 to 1000 do
@@ -195,7 +279,23 @@ let test_stats () =
   Alcotest.(check int) "missing" 0 (Stats.get s "zzz");
   Alcotest.(check (list (pair string int))) "to_list" [ ("a", 2); ("b", 10) ] (Stats.to_list s);
   Stats.reset s;
-  Alcotest.(check int) "after reset" 0 (Stats.get s "a")
+  Alcotest.(check int) "after reset" 0 (Stats.get s "a");
+  Alcotest.(check (list (pair string int))) "zeroed counters omitted" [] (Stats.to_list s)
+
+let test_stats_counter_cells () =
+  let s = Stats.create () in
+  let c = Stats.counter s "x" in
+  Alcotest.(check (list (pair string int))) "unbumped cell omitted" [] (Stats.to_list s);
+  incr c;
+  Alcotest.(check int) "cell reads through get" 1 (Stats.get s "x");
+  Stats.reset s;
+  Alcotest.(check int) "reset zeroes the cell" 0 !c;
+  c := !c + 3;
+  Alcotest.(check int) "cell still live after reset" 3 (Stats.get s "x");
+  Alcotest.(check bool) "same cell" true (c == Stats.counter s "x");
+  Stats.add s "fresh" 5;
+  Alcotest.(check int) "add creates the counter" 5 (Stats.get s "fresh");
+  Alcotest.(check (list (pair string int))) "to_list" [ ("fresh", 5); ("x", 3) ] (Stats.to_list s)
 
 let qcheck_histogram_percentile_bounds =
   QCheck.Test.make ~name:"histogram percentile bounded by max" ~count:200
@@ -243,12 +343,15 @@ let suite =
     ("heap fifo ties", `Quick, test_heap_fifo_ties);
     ("heap grow", `Quick, test_heap_grow);
     ("heap min_time", `Quick, test_heap_min_time);
+    ("heap no retention", `Quick, test_heap_no_retention);
+    QCheck_alcotest.to_alcotest qcheck_heap_model;
     ("histogram percentiles", `Quick, test_histogram_percentiles);
     ("histogram mean", `Quick, test_histogram_mean);
     ("histogram empty", `Quick, test_histogram_empty);
     ("histogram merge", `Quick, test_histogram_merge);
     ("histogram large values", `Quick, test_histogram_large_values);
     ("stats counters", `Quick, test_stats);
+    ("stats counter cells", `Quick, test_stats_counter_cells);
     QCheck_alcotest.to_alcotest qcheck_histogram_percentile_bounds;
     QCheck_alcotest.to_alcotest qcheck_bitset_model;
   ]
