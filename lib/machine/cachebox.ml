@@ -4,10 +4,10 @@ module Itbl = Dps_simcore.Itbl
 (* The slot array and index grow on demand: an LLC box is sized for hundreds
    of thousands of lines, but most simulations touch far fewer, and machines
    are created freely in tests. The addr -> slot index is an open-addressing
-   int table (Itbl): membership tests dominate the simulator profile, and
-   the stdlib Hashtbl paid a bucket allocation per insert plus polymorphic
-   hashing per probe. Replacement decisions (slot order, PRNG draws) are
-   bit-identical to the Hashtbl implementation — only lookup cost changed. *)
+   int table (Itbl); it finds the slot of an address being removed. The
+   machine answers membership from its own directory, so [add] does not
+   probe. Replacement decisions (slot order, PRNG draws) are part of every
+   simulated result: changing them changes the benchmark numbers. *)
 type t = {
   mutable slots : int array;
   index : Itbl.t;  (* addr -> slot *)
@@ -54,22 +54,19 @@ let grow t =
   t.slots <- bigger
 
 let add t addr =
-  if Itbl.mem t.index addr then None
-  else begin
-    let victim =
-      if t.size = t.capacity then begin
-        let slot = Prng.int t.prng t.size in
-        let v = t.slots.(slot) in
-        remove_slot t slot;
-        Some v
-      end
-      else begin
-        if t.size = Array.length t.slots then grow t;
-        None
-      end
-    in
-    t.slots.(t.size) <- addr;
-    Itbl.set t.index addr t.size;
-    t.size <- t.size + 1;
-    victim
-  end
+  let victim =
+    if t.size = t.capacity then begin
+      let slot = Prng.int t.prng t.size in
+      let v = t.slots.(slot) in
+      remove_slot t slot;
+      Some v
+    end
+    else begin
+      if t.size = Array.length t.slots then grow t;
+      None
+    end
+  in
+  t.slots.(t.size) <- addr;
+  Itbl.set t.index addr t.size;
+  t.size <- t.size + 1;
+  victim

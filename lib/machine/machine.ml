@@ -1,5 +1,4 @@
 module Prng = Dps_simcore.Prng
-module Bitset = Dps_simcore.Bitset
 module Stats = Dps_simcore.Stats
 
 type kind = Read | Write | Rmw
@@ -34,20 +33,30 @@ let config_scaled ?(factor = 16) () =
    transit. Writes from different cores must acquire ownership serially —
    a single hot line is a global serialization point, which is precisely
    the contention collapse of §2 — while reads of a shared line replicate
-   and serve in parallel. *)
+   and serve in parallel.
+
+   The directory also records presence: [sharers] is a core mask and
+   [in_llc] a socket mask (bit [i] is core or socket [i]). Core [c]'s
+   private box holds the line exactly when [owner = c] or bit [c] of
+   [sharers] is set, and socket [s]'s LLC exactly when bit [s] of [in_llc]
+   is set, so the access paths test membership on the record they already
+   loaded; the boxes are touched only to insert an absent line or to
+   remove one. *)
 type line = {
   home : int;
   mutable owner : int;
-  sharers : Bitset.t;
+  mutable sharers : int;
+  mutable in_llc : int;
   mutable wbusy : int;
   mutable dirty : bool;  (* modified relative to DRAM: an eviction writes back *)
 }
 
 type region = { base : int; nlines : int; pol : policy }
 
-(* Placeholder for never-touched entries of the dense directory; compared
-   physically, never read. *)
-let no_line = { home = -1; owner = -1; sharers = Bitset.create 0; wbusy = 0; dirty = false }
+(* Placeholder for never-touched entries of the dense directory, compared
+   physically; never written, and its empty masks read as absent
+   everywhere. *)
+let no_line = { home = -1; owner = -1; sharers = 0; in_llc = 0; wbusy = 0; dirty = false }
 
 let line_bytes = 64
 
@@ -98,12 +107,17 @@ type t = {
   priv : Cachebox.t array;  (* per physical core *)
   tlb : Cachebox.t array;  (* per physical core, in pages *)
   llc : Cachebox.t array;  (* per socket *)
+  socket_cores : int array;  (* per socket, the mask of its cores *)
   mutable lines : line array;
     (* The coherence directory, keyed directly by line index. [alloc] hands
        out addresses densely from 0, so the directory is a flat array grown
        alongside [next_addr] — one load per lookup where the previous
        [Hashtbl] hashed and chased buckets on every access. Entries
        materialize lazily on first touch, exactly as the hash table did. *)
+  mutable tlb_cores : int array;
+    (* per page (64 lines), the mask of the cores whose TLB holds it:
+       TLB presence, as [sharers] is private-cache presence; grown with
+       [lines] *)
   dram : Bwbucket.t array;
   mc : Bwbucket.t array;
   link : Bwbucket.t array;
@@ -123,8 +137,12 @@ let buckets n ~rate ~per ~burst =
   if rate = 0 || per = 0 then [||] else Array.init n (fun _ -> Bwbucket.create ~rate ~per ~burst)
 
 let create ?(seed = 42L) cfg =
-  let root = Prng.create seed in
   let topo = cfg.topo in
+  if Topology.ncores topo > Sys.int_size || topo.Topology.sockets > Sys.int_size then
+    invalid_arg
+      (Printf.sprintf "Machine.create: %d cores on %d sockets exceed the %d-bit presence masks"
+         (Topology.ncores topo) topo.Topology.sockets Sys.int_size);
+  let root = Prng.create seed in
   let bw = cfg.costs.Costs.bw in
   let stats = Stats.create () in
   {
@@ -138,7 +156,15 @@ let create ?(seed = 42L) cfg =
     llc =
       Array.init topo.Topology.sockets (fun _ ->
           Cachebox.create ~capacity:cfg.llc_lines (Prng.split root));
+    socket_cores =
+      Array.init topo.Topology.sockets (fun s ->
+          let m = ref 0 in
+          for c = 0 to Topology.ncores topo - 1 do
+            if Topology.socket_of_core topo c = s then m := !m lor (1 lsl c)
+          done;
+          !m);
     lines = Array.make 65536 no_line;
+    tlb_cores = Array.make (65536 / 64) 0;
     (* one line of burst: a FIFO server taking [dram_cycles_per_line] per line *)
     dram =
       buckets topo.Topology.sockets ~rate:line_bytes ~per:bw.Costs.dram_cycles_per_line
@@ -170,7 +196,10 @@ let alloc t pol ~lines =
     let cap = max t.next_addr (2 * Array.length t.lines) in
     let bigger = Array.make cap no_line in
     Array.blit t.lines 0 bigger 0 (Array.length t.lines);
-    t.lines <- bigger
+    t.lines <- bigger;
+    let pages = Array.make ((cap + 63) / 64) 0 in
+    Array.blit t.tlb_cores 0 pages 0 (Array.length t.tlb_cores);
+    t.tlb_cores <- pages
   end;
   if t.nregions = Array.length t.regions then begin
     let bigger = Array.make (2 * t.nregions) t.regions.(0) in
@@ -207,38 +236,42 @@ let compute_home t addr =
       n
   | Interleave -> (addr - r.base) mod t.cfg.topo.Topology.sockets
 
-let line_of t addr =
-  if addr < 0 || addr >= t.next_addr then
-    invalid_arg (Printf.sprintf "Machine: access to unallocated address %d" addr);
-  let l = t.lines.(addr) in
-  if l != no_line then l
-  else begin
-    let l =
-      {
-        home = compute_home t addr;
-        owner = -1;
-        sharers = Bitset.create (Topology.ncores t.cfg.topo);
-        wbusy = 0;
-        dirty = false;
-      }
-    in
-    t.lines.(addr) <- l;
-    l
-  end
+(* First touch of a line; [compute_home] rejects an unallocated address. *)
+let fresh_line t addr =
+  let l =
+    { home = compute_home t addr; owner = -1; sharers = 0; in_llc = 0; wbusy = 0; dirty = false }
+  in
+  t.lines.(addr) <- l;
+  l
+
+let[@inline] line_of t addr =
+  let l = if addr >= 0 && addr < t.next_addr then t.lines.(addr) else no_line in
+  if l != no_line then l else fresh_line t addr
 
 let home_of t addr = (line_of t addr).home
 
-(* A line falling out of a private cache loses its coherence permissions:
-   dirty data is considered written back to the socket LLC. *)
+(* Whether [core]'s private cache holds [line] (the presence invariant). *)
+let[@inline] holds line core = line.owner = core || line.sharers land (1 lsl core) <> 0
+
+(* Insert a line [core] does not hold. A line falling out of a private
+   cache loses its coherence permissions: dirty data is considered written
+   back to the socket LLC. *)
 let priv_insert t core addr =
   match Cachebox.add t.priv.(core) addr with
   | None -> ()
   | Some victim ->
       let l = t.lines.(victim) in
-      if l != no_line then begin
-        Bitset.remove l.sharers core;
-        if l.owner = core then l.owner <- -1
-      end
+      l.sharers <- l.sharers land lnot (1 lsl core);
+      if l.owner = core then l.owner <- -1
+
+(* Remove [addr] from box [i] for every bit [i] of [mask]. *)
+let remove_all boxes mask addr =
+  let m = ref mask and i = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then Cachebox.remove boxes.(!i) addr;
+    m := !m lsr 1;
+    incr i
+  done
 
 let bw_enabled t = Array.length t.mc > 0
 
@@ -256,35 +289,45 @@ let queued cell d =
   if d > 0 then incr cell;
   d
 
-(* An LLC eviction of a modified line streams it back to the DRAM of its
-   home node — memory-controller bytes, plus interconnect bytes when the
+(* Insert [line] into [sock]'s LLC unless it is there already. An LLC
+   eviction of a modified line streams it back to the DRAM of its home
+   node — memory-controller bytes, plus interconnect bytes when the
    evicting socket is not the home. Write-backs are posted (they do not
    delay the access that caused the eviction) but they drain the same
    token buckets, so later fills queue behind them. Only exists when
    byte accounting is on: with [bw:0] the eviction is free, as it always
    was. *)
-let llc_insert t ~now sock addr =
-  match Cachebox.add t.llc.(sock) addr with
-  | Some victim when bw_enabled t ->
-      let l = t.lines.(victim) in
-      if l != no_line && l.dirty then begin
-        l.dirty <- false;
-        incr t.count.bw_writebacks;
-        ignore (charge t.mc l.home ~now);
-        if l.home <> sock then ignore (charge_edge t ~src:sock ~dst:l.home ~now)
-      end
-  | Some _ | None -> ()
+let llc_insert t ~now sock line addr =
+  let bit = 1 lsl sock in
+  if line.in_llc land bit = 0 then begin
+    line.in_llc <- line.in_llc lor bit;
+    match Cachebox.add t.llc.(sock) addr with
+    | None -> ()
+    | Some victim ->
+        let l = t.lines.(victim) in
+        l.in_llc <- l.in_llc land lnot bit;
+        if l.dirty && bw_enabled t then begin
+          l.dirty <- false;
+          incr t.count.bw_writebacks;
+          ignore (charge t.mc l.home ~now);
+          if l.home <> sock then ignore (charge_edge t ~src:sock ~dst:l.home ~now)
+        end
+  end
 
-(* First other socket whose LLC holds the line, or -1: the transfer
-   source for a cross-socket LLC hit. *)
-let llc_socket_elsewhere t sock addr =
-  let found = ref (-1) in
-  for s = 0 to Array.length t.llc - 1 do
-    if s <> sock && !found < 0 && Cachebox.mem t.llc.(s) addr then found := s
-  done;
-  !found
+(* Lowest-numbered other socket whose LLC holds the line, or -1: the
+   transfer source for a cross-socket LLC hit. *)
+let llc_socket_elsewhere line sock =
+  let m = line.in_llc land lnot (1 lsl sock) in
+  if m = 0 then -1
+  else begin
+    let s = ref 0 in
+    while m land (1 lsl !s) = 0 do
+      incr s
+    done;
+    !s
+  end
 
-let fetch_cost t line ~core ~sock ~addr =
+let fetch_cost t line ~core ~sock =
   let c = t.cfg.costs in
   let topo = t.cfg.topo in
   if line.owner >= 0 && line.owner <> core then begin
@@ -292,9 +335,9 @@ let fetch_cost t line ~core ~sock ~addr =
     if owner_sock = sock then (c.Costs.llc_hit, `Local_transfer)
     else (c.Costs.llc_remote, `Remote owner_sock)
   end
-  else if Cachebox.mem t.llc.(sock) addr then (c.Costs.llc_hit, `Llc)
+  else if line.in_llc land (1 lsl sock) <> 0 then (c.Costs.llc_hit, `Llc)
   else begin
-    let src = llc_socket_elsewhere t sock addr in
+    let src = llc_socket_elsewhere line sock in
     if src >= 0 then (c.Costs.llc_remote, `Remote src)
     else if line.home = sock then (c.Costs.dram_local, `Dram)
     else (c.Costs.dram_remote, `Remote_dram)
@@ -334,23 +377,19 @@ let fill_delay t ~now ~sock line src =
 
 let invalidation_cost t line ~core ~sock =
   let c = t.cfg.costs in
-  let topo = t.cfg.topo in
-  let remote = ref false and local = ref false in
-  Bitset.iter
-    (fun s ->
-      if s <> core && s <> line.owner then
-        if Topology.socket_of_core topo s = sock then local := true else remote := true)
-    line.sharers;
-  if !remote then c.Costs.inval_remote else if !local then c.Costs.inval_local else 0
+  (* sharers other than [core] and the owner, whose copy goes with the transfer *)
+  let others = line.sharers land lnot (1 lsl core) in
+  let others = if line.owner >= 0 then others land lnot (1 lsl line.owner) else others in
+  if others land lnot t.socket_cores.(sock) <> 0 then c.Costs.inval_remote
+  else if others <> 0 then c.Costs.inval_local
+  else 0
 
 let do_invalidate t line ~core ~sock ~addr =
-  Bitset.iter (fun s -> if s <> core then Cachebox.remove t.priv.(s) addr) line.sharers;
-  if line.owner >= 0 && line.owner <> core then Cachebox.remove t.priv.(line.owner) addr;
-  for s = 0 to Array.length t.llc - 1 do
-    if s <> sock then Cachebox.remove t.llc.(s) addr
-  done;
-  Bitset.clear line.sharers;
-  Bitset.add line.sharers core;
+  let holders = if line.owner >= 0 then line.sharers lor (1 lsl line.owner) else line.sharers in
+  remove_all t.priv (holders land lnot (1 lsl core)) addr;
+  remove_all t.llc (line.in_llc land lnot (1 lsl sock)) addr;
+  line.in_llc <- line.in_llc land (1 lsl sock);
+  line.sharers <- 1 lsl core;
   line.owner <- core;
   line.dirty <- true
 
@@ -359,51 +398,53 @@ let do_invalidate t line ~core ~sock ~addr =
    walks — part of the NUMA penalty DPS's partitioning removes. *)
 let tlb_cost t ~core ~sock line addr =
   let page = addr lsr 6 in
-  if Cachebox.mem t.tlb.(core) page then 0
+  let bit = 1 lsl core in
+  if t.tlb_cores.(page) land bit <> 0 then 0
   else begin
     incr t.count.tlb_misses;
-    ignore (Cachebox.add t.tlb.(core) page);
+    t.tlb_cores.(page) <- t.tlb_cores.(page) lor bit;
+    (match Cachebox.add t.tlb.(core) page with
+    | Some victim -> t.tlb_cores.(victim) <- t.tlb_cores.(victim) land lnot bit
+    | None -> ());
     if line.home = sock then t.cfg.costs.Costs.walk_local else t.cfg.costs.Costs.walk_remote
   end
 
-let access_slow t ~now ~core ~addr ~kind =
+let access_slow t ~now ~core ~line ~addr ~kind =
   let topo = t.cfg.topo in
   let sock = Topology.socket_of_core topo core in
-  let line = line_of t addr in
   let c = t.cfg.costs in
   incr t.count.accesses;
   let translation = tlb_cost t ~core ~sock line addr in
-  let present = Cachebox.mem t.priv.(core) addr in
   match kind with
   | Read ->
-      if present && (line.owner = core || Bitset.mem line.sharers core) then begin
+      if holds line core then begin
         incr t.count.priv_hits;
         translation + c.Costs.priv_hit
       end
       else begin
-        let cost, src = fetch_cost t line ~core ~sock ~addr in
+        let cost, src = fetch_cost t line ~core ~sock in
         count_fetch t src;
         let delay = fill_delay t ~now ~sock line src in
-        if line.owner >= 0 && line.owner <> core then begin
+        if line.owner >= 0 then begin
           (* Dirty remote copy becomes shared. *)
-          Bitset.add line.sharers line.owner;
+          line.sharers <- line.sharers lor (1 lsl line.owner);
           line.owner <- -1
         end;
-        Bitset.add line.sharers core;
+        line.sharers <- line.sharers lor (1 lsl core);
         priv_insert t core addr;
-        llc_insert t ~now sock addr;
+        llc_insert t ~now sock line addr;
         translation + delay + cost
       end
   | Write | Rmw ->
       let extra = if kind = Rmw then c.Costs.rmw_extra else 0 in
-      if present && line.owner = core then begin
+      if line.owner = core then begin
         incr t.count.priv_hits;
         translation + c.Costs.priv_hit + extra
       end
       else begin
+        let shared = line.sharers land (1 lsl core) <> 0 in
         let fetch, src =
-          if present && Bitset.mem line.sharers core then (c.Costs.priv_hit, `Upgrade)
-          else fetch_cost t line ~core ~sock ~addr
+          if shared then (c.Costs.priv_hit, `Upgrade) else fetch_cost t line ~core ~sock
         in
         (match src with
         | `Upgrade -> incr t.count.priv_hits
@@ -412,8 +453,8 @@ let access_slow t ~now ~core ~addr ~kind =
         let inval = invalidation_cost t line ~core ~sock in
         if inval > 0 then incr t.count.invalidations;
         do_invalidate t line ~core ~sock ~addr;
-        priv_insert t core addr;
-        llc_insert t ~now sock addr;
+        if not shared then priv_insert t core addr;
+        llc_insert t ~now sock line addr;
         (* Ownership transfers of one line serialize: queue behind any
            transfer still in flight. *)
         let transfer = fetch + inval + extra in
@@ -426,22 +467,42 @@ let access_slow t ~now ~core ~addr ~kind =
 
 let access t ~now ~thread ~addr ~kind =
   let core = Topology.core_of_thread t.cfg.topo thread in
+  let line = line_of t addr in
   (* Host-speed fast path for the overwhelmingly common case: a read of a
-     line already in this core's private cache with a warm TLB entry.
-     Presence in the private box implies the core is a sharer or the owner
-     (inserts always follow a share/invalidate that sets the bit; evictions
-     and invalidations drop the box entry and the bit together), so the
+     line already in this core's private cache with a warm TLB entry. The
      slow path would charge exactly [priv_hit] with translation 0 and
-     mutate nothing. Both [Cachebox.mem] calls are pure, so stats, costs
-     and the eviction PRNG stream are untouched — benchmark output is
-     bit-identical, only host time changes. *)
-  if kind = Read && Cachebox.mem t.priv.(core) addr && Cachebox.mem t.tlb.(core) (addr lsr 6)
-  then begin
+     mutate nothing, so this only saves host time. *)
+  if kind = Read && holds line core && t.tlb_cores.(addr lsr 6) land (1 lsl core) <> 0 then begin
     incr t.count.accesses;
     incr t.count.priv_hits;
     t.cfg.costs.Costs.priv_hit
   end
-  else access_slow t ~now ~core ~addr ~kind
+  else access_slow t ~now ~core ~line ~addr ~kind
+
+let check_presence t =
+  let err = ref None in
+  let expect what key box_name i box held =
+    if !err = None && Cachebox.mem box key <> held then
+      err :=
+        Some
+          (Printf.sprintf "%s %d: the directory says %s in the %s %d, the box disagrees" what key
+             (if held then "present" else "absent")
+             box_name i)
+  in
+  for addr = 0 to t.next_addr - 1 do
+    let l = t.lines.(addr) in
+    Array.iteri (fun c box -> expect "line" addr "private cache of core" c box (holds l c)) t.priv;
+    Array.iteri
+      (fun s box -> expect "line" addr "LLC of socket" s box (l.in_llc land (1 lsl s) <> 0))
+      t.llc
+  done;
+  for page = 0 to (t.next_addr - 1) / 64 do
+    let cores = t.tlb_cores.(page) in
+    Array.iteri
+      (fun c box -> expect "page" page "TLB of core" c box (cores land (1 lsl c) <> 0))
+      t.tlb
+  done;
+  match !err with None -> Ok () | Some e -> Error e
 
 (* Pipelined access for streaming code (memory-level parallelism): the
    latency portion divides by [factor], but the bandwidth-bucket portion

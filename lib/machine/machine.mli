@@ -48,6 +48,15 @@ val access : t -> now:int -> thread:int -> addr:int -> kind:kind -> int
     transfer is in flight additionally pays the queueing delay — the hot
     cache-line collapse of §2. Reads of a shared line serve in parallel. *)
 
+val check_presence : t -> (unit, string) result
+(** The presence invariant the access paths rely on, checked against the
+    cache boxes: for every allocated line, core [c]'s private cache holds it
+    exactly when the directory has [c] as its owner or a sharer, and socket
+    [s]'s LLC exactly when the line's socket mask has bit [s]; for every
+    page, core [c]'s TLB holds it exactly when the page's core mask has bit
+    [c]. [Error] names the first disagreement. For tests: it probes every
+    box for every allocated address. *)
+
 val access_mlp : t -> now:int -> thread:int -> addr:int -> kind:kind -> factor:int -> int
 (** Pipelined access for streaming code: like {!access} but the latency
     portion of the cost divides by [factor] (memory-level parallelism

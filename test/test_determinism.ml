@@ -1,10 +1,10 @@
 (** The determinism regime guarding the raw-speed refactor and the
     domain-parallel runner:
 
-    - the machine fast paths (dense line directory, open-addressing cache
-      indexes) must charge bit-for-bit what the original functional-map
-      implementation charged, pinned by a golden digest of a recorded
-      access trace;
+    - the machine fast paths (dense line directory, presence bit masks
+      in place of cache-box membership probes) must charge bit-for-bit
+      what the original functional-map implementation charged, pinned by
+      a golden digest of a recorded access trace;
     - the parallel experiment runner must produce byte-identical
       [BENCH_*.json] to the sequential driver;
     - schedule exploration must find the same schedules regardless of the

@@ -84,23 +84,96 @@ let test_cachebox_basic () =
   Alcotest.(check bool) "removed" false (Cachebox.mem cb 5);
   Alcotest.(check int) "size after remove" 3 (Cachebox.size cb)
 
+(* [add] takes only absent addresses (the machine's directory knows which
+   are); an address that left the box, removed or evicted, is absent again
+   and re-enters as one copy. *)
 let test_cachebox_no_duplicate () =
   let cb = Cachebox.create ~capacity:4 (Prng.create 3L) in
   ignore (Cachebox.add cb 9);
+  Cachebox.remove cb 9;
   ignore (Cachebox.add cb 9);
-  Alcotest.(check int) "no duplicates" 1 (Cachebox.size cb)
+  Alcotest.(check int) "re-added once" 1 (Cachebox.size cb);
+  List.iter (fun a -> ignore (Cachebox.add cb a)) [ 1; 2; 3 ];
+  (match Cachebox.add cb 4 with
+  | Some v -> ignore (Cachebox.add cb v)
+  | None -> Alcotest.fail "a full box evicts");
+  Alcotest.(check int) "still full" 4 (Cachebox.size cb);
+  Alcotest.(check int) "members distinct" 4
+    (List.length (List.filter (Cachebox.mem cb) [ 1; 2; 3; 4; 9 ]))
 
 let qcheck_cachebox_capacity =
   QCheck.Test.make ~name:"cachebox never exceeds capacity" ~count:100
     QCheck.(list (int_bound 50))
     (fun addrs ->
       let cb = Cachebox.create ~capacity:8 (Prng.create 17L) in
-      List.iter (fun a -> ignore (Cachebox.add cb a)) addrs;
+      List.iter (fun a -> if not (Cachebox.mem cb a) then ignore (Cachebox.add cb a)) addrs;
       Cachebox.size cb <= 8
       && List.length (List.filter (Cachebox.mem cb) (List.sort_uniq compare addrs))
          = Cachebox.size cb)
 
 let mk_machine () = Machine.create Machine.config_default
+
+let kinds = [| Machine.Read; Machine.Write; Machine.Rmw |]
+
+(* The directory's presence masks are the only membership test on the
+   access path, so they must agree with the cache boxes after every access.
+   Capacities of a few lines keep private, LLC and TLB evictions constant;
+   the 160 lines span three pages and both allocation policies. *)
+let qcheck_presence_invariant =
+  QCheck.Test.make ~name:"presence masks agree with the cache boxes" ~count:60
+    QCheck.(
+      triple bool bool
+        (list_of_size Gen.(1 -- 120) (triple (int_bound 79) (int_bound 159) (int_bound 2))))
+    (fun (small, bw, trace) ->
+      let topo = if small then Topology.small else Topology.default in
+      let costs =
+        if bw then { Costs.default with Costs.bw = Costs.bw_default } else Costs.default
+      in
+      let cfg = { Machine.topo; costs; priv_lines = 4; llc_lines = 8; tlb_entries = 2 } in
+      let m = Machine.create cfg in
+      let base = Machine.alloc m (Machine.On_node 0) ~lines:100 in
+      ignore (Machine.alloc m Machine.Interleave ~lines:60);
+      let nthreads = Topology.nthreads topo in
+      List.iteri
+        (fun now (thread, off, k) ->
+          let thread = thread mod nthreads in
+          ignore (Machine.access m ~now ~thread ~addr:(base + off) ~kind:kinds.(k));
+          match Machine.check_presence m with
+          | Ok () -> ()
+          | Error e -> QCheck.Test.fail_reportf "after access %d: %s" now e)
+        trace;
+      true)
+
+(* Presence masks are ints: a topology with more cores or sockets than an
+   int has bits is refused at [create]; one that fits works up to the top
+   bit. *)
+let test_mask_width_guard () =
+  let topo sockets cores_per_socket =
+    { Topology.sockets; cores_per_socket; threads_per_core = 2; ghz = 2.0 }
+  in
+  List.iter
+    (fun (name, topo, fits) ->
+      let cfg = { (Machine.config_scaled ()) with Machine.topo } in
+      match Machine.create cfg with
+      | exception Invalid_argument _ -> Alcotest.(check bool) name fits false
+      | m ->
+          Alcotest.(check bool) name fits true;
+          let a = Machine.alloc m Machine.Interleave ~lines:2 in
+          let last = Topology.nthreads topo - 1 in
+          List.iter
+            (fun (thread, kind) -> ignore (Machine.access m ~now:0 ~thread ~addr:a ~kind))
+            [ (last, Machine.Write); (0, Machine.Read); (last, Machine.Read); (0, Machine.Write) ];
+          Alcotest.(check (result unit string)) (name ^ " presence") (Ok ())
+            (Machine.check_presence m))
+    [
+      ("paper machine", Topology.default, true);
+      ("small machine", Topology.small, true);
+      ("one core per bit", topo 1 Sys.int_size, true);
+      ("one socket per bit", topo Sys.int_size 1, true);
+      ("one core too many", topo 1 (Sys.int_size + 1), false);
+      ("one socket too many", topo (Sys.int_size + 1) 1, false);
+      ("cores past the mask across sockets", topo 8 8, false);
+    ]
 
 let test_alloc_homes () =
   let m = mk_machine () in
@@ -333,4 +406,6 @@ let suite =
     ("many regions lookup", `Quick, test_many_regions_lookup);
     ("unallocated access rejected", `Quick, test_unallocated_access_rejected);
     ("cycles to seconds", `Quick, test_cycles_to_seconds);
+    QCheck_alcotest.to_alcotest qcheck_presence_invariant;
+    ("mask width guard", `Quick, test_mask_width_guard);
   ]

@@ -1,8 +1,7 @@
-(* Tests for the simulation support kit: PRNG, bitsets, event heap,
-   histograms, counters. *)
+(* Tests for the simulation support kit: PRNG, event heap, histograms,
+   counters. *)
 
 module Prng = Dps_simcore.Prng
-module Bitset = Dps_simcore.Bitset
 module Heap = Dps_simcore.Heap
 module Histogram = Dps_simcore.Histogram
 module Stats = Dps_simcore.Stats
@@ -51,47 +50,6 @@ let test_prng_below_probability () =
   done;
   let frac = float_of_int !hits /. float_of_int n in
   Alcotest.(check bool) "~30%" true (frac > 0.28 && frac < 0.32)
-
-let test_bitset_basics () =
-  let b = Bitset.create 100 in
-  Alcotest.(check bool) "empty" true (Bitset.is_empty b);
-  Bitset.add b 0;
-  Bitset.add b 63;
-  Bitset.add b 64;
-  Bitset.add b 99;
-  Alcotest.(check int) "cardinal" 4 (Bitset.cardinal b);
-  Alcotest.(check bool) "mem 63" true (Bitset.mem b 63);
-  Alcotest.(check bool) "not mem 42" false (Bitset.mem b 42);
-  Bitset.remove b 63;
-  Alcotest.(check bool) "removed" false (Bitset.mem b 63);
-  Alcotest.(check int) "cardinal after remove" 3 (Bitset.cardinal b)
-
-let test_bitset_iter_order () =
-  let b = Bitset.create 200 in
-  List.iter (Bitset.add b) [ 150; 3; 77; 0; 199 ];
-  let got = Bitset.fold (fun acc i -> i :: acc) [] b |> List.rev in
-  Alcotest.(check (list int)) "sorted member order" [ 0; 3; 77; 150; 199 ] got
-
-let test_bitset_clear () =
-  let b = Bitset.create 70 in
-  List.iter (Bitset.add b) [ 1; 2; 3; 69 ];
-  Bitset.clear b;
-  Alcotest.(check bool) "empty after clear" true (Bitset.is_empty b)
-
-let test_bitset_singleton () =
-  let b = Bitset.create 10 in
-  Alcotest.(check (option int)) "empty" None (Bitset.singleton_or_empty b);
-  Bitset.add b 7;
-  Alcotest.(check (option int)) "single" (Some 7) (Bitset.singleton_or_empty b);
-  Bitset.add b 2;
-  Alcotest.(check (option int)) "two" None (Bitset.singleton_or_empty b)
-
-let test_bitset_exists () =
-  let b = Bitset.create 64 in
-  Bitset.add b 10;
-  Bitset.add b 20;
-  Alcotest.(check bool) "exists even" true (Bitset.exists (fun i -> i mod 2 = 0) b);
-  Alcotest.(check bool) "exists >30" false (Bitset.exists (fun i -> i > 30) b)
 
 let test_heap_ordering () =
   let h = Heap.create () in
@@ -306,26 +264,6 @@ let qcheck_histogram_percentile_bounds =
       let p v = Histogram.percentile h v in
       p 0.5 <= p 0.99 && p 0.99 <= Histogram.max_value h && p 1.0 = Histogram.max_value h)
 
-let qcheck_bitset_model =
-  QCheck.Test.make ~name:"bitset agrees with list model" ~count:200
-    QCheck.(list (pair bool (int_bound 99)))
-    (fun ops ->
-      let b = Bitset.create 100 in
-      let model = Hashtbl.create 16 in
-      List.iter
-        (fun (add, i) ->
-          if add then begin
-            Bitset.add b i;
-            Hashtbl.replace model i ()
-          end
-          else begin
-            Bitset.remove b i;
-            Hashtbl.remove model i
-          end)
-        ops;
-      Bitset.cardinal b = Hashtbl.length model
-      && List.for_all (fun i -> Bitset.mem b i = Hashtbl.mem model i) (List.init 100 Fun.id))
-
 let suite =
   [
     ("prng deterministic", `Quick, test_prng_deterministic);
@@ -334,11 +272,6 @@ let suite =
     ("prng int bounds", `Quick, test_prng_int_bounds);
     ("prng float bounds", `Quick, test_prng_float_bounds);
     ("prng below probability", `Quick, test_prng_below_probability);
-    ("bitset basics", `Quick, test_bitset_basics);
-    ("bitset iter order", `Quick, test_bitset_iter_order);
-    ("bitset clear", `Quick, test_bitset_clear);
-    ("bitset singleton", `Quick, test_bitset_singleton);
-    ("bitset exists", `Quick, test_bitset_exists);
     ("heap ordering", `Quick, test_heap_ordering);
     ("heap fifo ties", `Quick, test_heap_fifo_ties);
     ("heap grow", `Quick, test_heap_grow);
@@ -353,5 +286,4 @@ let suite =
     ("stats counters", `Quick, test_stats);
     ("stats counter cells", `Quick, test_stats_counter_cells);
     QCheck_alcotest.to_alcotest qcheck_histogram_percentile_bounds;
-    QCheck_alcotest.to_alcotest qcheck_bitset_model;
   ]
