@@ -14,8 +14,8 @@
 
     Clients live off-machine: they interact only through callbacks run as
     bare scheduler events ({!Sthread.at}), consuming no simulated cores.
-    Everything is driven by the simulation heap, so a given seed replays
-    bit-for-bit. *)
+    Everything is driven by the scheduler's event queue, so a given seed
+    replays bit-for-bit. *)
 
 module Sthread := Dps_sthread.Sthread
 

@@ -1,4 +1,4 @@
-module Heap = Dps_simcore.Heap
+module Calendar = Dps_simcore.Calendar
 module Prng = Dps_simcore.Prng
 module Machine = Dps_machine.Machine
 module Obs = Dps_obs.Obs
@@ -47,7 +47,7 @@ type event =
 
 type t = {
   m : Machine.t;
-  events : event Heap.t;
+  events : event Calendar.t;
   mutable time : int;
   mutable live : int;
   mutable next_tid : int;
@@ -77,7 +77,7 @@ let ctx () =
 let create m =
   {
     m;
-    events = Heap.create ();
+    events = Calendar.create ();
     time = 0;
     live = 0;
     next_tid = 0;
@@ -97,7 +97,19 @@ let on_exit t hook = t.exit_hooks <- t.exit_hooks @ [ hook ]
 let set_fault_hook t hook = t.fault_hook <- hook
 let set_sched_hook t hook = t.sched_hook <- hook
 let set_tracer t tr = t.tracer <- tr
-let emit t ev = match t.tracer with None -> () | Some f -> f ev
+
+(* Each emitter builds its trace record only under [Some f]. Passed to a
+   generic [emit], the record would be allocated on every untraced call:
+   without flambda nothing sinks the allocation into the match. *)
+let current_tid t = match !(current ()) with Some (t', s) when t' == t -> Some s.tid | _ -> None
+
+let emit_access t state cls addr =
+  match t.tracer with None -> () | Some f -> f (T_access { tid = state.tid; cls; addr })
+
+let emit_sync t state acquire token =
+  match t.tracer with None -> () | Some f -> f (T_sync { tid = state.tid; acquire; token })
+
+let emit_wake t state = match t.tracer with None -> () | Some f -> f (T_wake { tid = state.tid })
 
 type _ Effect.t += Suspend : (int * op_tag) -> unit Effect.t
 type _ Effect.t += Park : unit Effect.t
@@ -112,7 +124,7 @@ let exit () =
 (* Resume a parked thread: the hardware thread was released while blocked
    (the hyperthread pair is genuinely idle), so re-activate it first —
    [Wake] carries that extra [set_active] in the run loop. *)
-let resume_parked t (state : tstate) k = Heap.push t.events ~time:t.time (Wake (state, k))
+let resume_parked t (state : tstate) k = Calendar.push t.events ~time:t.time (Wake (state, k))
 
 let kill t ~tid =
   match Hashtbl.find_opt t.states tid with
@@ -130,12 +142,7 @@ let unpark t ~tid =
   match Hashtbl.find_opt t.states tid with
   | None -> false
   | Some state ->
-      emit t
-        (T_unpark
-           {
-             src = (match !(current ()) with Some (t', s) when t' == t -> Some s.tid | _ -> None);
-             dst = tid;
-           });
+      (match t.tracer with None -> () | Some f -> f (T_unpark { src = current_tid t; dst = tid }));
       (match state.parked with
       | Some k ->
           state.parked <- None;
@@ -145,7 +152,7 @@ let unpark t ~tid =
 
 let at t ~time f =
   if time < t.time then invalid_arg "Sthread.at: time in the past";
-  Heap.push t.events ~time
+  Calendar.push t.events ~time
     (Thunk
        (fun () ->
          current () := None;
@@ -158,8 +165,16 @@ let retire t state =
   Machine.set_active t.m ~thread:state.hw false;
   t.live <- t.live - 1;
   Hashtbl.remove t.states state.tid;
-  emit t (T_retire { tid = state.tid });
+  (match t.tracer with None -> () | Some f -> f (T_retire { tid = state.tid }));
   List.iter (fun hook -> hook state.tid) t.exit_hooks
+
+(* Sum of non-negative ints, saturated at [max_int]. Resume times use it:
+   a thread stalled past every horizon never resumes ([run] reads [max_int]
+   as "nothing left"), where the wrapped sum would run it first, in the
+   past. *)
+let sat_add a b =
+  let s = a + b in
+  if s < 0 then max_int else s
 
 let rec exec t state f =
   let open Effect.Deep in
@@ -191,18 +206,19 @@ let rec exec t state f =
                   (* schedule-exploration hook: extra cycles forced onto this
                      scheduling point (lib/check preemption schedules) *)
                   let delay =
-                    delay
-                    + (match t.sched_hook with
+                    sat_add delay
+                      (match t.sched_hook with
                       | None -> 0
                       | Some hook -> max 0 (hook ~tid:state.tid ~now:t.time ~tag ~cycles:n))
                   in
-                  Heap.push t.events ~time:(t.time + max 0 n + delay) (Resume (state, k)))
+                  let time = sat_add t.time (sat_add (max 0 n) delay) in
+                  Calendar.push t.events ~time (Resume (state, k)))
           | Park ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   if state.permit || state.killed then begin
                     state.permit <- false;
-                    Heap.push t.events ~time:t.time (Resume (state, k))
+                    Calendar.push t.events ~time:t.time (Resume (state, k))
                   end
                   else begin
                     (* Blocked threads release the core: the hyperthread
@@ -230,14 +246,11 @@ and spawn t ~hw f =
   t.next_tid <- t.next_tid + 1;
   t.live <- t.live + 1;
   Hashtbl.replace t.states state.tid state;
-  emit t
-    (T_spawn
-       {
-         parent = (match !(current ()) with Some (t', s) when t' == t -> Some s.tid | _ -> None);
-         child = state.tid;
-       });
+  (match t.tracer with
+  | None -> ()
+  | Some f -> f (T_spawn { parent = current_tid t; child = state.tid }));
   Machine.set_active t.m ~thread:hw true;
-  Heap.push t.events ~time:t.time
+  Calendar.push t.events ~time:t.time
     (Thunk
        (fun () ->
          current () := Some (t, state);
@@ -252,13 +265,13 @@ let run ?until t =
     (fun () ->
       let keep_going = ref true in
       while !keep_going do
-        (* [next_time]/[take] instead of [min_time]/[pop]: the drain loop
-           allocates nothing per event. *)
-        let tm = Heap.next_time t.events in
+        (* Peek, then take: the drain loop allocates nothing per event, and
+           stopping at [limit] after a peek leaves the push bound at [now]. *)
+        let tm = Calendar.next_time t.events in
         if tm = max_int || tm > limit then keep_going := false
         else begin
           t.time <- tm;
-          match Heap.take t.events with
+          match Calendar.take t.events with
           | Resume (state, k) ->
               cur := Some (t, state);
               if state.killed then Effect.Deep.discontinue k Killed else Effect.Deep.continue k ()
@@ -318,9 +331,9 @@ let access ~cls kind addr =
   let cost = Machine.access t.m ~now:t.time ~thread:state.hw ~addr ~kind in
   if obs then Obs.charged ~tid:state.tid ~hw:state.hw ~cycles:cost ~cls:`Mem;
   let store = match cls with Store | Release_store -> true | _ -> false in
-  if store then emit t (T_access { tid = state.tid; cls; addr });
+  if store then emit_access t state cls addr;
   suspend_tagged (Access_op (kind, addr)) (cost + take_pending state);
-  if not store then emit t (T_access { tid = state.tid; cls; addr })
+  if not store then emit_access t state cls addr
 
 let read addr = access ~cls:Load Machine.Read addr
 let read_racy addr = access ~cls:Racy_load Machine.Read addr
@@ -338,9 +351,9 @@ let access_pipelined ~factor ~kind addr =
   let cls =
     match kind with Machine.Read -> Load | Machine.Write -> Store | Machine.Rmw -> Atomic
   in
-  if cls = Store then emit t (T_access { tid = state.tid; cls; addr });
+  if cls = Store then emit_access t state cls addr;
   suspend_tagged (Access_op (kind, addr)) (cost + take_pending state);
-  if cls <> Store then emit t (T_access { tid = state.tid; cls; addr })
+  if cls <> Store then emit_access t state cls addr
 
 let charge_read_cls cls addr =
   let t, state = ctx () in
@@ -349,18 +362,18 @@ let charge_read_cls cls addr =
   let cost = Machine.access t.m ~now:t.time ~thread:state.hw ~addr ~kind:Machine.Read in
   if obs then Obs.charged ~tid:state.tid ~hw:state.hw ~cycles:cost ~cls:`Mem;
   state.pending <- state.pending + cost;
-  emit t (T_access { tid = state.tid; cls; addr })
+  emit_access t state cls addr
 
 let charge_read addr = charge_read_cls Load addr
 let charge_read_racy addr = charge_read_cls Racy_load addr
 
 let sync_acquire token =
   let t, state = ctx () in
-  emit t (T_sync { tid = state.tid; acquire = true; token })
+  emit_sync t state true token
 
 let sync_release token =
   let t, state = ctx () in
-  emit t (T_sync { tid = state.tid; acquire = false; token })
+  emit_sync t state false token
 
 let flush () =
   let _, state = ctx () in
@@ -383,7 +396,7 @@ let park () =
   if Obs.on () then Obs.park_begin ~tid:state.tid ~now:t.time;
   Effect.perform Park;
   if Obs.on () then Obs.park_end ~tid:state.tid ~now:t.time;
-  emit t (T_wake { tid = state.tid })
+  emit_wake t state
 
 let park_for d =
   if d <= 0 then invalid_arg "Sthread.park_for";
@@ -404,7 +417,7 @@ let park_for d =
   if Obs.on () then Obs.park_begin ~tid:state.tid ~now:t.time;
   Effect.perform Park;
   if Obs.on () then Obs.park_end ~tid:state.tid ~now:t.time;
-  emit t (T_wake { tid = state.tid });
+  emit_wake t state;
   state.timed_out
 
 type sched = t

@@ -264,6 +264,31 @@ let test_health_idle_snapshot () =
       ("lock breaks", h.Dps.lock_breaks);
     ]
 
+(* A stall past every horizon parks its thread for good: the resume time
+   saturates at [max_int], which [run] reads as "nothing left", instead of
+   wrapping to a negative time that would run first, in the past. *)
+let test_stall_past_every_horizon () =
+  let sched = mk_sched () in
+  let plan = Faults.install sched ~seed:5L (Faults.spec ()) in
+  Faults.schedule_stall plan ~tid:0 ~at:0 ~cycles:max_int;
+  let stalled_resumed = ref false and times = ref [] in
+  Sthread.spawn sched ~hw:0 (fun () ->
+      Sthread.work 10;
+      stalled_resumed := true);
+  Sthread.spawn sched ~hw:2 (fun () ->
+      for _ = 1 to 50 do
+        Sthread.work 100;
+        times := Sthread.time () :: !times
+      done);
+  Sthread.run sched;
+  let times = List.rev !times in
+  Alcotest.(check int) "stall injected" 1 (Faults.stalls_injected plan);
+  Alcotest.(check bool) "stalled thread never resumes" false !stalled_resumed;
+  Alcotest.(check int) "only the stalled thread is live" 1 (Sthread.live_threads sched);
+  Alcotest.(check int) "the other ran to completion" 50 (List.length times);
+  Alcotest.(check (list int)) "now never decreases" (List.sort compare times) times;
+  Alcotest.(check int) "now is the last step" (List.nth times 49) (Sthread.now sched)
+
 let suite =
   [
     ("chaos: crash one client per locality", `Quick, test_chaos_crash_every_locality);
@@ -274,4 +299,5 @@ let suite =
     ("double attach rejected", `Quick, test_double_attach_rejected);
     ("detach hands share to a peer", `Quick, test_detach_hands_share);
     ("health: idle snapshot", `Quick, test_health_idle_snapshot);
+    ("stall past every horizon", `Quick, test_stall_past_every_horizon);
   ]

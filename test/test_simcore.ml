@@ -1,8 +1,9 @@
-(* Tests for the simulation support kit: PRNG, event heap, histograms,
-   counters. *)
+(* Tests for the simulation support kit: PRNG, event heap and calendar,
+   histograms, counters. *)
 
 module Prng = Dps_simcore.Prng
 module Heap = Dps_simcore.Heap
+module Calendar = Dps_simcore.Calendar
 module Histogram = Dps_simcore.Histogram
 module Stats = Dps_simcore.Stats
 
@@ -184,6 +185,165 @@ let qcheck_heap_model =
       done;
       Ref_set.is_empty !model && !peak > 256)
 
+let w = Calendar.window
+
+let drain_calendar c =
+  let rec go acc = if Calendar.is_empty c then List.rev acc else go (Calendar.take c :: acc) in
+  go []
+
+(* An entry pushed while its time was beyond the window waits in the
+   overflow heap; a later push to the same time, once the window covers it,
+   goes straight to the bucket. They still come out in push order. *)
+let test_calendar_overflow_then_direct () =
+  let c = Calendar.create () in
+  let edge = w + 5 in
+  Calendar.push c ~time:edge "a";
+  Calendar.push c ~time:10 "x";
+  Calendar.push c ~time:edge "b";
+  Alcotest.(check string) "window entry first" "x" (Calendar.take c);
+  Calendar.push c ~time:edge "c";
+  Calendar.push c ~time:(edge - 1) "y";
+  Calendar.push c ~time:edge "d";
+  Alcotest.(check int) "next_time" (edge - 1) (Calendar.next_time c);
+  Alcotest.(check (list string)) "push order" [ "y"; "a"; "b"; "c"; "d" ] (drain_calendar c)
+
+(* With the window empty, [take] jumps it to the earliest overflow entry. *)
+let test_calendar_jump_empty_window () =
+  let c = Calendar.create () in
+  Calendar.push c ~time:((3 * w) + 7) 2;
+  Calendar.push c ~time:((3 * w) + 7) 3;
+  Calendar.push c ~time:((9 * w) + 1) 4;
+  Alcotest.(check int) "next_time" ((3 * w) + 7) (Calendar.next_time c);
+  Alcotest.(check int) "first" 2 (Calendar.take c);
+  Calendar.push c ~time:((3 * w) + 7) 5;
+  Alcotest.(check (list int)) "rest" [ 3; 5; 4 ] (drain_calendar c);
+  Alcotest.(check int) "empty" max_int (Calendar.next_time c);
+  let take_empty () = ignore (Calendar.take c) in
+  Alcotest.check_raises "take of empty" (Invalid_argument "Calendar.take: empty queue") take_empty
+
+(* Pushes may not go below the last taken time; [next_time] only peeks, so
+   after a peek at a later entry a push at the last taken time still fits. *)
+let test_calendar_monotone_contract () =
+  let c = Calendar.create () in
+  Calendar.push c ~time:100 "a";
+  Calendar.push c ~time:(100 + (2 * w)) "far";
+  Alcotest.(check string) "take" "a" (Calendar.take c);
+  Alcotest.(check int) "peek" (100 + (2 * w)) (Calendar.next_time c);
+  Calendar.push c ~time:100 "b";
+  Alcotest.(check int) "push at the last taken time" 100 (Calendar.next_time c);
+  let push_late () = Calendar.push c ~time:99 "late" in
+  let late = Invalid_argument "Calendar.push: time before the last taken time" in
+  Alcotest.check_raises "push before the last taken time" late push_late;
+  Alcotest.(check (list string)) "order" [ "b"; "far" ] (drain_calendar c)
+
+(* As for the heap: a taken payload must become garbage, whether it sat in
+   a bucket all along or was moved in from the overflow heap. *)
+let[@inline never] cal_push_watched c wk ~time =
+  let v = ref (Sys.opaque_identity 42) in
+  Weak.set wk 0 (Some v);
+  Calendar.push c ~time v
+
+let[@inline never] cal_take_one c = Alcotest.(check int) "taken payload" 42 !(Calendar.take c)
+
+let test_calendar_no_retention () =
+  List.iter
+    (fun time ->
+      let c = Calendar.create () in
+      let wk = Weak.create 1 in
+      cal_push_watched c wk ~time;
+      Calendar.push c ~time:(time + 1) (ref 0);
+      cal_take_one c;
+      Gc.full_major ();
+      let name = Printf.sprintf "payload at %d collected" time in
+      Alcotest.(check bool) name false (Weak.check wk 0);
+      Alcotest.(check int) "the other still queued" 1 (Calendar.size c))
+    [ 1; w + 1 ]
+
+(* Model check against the heap's (time, insertion order) reference, with
+   the scheduler's contract: every push is at or after the last taken time.
+   Delays cluster at the window's edges and multiples, [C_again] repeats the
+   last pushed time so that equal times straddle the edge (pushed once to
+   the overflow heap, again straight into the bucket), and [C_peek] checks
+   that [next_time] does not move the push bound. *)
+type cal_op = C_push of int | C_again | C_peek | C_take
+
+let cal_delay_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return 0);
+        (3, return 1);
+        (6, 2 -- 15);
+        (2, return (w - 1));
+        (2, return w);
+        (2, return (w + 1));
+        (2, map2 (fun k r -> (k * w) + r) (1 -- 3) (0 -- (w - 1)));
+      ])
+
+let cal_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun d -> C_push d) cal_delay_gen);
+        (2, return C_again);
+        (1, return C_peek);
+        (4, return C_take);
+      ])
+
+let show_cal_op = function
+  | C_push d -> Printf.sprintf "Push %d" d
+  | C_again -> "Again"
+  | C_peek -> "Peek"
+  | C_take -> "Take"
+
+let qcheck_calendar_model =
+  QCheck.Test.make ~name:"calendar agrees with (time, insertion order) model" ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(list show_cal_op)
+       QCheck.Gen.(list_size (1000 -- 2000) cal_op_gen))
+    (fun ops ->
+      let c = Calendar.create () in
+      let model = ref Ref_set.empty and pushed = ref 0 in
+      let last_taken = ref 0 and last_pushed = ref 0 and overflowed = ref 0 in
+      let push time =
+        if time - !last_taken >= w then incr overflowed;
+        Calendar.push c ~time (ref !pushed);
+        model := Ref_set.add (time, !pushed) !model;
+        last_pushed := time;
+        incr pushed
+      in
+      let check_next () =
+        let expect = if Ref_set.is_empty !model then max_int else fst (Ref_set.min_elt !model) in
+        if Calendar.next_time c <> expect then
+          QCheck.Test.fail_reportf "next_time %d, expected %d" (Calendar.next_time c) expect
+      in
+      let take () =
+        check_next ();
+        let ((time, idx) as e) = Ref_set.min_elt !model in
+        model := Ref_set.remove e !model;
+        let got = !(Calendar.take c) in
+        if got <> idx then QCheck.Test.fail_reportf "got payload %d, expected %d" got idx;
+        last_taken := time
+      in
+      let step = function
+        | C_push d -> push (!last_taken + d)
+        | C_again -> push (max !last_pushed !last_taken)
+        | C_peek -> check_next ()
+        | C_take ->
+            if Ref_set.is_empty !model then begin
+              check_next ();
+              match Calendar.take c with
+              | _ -> QCheck.Test.fail_report "take of empty returned"
+              | exception Invalid_argument _ -> ()
+            end
+            else take ()
+      in
+      List.iter step ops;
+      while not (Ref_set.is_empty !model) do
+        take ()
+      done;
+      Calendar.is_empty c && !overflowed > 0)
+
 let test_histogram_percentiles () =
   let h = Histogram.create () in
   for v = 1 to 1000 do
@@ -278,6 +438,11 @@ let suite =
     ("heap min_time", `Quick, test_heap_min_time);
     ("heap no retention", `Quick, test_heap_no_retention);
     QCheck_alcotest.to_alcotest qcheck_heap_model;
+    ("calendar overflow then direct push", `Quick, test_calendar_overflow_then_direct);
+    ("calendar jump over empty window", `Quick, test_calendar_jump_empty_window);
+    ("calendar monotone contract", `Quick, test_calendar_monotone_contract);
+    ("calendar no retention", `Quick, test_calendar_no_retention);
+    QCheck_alcotest.to_alcotest qcheck_calendar_model;
     ("histogram percentiles", `Quick, test_histogram_percentiles);
     ("histogram mean", `Quick, test_histogram_mean);
     ("histogram empty", `Quick, test_histogram_empty);

@@ -87,6 +87,31 @@ let test_run_until () =
   Sthread.run s;
   Alcotest.(check int) "completed" 100 !steps
 
+(* After [run ~until] stops short of its pending events, a timer at [now]
+   and a fresh thread both run before them, and [now] never goes back. The
+   scheduler's queue has already looked at the pending events, so both new
+   events go below the earliest time it has seen. *)
+let test_push_below_peeked_event () =
+  let s = mk () in
+  let log = ref [] in
+  let note name = log := (name, Sthread.now s) :: !log in
+  Sthread.at s ~time:100 (fun () -> note "timer");
+  Sthread.spawn s ~hw:0 (fun () ->
+      Sthread.work 1_000;
+      note "near");
+  Sthread.spawn s ~hw:2 (fun () ->
+      Sthread.work 20_000;
+      note "far");
+  Sthread.run ~until:500 s;
+  Alcotest.(check int) "stopped at the last event run" 100 (Sthread.now s);
+  Sthread.at s ~time:(Sthread.now s) (fun () -> note "at now");
+  Sthread.spawn s ~hw:4 (fun () -> note "spawned");
+  Sthread.run s;
+  Alcotest.(check (list (pair string int)))
+    "order and times"
+    [ ("timer", 100); ("at now", 100); ("spawned", 100); ("near", 1_000); ("far", 20_000) ]
+    (List.rev !log)
+
 let test_self_identifiers () =
   let s = mk () in
   let seen = ref [] in
@@ -430,6 +455,7 @@ let suite =
     ("memory access charges time", `Quick, test_memory_access_charges_time);
     ("deterministic schedule", `Quick, test_deterministic_schedule);
     ("run until", `Quick, test_run_until);
+    ("push below a peeked event", `Quick, test_push_below_peeked_event);
     ("self identifiers", `Quick, test_self_identifiers);
     ("live threads", `Quick, test_live_threads);
     ("charge and flush", `Quick, test_charge_and_flush);
