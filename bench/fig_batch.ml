@@ -167,10 +167,16 @@ let run_net ~batch =
   let srv = Server.start sched net ~backend { Server.default_config with npollers } in
   let nclients = 4096 in
   let sp =
-    Netload.spec ~nclients ~nconns:(max 32 (min 256 (nclients / 16))) ~set_pct:10 ~mget:1
+    Netload.spec ~nclients ~nconns:(max 32 (min 256 (nclients / 16))) ~set_pct:10
       ~key_range:items ()
   in
-  Netload.run sched net sp ~duration:default_duration ~stop:(fun () -> Server.stop srv) ()
+  let rr =
+    Netload.run_routed sched (Netload.single net) (Netload.rspec ~base:sp ())
+      ~duration:default_duration
+      ~stop:(fun () -> Server.stop srv)
+      ()
+  in
+  rr.Netload.agg
 
 let fig_net () =
   print_header "Batch (c): memcached/net DPS-ParSec at 4096 clients, batched vs unbatched sets";

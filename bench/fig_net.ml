@@ -40,12 +40,15 @@ let run which ~nclients ~set_pct ~mode () =
   backend.Variants.populate ~keys:(Array.init items Fun.id) ~val_lines:2;
   let srv = Server.start sched net ~backend { Server.default_config with npollers } in
   let nconns = max 32 (min 256 (nclients / 16)) in
-  let sp = Netload.spec ~nclients ~nconns ~set_pct ~mget:1 ~key_range:items ?mode () in
-  let r =
-    Netload.run sched net sp ~duration:default_duration ~stop:(fun () -> Server.stop srv) ()
+  let sp = Netload.spec ~nclients ~nconns ~set_pct ~key_range:items ?mode () in
+  let rr =
+    Netload.run_routed sched (Netload.single net) (Netload.rspec ~base:sp ())
+      ~duration:default_duration
+      ~stop:(fun () -> Server.stop srv)
+      ()
   in
   {
-    r;
+    r = rr.Netload.agg;
     local_pct = Net.local_fraction net *. 100.0;
     requests = (Server.stats srv).Server.requests;
   }

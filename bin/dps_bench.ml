@@ -85,7 +85,10 @@ let seed =
   Arg.(
     value & opt int64 42L
     & info [ "seed" ]
-        ~doc:"Machine seed (client key streams); the initial key population is fixed.")
+        ~doc:
+          "Machine seed: seeds cache and TLB replacement only. Client key streams and the \
+           initial key population are fixed, so points that never evict print the same line \
+           for every seed.")
 
 let seeds =
   Arg.(

@@ -5,7 +5,8 @@
       malformed request answered CLIENT_ERROR without killing the connection;
    2. a closed-loop client fleet against a DPS-backed server — thousands of
       simulated users multiplexed over a few dozen connections, with the
-      connection limit refusing the overflow;
+      connection limit refusing the overflow and the refused clients
+      backing off and retrying;
    3. the same fleet replayed from the same seed, bit-for-bit.
 
    Run with: dune exec examples/net_demo.exe *)
@@ -87,6 +88,7 @@ type signature = {
   issued : int;
   hits : int;
   refused : int;
+  dropped : int;
   p50 : int;
   p99 : int;
   end_time : int;
@@ -106,10 +108,13 @@ let fleet ~seed =
   let srv =
     Server.start sched net ~backend { Server.default_config with npollers = 40; max_conns = 48 }
   in
-  let sp =
-    Netload.spec ~nclients:2000 ~nconns:64 ~set_pct:10 ~mget:2 ~key_range:items ~seed ()
+  let sp = Netload.spec ~nclients:2000 ~nconns:64 ~set_pct:10 ~key_range:items ~seed () in
+  let rr =
+    Netload.run_routed sched (Netload.single net) (Netload.rspec ~base:sp ()) ~duration:150_000
+      ~stop:(fun () -> Server.stop srv)
+      ()
   in
-  let r = Netload.run sched net sp ~duration:150_000 ~stop:(fun () -> Server.stop srv) () in
+  let r = rr.Netload.agg in
   let st = Server.stats srv in
   ( r,
     {
@@ -117,6 +122,7 @@ let fleet ~seed =
       issued = r.Netload.issued;
       hits = r.Netload.hits;
       refused = r.Netload.refused_conns;
+      dropped = rr.Netload.dropped;
       p50 = r.Netload.p50;
       p99 = r.Netload.p99;
       end_time = Sthread.now sched;
@@ -129,7 +135,8 @@ let () =
   print_endline "--- closed-loop fleet: 2000 users over 64 connections ---";
   let r, s1 = fleet ~seed:42L in
   Format.printf "  %a@." Netload.pp_result r;
-  Printf.printf "  64 connections attempted, limit 48: %d refused\n" s1.refused;
+  Printf.printf "  64 connection slots, limit 48: %d connects refused, %d requests given up\n"
+    s1.refused s1.dropped;
   Printf.printf "  server ring traffic %.1f%% socket-local\n\n" s1.local_pct;
   print_endline "--- replay: same seed, same world ---";
   let _, s2 = fleet ~seed:42L in

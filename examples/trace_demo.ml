@@ -83,8 +83,13 @@ let traced_fleet () =
   in
   backend.Variants.populate ~keys:(Array.init items Fun.id) ~val_lines:2;
   let srv = Server.start sched net ~backend { Server.default_config with npollers = 20 } in
-  let sp = Netload.spec ~nclients:200 ~nconns:16 ~set_pct:10 ~mget:2 ~key_range:items ~seed:7L () in
-  let r = Netload.run sched net sp ~duration:100_000 ~stop:(fun () -> Server.stop srv) () in
+  let sp = Netload.spec ~nclients:200 ~nconns:16 ~set_pct:10 ~key_range:items ~seed:7L () in
+  let rr =
+    Netload.run_routed sched (Netload.single net) (Netload.rspec ~base:sp ()) ~duration:100_000
+      ~stop:(fun () -> Server.stop srv)
+      ()
+  in
+  let r = rr.Netload.agg in
   Obs.stop ();
   Printf.printf "  %d requests completed, %d trace events collected\n" r.Netload.completed
     (Obs.event_count ());

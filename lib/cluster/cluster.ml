@@ -211,7 +211,7 @@ let router t =
   {
     Netload.nnodes = Array.length t.nodes;
     net_of = (fun id -> t.nodes.(id).net);
-    nic_of = (fun id -> t.nodes.(id).socket);
+    nic_of = (fun id _slot -> t.nodes.(id).socket);
     node_of_key = (fun key -> Ring.lookup t.ring key);
     node_up = (fun id -> t.nodes.(id).up);
     failover_of = (fun id -> Ring.successor t.ring id);

@@ -101,7 +101,8 @@ val populate : t -> keys:int array -> val_lines:int -> unit
 
 val router : t -> Netload.router
 (** The routing view handed to {!Netload.run_routed}: ring lookup,
-    liveness, failover targets and the node-down subscription. *)
+    liveness, failover targets and the node-down subscription. Every
+    connection to a node dials the NIC of the node's own socket. *)
 
 val register_obs : t -> Dps_obs.Registry.t -> unit
 (** Register per-node gauges (labelled [{node=<id>}]): cluster liveness,

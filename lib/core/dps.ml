@@ -430,7 +430,7 @@ let handle_exit t sid =
       if t.remaining > 0 && not (partition_has_live_member t cl.my_pid) then
         fail_over t cl.my_pid
 
-let create sched ~nclients ~locality_size ~hash ?ns_sz ?(ring_slots = 16) ?(check_budget = 4)
+let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budget = 4)
     ?(dedicated_pollers = false) ?(self_healing = false) ?(await_timeout = 50_000) ?(batch = 1)
     ?(batch_age = 1500) ?(adaptive = false) ?(direct = false) ?(versions = 0) ?placement ~mk_data
     () =
@@ -460,7 +460,7 @@ let create sched ~nclients ~locality_size ~hash ?ns_sz ?(ring_slots = 16) ?(chec
         p
   in
   let nparts = (nclients + locality_size - 1) / locality_size in
-  let ns_sz = match ns_sz with Some n -> max n nparts | None -> 64 * nparts in
+  let ns_sz = 64 * nparts in
   let mk_partition pid =
     let node = Topology.socket_of_thread topo placement.(pid * locality_size) in
     let info = { pid; node; alloc = Alloc.create m ~cold:(Alloc.Node node) } in

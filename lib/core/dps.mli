@@ -45,7 +45,6 @@ val create :
   nclients:int ->
   locality_size:int ->
   hash:(int -> int) ->
-  ?ns_sz:int ->
   ?ring_slots:int ->
   ?check_budget:int ->
   ?dedicated_pollers:bool ->
@@ -64,9 +63,9 @@ val create :
     instance for [nclients] client threads placed by the paper's rule and
     grouped into localities of [locality_size] hardware threads. One
     partition is created per locality via [mk_data]; [hash] maps keys into
-    the flat namespace of [ns_sz] buckets (default 64 per partition), each
-    bucket owned by a partition — the paper's [create(ds_init_fn, ds_args,
-    partition_cnt, ns_sz, hash_fn)].
+    the flat namespace of 64 buckets per partition, each bucket owned by a
+    partition — the paper's [create(ds_init_fn, ds_args, partition_cnt,
+    ns_sz, hash_fn)] with [ns_sz] fixed at 64 × [partition_cnt].
     [ring_slots] sizes each message ring (default 16); [check_budget] is
     the §4.3 knob: how many delegated requests a thread serves per check of
     its own pending completion (default 4). Each delegation charges fixed

@@ -12,11 +12,6 @@ let obs_span = Sthread.obs_span
 type config = {
   npollers : int;
   max_conns : int;
-  batch_limit : int;
-  recv_chunk : int;
-  val_lines : int;
-  poll_interval : int;
-  spin_rounds : int;
   park_max : int;
   acceptor_hw : int option;
   shed_threshold : int;
@@ -27,16 +22,26 @@ let default_config =
   {
     npollers = 40;
     max_conns = 1024;
-    batch_limit = 16;
-    recv_chunk = 2048;
-    val_lines = 2;
-    poll_interval = 2000;
-    spin_rounds = 4;
     park_max = 16_000;
     acceptor_hw = None;
     shed_threshold = 0;
     front_cache = 0;
   }
+
+(* Max requests served per poller service round. *)
+let batch_limit = 16
+
+(* Max bytes drained per [Net.recv] call. *)
+let recv_chunk = 2048
+
+(* Value bytes served on a hit: two cache lines. *)
+let payload = String.make (2 * 64) 'v'
+
+(* Adaptive polling for backends with an idle duty: spin this many brief
+   rounds, then park from [poll_interval] cycles, doubling up to
+   [park_max]. *)
+let spin_rounds = 4
+let poll_interval = 2000
 
 type stats = {
   mutable conns : int;
@@ -85,7 +90,6 @@ type t = {
   mutable acceptor_tid : int;
   mutable stopping : bool;
   st : stats;
-  payload : string;  (** value bytes served on a hit *)
 }
 
 let stats t = t.st
@@ -133,7 +137,7 @@ let handle t p req =
                 in
                 if found then begin
                   t.st.hits <- t.st.hits + 1;
-                  Some { Wire.vkey = k; vflags = 0; vdata = t.payload }
+                  Some { Wire.vkey = k; vflags = 0; vdata = payload }
                 end
                 else None)
           keys
@@ -183,7 +187,7 @@ let service t p sc =
   if Net.is_closed sc.c then release t sc
   else
   obs_span ~args:[ ("conn", Obs.A_int (Net.conn_id sc.c)) ] "srv.service" @@ fun () ->
-  let data = obs_span "srv.rx" (fun () -> Net.recv t.net sc.c ~max:t.cfg.recv_chunk) in
+  let data = obs_span "srv.rx" (fun () -> Net.recv t.net sc.c ~max:recv_chunk) in
   Wire.feed sc.dec data;
   (* bounded-queue load shedding: when this poller's ready backlog exceeds
      the threshold, answer SERVER_ERROR busy without touching the backend —
@@ -193,7 +197,7 @@ let service t p sc =
   in
   let served = ref 0 in
   let parsing = ref true in
-  while !parsing && !served < t.cfg.batch_limit do
+  while !parsing && !served < batch_limit do
     match obs_span "srv.parse" (fun () -> Wire.next_request sc.dec) with
     | Wire.Need_more -> parsing := false
     | Wire.Bad { msg = _; reply } ->
@@ -224,7 +228,7 @@ let service t p sc =
   (* More buffered bytes, or a full batch with frames still in the decoder:
      take another round (after peers get their turn). A partial frame alone
      parks until more bytes arrive. *)
-  if Net.recv_ready sc.c > 0 || (!served >= t.cfg.batch_limit && Wire.buffered sc.dec > 0)
+  if Net.recv_ready sc.c > 0 || (!served >= batch_limit && Wire.buffered sc.dec > 0)
   then enqueue t p sc
 
 let poller_body t p () =
@@ -257,11 +261,11 @@ let poller_body t p () =
             if served > 0 then streak := 0
             else begin
               incr streak;
-              if !streak <= t.cfg.spin_rounds then Simops.work 256
+              if !streak <= spin_rounds then Simops.work 256
               else begin
                 t.st.parks <- t.st.parks + 1;
                 let backoff =
-                  t.cfg.poll_interval lsl min 3 (!streak - t.cfg.spin_rounds - 1)
+                  poll_interval lsl min 3 (!streak - spin_rounds - 1)
                 in
                 ignore (Sthread.park_for (min t.cfg.park_max backoff));
                 (* serve the ring immediately on wake-up, before the
@@ -350,7 +354,6 @@ let start sched net ~backend cfg =
           shed = 0;
           closed = 0;
         };
-      payload = String.make (cfg.val_lines * 64) 'v';
     }
   in
   Array.iter (fun p -> Sthread.spawn sched ~hw:p.hw (poller_body t p)) pollers;

@@ -13,8 +13,9 @@
     parsing, request routing into the backend (a {!Dps_memcached.Variants}
     record: shared-memory, ffwd or DPS; under DPS a poller is a DPS client
     and serves its peers while awaiting its own delegations), and one
-    batched response write per service round (at most [batch_limit]
-    requests), so response packets amortize link serialization.
+    batched response write per service round (at most 16 requests), so
+    response packets amortize link serialization. Requests are drained
+    2 KB per receive and every hit returns a 2-line (128 B) value.
 
     Pollers are pinned by the backend's own placement rule, so under DPS
     the poller set *is* the client set of the paper's runtime. *)
@@ -25,23 +26,14 @@ module Net := Dps_net.Net
 type config = {
   npollers : int;
   max_conns : int;  (** connections beyond this are refused *)
-  batch_limit : int;  (** max requests served per poller service round *)
-  recv_chunk : int;  (** max bytes drained per {!Net.recv} call *)
-  val_lines : int;  (** cache lines per value payload served on a hit *)
-  poll_interval : int;
-      (** base timed-park interval for backends with an [idle] duty (DPS):
-          an idle poller drains its delegation ring, parks for at most this
-          many cycles, and repeats — a blocked poller must not starve
-          peers delegating into its partition *)
-  spin_rounds : int;
-      (** adaptive polling: a poller whose idle duty served nothing spins
-          this many brief rounds (cheap wake-up when traffic resumes
-          immediately) before it starts parking *)
   park_max : int;
-      (** ceiling on the park timeout: past the spin rounds the timeout
-          doubles from [poll_interval] each consecutive empty round, capped
-          here, so a long-idle poller neither burns cycles nor sleeps
-          through a ring that fills up *)
+      (** ceiling on the park timeout. A poller whose backend has an [idle]
+          duty (DPS) drains its delegation ring whenever it has no
+          connection to serve; after 4 empty rounds of brief spinning it
+          parks, 2000 cycles at first, doubling each consecutive empty
+          round up to this ceiling, so a long-idle poller neither burns
+          cycles nor sleeps through a ring that fills up, and a blocked
+          poller cannot starve peers delegating into its partition *)
   acceptor_hw : int option;
       (** hardware thread for the acceptor; [None] (the default) uses the
           machine's last thread. Cluster mode pins each node's acceptor
@@ -64,9 +56,8 @@ type config = {
 }
 
 val default_config : config
-(** 40 pollers, 1024 connections, 16-request batches, 2 KB recv chunks,
-    2-line (128 B) values; adaptive polling spins 4 rounds then parks
-    2000 cycles doubling up to 16000. *)
+(** 40 pollers, 1024 connections, parks capped at 16000 cycles, the
+    acceptor on the machine's last thread, no shedding, no front cache. *)
 
 type stats = {
   mutable conns : int;

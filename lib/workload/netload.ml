@@ -12,7 +12,6 @@ type spec = {
   nclients : int;
   nconns : int;
   set_pct : int;
-  mget : int;
   val_lines : int;
   key_range : int;
   zipfian : bool;
@@ -20,9 +19,9 @@ type spec = {
   seed : int64;
 }
 
-let spec ?(nclients = 1000) ?(nconns = 64) ?(set_pct = 10) ?(mget = 1) ?(val_lines = 2)
-    ?(key_range = 16384) ?(zipfian = true) ?(mode = Closed { think = 4000 }) ?(seed = 42L) () =
-  { nclients; nconns; set_pct; mget; val_lines; key_range; zipfian; mode; seed }
+let spec ?(nclients = 1000) ?(nconns = 64) ?(set_pct = 10) ?(val_lines = 2) ?(key_range = 16384)
+    ?(zipfian = true) ?(mode = Closed { think = 4000 }) ?(seed = 42L) () =
+  { nclients; nconns; set_pct; val_lines; key_range; zipfian; mode; seed }
 
 type result = {
   issued : int;
@@ -43,119 +42,34 @@ let pp_result ppf r =
     "%8d completed (%d issued): %8.3f Mops/s  p50 %d p99 %d p99.9 %d  (%d errors, %d refused)"
     r.completed r.issued r.throughput_mops r.p50 r.p99 r.p999 r.errors r.refused_conns
 
-(* Per-connection fleet state: the users multiplexed onto one connection
-   share its PRNG stream, encoder and in-order completion FIFO. *)
-type cstate = {
-  mutable conn : Net.conn option;
-  prng : Prng.t;
-  dec : Wire.decoder;
-  enc : Buffer.t;
-  inflight : (int * [ `Get | `Set ]) Queue.t;
-  mutable dead : bool;
-}
-
-type fleet = {
-  sched : Sthread.t;
-  net : Net.t;
-  sp : spec;
-  dist : Keydist.t;
-  set_data : string;
-  horizon : int;
-  hist : Histogram.t;
-  mutable issued : int;
-  mutable completed : int;
-  mutable errors : int;
-  mutable hits : int;
-  mutable refused : int;
-}
-
-let issue f cs =
-  match cs.conn with
-  | None -> ()
-  | Some conn ->
-      if (not cs.dead) && Sthread.now f.sched < f.horizon then begin
-        let p = cs.prng in
-        Buffer.clear cs.enc;
-        let kind =
-          if Prng.int p 100 < f.sp.set_pct then begin
-            let key = string_of_int (Keydist.sample f.dist p) in
-            Wire.encode_request cs.enc
-              (Wire.Set { key; flags = 0; exptime = 0; data = f.set_data; noreply = false });
-            `Set
-          end
-          else begin
-            let keys =
-              List.init f.sp.mget (fun _ -> string_of_int (Keydist.sample f.dist p))
-            in
-            Wire.encode_request cs.enc (Wire.Get keys);
-            `Get
-          end
-        in
-        Queue.push (Sthread.now f.sched, kind) cs.inflight;
-        f.issued <- f.issued + 1;
-        Net.send f.net conn (Buffer.contents cs.enc)
-      end
-
-(* A user finished a request/response cycle on [cs]; in closed-loop mode it
-   thinks, then issues its next request. *)
-let user_turnaround f cs =
-  match f.sp.mode with
-  | Open _ -> ()
-  | Closed { think } ->
-      let when_ = Sthread.now f.sched + think in
-      if when_ < f.horizon then Sthread.at f.sched ~time:when_ (fun () -> issue f cs)
-
-let on_rx f cs data =
-  Wire.feed cs.dec data;
-  let parsing = ref true in
-  while !parsing do
-    match Wire.next_response cs.dec with
-    | Wire.Need_more -> parsing := false
-    | Wire.Bad _ -> f.errors <- f.errors + 1
-    | Wire.Item resp -> (
-        match Queue.take_opt cs.inflight with
-        | None -> f.errors <- f.errors + 1 (* response with no matching request *)
-        | Some (t0, _kind) ->
-            f.completed <- f.completed + 1;
-            Histogram.add f.hist (Sthread.now f.sched - t0);
-            (match resp with
-            | Wire.Values vs -> f.hits <- f.hits + List.length vs
-            | Wire.Error | Wire.Client_error _ | Wire.Server_error _ ->
-                f.errors <- f.errors + 1
-            | Wire.Stored | Wire.Not_stored | Wire.Deleted | Wire.Not_found -> ());
-            user_turnaround f cs)
-  done
-
-(* Open-loop Poisson arrivals on one connection, mean inter-arrival
-   [mean_gap] cycles, until the horizon. *)
-let rec arrival_process f cs ~mean_gap =
-  let u = 1.0 -. Prng.float cs.prng 1.0 in
-  let gap = int_of_float (-.mean_gap *. log u) in
-  let when_ = Sthread.now f.sched + max 1 gap in
-  if when_ < f.horizon then
-    Sthread.at f.sched ~time:when_ (fun () ->
-        issue f cs;
-        arrival_process f cs ~mean_gap)
-
-(* ------------------------------------------------------------------ *)
-(* Routed fleets: clients hash keys to shard nodes through a router,   *)
-(* retry refused/busy/orphaned requests with capped exponential        *)
-(* backoff + jitter, and fail over to the shard's successor when the   *)
-(* cluster declares a node dead.                                       *)
-(* ------------------------------------------------------------------ *)
+(* The fleet: clients hash keys to shard nodes through a router, retry
+   refused/busy/orphaned requests with capped exponential backoff + jitter,
+   and fail over to the shard's successor when the cluster declares a node
+   dead. A single server is the one-node router [single]. *)
 
 type router = {
   nnodes : int;
   net_of : int -> Net.t;
-  nic_of : int -> int;
+  nic_of : int -> int -> int;
   node_of_key : int -> int;
   node_up : int -> bool;
   failover_of : int -> int;
   subscribe_down : (int -> unit) -> unit;
 }
 
+let single net =
+  {
+    nnodes = 1;
+    net_of = (fun _ -> net);
+    nic_of = (fun _ slot -> slot mod Net.nic_count net);
+    node_of_key = (fun _ -> 0);
+    node_up = (fun _ -> true);
+    failover_of = Fun.id;
+    subscribe_down = ignore;
+  }
+
 type rspec = {
-  base : spec;  (** [nconns] is per node; [mode] must be closed-loop *)
+  base : spec;  (** [nconns] is per node *)
   key_pool : int array option;
   req_timeout : int;
   max_retries : int;
@@ -230,7 +144,7 @@ let ct_make ~nnodes ~nconns =
 let ct_dead ct cid = Bytes.get ct.cdead cid = '\001'
 let ct_node ct cid = cid / ct.cnconns
 
-type rfleet = {
+type fleet = {
   rsched : Sthread.t;
   router : router;
   rs : rspec;
@@ -303,8 +217,9 @@ let rec ensure_conn f cid =
     ignore (ct_inflight f cid);
     let node = ct_node ct cid in
     let conn =
-      Net.connect (f.router.net_of node) ~nic:(f.router.nic_of node)
-        ~rx:(fun data -> on_rx_routed f cid data)
+      Net.connect (f.router.net_of node)
+        ~nic:(f.router.nic_of node (cid mod ct.cnconns))
+        ~rx:(fun data -> on_rx f cid data)
         ~on_refused:(fun () ->
           f.rrefused <- f.rrefused + 1;
           fail_conn f cid ~close:false)
@@ -421,7 +336,7 @@ and on_timeout f op ~gen =
     end
   end
 
-and on_rx_routed f cid data =
+and on_rx f cid data =
   let dec =
     match f.table.cdec.(cid) with
     | Some d -> d
@@ -493,6 +408,18 @@ and new_op f user =
     send_op f op
   end
 
+(* Open-loop Poisson arrivals for connection slot [slot], mean
+   inter-arrival [mean_gap] cycles, until the horizon; each arrival is a
+   new op for user [slot]. *)
+let rec arrivals f prng ~mean_gap slot =
+  let u = 1.0 -. Prng.float prng 1.0 in
+  let gap = int_of_float (-.mean_gap *. log u) in
+  let when_ = Sthread.now f.rsched + max 1 gap in
+  if when_ < f.rhorizon then
+    Sthread.at f.rsched ~time:when_ (fun () ->
+        new_op f slot;
+        arrivals f prng ~mean_gap slot)
+
 (* Connection churn: every [churn_interval] cycles recycle one drained
    connection (close + lazy reconnect on next use), round-robin over the
    whole cluster — connection setup/teardown keeps running under load. *)
@@ -527,9 +454,6 @@ let rec churn_tick f ~cursor =
   end
 
 let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
-  (match rs.base.mode with
-  | Closed _ -> ()
-  | Open _ -> invalid_arg "Netload.run_routed: open-loop mode is not supported");
   let sp = rs.base in
   let start = Sthread.now sched in
   let horizon = start + duration in
@@ -585,7 +509,16 @@ let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
         in
         Sthread.at sched ~time:(start + 1 + offset) (fun () -> new_op f u)
       done
-  | Open _ -> assert false);
+  | Open { rate_mops } ->
+      (* a third stream, split after the key and jitter streams, so the
+         closed-loop streams are the same with or without it *)
+      let prng = Prng.split master in
+      let ghz = (Machine.topology (Sthread.machine sched)).Topology.ghz in
+      let ops_per_cycle = rate_mops *. 1e6 /. (ghz *. 1e9) in
+      let mean_gap = float_of_int sp.nconns /. ops_per_cycle in
+      for slot = 0 to sp.nconns - 1 do
+        arrivals f prng ~mean_gap slot
+      done);
   if rs.churn_interval > 0 then
     Sthread.at sched ~time:(start + rs.churn_interval) (fun () -> churn_tick f ~cursor:0);
   Sthread.at sched ~time:(horizon + grace) (fun () -> stop ());
@@ -619,85 +552,4 @@ let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
     per_node_p99 = Array.map (fun h -> Histogram.percentile h 0.99) f.node_hist;
     goodput_timeline = f.timeline;
     window_cycles = twindow;
-  }
-
-let run sched net sp ~duration ?(stop = fun () -> ()) () =
-  let start = Sthread.now sched in
-  let horizon = start + duration in
-  let topo = Machine.topology (Sthread.machine sched) in
-  let master = Prng.create sp.seed in
-  let f =
-    {
-      sched;
-      net;
-      sp;
-      dist =
-        (if sp.zipfian then Keydist.zipf ~range:sp.key_range ()
-         else Keydist.uniform ~range:sp.key_range);
-      set_data = String.make (sp.val_lines * 64) 'x';
-      horizon;
-      hist = Histogram.create ();
-      issued = 0;
-      completed = 0;
-      errors = 0;
-      hits = 0;
-      refused = 0;
-    }
-  in
-  let conns =
-    Array.init sp.nconns (fun i ->
-        let cs =
-          {
-            conn = None;
-            prng = Prng.split master;
-            dec = Wire.decoder ();
-            enc = Buffer.create 256;
-            inflight = Queue.create ();
-            dead = false;
-          }
-        in
-        let conn =
-          Net.connect net ~nic:(i mod Net.nic_count net)
-            ~rx:(fun data -> on_rx f cs data)
-            ~on_refused:(fun () ->
-              cs.dead <- true;
-              f.refused <- f.refused + 1)
-            ()
-        in
-        cs.conn <- Some conn;
-        cs)
-  in
-  (* kick the fleet off: users staggered over one think/gap window *)
-  (match sp.mode with
-  | Closed { think } ->
-      for u = 0 to sp.nclients - 1 do
-        let cs = conns.(u mod sp.nconns) in
-        let offset = if think > 0 then Prng.int cs.prng think else Prng.int cs.prng 64 in
-        Sthread.at sched ~time:(start + 1 + offset) (fun () -> issue f cs)
-      done
-  | Open { rate_mops } ->
-      let cycles_per_sec = topo.Topology.ghz *. 1e9 in
-      let ops_per_cycle = rate_mops *. 1e6 /. cycles_per_sec in
-      let mean_gap = float_of_int sp.nconns /. ops_per_cycle in
-      Array.iter (fun cs -> arrival_process f cs ~mean_gap) conns);
-  (* after the issue window plus a drain grace, shut the server down *)
-  let grace = (10 * (Net.config net).Net.link_latency) + 10_000 in
-  Sthread.at sched ~time:(horizon + grace) (fun () -> stop ());
-  Sthread.run sched;
-  let seconds =
-    Machine.cycles_to_seconds (Sthread.machine sched) duration
-  in
-  {
-    issued = f.issued;
-    completed = f.completed;
-    errors = f.errors;
-    hits = f.hits;
-    refused_conns = f.refused;
-    duration_cycles = Sthread.now sched - start;
-    throughput_mops =
-      (if f.completed = 0 then 0.0 else float_of_int f.completed /. seconds /. 1e6);
-    mean_latency = Histogram.mean f.hist;
-    p50 = Histogram.percentile f.hist 0.50;
-    p99 = Histogram.percentile f.hist 0.99;
-    p999 = Histogram.percentile f.hist 0.999;
   }

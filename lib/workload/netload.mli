@@ -1,11 +1,11 @@
 (** Simulated client fleets for the network front-end.
 
-    Multiplexes [nclients] end-users over [nconns] connections — users per
-    connection is unbounded, so thousands to millions of simulated clients
-    cost only memory, not simulated cores: the whole fleet runs as bare
-    scheduler events ({!Dps_sthread.Sthread.at} timers and connection rx
-    callbacks), off-machine, exactly like the paper's stubbed network
-    clients but speaking the real wire protocol.
+    Multiplexes [nclients] end-users over [nconns] connections per server
+    node — users per connection is unbounded, so thousands to millions of
+    simulated clients cost only memory, not simulated cores: the whole
+    fleet runs as bare scheduler events ({!Dps_sthread.Sthread.at} timers
+    and connection rx callbacks), off-machine, exactly like the paper's
+    stubbed network clients but speaking the real wire protocol.
 
     Two load models:
     - {e closed-loop}: each user issues one request, waits for its
@@ -16,11 +16,14 @@
       the tail latencies show it.
 
     Requests follow the memcached study's shape: Zipfian (or uniform) keys
-    in [0, key_range), [set_pct]% sets of [val_lines]-line values, gets
-    batched [mget] keys at a time. Responses are matched to requests in
-    connection FIFO order (the ASCII protocol is in-order), each completion
-    is a latency sample, and everything is seeded — the same spec replays
-    bit-for-bit. *)
+    in [0, key_range), [set_pct]% sets of [val_lines]-line values, the rest
+    single-key gets. Responses are matched to requests in connection FIFO
+    order (the ASCII protocol is in-order), each completion is a latency
+    sample, and everything is seeded — the same spec replays bit-for-bit.
+
+    There is one fleet engine, {!run_routed}. It reaches its servers
+    through a {!router}: {!single} for one server, the cluster's ring
+    ([Dps_cluster.Cluster.router]) for a sharded store. *)
 
 module Sthread := Dps_sthread.Sthread
 module Net := Dps_net.Net
@@ -33,7 +36,6 @@ type spec = {
   nclients : int;
   nconns : int;
   set_pct : int;  (** 0..100 *)
-  mget : int;  (** keys per get request (1 = plain get) *)
   val_lines : int;  (** value size for sets, in cache lines *)
   key_range : int;
   zipfian : bool;
@@ -45,7 +47,6 @@ val spec :
   ?nclients:int ->
   ?nconns:int ->
   ?set_pct:int ->
-  ?mget:int ->
   ?val_lines:int ->
   ?key_range:int ->
   ?zipfian:bool ->
@@ -53,9 +54,8 @@ val spec :
   ?seed:int64 ->
   unit ->
   spec
-(** Defaults: 1000 clients, 64 connections, 10% sets, plain gets, 2-line
-    values, 16384 keys, Zipfian, closed-loop with 4000-cycle think time,
-    seed 42. *)
+(** Defaults: 1000 clients, 64 connections, 10% sets, 2-line values,
+    16384 keys, Zipfian, closed-loop with 4000-cycle think time, seed 42. *)
 
 type result = {
   issued : int;
@@ -73,15 +73,7 @@ type result = {
 
 val pp_result : Format.formatter -> result -> unit
 
-val run :
-  Sthread.t -> Net.t -> spec -> duration:int -> ?stop:(unit -> unit) -> unit -> result
-(** Drive the fleet for [duration] cycles of issue window, then stop
-    issuing, let in-flight requests complete, and invoke [stop] (typically
-    [Server.stop]) once the issue window plus a drain grace has elapsed.
-    Runs the scheduler to quiescence and reports fleet-side measurements.
-    Connections are spread round-robin over the NICs. *)
-
-(** {1 Routed fleets (cluster mode)}
+(** {1 Routers and the fleet}
 
     A {!router} abstracts the cluster's sharding so this library needs no
     dependency on [lib/cluster]: clients hash each key to a shard node,
@@ -95,7 +87,9 @@ val run :
 type router = {
   nnodes : int;
   net_of : int -> Net.t;  (** the node's network front-end *)
-  nic_of : int -> int;  (** which NIC of that front-end to dial *)
+  nic_of : int -> int -> int;
+      (** [nic_of node slot]: which NIC of the node's front-end connection
+          slot [slot] (0 .. [nconns] - 1) dials *)
   node_of_key : int -> int;  (** current ring owner of a key *)
   node_up : int -> bool;
   failover_of : int -> int;
@@ -106,10 +100,16 @@ type router = {
           connections promptly *)
 }
 
+val single : Net.t -> router
+(** One server: a single node that is always up, is its own failover
+    target and is never declared dead. Connection slots are spread
+    round-robin over the front-end's NICs, so every socket's pollers take
+    a share of the fleet. *)
+
 type rspec = {
   base : spec;
-      (** key/value mix, clients and seed; [nconns] is {e per node};
-          [mode] must be closed-loop *)
+      (** key/value mix, clients, load model and seed; [nconns] is
+          {e per node} *)
   key_pool : int array option;  (** restrict keys to this pool (incast) *)
   req_timeout : int;  (** cycles before an outstanding request is suspect *)
   max_retries : int;  (** wire sends per logical op before giving up *)
@@ -161,6 +161,18 @@ type routed_result = {
 
 val run_routed :
   Sthread.t -> router -> rspec -> duration:int -> ?stop:(unit -> unit) -> unit -> routed_result
-(** Like {!run} but sharded through [router]. The drain grace is extended
-    by [req_timeout] so reroutes still in backoff can land; [stop] should
-    stop the whole cluster (servers and health probe). *)
+(** Drive the fleet for [duration] cycles of issue window, then stop
+    issuing, let in-flight requests complete, and invoke [stop] (typically
+    [Server.stop], or [Cluster.stop] for a sharded store) once the issue
+    window plus a drain grace of [10 × link_latency + req_timeout + 20000]
+    cycles has elapsed, so reroutes still in backoff can land. Runs the
+    scheduler to quiescence and reports fleet-side measurements;
+    [agg.throughput_mops] counts every completion, including those in the
+    drain grace, against the [duration]-cycle window.
+
+    User [u] sends on connection slot [u mod nconns] of the node that owns
+    the key; connections open lazily on first use. Closed-loop users start
+    staggered over one think time. Open-loop arrivals run one Poisson
+    process per connection slot, each arrival a new request of user =
+    slot, drawn from a third split of the seed's stream so the closed-loop
+    key and jitter streams do not depend on the load model. *)

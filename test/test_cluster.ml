@@ -213,6 +213,32 @@ let test_cluster_kill_failover () =
   let v = Eo.check eo ~node_dead:(Cluster.node_dead c) in
   Alcotest.(check bool) (Format.asprintf "exactly-once: %a" Eo.pp_verdict v) true (Eo.ok v)
 
+(* Open-loop arrivals through a multi-node router: every node serves, no
+   errors, nothing left unresolved, and each set applies exactly once. *)
+let test_cluster_open_loop () =
+  let s = mk () in
+  let eo = Eo.create () in
+  let c = mk_cluster s eo in
+  let base =
+    Netload.spec ~nconns:4 ~set_pct:20 ~key_range:items
+      ~mode:(Netload.Open { rate_mops = 5.0 }) ()
+  in
+  let rs = Netload.rspec ~base ~on_acked:(fun ~opid ~node -> Eo.ack eo ~opid ~node) () in
+  let rr =
+    Netload.run_routed s (Cluster.router c) rs ~duration:60_000
+      ~stop:(fun () -> Cluster.stop c)
+      ()
+  in
+  Alcotest.(check bool) "poisson arrivals served" true (rr.Netload.agg.Netload.completed > 20);
+  Alcotest.(check int) "no errors" 0 rr.Netload.agg.Netload.errors;
+  Alcotest.(check int) "nothing abandoned" 0 rr.Netload.abandoned;
+  Array.iteri
+    (fun n done_ ->
+      Alcotest.(check bool) (Printf.sprintf "node %d served" n) true (done_ > 0))
+    rr.Netload.per_node_completed;
+  let v = Eo.check eo ~node_dead:(Cluster.node_dead c) in
+  Alcotest.(check bool) (Format.asprintf "exactly-once: %a" Eo.pp_verdict v) true (Eo.ok v)
+
 let test_cluster_shed_busy () =
   let s = mk () in
   let eo = Eo.create () in
@@ -248,4 +274,5 @@ let suite =
     ("cluster deterministic replay", `Quick, test_cluster_deterministic);
     ("node kill -> failover, exactly-once", `Quick, test_cluster_kill_failover);
     ("overload sheds busy, retries safe", `Quick, test_cluster_shed_busy);
+    ("open-loop fleet over the cluster router", `Quick, test_cluster_open_loop);
   ]

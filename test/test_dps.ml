@@ -229,12 +229,12 @@ let test_rebalance_moves_bucket () =
   let module H = Dps_ds.Hashtable in
   let sched = mk_sched () in
   let dps =
-    Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id ~ns_sz:32
+    Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id
       ~mk_data:(fun (info : Dps.partition_info) -> H.create info.Dps.alloc)
       ()
   in
-  let keys = [ 3; 35; 67; 99 ] in
-  (* all in bucket 3 (key mod 32) *)
+  let keys = [ 3; 131; 259; 387 ] in
+  (* all in bucket 3 (key mod 128: 64 buckets for each of 2 partitions) *)
   let bucket = 3 in
   let moved_ok = ref false in
   for c = 0 to 19 do

@@ -458,10 +458,13 @@ let fleet_once ~seed ~self_healing =
   in
   backend.Variants.populate ~keys:(Array.init 1024 Fun.id) ~val_lines:2;
   let srv = Server.start s net ~backend { Server.default_config with npollers = 40 } in
-  let sp =
-    Netload.spec ~nclients:200 ~nconns:16 ~set_pct:20 ~mget:2 ~key_range:1024 ~seed ()
+  let sp = Netload.spec ~nclients:200 ~nconns:16 ~set_pct:20 ~key_range:1024 ~seed () in
+  let rr =
+    Netload.run_routed s (Netload.single net) (Netload.rspec ~base:sp ()) ~duration:60_000
+      ~stop:(fun () -> Server.stop srv)
+      ()
   in
-  let r = Netload.run s net sp ~duration:60_000 ~stop:(fun () -> Server.stop srv) () in
+  let r = rr.Netload.agg in
   (r, (Server.stats srv).Server.requests, Sthread.now s, Net.local_fraction net)
 
 let test_connection_churn_soak () =
@@ -559,9 +562,48 @@ let test_fleet_open_loop () =
     Netload.spec ~nclients:100 ~nconns:8 ~set_pct:10 ~key_range:512
       ~mode:(Netload.Open { rate_mops = 5.0 }) ~seed:3L ()
   in
-  let r = Netload.run s net sp ~duration:60_000 ~stop:(fun () -> Server.stop srv) () in
+  let rr =
+    Netload.run_routed s (Netload.single net) (Netload.rspec ~base:sp ()) ~duration:60_000
+      ~stop:(fun () -> Server.stop srv)
+      ()
+  in
+  let r = rr.Netload.agg in
   Alcotest.(check bool) "poisson arrivals served" true (r.Netload.completed > 20);
-  Alcotest.(check int) "no errors" 0 r.Netload.errors
+  Alcotest.(check int) "no errors" 0 r.Netload.errors;
+  Alcotest.(check int) "nothing abandoned" 0 rr.Netload.abandoned
+
+(* The one-node router spreads connection slots round-robin over the NICs,
+   and the fleet dials each slot through it: losing either half serves the
+   whole fleet from one socket's pollers. *)
+let test_single_spreads_nics () =
+  let s = mk () in
+  let net = Net.create s () in
+  Alcotest.(check int) "4-socket machine" 4 (Net.nic_count net);
+  let backend = Variants.stock s ~nclients:8 ~buckets:64 ~capacity:128 in
+  backend.Variants.populate ~keys:(Array.init 64 Fun.id) ~val_lines:1;
+  let srv = Server.start s net ~backend { Server.default_config with npollers = 8 } in
+  let single = Netload.single net in
+  let dialed = Array.make (Net.nic_count net) 0 in
+  let router =
+    {
+      single with
+      Netload.nic_of =
+        (fun node slot ->
+          let nic = single.Netload.nic_of node slot in
+          dialed.(nic) <- dialed.(nic) + 1;
+          nic);
+    }
+  in
+  let sp = Netload.spec ~nclients:8 ~nconns:8 ~key_range:64 () in
+  let rr =
+    Netload.run_routed s router (Netload.rspec ~base:sp ()) ~duration:40_000
+      ~stop:(fun () -> Server.stop srv)
+      ()
+  in
+  Alcotest.(check int) "every slot dialed once" 8 rr.Netload.conns_opened;
+  Alcotest.(check (array int)) "2 connections per NIC" [| 2; 2; 2; 2 |] dialed;
+  Alcotest.(check (list int)) "slot -> NIC" [ 0; 1; 2; 3; 0; 1; 2; 3 ]
+    (List.init 8 (single.Netload.nic_of 0))
 
 let suite =
   [
@@ -583,4 +625,5 @@ let suite =
     ("DPS fleet deterministic", `Quick, test_fleet_dps_deterministic);
     ("self-healing fleet", `Quick, test_fleet_self_healing_path);
     ("open-loop fleet", `Quick, test_fleet_open_loop);
+    ("single-server router spreads connections over every NIC", `Quick, test_single_spreads_nics);
   ]
