@@ -70,7 +70,8 @@ let pollers () =
     let m = Dps_machine.Machine.create full_config in
     let sched = Sthread.create m in
     let dps =
-      Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id ~dedicated_pollers:poller
+      Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id
+        ~serving:(if poller then Dps.pollers else Dps.Owner)
         ~mk_data:(fun _ -> ())
         ()
     in

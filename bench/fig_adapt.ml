@@ -78,8 +78,11 @@ type run = {
   paths : int * int * int;  (* local, delegated, direct op counts *)
 }
 
-let mk_dps ?(adaptive = false) ?(direct = false) sched =
-  Dps.create sched ~nclients:threads ~locality_size ~adaptive ~direct
+(* [adaptive] is the starting mode of an adaptive instance; without it,
+   the static delegated runtime *)
+let mk_dps ?adaptive sched =
+  Dps.create sched ~nclients:threads ~locality_size
+    ~serving:(if adaptive = None then Dps.Owner else Dps.Shared { heal_after = None; adaptive })
     ~hash:(fun k -> k)
     ~mk_data:(fun (info : Dps.partition_info) -> Alloc.line info.Dps.alloc)
     ()
@@ -150,75 +153,14 @@ let run_one ~label ~mk =
   }
 
 let mk_adaptive sched =
-  let dps = mk_dps ~adaptive:true sched in
+  let dps = mk_dps ~adaptive:`Delegated sched in
   let topo = Machine.topology (Sthread.machine sched) in
   (* the controller shares the last hardware thread with its client; it
      parks through most of each epoch *)
   Sthread.spawn sched
     ~hw:(Topology.nthreads topo - 1)
     (fun () -> Adapt.run ~policy:fast_policy dps);
-  if Sys.getenv_opt "ADAPT_PROBE" <> None then
-    (* diagnostic: sample each partition's mode every 2k cycles *)
-    Sthread.spawn sched
-      ~hw:(Topology.nthreads topo - 2)
-      (fun () ->
-        let nparts = Dps.npartitions dps in
-        while Sthread.time () < duration do
-          ignore (Sthread.park_for 2_000);
-          let map =
-            String.init nparts (fun pid ->
-                match Dps.mode dps ~pid with
-                | Dps.Delegated -> 'G'
-                | Dps.Draining -> 'R'
-                | Dps.Direct -> 'D')
-          in
-          Printf.eprintf "t=%-7d ph=%d modes=%s\n%!" (Sthread.time ())
-            (min (phase_of_time (Sthread.time ())) (nphases - 1))
-            map
-        done);
   dps
-
-(* throwaway diagnostic: per-op latency of each mode under the cool-phase
-   regime (set ADAPT_PROBE=1) *)
-let probe () =
-  let one ~label ~mk =
-    let m = Machine.create full_config in
-    let sched = Sthread.create m in
-    let dps = mk sched in
-    let nparts = Dps.npartitions dps in
-    let lat = ref 0 and n = ref 0 in
-    for tid = 0 to threads - 1 do
-      Sthread.spawn sched ~hw:(Dps.client_hw dps tid) (fun () ->
-          Dps.attach dps ~client:tid;
-          let p = Sthread.self_prng () in
-          if tid mod 5 = 0 then
-            for _ = 1 to 40 do
-              let key = Prng.int p (64 * nparts) in
-              let t0 = Sthread.time () in
-              ignore
-                (Dps.call dps ~key (fun addr ->
-                     Simops.rmw addr;
-                     Simops.work op_len;
-                     0));
-              lat := !lat + (Sthread.time () - t0);
-              incr n;
-              Simops.work (think - 1_000 + Prng.int p 2_000)
-            done
-          else
-            for _ = 1 to 300 do
-              Simops.work 400;
-              ignore (Dps.serve dps ~max:4)
-            done;
-          Dps.client_done dps;
-          Dps.drain dps)
-    done;
-    Sthread.run sched;
-    Printf.printf "%-10s avg_lat=%d cycles over %d ops (end %d)\n%!" label
-      (!lat / max 1 !n) !n (Sthread.now sched);
-    ignore m
-  in
-  one ~label:"delegated" ~mk:(fun s -> mk_dps s);
-  one ~label:"direct" ~mk:(fun s -> mk_dps ~direct:true s)
 
 let fig_drift () =
   print_header
@@ -230,8 +172,8 @@ let fig_drift () =
     map_points
       (fun (label, mk) -> run_one ~label ~mk)
       [
-        ("delegated", fun sched -> mk_dps ~direct:false sched);
-        ("direct-cna", fun sched -> mk_dps ~direct:true sched);
+        ("delegated", fun sched -> mk_dps sched);
+        ("direct-cna", fun sched -> mk_dps ~adaptive:`Direct sched);
         ("adaptive", mk_adaptive);
       ]
   in
@@ -300,8 +242,8 @@ let fig_flip_kill () =
   let sched = Sthread.create m in
   let nclients = 16 in
   let dps =
-    Dps.create sched ~nclients ~locality_size:4 ~self_healing:true ~adaptive:true
-      ~await_timeout:20_000
+    Dps.create sched ~nclients ~locality_size:4
+      ~serving:(Dps.Shared { heal_after = Some 20_000; adaptive = Some `Delegated })
       ~hash:(fun k -> k)
       ~mk_data:(fun (_ : Dps.partition_info) -> Array.make nclients 0)
       ()
@@ -385,7 +327,6 @@ let fig_flip_kill () =
   List.rev !failures
 
 let all () =
-  if Sys.getenv_opt "ADAPT_PROBE" <> None then probe ();
   let failures = fig_drift () @ fig_flip_kill () in
   if failures = [] then Printf.printf "ADAPT: ALL GATES PASS\n%!"
   else begin

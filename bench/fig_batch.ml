@@ -160,8 +160,8 @@ let run_net ~batch =
   let npollers = 40 in
   let items = if quick then 4096 else 16384 in
   let backend =
-    Variants.dps_parsec sched ~self_healing:true ~batch ~nclients:npollers ~locality_size:10
-      ~buckets:items ~capacity:(2 * items) ()
+    Variants.dps_parsec sched ~serving:Dps.self_healing ~batch ~nclients:npollers
+      ~locality_size:10 ~buckets:items ~capacity:(2 * items) ()
   in
   backend.Variants.populate ~keys:(Array.init items Fun.id) ~val_lines:2;
   let srv = Server.start sched net ~backend { Server.default_config with npollers } in

@@ -39,7 +39,7 @@ let run ~chaos ~duration =
   let dps =
     Dps.create sched ~nclients:threads ~locality_size:10
       ~hash:(fun k -> k)
-      ~self_healing:true ~await_timeout:20_000
+      ~serving:(Dps.Shared { heal_after = Some 20_000; adaptive = None })
       ~mk_data:(fun _ -> ())
       ()
   in

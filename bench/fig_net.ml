@@ -26,8 +26,8 @@ let make which sched ~npollers =
   | Stock -> Variants.stock sched ~nclients:npollers ~buckets ~capacity
   | Ffwd_mc -> Variants.ffwd_mc sched ~nclients:npollers ~buckets ~capacity
   | Dps_parsec ->
-      Variants.dps_parsec sched ~self_healing:true ~nclients:npollers ~locality_size:10 ~buckets
-        ~capacity ()
+      Variants.dps_parsec sched ~serving:Dps.self_healing ~nclients:npollers ~locality_size:10
+        ~buckets ~capacity ()
 
 type point = { r : Netload.result; local_pct : float; requests : int }
 

@@ -24,7 +24,7 @@ let () =
   let dps =
     Dps.create sched ~nclients:20 ~locality_size:10
       ~hash:(fun key -> key)
-      ~self_healing:true ~await_timeout:15_000
+      ~serving:(Dps.Shared { heal_after = Some 15_000; adaptive = None })
       ~mk_data:(fun (_ : Dps.partition_info) -> { cells = Array.make 64 0 })
       ()
   in

@@ -101,8 +101,8 @@ let fleet ~seed =
   let sched = Sthread.create m in
   let net = Net.create sched () in
   let backend =
-    Variants.dps_parsec sched ~self_healing:true ~nclients:40 ~locality_size:10 ~buckets:items
-      ~capacity:(2 * items) ()
+    Variants.dps_parsec sched ~serving:Dps.self_healing ~nclients:40 ~locality_size:10
+      ~buckets:items ~capacity:(2 * items) ()
   in
   backend.Variants.populate ~keys:(Array.init items Fun.id) ~val_lines:2;
   let srv =

@@ -1,9 +1,9 @@
 (** Adaptive delegation controller.
 
     A controller thread that samples per-partition signals from a DPS
-    instance created with [~adaptive:true] — ring queue depth, remote
-    traffic, issue->done latency, and the profiler's coherence-stall
-    share — once per epoch, applies a hysteresis policy, and migrates
+    instance whose serving policy has [adaptive = Some _] — ring queue
+    depth, remote traffic, issue->done latency, and the profiler's
+    coherence-stall share — once per epoch, applies a hysteresis policy, and migrates
     individual partitions between delegated mode (the DPS ring protocol)
     and direct mode (remote clients serialize on the partition's CNA
     lock) via [Dps.set_mode]'s online drain protocol. The trade the

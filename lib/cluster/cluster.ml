@@ -90,7 +90,7 @@ let mk_backend sched (cfg : config) ~placement ~on_apply =
      the bucket count keeps version-slot aliasing (false invalidation
      only) rare without growing the table's line footprint much *)
   let versions = if cfg.server.Server.front_cache > 0 then 4 * cfg.buckets else 0 in
-  mk sched ~self_healing:true ~batch:cfg.batch ~versions ~placement
+  mk sched ~serving:Dps.self_healing ~batch:cfg.batch ~versions ~placement
     ~on_set_applied:on_apply ~nclients:cfg.npollers ~locality_size:cfg.locality_size
     ~buckets:cfg.buckets ~capacity:cfg.capacity ()
 

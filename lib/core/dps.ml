@@ -122,11 +122,11 @@ type completion = Local of int | Remote of remote
 
 (* A ring of messages for one (client, partition) pair, allocated on the
    partition's NUMA node. The client owns [send_idx], the serving peer owns
-   [recv_idx]; the toggle bit replaces head/tail comparison. [lock] is only
-   used when a dedicated poller runs (S4.4 liveness) or self-healing is on:
-   the poller and the ring's peer serializes through it, "rarely contended"
-   as the paper notes. [last_served] is the ring-granularity liveness
-   timestamp behind the sender-side timeouts. *)
+   [recv_idx]; the toggle bit replaces head/tail comparison. [rlock] exists
+   only under a [Shared] serving policy: whoever else serves the ring
+   serializes with its peer through it, "rarely contended" as the paper
+   notes. [last_served] is the ring-granularity liveness timestamp behind
+   the sender-side timeouts. *)
 type ring = {
   slots : msg array;
   mutable send_idx : int;
@@ -168,6 +168,15 @@ type client = {
    every remote issue. *)
 type mode = Delegated | Draining | Direct
 
+(* Who may serve a ring, and when (the liveness policy; see dps.mli) *)
+type serving =
+  | Owner
+  | Shared of { heal_after : int option; adaptive : [ `Delegated | `Direct ] option }
+
+let default_heal_after = 50_000
+let self_healing = Shared { heal_after = Some default_heal_after; adaptive = None }
+let pollers = Shared { heal_after = None; adaptive = None }
+
 type health = {
   pending_depth : int array;  (** per partition: delegations queued, unserved *)
   time_since_served : int array;  (** per partition: now - last served op *)
@@ -189,8 +198,7 @@ type 'a t = {
   locality_size : int;
   hash : int -> int;
   check_budget : int;
-  self_healing : bool;
-  await_timeout : int;
+  serving : serving;
   batch : int;
   batch_age : int;
   stages : stage array array;  (* [tid].(pid); empty when batch = 1 *)
@@ -218,9 +226,8 @@ type 'a t = {
   mutable n_lock_breaks : int;
   takeovers_pid : int array;  (* per partition: foreign serves of its rings *)
   lock_breaks_pid : int array;  (* per partition: locks reclaimed from dead holders *)
-  (* adaptive delegation (all unused — and unallocated — when [adaptive]
-     is false, so the static protocol stays bit-identical) *)
-  adaptive : bool;
+  (* adaptive delegation (all unused — and unallocated — unless [serving]
+     is adaptive, so the static protocol stays bit-identical) *)
   modes : mode array;
   mode_addr : int array;  (* per partition: the charged mode word *)
   mutable dlocks : Cna.t array;  (* per partition: the direct-mode CNA lock *)
@@ -317,7 +324,7 @@ let signals t ~pid =
   }
 
 (* The charged re-read of the mode word on a remote issue. Only reached
-   when [t.adaptive]: the line is read-mostly and stays shared until a
+   when [adaptive t]: the line is read-mostly and stays shared until a
    controller flip invalidates it, so steady state costs one hot read. *)
 let current_mode t pid =
   Simops.read t.mode_addr.(pid);
@@ -336,6 +343,18 @@ let obs_op_done t (r : remote) =
     t.lat_cnt_pid.(r.pid) <- t.lat_cnt_pid.(r.pid) + 1;
     r.issued_at <- -1
   end
+
+let heal_after t = match t.serving with Shared s -> s.heal_after | Owner -> None
+let adaptive t = match t.serving with Shared { adaptive = Some _; _ } -> true | _ -> false
+
+(* The one check of a call's serving precondition: [run_poller] needs ring
+   locks, [set_mode] also the mode word. *)
+let require t ~fn ~adaptive =
+  match t.serving with
+  | Shared s when s.adaptive <> None || not adaptive -> ()
+  | _ ->
+      let needs = if adaptive then "Shared { adaptive = Some _; _ }" else "Shared _" in
+      invalid_arg (Printf.sprintf "Dps.%s: create with ~serving:(%s)" fn needs)
 
 let health t =
   let now = Sthread.now t.sched in
@@ -431,10 +450,11 @@ let handle_exit t sid =
         fail_over t cl.my_pid
 
 let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budget = 4)
-    ?(dedicated_pollers = false) ?(self_healing = false) ?(await_timeout = 50_000) ?(batch = 1)
-    ?(batch_age = 1500) ?(adaptive = false) ?(direct = false) ?(versions = 0) ?placement ~mk_data
-    () =
+    ?(serving = Owner) ?(batch = 1) ?(batch_age = 1500) ?(versions = 0) ?placement ~mk_data () =
   assert (nclients > 0 && locality_size > 0);
+  let heal_after, start_mode =
+    match serving with Owner -> (None, None) | Shared s -> (s.heal_after, s.adaptive)
+  in
   (* configurations that cannot make progress: a ring with no slot, peers
      that never serve, a table of negative size, a timeout already due *)
   List.iter
@@ -443,11 +463,8 @@ let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budge
       (ring_slots < 1, "ring_slots < 1");
       (check_budget < 1, "check_budget < 1");
       (versions < 0, "versions < 0");
-      (await_timeout < 1, "await_timeout < 1");
+      (Option.fold ~none:false ~some:(fun n -> n < 1) heal_after, "heal_after < 1");
     ];
-  (* [direct] starts every partition in direct mode (the static-CNA
-     baseline); it needs the adaptive machinery even with no controller *)
-  let adaptive = adaptive || direct in
   let batch = max 1 (min batch max_batch) in
   let m = Sthread.machine sched in
   let topo = Machine.topology m in
@@ -477,7 +494,7 @@ let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budge
         }
       in
       let rlock =
-        if dedicated_pollers || self_healing || adaptive then
+        if serving <> Owner then
           Some (Spinlock.embed ~addr:(Machine.alloc m (Machine.On_node node) ~lines:1))
         else None
       in
@@ -515,8 +532,7 @@ let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budge
       locality_size;
       hash;
       check_budget;
-      self_healing;
-      await_timeout;
+      serving;
       batch;
       batch_age;
       stages;
@@ -541,8 +557,7 @@ let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budge
       n_lock_breaks = 0;
       takeovers_pid = Array.make nparts 0;
       lock_breaks_pid = Array.make nparts 0;
-      adaptive;
-      modes = Array.make nparts (if direct then Direct else Delegated);
+      modes = Array.make nparts (if start_mode = Some `Direct then Direct else Delegated);
       mode_addr = Array.make nparts 0;
       dlocks = [||];
       n_direct = 0;
@@ -561,7 +576,7 @@ let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budge
   (* adaptive-only allocations come strictly last, after every static
      structure, so the static address layout (and thus cycle accounting)
      is bit-identical with adaptation off *)
-  if adaptive then begin
+  if start_mode <> None then begin
     Array.iteri
       (fun pid p ->
         t.mode_addr.(pid) <- Machine.alloc m (Machine.On_node p.info.node) ~lines:1)
@@ -711,7 +726,7 @@ let serve_slots t ~pid ring ~budget =
   !served
 
 (* Drain up to [budget] pending requests from one ring. When the ring has
-   a lock (dedicated pollers or self-healing), it serializes us with other
+   a lock (a [Shared] serving policy), it serializes us with other
    servers; on contention we simply skip the ring. *)
 let serve_ring t ~pid ring ~budget =
   match ring.rlock with
@@ -722,25 +737,34 @@ let serve_ring t ~pid ring ~budget =
       served
   | Some _ -> 0
 
+(* Break a lock of partition [pid] whose [holder] died inside its critical
+   section, the step ring takeover and direct mode share; [true] if broken *)
+let break_dead t pid holder break =
+  match holder with
+  | Some h when h >= 0 && Hashtbl.mem t.dead_tids h ->
+      break ();
+      t.n_lock_breaks <- t.n_lock_breaks + 1;
+      t.lock_breaks_pid.(pid) <- t.lock_breaks_pid.(pid) + 1;
+      true
+  | _ -> false
+
+(* Forced-serve patience under a policy that does not heal *)
+let unhealed_patience = default_heal_after / 16
+
 (* Forcibly serve one ring: wait out a live lock holder up to [patience],
    break the lock of a dead one. The per-ring step behind takeover. *)
 let takeover_ring t pid ring =
   match ring.rlock with
   | None -> 0
   | Some l ->
-      let patience = max 512 (t.await_timeout / 16) in
-      let got =
-        Spinlock.acquire_for l ~budget:patience
-        ||
-        match Spinlock.owner l with
-        | Some holder when holder >= 0 && Hashtbl.mem t.dead_tids holder ->
-            Spinlock.break_lock l;
-            t.n_lock_breaks <- t.n_lock_breaks + 1;
-            t.lock_breaks_pid.(pid) <- t.lock_breaks_pid.(pid) + 1;
-            Spinlock.try_acquire l
-        | _ -> false
+      let patience =
+        match heal_after t with Some n -> max 512 (n / 16) | None -> unhealed_patience
       in
-      if got then begin
+      if
+        Spinlock.acquire_for l ~budget:patience
+        || (break_dead t pid (Spinlock.owner l) (fun () -> Spinlock.break_lock l)
+           && Spinlock.try_acquire l)
+      then begin
         let served = serve_slots t ~pid ring ~budget:max_int in
         Spinlock.release l;
         served
@@ -817,12 +841,8 @@ let try_run_direct t pid op =
           (* a holder that crashed inside its critical section would
              otherwise wedge the partition in direct mode forever:
              try_acquire only ever wins an empty queue *)
-          (match Cna.owner t.dlocks.(pid) with
-          | Some h when h >= 0 && Hashtbl.mem t.dead_tids h ->
-              Cna.break_lock t.dlocks.(pid);
-              t.n_lock_breaks <- t.n_lock_breaks + 1;
-              t.lock_breaks_pid.(pid) <- t.lock_breaks_pid.(pid) + 1
-          | _ -> ());
+          let dl = t.dlocks.(pid) in
+          ignore (break_dead t pid (Cna.owner dl) (fun () -> Cna.break_lock dl));
           if n >= direct_attempts then None
           else begin
             Simops.work (64 * n);
@@ -903,7 +923,7 @@ let note_flip t pid m =
    needs no drain: a direct holder finishes its op under the lock and new
    work simply queues in the rings again. *)
 let set_mode t ~pid target =
-  if not t.adaptive then invalid_arg "Dps.set_mode: create with ~adaptive:true";
+  require t ~fn:"set_mode" ~adaptive:true;
   match (t.modes.(pid), target) with
   | (Delegated | Draining), `Direct ->
       t.modes.(pid) <- Draining;
@@ -918,10 +938,10 @@ let set_mode t ~pid target =
       note_flip t pid Delegated
   | Direct, `Direct | Delegated, `Delegated -> ()
 
-(* The self-healing deadline of a wait starting now: [await_timeout]
-   cycles out, or never when self-healing is off — so no wait loop needs a
-   [self_healing] test of its own. *)
-let deadline t = if t.self_healing then Sthread.time () + t.await_timeout else max_int
+(* The self-healing deadline of a wait starting now: [heal_after] cycles
+   out, or never when the policy does not heal — so no wait loop needs a
+   healing test of its own. *)
+let deadline t = match heal_after t with Some n -> Sthread.time () + n | None -> max_int
 
 (* Publish [n] operations into a claimed ring slot — the one publish step
    behind [send_direct] and [flush_stage]: fill the entries, set count and
@@ -1093,7 +1113,7 @@ let submit t cl pid op cell =
     None
   in
   let rec route backoff =
-    if not (t.adaptive && current_mode t pid <> Delegated) then delegate ()
+    if not (adaptive t && current_mode t pid <> Delegated) then delegate ()
     else
       match try_run_direct t pid op with
       | Some _ as v -> v
@@ -1104,7 +1124,7 @@ let submit t cl pid op cell =
   in
   if pid = cl.my_pid then Some (run_local t pid op)
   else begin
-    if t.adaptive then t.remote_pid.(pid) <- t.remote_pid.(pid) + 1;
+    if adaptive t then t.remote_pid.(pid) <- t.remote_pid.(pid) + 1;
     route 128
   end
 
@@ -1123,7 +1143,7 @@ let start t pid op ~route =
         fresh = None;
         reissue = (fun () -> ());
         obs_id = Obs.next_id ();
-        issued_at = (if t.adaptive then Sthread.time () else -1);
+        issued_at = (if adaptive t then Sthread.time () else -1);
         deadline = -1;
       }
     in
@@ -1212,6 +1232,15 @@ let rec observe t cl r =
       r.fresh <- None;
       match r.state with Flushed _ -> `Pending (slot, i) | _ -> observe t cl r)
 
+(* The wait step [try_await] and [await] share: serve my share; failing
+   that, if the partition flipped under our published op (nobody may serve
+   its rings any more), drain our own ring, the one that holds it. [false]
+   means the controller or a direct holder has it: back off or escalate. *)
+let wait_step t cl r =
+  serve_as t cl ~max:t.check_budget > 0
+  || t.modes.(r.pid) <> Delegated
+     && serve_ring t ~pid:r.pid t.partitions.(r.pid).rings.(cl.tid) ~budget:max_int > 0
+
 let try_await t completion =
   match completion with
   | Local v -> Some v
@@ -1223,15 +1252,7 @@ let try_await t completion =
       | `Done v -> Some v
       | `Again -> None
       | `Pending (slot, i) ->
-          let served =
-            if t.modes.(r.pid) <> Delegated then
-              (* the partition flipped under our published op: nobody may
-                 serve its rings any more — drain our own ring, the one
-                 that holds it *)
-              serve_ring t ~pid:r.pid t.partitions.(r.pid).rings.(cl.tid) ~budget:max_int
-            else serve_as t cl ~max:t.check_budget
-          in
-          if served = 0 && Sthread.time () > r.deadline then escalate t r slot i;
+          if (not (wait_step t cl r)) && Sthread.time () > r.deadline then escalate t r slot i;
           None)
 
 let await t completion =
@@ -1250,15 +1271,7 @@ let await t completion =
             pause := 32;
             spin ()
         | `Pending (slot, i) ->
-            if
-              serve_as t cl ~max:t.check_budget > 0
-              (* a flipped partition: drain our own ring as in [try_await];
-                 zero served means the controller or a direct holder has
-                 it, so fall through and back off *)
-              || t.modes.(r.pid) <> Delegated
-                 && serve_ring t ~pid:r.pid t.partitions.(r.pid).rings.(cl.tid) ~budget:max_int
-                    > 0
-            then pause := 32
+            if wait_step t cl r then pause := 32
             else if Sthread.time () > r.deadline then begin
               escalate t r slot i;
               pause := 32
@@ -1304,20 +1317,17 @@ let range t op ~merge =
   | v :: rest -> List.fold_left merge v rest
 
 let detach t =
-  let sid = Sthread.self_id () in
-  match Hashtbl.find_opt t.clients sid with
-  | None -> failwith "Dps: thread not attached"
-  | Some cl ->
-      flush_all t cl;
-      Hashtbl.remove t.clients sid;
-      cl.cstate <- Gone;
-      adopt_share t cl;
-      t.members.(cl.my_pid) <- List.filter (fun p -> p != cl) t.members.(cl.my_pid)
+  let cl = me t in
+  flush_all t cl;
+  Hashtbl.remove t.clients cl.sid;
+  cl.cstate <- Gone;
+  adopt_share t cl;
+  t.members.(cl.my_pid) <- List.filter (fun p -> p != cl) t.members.(cl.my_pid)
 
 (* S4.4 liveness: a dedicated polling thread for one locality. It checks
    every ring of the partition (not just one peer's share), so delegations
    make progress even when all the locality's clients are busy outside
-   DPS. Requires [~dedicated_pollers:true] at creation.
+   DPS. Requires a [Shared] serving policy (ring locks).
 
    Polling is adaptive: a handful of empty scans spin (a request landing
    while the poller is hot is served within ~128 cycles), after which the
@@ -1325,10 +1335,8 @@ let detach t =
    cycles — an idle locality stops burning its core without giving up the
    bounded-latency guarantee. *)
 let run_poller t ~pid =
+  require t ~fn:"run_poller" ~adaptive:false;
   let p = t.partitions.(pid) in
-  (match p.rings.(0).rlock with
-  | Some _ -> ()
-  | None -> failwith "Dps: create with ~dedicated_pollers:true to run pollers");
   if Obs.tracing_on () then
     Obs.thread_name ~tid:(Sthread.self_id ()) (Printf.sprintf "dps-poller p%d" pid);
   obs_span ~args:[ ("pid", Obs.A_int pid) ] "dps.poll" (fun () ->
@@ -1403,7 +1411,7 @@ let drain t =
   done;
   (* partitions that ended the run in direct mode may hold remnants no
      regular server will ever visit *)
-  if t.adaptive then
+  if adaptive t then
     for pid = 0 to npartitions t - 1 do
       while t.pending.(pid) > 0 && not t.dead.(pid) do
         if takeover_serve t pid = 0 then Simops.work 128
@@ -1412,57 +1420,46 @@ let drain t =
 
 let register_obs ?(labels = []) t reg =
   let module R = Dps_obs.Registry in
-  let g name help f = R.gauge_fn reg ~labels ~help ("dps." ^ name) f in
-  g "delegated_ops" "operations sent to a remote partition" (fun () ->
-      float_of_int t.n_delegated);
-  g "local_ops" "operations run on the caller's own partition" (fun () ->
-      float_of_int t.n_local);
-  g "batch_flushes" "staged batches published to a ring" (fun () -> float_of_int t.n_flushes);
-  g "takeovers" "foreign serves of a stuck partition's rings" (fun () ->
-      float_of_int t.n_takeovers);
-  g "adoptions" "serving shares handed to a live peer" (fun () -> float_of_int t.n_adoptions);
-  g "retries" "operations re-issued after loss" (fun () -> float_of_int t.n_retries);
-  g "failovers" "partitions retired and retargeted" (fun () -> float_of_int t.n_failovers);
-  g "crashes" "clients that vanished without client_done" (fun () ->
-      float_of_int t.n_crashes);
-  g "lock_breaks" "ring locks reclaimed from dead holders" (fun () ->
-      float_of_int t.n_lock_breaks);
-  if t.adaptive then begin
-    g "direct_ops" "operations run via the direct CNA path" (fun () ->
-        float_of_int t.n_direct);
-    g "mode_flips_to_direct" "partitions migrated delegated -> direct" (fun () ->
-        float_of_int t.n_to_direct);
-    g "mode_flips_to_delegated" "partitions migrated direct -> delegated" (fun () ->
-        float_of_int t.n_to_delegated)
+  let g ?(labels = labels) name help f = R.gauge_fn reg ~labels ~help ("dps." ^ name) f in
+  let n ?labels name help f = g ?labels name help (fun () -> float_of_int (f ())) in
+  n "delegated_ops" "operations sent to a remote partition" (fun () -> t.n_delegated);
+  n "local_ops" "operations run on the caller's own partition" (fun () -> t.n_local);
+  n "batch_flushes" "staged batches published to a ring" (fun () -> t.n_flushes);
+  n "takeovers" "foreign serves of a stuck partition's rings" (fun () -> t.n_takeovers);
+  n "adoptions" "serving shares handed to a live peer" (fun () -> t.n_adoptions);
+  n "retries" "operations re-issued after loss" (fun () -> t.n_retries);
+  n "failovers" "partitions retired and retargeted" (fun () -> t.n_failovers);
+  n "crashes" "clients that vanished without client_done" (fun () -> t.n_crashes);
+  n "lock_breaks" "ring locks reclaimed from dead holders" (fun () -> t.n_lock_breaks);
+  if adaptive t then begin
+    n "direct_ops" "operations run via the direct CNA path" (fun () -> t.n_direct);
+    n "mode_flips_to_direct" "partitions migrated delegated -> direct" (fun () -> t.n_to_direct);
+    n "mode_flips_to_delegated" "partitions migrated direct -> delegated" (fun () ->
+        t.n_to_delegated)
   end;
   if versioned t then
-    g "version_bumps" "per-key version increments by applied writes" (fun () ->
-        float_of_int t.n_bumps);
+    n "version_bumps" "per-key version increments by applied writes" (fun () -> t.n_bumps);
   Array.iter
     (fun p ->
       let pid = p.info.pid in
       let labels =
-        labels
-        @ [ ("partition", string_of_int pid); ("socket", string_of_int p.info.node) ]
+        labels @ [ ("partition", string_of_int pid); ("socket", string_of_int p.info.node) ]
       in
-      R.gauge_fn reg ~labels ~help:"delegations queued, unserved" "dps.pending_depth"
-        (fun () -> float_of_int t.pending.(pid));
-      R.gauge_fn reg ~labels ~help:"cycles since this partition last served"
-        "dps.time_since_served" (fun () ->
-          float_of_int (Sthread.now t.sched - t.last_served.(pid)));
-      R.gauge_fn reg ~labels ~help:"1 when the partition has failed over" "dps.dead"
-        (fun () -> if t.dead.(pid) then 1.0 else 0.0);
-      R.gauge_fn reg ~labels ~help:"foreign serves of this partition's rings"
-        "dps.takeovers_p" (fun () -> float_of_int t.takeovers_pid.(pid));
-      R.gauge_fn reg ~labels ~help:"ring locks of this partition reclaimed from dead holders"
-        "dps.lock_breaks_p" (fun () -> float_of_int t.lock_breaks_pid.(pid));
-      if t.adaptive then begin
-        R.gauge_fn reg ~labels ~help:"partition mode (0 delegated, 1 draining, 2 direct)"
-          "dps.mode" (fun () ->
+      n ~labels "pending_depth" "delegations queued, unserved" (fun () -> t.pending.(pid));
+      n ~labels "time_since_served" "cycles since this partition last served" (fun () ->
+          Sthread.now t.sched - t.last_served.(pid));
+      g ~labels "dead" "1 when the partition has failed over" (fun () ->
+          if t.dead.(pid) then 1.0 else 0.0);
+      n ~labels "takeovers_p" "foreign serves of this partition's rings" (fun () ->
+          t.takeovers_pid.(pid));
+      n ~labels "lock_breaks_p" "ring locks of this partition reclaimed from dead holders"
+        (fun () -> t.lock_breaks_pid.(pid));
+      if adaptive t then begin
+        g ~labels "mode" "partition mode (0 delegated, 1 draining, 2 direct)" (fun () ->
             match t.modes.(pid) with Delegated -> 0.0 | Draining -> 1.0 | Direct -> 2.0);
-        R.gauge_fn reg ~labels ~help:"mode transitions of this partition" "dps.mode_flips_p"
-          (fun () -> float_of_int t.flips_pid.(pid));
-        R.gauge_fn reg ~labels ~help:"operations run via the direct path on this partition"
-          "dps.direct_ops_p" (fun () -> float_of_int t.direct_pid.(pid))
+        n ~labels "mode_flips_p" "mode transitions of this partition" (fun () ->
+            t.flips_pid.(pid));
+        n ~labels "direct_ops_p" "operations run via the direct path on this partition"
+          (fun () -> t.direct_pid.(pid))
       end)
     t.partitions

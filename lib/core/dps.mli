@@ -40,6 +40,37 @@ type partition_info = {
   alloc : Dps_sthread.Alloc.t;  (** allocator homing cold data on [node] *)
 }
 
+(** Who may serve a ring, and when: the liveness policy.
+
+    [Owner] (the default) is §4.3: only the owning peer serves a ring, and
+    rings carry no lock. [Shared] gives every ring a lock, so {!run_poller}
+    threads (§4.4), stalled senders and direct-mode holders may serve it
+    too:
+    - [heal_after = Some n]: a sender whose delegation stalls longer than
+      [n] cycles serves the target partition's whole ring set itself —
+      taking over a dead peer's share, breaking locks abandoned by crashed
+      holders — and re-issues operations lost with a crashed server; a ring
+      wedged full past [n] cycles is drained the same way.
+    - [adaptive = Some m] arms per-partition mode switching and starts every
+      partition in mode [m]: remote issues re-read a mode word, and
+      {!set_mode} migrates a partition online between delegated mode (the
+      rings) and {e direct} mode, where remote clients serialize on a CNA
+      lock ({!Dps_sync.Cna}) instead. [Some `Direct] with no controller is
+      the static direct-locking baseline; [None] allocates and charges no
+      mode state.
+
+    {!self_healing} is [Shared { heal_after = Some 50_000; adaptive = None }]
+    and {!pollers} is [Shared { heal_after = None; adaptive = None }]. Under
+    every policy, exiting or crashed clients hand their serving share to a
+    live peer, and a partition whose last member dies is failed over onto
+    live partitions with {!rebalance}'s relaxed contract. *)
+type serving =
+  | Owner
+  | Shared of { heal_after : int option; adaptive : [ `Delegated | `Direct ] option }
+
+val self_healing : serving
+val pollers : serving
+
 val create :
   Dps_sthread.Sthread.t ->
   nclients:int ->
@@ -47,13 +78,9 @@ val create :
   hash:(int -> int) ->
   ?ring_slots:int ->
   ?check_budget:int ->
-  ?dedicated_pollers:bool ->
-  ?self_healing:bool ->
-  ?await_timeout:int ->
+  ?serving:serving ->
   ?batch:int ->
   ?batch_age:int ->
-  ?adaptive:bool ->
-  ?direct:bool ->
   ?versions:int ->
   ?placement:int array ->
   mk_data:(partition_info -> 'a) ->
@@ -73,25 +100,11 @@ val create :
     server-side dispatch (local calls pay a quarter of the dispatch,
     matching the §5.2 remark about interposition overhead on local
     operations) — calibration constants documented in EXPERIMENTS.md.
-    [dedicated_pollers] (default false) adds the per-ring locks required
-    to run {!run_poller} threads (§4.4 liveness).
+    [serving] (default [Owner]) is the liveness policy, see {!serving}.
 
     Configurations that could never make progress raise
     [Invalid_argument]: [ring_slots < 1], [check_budget < 1] (peers would
-    never serve), [versions < 0] and [await_timeout < 1].
-
-    [self_healing] (default false) arms the fault-tolerant delegation
-    paths (and implies the per-ring locks): a sender whose delegation
-    stalls longer than [await_timeout] cycles (default 50_000) serves the
-    target partition's entire ring set itself — taking over a dead peer's
-    share, breaking ring locks abandoned by crashed holders — and
-    re-issues operations lost with a crashed server; a ring wedged full
-    past the timeout is drained the same way. Independent of
-    [self_healing], exiting or crashed clients always hand their serving
-    share to a live peer, and a partition whose last member dies is
-    failed over (its namespace buckets retarget onto live partitions with
-    {!rebalance}'s relaxed contract — data is not migrated
-    automatically).
+    never serve), [versions < 0] and [heal_after < 1].
 
     [batch] (default 1, clamped to 7 — the descriptors must share the
     message cache line with the header) turns on sender-side coalescing:
@@ -104,17 +117,6 @@ val create :
     {!flush_pending} — so coalescing bounds, never breaks, latency and
     ordering. With [batch = 1] the protocol is byte-identical to the
     unbatched one-op-per-line scheme.
-
-    [adaptive] (default false) arms per-partition mode switching (and
-    implies the per-ring locks): each partition carries a mode word that
-    remote issues re-read, and {!set_mode} migrates it online between
-    delegated mode (the ring protocol above) and {e direct} mode, where
-    remote clients bypass the rings and serialize on a per-partition
-    CNA lock ({!Dps_sync.Cna}) — the trade the paper freezes at create
-    time, made dynamic. With [adaptive = false] the protocol, address
-    layout and cycle accounting are bit-identical to previous behaviour.
-    [direct] (default false, implies [adaptive]) starts every partition in
-    direct mode — the static direct-locking baseline.
 
     [versions] (default 0) allocates a global table of that many per-key
     version slots (8 per charged line, interleaved across the machine's
@@ -178,8 +180,8 @@ val attach : 'a t -> client:int -> unit
     [0, nclients)). Must be called once, before any operation; a second
     attach from the same thread fails ([Failure "Dps: thread already
     attached"]). Re-attaching a slot abandoned via {!detach} (e.g. a
-    respawned replacement thread) is supported with [~self_healing:true],
-    whose ring locks serialize the duplicate servers. *)
+    respawned replacement thread) is supported under a [Shared] serving
+    policy, whose ring locks serialize the duplicate servers. *)
 
 val detach : 'a t -> unit
 (** Unbind the calling thread from its client slot, handing its serving
@@ -199,9 +201,9 @@ val execute : 'a t -> key:int -> ('a -> int) -> completion
 val try_await : 'a t -> completion -> int option
 (** Non-blocking check of a completion record (the paper's
     [await_completion]); serves one batch of delegated requests when the
-    result is not yet available. Under [~self_healing] a polling loop
-    escalates like {!await}: [await_timeout] cycles after the first check,
-    a check that served nothing takes over the target partition's rings. *)
+    result is not yet available. Under a healing policy a polling loop
+    escalates like {!await}: [heal_after] cycles after the first check, a
+    check that served nothing takes over the target partition's rings. *)
 
 val await : 'a t -> completion -> int
 (** Spin on {!try_await} until the result arrives. *)
@@ -250,8 +252,8 @@ val call_on : 'a t -> pid:int -> ('a -> int) -> int
 val run_poller : 'a t -> pid:int -> unit
 (** §4.4 liveness: body for a dedicated polling thread devoted to locality
     [pid]. Serves every ring of the partition (serializing with peers
-    through the per-ring locks) until all clients are done. The instance
-    must have been created with [~dedicated_pollers:true]. *)
+    through the per-ring locks) until all clients are done. Raises
+    [Invalid_argument] under the [Owner] serving policy. *)
 
 val client_done : 'a t -> unit
 (** Signal that this client has finished issuing operations. *)
@@ -269,7 +271,7 @@ val batch_flushes : 'a t -> int
     batch_flushes] is the achieved coalescing factor. Always 0 with
     [batch = 1] (the unbatched path does not count). *)
 
-(** {1 Adaptive delegation (requires [~adaptive:true])} *)
+(** {1 Adaptive delegation (requires [Shared { adaptive = Some _; _ }])} *)
 
 (** Per-partition access mode. [Draining] is the transition window of a
     [Delegated -> Direct] flip: clients already route direct while the
@@ -292,7 +294,7 @@ val set_mode : 'a t -> pid:int -> [ `Delegated | `Direct ] -> unit
     [`Delegated] flips back without draining: direct holders finish under
     the lock while new work queues in the rings again. No-op when the
     partition is already in the requested mode; raises [Invalid_argument]
-    when the instance is not adaptive. *)
+    unless the serving policy has [adaptive = Some _]. *)
 
 type signal = {
   s_mode : mode;

@@ -110,13 +110,11 @@ let ffwd_mc sched ~nclients ~buckets ~capacity =
     register_obs = None;
   }
 
-let dps_generic sched ~name ~recency ~get_mode ?(self_healing = false) ?(batch = 1)
-    ?(batch_age = 1500) ?(adaptive = false) ?(direct = false) ?(versions = 0) ?on_created
-    ?placement ?on_set_applied ~nclients ~locality_size ~buckets ~capacity () =
+let dps_generic sched ~name ~recency ~get_mode ?serving ?(batch = 1) ?(batch_age = 1500)
+    ?(versions = 0) ?placement ?on_set_applied ~nclients ~locality_size ~buckets ~capacity () =
   let nparts = (nclients + locality_size - 1) / locality_size in
   let dps =
-    Dps.create sched ~nclients ~locality_size ~self_healing ~batch ~batch_age ~adaptive
-      ~direct ~versions ?placement
+    Dps.create sched ~nclients ~locality_size ?serving ~batch ~batch_age ~versions ?placement
       ~hash:(fun k -> k)
       ~mk_data:(fun (info : Dps.partition_info) ->
         Mc_core.create info.Dps.alloc
@@ -125,7 +123,6 @@ let dps_generic sched ~name ~recency ~get_mode ?(self_healing = false) ?(batch =
           ~recency)
       ()
   in
-  (match on_created with Some f -> f dps | None -> ());
   let do_set ~key ~val_lines ~tag =
     Dps.execute_async dps ~key (fun core ->
         Mc_core.set core ~key ~val_lines;
@@ -181,32 +178,14 @@ let dps_generic sched ~name ~recency ~get_mode ?(self_healing = false) ?(batch =
     register_obs = Some (fun ~labels reg -> Dps.register_obs ~labels dps reg);
   }
 
-let dps_mc sched ?self_healing ?batch ?batch_age ?versions ?placement ?on_set_applied
-    ~nclients ~locality_size ~buckets ~capacity () =
-  dps_generic sched ~name:"dps" ~recency:Mc_core.Lru_list ~get_mode:`Delegate ?self_healing
-    ?batch ?batch_age ?versions ?placement ?on_set_applied ~nclients ~locality_size ~buckets
-    ~capacity ()
+let dps_mc sched ?serving ?batch ?batch_age ?versions ?placement ?on_set_applied ~nclients
+    ~locality_size ~buckets ~capacity () =
+  dps_generic sched ~name:"dps" ~recency:Mc_core.Lru_list ~get_mode:`Delegate ?serving ?batch
+    ?batch_age ?versions ?placement ?on_set_applied ~nclients ~locality_size ~buckets ~capacity
+    ()
 
-let dps_parsec sched ?self_healing ?batch ?batch_age ?versions ?placement ?on_set_applied
-    ~nclients ~locality_size ~buckets ~capacity () =
-  dps_generic sched ~name:"dps-parsec" ~recency:Mc_core.Clock ~get_mode:`Local ?self_healing
-    ?batch ?batch_age ?versions ?placement ?on_set_applied ~nclients ~locality_size ~buckets
-    ~capacity ()
-
-let dps_direct sched ?self_healing ?batch ?batch_age ?versions ?placement ?on_set_applied
-    ~nclients ~locality_size ~buckets ~capacity () =
-  dps_generic sched ~name:"direct-cna" ~recency:Mc_core.Lru_list ~get_mode:`Delegate
-    ?self_healing ?batch ?batch_age ~direct:true ?versions ?placement ?on_set_applied
-    ~nclients ~locality_size ~buckets ~capacity ()
-
-let adaptive sched ?self_healing ?batch ?batch_age ?policy ?versions ?placement
-    ?on_set_applied ~nclients ~locality_size ~buckets ~capacity () =
-  let m = Sthread.machine sched in
-  let ctrl_hw = Topology.nthreads (Machine.topology m) - 1 in
-  dps_generic sched ~name:"adaptive" ~recency:Mc_core.Lru_list ~get_mode:`Delegate
-    ?self_healing ?batch ?batch_age ~adaptive:true
-    ~on_created:(fun dps ->
-      (* the controller shares the last hardware thread; it parks through
-         most of its life, so the co-resident client barely notices *)
-      Sthread.spawn sched ~hw:ctrl_hw (fun () -> Dps_adapt.Adapt.run ?policy dps))
-    ?versions ?placement ?on_set_applied ~nclients ~locality_size ~buckets ~capacity ()
+let dps_parsec sched ?serving ?batch ?batch_age ?versions ?placement ?on_set_applied ~nclients
+    ~locality_size ~buckets ~capacity () =
+  dps_generic sched ~name:"dps-parsec" ~recency:Mc_core.Clock ~get_mode:`Local ?serving ?batch
+    ?batch_age ?versions ?placement ?on_set_applied ~nclients ~locality_size ~buckets ~capacity
+    ()

@@ -54,7 +54,7 @@ val ffwd_mc :
 
 val dps_mc :
   Dps_sthread.Sthread.t ->
-  ?self_healing:bool ->
+  ?serving:Dps.serving ->
   ?batch:int ->
   ?batch_age:int ->
   ?versions:int ->
@@ -67,8 +67,8 @@ val dps_mc :
   unit ->
   t
 (** Hash, LRU and slab all partitioned with DPS; sets delegated
-    asynchronously, gets synchronously. [self_healing] (default false)
-    arms the fault-tolerant delegation paths of {!Dps.create}; [batch] and
+    asynchronously, gets synchronously. [serving] (default [Owner]) is
+    {!Dps.create}'s liveness policy, passed through unchanged; [batch] and
     [batch_age] (defaults 1 and 1500) pass through to {!Dps.create}'s
     request coalescing. [placement] overrides the default whole-machine
     client placement (cluster mode confines each node's backend to its own
@@ -81,7 +81,7 @@ val dps_mc :
 
 val dps_parsec :
   Dps_sthread.Sthread.t ->
-  ?self_healing:bool ->
+  ?serving:Dps.serving ->
   ?batch:int ->
   ?batch_age:int ->
   ?versions:int ->
@@ -95,42 +95,3 @@ val dps_parsec :
   t
 (** DPS partitioning over the ParSec-style core; store-free gets run
     locally (§4.4 local execution), sets delegated asynchronously. *)
-
-val dps_direct :
-  Dps_sthread.Sthread.t ->
-  ?self_healing:bool ->
-  ?batch:int ->
-  ?batch_age:int ->
-  ?versions:int ->
-  ?placement:int array ->
-  ?on_set_applied:(int -> unit) ->
-  nclients:int ->
-  locality_size:int ->
-  buckets:int ->
-  capacity:int ->
-  unit ->
-  t
-(** The static direct-locking baseline: same partitioned store as
-    {!dps_mc}, but every partition starts — and stays — in direct mode,
-    so remote clients bypass the rings and serialize on the partition's
-    CNA lock. No controller runs. *)
-
-val adaptive :
-  Dps_sthread.Sthread.t ->
-  ?self_healing:bool ->
-  ?batch:int ->
-  ?batch_age:int ->
-  ?policy:Dps_adapt.Adapt.policy ->
-  ?versions:int ->
-  ?placement:int array ->
-  ?on_set_applied:(int -> unit) ->
-  nclients:int ->
-  locality_size:int ->
-  buckets:int ->
-  capacity:int ->
-  unit ->
-  t
-(** {!dps_mc} plus a {!Dps_adapt.Adapt} controller thread (spawned on the
-    machine's last hardware thread) that migrates individual partitions
-    between delegated and direct mode at runtime, following [policy]
-    (default {!Dps_adapt.Adapt.default_policy}). *)

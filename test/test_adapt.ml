@@ -20,10 +20,10 @@ let sweep_simple ?(budget = 30) name scenario () =
 
 type counters = { cells : int array }
 
-let mk_counter_dps ?self_healing ?await_timeout sim ~nclients ~locality_size =
+let mk_counter_dps ?heal_after sim ~nclients ~locality_size =
   Dps.create sim.Check.sched ~nclients ~locality_size
     ~hash:(fun k -> k)
-    ?self_healing ?await_timeout ~adaptive:true
+    ~serving:(Dps.Shared { heal_after; adaptive = Some `Delegated })
     ~mk_data:(fun (_ : Dps.partition_info) -> { cells = Array.make 32 0 })
     ()
 
@@ -121,7 +121,7 @@ let adaptive_kill_scenario ctl =
   Check.with_sim ctl (fun sim ->
       let nclients = 6 and per = 6 and victim = 1 in
       let dps =
-        mk_counter_dps sim ~nclients ~locality_size:3 ~self_healing:true ~await_timeout:15_000
+        mk_counter_dps sim ~nclients ~locality_size:3 ~heal_after:15_000
       in
       let nparts = Dps.npartitions dps in
       let plan = Faults.install sim.Check.sched ~seed:5L (Faults.spec ()) in

@@ -106,12 +106,10 @@ let test_queue_per_thread_fifo () =
 
 (* --- DPS broadcast adapters --- *)
 
-let with_dps_clients ?(dedicated_pollers = false) ~mk_data ~nclients body after =
+let with_dps_clients ~mk_data ~nclients body after =
   let m = Machine.create Machine.config_default in
   let sched = Sthread.create m in
-  let dps =
-    Dps.create sched ~nclients ~locality_size:10 ~hash:Fun.id ~dedicated_pollers ~mk_data ()
-  in
+  let dps = Dps.create sched ~nclients ~locality_size:10 ~hash:Fun.id ~mk_data () in
   for c = 0 to nclients - 1 do
     Sthread.spawn sched ~hw:(Dps.client_hw dps c) (fun () ->
         Dps.attach dps ~client:c;
@@ -276,7 +274,8 @@ let test_dedicated_poller_responsiveness () =
     let m = Machine.create Machine.config_default in
     let sched = Sthread.create m in
     let dps =
-      Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id ~dedicated_pollers:poller
+      Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id
+        ~serving:(if poller then Dps.pollers else Dps.Owner)
         ~mk_data:(fun _ -> ref 0)
         ()
     in
@@ -318,7 +317,7 @@ let test_poller_requires_flag () =
   in
   Sthread.spawn sched ~hw:2 (fun () -> Dps.run_poller dps ~pid:0);
   Alcotest.check_raises "flag required"
-    (Failure "Dps: create with ~dedicated_pollers:true to run pollers") (fun () ->
+    (Invalid_argument "Dps.run_poller: create with ~serving:(Shared _)") (fun () ->
       Sthread.run sched)
 
 let suite =

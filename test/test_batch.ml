@@ -15,10 +15,10 @@ let batch = 4
 
 type counters = { cells : int array }
 
-let mk_counter_dps ?self_healing ?await_timeout ?batch sim ~nclients ~locality_size =
+let mk_counter_dps ?serving ?batch sim ~nclients ~locality_size =
   Dps.create sim.Check.sched ~nclients ~locality_size
     ~hash:(fun k -> k)
-    ?self_healing ?await_timeout ?batch
+    ?serving ?batch
     ~mk_data:(fun (_ : Dps.partition_info) -> { cells = Array.make 32 0 })
     ()
 
@@ -105,8 +105,8 @@ let dps_batched_takeover_scenario ctl =
   Check.with_sim ctl (fun sim ->
       let nclients = 6 and per = 6 and victim = 1 in
       let dps =
-        mk_counter_dps sim ~nclients ~locality_size:3 ~batch ~self_healing:true
-          ~await_timeout:15_000
+        mk_counter_dps sim ~nclients ~locality_size:3 ~batch
+          ~serving:(Dps.Shared { heal_after = Some 15_000; adaptive = None })
       in
       let nparts = Dps.npartitions dps in
       let plan = Faults.install sim.Check.sched ~seed:5L (Faults.spec ()) in

@@ -444,10 +444,10 @@ let dps_pq_scenario =
 
 type counters = { cells : int array }
 
-let mk_counter_dps ?self_healing ?await_timeout sim ~nclients ~locality_size =
+let mk_counter_dps ?serving sim ~nclients ~locality_size =
   Dps.create sim.Check.sched ~nclients ~locality_size
     ~hash:(fun k -> k)
-    ?self_healing ?await_timeout
+    ?serving
     ~mk_data:(fun (_ : Dps.partition_info) -> { cells = Array.make 32 0 })
     ()
 
@@ -491,8 +491,8 @@ let dps_exactly_once_scenario ctl =
 let dps_takeover_scenario ctl =
   Check.with_sim ctl (fun sim ->
       let nclients = 6 and per = 6 and victim = 1 in
-      let dps = mk_counter_dps sim ~nclients ~locality_size:3 ~self_healing:true
-          ~await_timeout:15_000 in
+      let dps = mk_counter_dps sim ~nclients ~locality_size:3
+          ~serving:(Dps.Shared { heal_after = Some 15_000; adaptive = None }) in
       let nparts = Dps.npartitions dps in
       let plan = Faults.install sim.Check.sched ~seed:5L (Faults.spec ()) in
       Faults.schedule_crash plan ~tid:victim ~at:5_000;

@@ -304,8 +304,8 @@ let test_try_await_escalates () =
   let completion_time ~poll =
     let sched = mk_sched () in
     let dps =
-      Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id ~self_healing:true
-        ~await_timeout:20_000
+      Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id
+        ~serving:(Dps.Shared { heal_after = Some 20_000; adaptive = None })
         ~mk_data:(fun _ -> ())
         ()
     in
@@ -368,10 +368,13 @@ let test_bucket_of_min_int_hash () =
     [ (min_int, 64); (-193, 1); (-1, 1); (0, 0); (191, 191); (max_int, max_int mod 192) ]
 
 let test_create_rejects_impossible () =
-  let create ?ring_slots ?check_budget ?versions ?await_timeout () =
+  let create ?ring_slots ?check_budget ?versions ?heal_after () =
+    let serving =
+      Option.map (fun n -> Dps.Shared { heal_after = Some n; adaptive = None }) heal_after
+    in
     ignore
       (Dps.create (mk_sched ()) ~nclients:20 ~locality_size:10 ~hash:Fun.id ?ring_slots
-         ?check_budget ?versions ?await_timeout
+         ?check_budget ?versions ?serving
          ~mk_data:(fun _ -> ())
          ())
   in
@@ -381,10 +384,50 @@ let test_create_rejects_impossible () =
       ("ring_slots < 1", fun () -> create ~ring_slots:0 ());
       ("check_budget < 1", fun () -> create ~check_budget:0 ());
       ("versions < 0", fun () -> create ~versions:(-1) ());
-      ("await_timeout < 1", fun () -> create ~await_timeout:0 ());
+      ("heal_after < 1", fun () -> create ~heal_after:0 ());
     ];
   (* the smallest legal values still build *)
-  create ~ring_slots:1 ~check_budget:1 ~versions:0 ~await_timeout:1 ()
+  create ~ring_slots:1 ~check_budget:1 ~versions:0 ~heal_after:1 ()
+
+(* [set_mode] needs the mode word: every policy without [adaptive] is
+   refused up front, before anything is charged *)
+let test_set_mode_requires_adaptive () =
+  List.iter
+    (fun serving ->
+      let dps =
+        Dps.create (mk_sched ()) ~nclients:20 ~locality_size:10 ~hash:Fun.id ~serving
+          ~mk_data:(fun _ -> ())
+          ()
+      in
+      Alcotest.check_raises "adaptive required"
+        (Invalid_argument "Dps.set_mode: create with ~serving:(Shared { adaptive = Some _; _ })")
+        (fun () -> Dps.set_mode dps ~pid:0 `Direct))
+    [ Dps.Owner; Dps.pollers; Dps.self_healing ]
+
+(* Liveness, fault-free: after every client attaches, each ring of every
+   partition has a member serving it. Every client calls once into every
+   partition; a ring that no member serves can only be reached by a
+   takeover, which the 1M-cycle heal timeout lets through as a failure
+   instead of a hang. Tail localities (nclients not a multiple of
+   locality_size) are where a ring can fall between members. *)
+let qcheck_every_ring_served =
+  QCheck.Test.make ~name:"every ring has a server after attach" ~count:60
+    QCheck.(pair (int_range 1 40) (int_range 1 12))
+    (fun (nclients, locality_size) ->
+      let sched = mk_sched () in
+      let dps =
+        Dps.create sched ~nclients ~locality_size ~hash:Fun.id
+          ~serving:(Dps.Shared { heal_after = Some 1_000_000; adaptive = None })
+          ~mk_data:(fun _ -> ref 0)
+          ()
+      in
+      let nparts = Dps.npartitions dps in
+      run_clients sched dps nclients (fun _ ->
+          for pid = 0 to nparts - 1 do
+            ignore (Dps.call dps ~key:pid (fun r -> incr r; !r))
+          done);
+      List.for_all (fun pid -> !(Dps.partition_data dps pid) = nclients) (List.init nparts Fun.id)
+      && (Dps.health dps).takeovers = 0)
 
 let suite =
   [
@@ -407,4 +450,6 @@ let suite =
     ("try_await escalates under self-healing", `Quick, test_try_await_escalates);
     ("bucket of a min_int hash", `Quick, test_bucket_of_min_int_hash);
     ("create rejects impossible configs", `Quick, test_create_rejects_impossible);
+    ("set_mode requires an adaptive policy", `Quick, test_set_mode_requires_adaptive);
+    QCheck_alcotest.to_alcotest qcheck_every_ring_served;
   ]

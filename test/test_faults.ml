@@ -13,10 +13,12 @@ type part_data = { cells : int array; mutable ops_run : int }
 let budget = 50_000_000
 let mk_sched () = Sthread.create (Machine.create Machine.config_default)
 
-let mk_dps ?(self_healing = false) ?await_timeout sched =
+let heal n = Dps.Shared { heal_after = Some n; adaptive = None }
+
+let mk_dps ?serving sched =
   Dps.create sched ~nclients:20 ~locality_size:10
     ~hash:(fun k -> k)
-    ~self_healing ?await_timeout
+    ?serving
     ~mk_data:(fun (_ : Dps.partition_info) -> { cells = Array.make 64 0; ops_run = 0 })
     ()
 
@@ -43,7 +45,7 @@ let check_no_hang sched =
    deterministic time. Returns everything a replay must reproduce. *)
 let chaos_run ~seed () =
   let sched = mk_sched () in
-  let dps = mk_dps ~self_healing:true ~await_timeout:15_000 sched in
+  let dps = mk_dps ~serving:(heal 15_000) sched in
   let plan = Faults.install sched ~seed (Faults.spec ()) in
   (* one victim per locality: client 3 (partition 0), client 17 (partition 1) *)
   Faults.schedule_crash plan ~tid:3 ~at:5_000;
@@ -101,7 +103,7 @@ let test_chaos_deterministic_replay () =
 let test_stall_and_delay_chaos_is_lossless () =
   let run () =
     let sched = mk_sched () in
-    let dps = mk_dps ~self_healing:true ~await_timeout:15_000 sched in
+    let dps = mk_dps ~serving:(heal 15_000) sched in
     let plan =
       Faults.install sched ~seed:11L
         (Faults.spec ~stall_prob:0.002 ~stall_cycles:3_000 ~delay_prob:0.01 ~delay_cycles:500 ())
@@ -132,7 +134,7 @@ let test_stall_and_delay_chaos_is_lossless () =
 
 let test_whole_locality_crash_fails_over () =
   let sched = mk_sched () in
-  let dps = mk_dps ~self_healing:true ~await_timeout:10_000 sched in
+  let dps = mk_dps ~serving:(heal 10_000) sched in
   let plan = Faults.install sched ~seed:3L (Faults.spec ()) in
   (* kill every client of locality 1, staggered early in the run *)
   for c = 10 to 19 do
@@ -218,7 +220,7 @@ let test_double_attach_rejected () =
 
 let test_detach_hands_share () =
   let sched = mk_sched () in
-  let dps = mk_dps ~self_healing:true sched in
+  let dps = mk_dps ~serving:Dps.self_healing sched in
   for c = 0 to 19 do
     Sthread.spawn sched ~hw:(Dps.client_hw dps c) (fun () ->
         Dps.attach dps ~client:c;

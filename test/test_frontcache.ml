@@ -223,10 +223,10 @@ let script c phase =
 
 let mk_sim () = Sthread.create (Machine.create (Machine.config_scaled ()))
 
-let start_server ?(self_healing = false) s =
+let start_server ?serving s =
   let net = Net.create s () in
   let backend =
-    Variants.dps_mc s ~self_healing ~versions:(4 * 256) ~nclients:4 ~locality_size:4
+    Variants.dps_mc s ?serving ~versions:(4 * 256) ~nclients:4 ~locality_size:4
       ~buckets:256 ~capacity:1024 ()
   in
   backend.Variants.populate
@@ -291,7 +291,7 @@ let test_no_stale_read_across_takeover () =
      does arrive must still match the reference prefix — connections
      parked on the dead poller just stop answering. *)
   let s = mk_sim () in
-  let net, srv = start_server ~self_healing:true s in
+  let net, srv = start_server ~serving:Dps.self_healing s in
   let faults = Faults.install s ~seed:11L (Faults.spec ()) in
   let conns = Array.init nconns (fun _ -> mk_conn s net) in
   let expected =

@@ -449,11 +449,11 @@ let test_server_connection_limit () =
 
 (* --- fleet: DPS backend, determinism ------------------------------------ *)
 
-let fleet_once ~seed ~self_healing =
+let fleet_once ?serving ~seed () =
   let s = mk () in
   let net = Net.create s () in
   let backend =
-    Variants.dps_parsec s ~self_healing ~nclients:40 ~locality_size:10 ~buckets:1024
+    Variants.dps_parsec s ?serving ~nclients:40 ~locality_size:10 ~buckets:1024
       ~capacity:2048 ()
   in
   backend.Variants.populate ~keys:(Array.init 1024 Fun.id) ~val_lines:2;
@@ -535,8 +535,8 @@ let test_connection_churn_soak () =
   Alcotest.(check int) "no pending ready-queue entries" 0 (Server.pending_conns srv)
 
 let test_fleet_dps_deterministic () =
-  let (r1, reqs1, end1, loc1) = fleet_once ~seed:7L ~self_healing:false in
-  let (r2, reqs2, end2, loc2) = fleet_once ~seed:7L ~self_healing:false in
+  let (r1, reqs1, end1, loc1) = fleet_once ~seed:7L () in
+  let (r2, reqs2, end2, loc2) = fleet_once ~seed:7L () in
   Alcotest.(check bool) "fleet made progress" true (r1.Netload.completed > 100);
   Alcotest.(check int) "no client-visible errors" 0 r1.Netload.errors;
   Alcotest.(check bool) "placement keeps traffic local" true (loc1 >= 0.9);
@@ -547,7 +547,7 @@ let test_fleet_dps_deterministic () =
 
 let test_fleet_self_healing_path () =
   (* PR 1's self-healing delegation stays live under the event-loop server *)
-  let r, reqs, _, _ = fleet_once ~seed:9L ~self_healing:true in
+  let r, reqs, _, _ = fleet_once ~serving:Dps.self_healing ~seed:9L () in
   Alcotest.(check bool) "progress with self-healing on" true (r.Netload.completed > 100);
   Alcotest.(check int) "no errors" 0 r.Netload.errors;
   Alcotest.(check bool) "server agrees" true (reqs >= r.Netload.completed)
