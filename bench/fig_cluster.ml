@@ -56,13 +56,9 @@ type scenario = {
   incast : bool;  (* restrict keys to node 0's shard *)
   kill_frac : float;  (* kill node 1 at this fraction of the run; 0 = none *)
   churn : int;  (* churn interval, cycles; 0 = none *)
-  front_cache : int;  (* per-poller front-cache entries; 0 = off *)
   sthink : int;  (* closed-loop think override; 0 = the 4000-cycle default *)
-  s_npollers : int;  (* pollers per node override; 0 = cluster default *)
-  s_max_conns : int;  (* server connection-limit override; 0 = template *)
-  s_ring_lines : int;  (* per-conn ring size override; 0 = net default *)
-  s_park_max : int;  (* poller park ceiling override; 0 = template *)
-  s_shed : int;  (* shed-threshold override; 0 = template *)
+  tune : Cluster.config -> Cluster.config;
+      (* pollers, server and net overrides on top of the matrix's cluster *)
   s_items : int;  (* keyspace override; 0 = matrix default *)
   sduration : int;
   sgates : gates;
@@ -70,8 +66,7 @@ type scenario = {
 
 let scen ?(nnodes = 4) ?(nclients = 512) ?(nconns = 16) ?(set_pct = 10)
     ?(zipfian = false) ?(incast = false) ?(kill_frac = 0.0) ?(churn = 0)
-    ?(front_cache = 0) ?(think = 0) ?(npollers = 0) ?(max_conns = 0) ?(ring_lines = 0)
-    ?(park_max = 0) ?(shed = 0) ?(keyspace = 0) ?(duration = default_duration)
+    ?(think = 0) ?(tune = Fun.id) ?(keyspace = 0) ?(duration = default_duration)
     ~gates:sgates ~desc:sdesc sname =
   {
     sname;
@@ -84,13 +79,8 @@ let scen ?(nnodes = 4) ?(nclients = 512) ?(nconns = 16) ?(set_pct = 10)
     incast;
     kill_frac;
     churn;
-    front_cache;
     sthink = think;
-    s_npollers = npollers;
-    s_max_conns = max_conns;
-    s_ring_lines = ring_lines;
-    s_park_max = park_max;
-    s_shed = shed;
+    tune;
     s_items = keyspace;
     sduration = duration;
     sgates;
@@ -156,14 +146,20 @@ let matrix =
        hot-key-fc at >= 1.5x hot-key-warm. *)
     scen "hot-key-warm"
       ~desc:"Zipf 0.99 skew, 8 shards, saturated, read-mostly — control arm"
-      ~zipfian:true ~nnodes:8 ~npollers:4 ~nclients:8192 ~nconns:32 ~set_pct:1
+      ~zipfian:true ~nnodes:8 ~nclients:8192 ~nconns:32 ~set_pct:1
       ~keyspace:4096 ~duration:(8 * default_duration)
+      ~tune:(fun c -> { c with Cluster.npollers = 4 })
       ~gates:(gates ~max_p99:3_200_000 ~min_goodput:10.0 ());
     scen "hot-key-fc"
       ~desc:"Zipf 0.99 skew, 8 shards, saturated, front cache on"
-      ~zipfian:true ~nnodes:8 ~npollers:4 ~nclients:8192 ~nconns:32 ~set_pct:1
+      ~zipfian:true ~nnodes:8 ~nclients:8192 ~nconns:32 ~set_pct:1
       ~keyspace:4096 ~duration:(8 * default_duration)
-      ~front_cache:(4096 / 8)
+      ~tune:(fun c ->
+        {
+          c with
+          Cluster.npollers = 4;
+          server = { c.Cluster.server with Server.front_cache = 4096 / 8 };
+        })
       ~gates:(gates ~max_p99:3_200_000 ~min_goodput:15.0 ~max_spread:3.0 ());
     (* fleet scale: every user opens its own connection (nconns = nclients
        makes the per-node slot unique per user), one request each,
@@ -190,8 +186,15 @@ let matrix =
      let dur = if quick then 32_000_000 else 128_000_000 in
      scen "scale"
        ~desc:(Printf.sprintf "%dk connections, one request each" (n / 1000))
-       ~nclients:n ~nconns:n ~think:dur ~duration:dur ~npollers:10 ~max_conns:n
-       ~ring_lines:8 ~park_max:2_000 ~shed:512
+       ~nclients:n ~nconns:n ~think:dur ~duration:dur
+       ~tune:(fun c ->
+         {
+           c with
+           Cluster.npollers = 10;
+           server =
+             { c.Cluster.server with Server.max_conns = n; park_max = 2_000; shed_threshold = 512 };
+           net = { c.Cluster.net with Net.ring_lines = 8 };
+         })
        ~gates:(gates ~max_p99:250_000 ~min_goodput:10.0 ~min_conns:250_000 ()));
   ]
 
@@ -233,35 +236,14 @@ let run_scenario (s : scenario) =
   let m = Machine.create scaled_config in
   let sched = Sthread.create m in
   let eo = Eo.create () in
-  let dflt = Cluster.default_config in
   let ccfg =
-    {
-      dflt with
-      Cluster.nnodes = s.nnodes;
-      buckets = items;
-      capacity = 2 * items;
-      npollers = (if s.s_npollers > 0 then s.s_npollers else dflt.Cluster.npollers);
-      server =
-        {
-          dflt.Cluster.server with
-          Server.front_cache = s.front_cache;
-          max_conns =
-            (if s.s_max_conns > 0 then s.s_max_conns
-             else dflt.Cluster.server.Server.max_conns);
-          park_max =
-            (if s.s_park_max > 0 then s.s_park_max
-             else dflt.Cluster.server.Server.park_max);
-          shed_threshold =
-            (if s.s_shed > 0 then s.s_shed
-             else dflt.Cluster.server.Server.shed_threshold);
-        };
-      net =
-        {
-          dflt.Cluster.net with
-          Net.ring_lines =
-            (if s.s_ring_lines > 0 then s.s_ring_lines else dflt.Cluster.net.Net.ring_lines);
-        };
-    }
+    s.tune
+      {
+        Cluster.default_config with
+        Cluster.nnodes = s.nnodes;
+        buckets = items;
+        capacity = 2 * items;
+      }
   in
   let cluster =
     Cluster.create sched

@@ -8,17 +8,11 @@ module Netload = Dps_workload.Netload
 module Faults = Dps_faults
 module Obs = Dps_obs.Obs
 
-type backend_kind = Dps_mc | Dps_parsec
-
 type config = {
   nnodes : int;
   npollers : int;  (** per node; also the node's DPS client count *)
-  locality_size : int;
-  vnodes : int;
   buckets : int;  (** per node *)
   capacity : int;  (** per node *)
-  batch : int;
-  backend : backend_kind;
   probe_interval : int;
   server : Server.config;  (** template; npollers/acceptor placement overridden *)
   net : Net.config;  (** per-node network front-end template *)
@@ -28,12 +22,8 @@ let default_config =
   {
     nnodes = 4;
     npollers = 8;
-    locality_size = 4;
-    vnodes = 64;
     buckets = 4096;
     capacity = 1 lsl 16;
-    batch = 4;
-    backend = Dps_mc;
     probe_interval = 25_000;
     server = { Server.default_config with max_conns = 512; shed_threshold = 24 };
     net = Net.default_config;
@@ -81,21 +71,18 @@ let node_placement topo ~nnodes ~npollers id =
   (socket, pollers, acceptor)
 
 let mk_backend sched (cfg : config) ~placement ~on_apply =
-  let mk =
-    match cfg.backend with
-    | Dps_mc -> Variants.dps_mc
-    | Dps_parsec -> Variants.dps_parsec
-  in
   (* a front-cached server needs per-key versions to validate against; 4x
      the bucket count keeps version-slot aliasing (false invalidation
      only) rare without growing the table's line footprint much *)
   let versions = if cfg.server.Server.front_cache > 0 then 4 * cfg.buckets else 0 in
-  mk sched ~serving:Dps.self_healing ~batch:cfg.batch ~versions ~placement
-    ~on_set_applied:on_apply ~nclients:cfg.npollers ~locality_size:cfg.locality_size
-    ~buckets:cfg.buckets ~capacity:cfg.capacity ()
+  Variants.dps_mc sched ~serving:Dps.self_healing ~batch:4 ~versions ~placement
+    ~on_set_applied:on_apply ~nclients:cfg.npollers ~locality_size:4 ~buckets:cfg.buckets
+    ~capacity:cfg.capacity ()
 
 let create sched ?(on_set_applied = fun ~node:_ ~tag:_ -> ()) cfg =
   if cfg.nnodes < 2 then invalid_arg "Cluster.create: need at least 2 nodes";
+  if cfg.npollers < 1 then invalid_arg "Cluster.create: npollers < 1";
+  if cfg.probe_interval < 1 then invalid_arg "Cluster.create: probe_interval < 1";
   let topo = Machine.topology (Sthread.machine sched) in
   let nodes =
     Array.init cfg.nnodes (fun id ->
@@ -120,7 +107,7 @@ let create sched ?(on_set_applied = fun ~node:_ ~tag:_ -> ()) cfg =
   {
     sched;
     cfg;
-    ring = Ring.create ~nnodes:cfg.nnodes ~vnodes:cfg.vnodes ();
+    ring = Ring.create ~nnodes:cfg.nnodes;
     nodes;
     down_subs = [];
     stopped = false;

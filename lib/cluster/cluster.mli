@@ -24,18 +24,12 @@ module Server := Dps_server.Server
 module Variants := Dps_memcached.Variants
 module Netload := Dps_workload.Netload
 
-type backend_kind = Dps_mc | Dps_parsec
-
 type config = {
-  nnodes : int;
-  npollers : int;  (** per node; also the node's DPS client count *)
-  locality_size : int;
-  vnodes : int;  (** virtual nodes per node on the hash ring *)
+  nnodes : int;  (** at least 2 *)
+  npollers : int;  (** per node; also the node's DPS client count; positive *)
   buckets : int;  (** per node *)
   capacity : int;  (** per node *)
-  batch : int;  (** DPS delegation batch *)
-  backend : backend_kind;
-  probe_interval : int;  (** health-probe period, cycles *)
+  probe_interval : int;  (** health-probe period, cycles; positive *)
   server : Server.config;  (** template; npollers/acceptor placement overridden *)
   net : Net.config;
       (** per-node network front-end template. Fleet-scale runs shrink
@@ -47,8 +41,12 @@ type config = {
 }
 
 val default_config : config
-(** 4 nodes x 8 pollers, dps_mc backend, 64 vnodes, 25k-cycle probe,
-    512-connection / shed-at-24 server template, default net config. *)
+(** 4 nodes x 8 pollers, 4096 buckets and 64k items per node, 25k-cycle
+    probe, 512-connection / shed-at-24 server template, default net
+    config. Fixed for every cluster: each node's backend is a
+    self-healing {!Dps_memcached.Variants.dps_mc} with 4-poller
+    localities and a delegation batch of 4, and the hash ring gives each
+    node 64 virtual nodes ({!Ring.create}). *)
 
 type node = {
   id : int;
@@ -67,9 +65,10 @@ val create :
 (** Build and start all nodes. [on_set_applied] fires inside the delegated
     closure each time a tagged set is applied by [node]'s backend — the
     server side of the exactly-once ledger ({!Dps_check.Eo}). Raises
-    [Invalid_argument] when the topology cannot host the requested nodes
-    ([npollers] consecutive cores per node, nodes stacked round-robin over
-    sockets). *)
+    [Invalid_argument] when [nnodes] is below 2, [npollers] or
+    [probe_interval] below 1, or the topology cannot host the requested
+    nodes ([npollers] consecutive cores per node, nodes stacked
+    round-robin over sockets). *)
 
 val node : t -> int -> node
 val node_count : t -> int

@@ -1,6 +1,6 @@
 (* Consistent-hash ring with virtual nodes.
 
-   Every node contributes [vnodes] points on a 62-bit circle; a key is
+   Every node contributes [vnodes] (64) points on a 62-bit circle; a key is
    owned by the first point clockwise from its hash. Removing a node
    deletes only its points, so its keys remap onto the next surviving
    points — the failover promotion — while every other key keeps its
@@ -25,8 +25,9 @@ let mix h =
 let point ~node ~replica = mix (((node + 1) * 0x9e3779b9) + (replica * 0x85ebca6b))
 let hash_key key = mix (key + 0x165667b1)
 
+let vnodes = 64
+
 type t = {
-  vnodes : int;
   mutable live : int list;  (* ascending node ids *)
   mutable points : (int * int) array;  (* (position, node), sorted by position *)
 }
@@ -34,15 +35,15 @@ type t = {
 let rebuild t =
   let pts =
     List.concat_map
-      (fun node -> List.init t.vnodes (fun r -> (point ~node ~replica:r, node)))
+      (fun node -> List.init vnodes (fun r -> (point ~node ~replica:r, node)))
       t.live
   in
   t.points <- Array.of_list pts;
   Array.sort compare t.points
 
-let create ~nnodes ?(vnodes = 64) () =
+let create ~nnodes =
   if nnodes <= 0 then invalid_arg "Ring.create: nnodes must be positive";
-  let t = { vnodes; live = List.init nnodes Fun.id; points = [||] } in
+  let t = { live = List.init nnodes Fun.id; points = [||] } in
   rebuild t;
   t
 

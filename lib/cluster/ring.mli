@@ -1,6 +1,6 @@
 (** Consistent-hash ring with virtual nodes.
 
-    Each node contributes [vnodes] points on a hash circle; a key belongs
+    Each node contributes 64 virtual points on a hash circle; a key belongs
     to the first point clockwise from its hash. Removing a dead node
     deletes only its points, so exactly its keys remap — spread over the
     survivors — while every other key keeps its owner. Hashing is a fixed
@@ -9,8 +9,9 @@
 
 type t
 
-val create : nnodes:int -> ?vnodes:int -> unit -> t
-(** Nodes [0 .. nnodes-1], [vnodes] (default 64) points each. *)
+val create : nnodes:int -> t
+(** Nodes [0 .. nnodes-1], 64 points each. Raises [Invalid_argument]
+    when [nnodes] is not positive. *)
 
 val lookup : t -> int -> int
 (** The live node owning this key. *)

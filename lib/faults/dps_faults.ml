@@ -3,19 +3,16 @@ module Prng = Dps_simcore.Prng
 module Obs = Dps_obs.Obs
 
 type spec = {
-  crash_prob : float;
   stall_prob : float;
   stall_cycles : int;
   delay_prob : float;
   delay_cycles : int;
   after : int;
-  max_crashes : int;
-  eligible : int -> bool;
 }
 
-let spec ?(crash_prob = 0.0) ?(stall_prob = 0.0) ?(stall_cycles = 1000) ?(delay_prob = 0.0)
-    ?(delay_cycles = 1000) ?(after = 0) ?(max_crashes = max_int) ?(eligible = fun _ -> true) () =
-  { crash_prob; stall_prob; stall_cycles; delay_prob; delay_cycles; after; max_crashes; eligible }
+let spec ?(stall_prob = 0.0) ?(stall_cycles = 1000) ?(delay_prob = 0.0) ?(delay_cycles = 1000)
+    ?(after = 0) () =
+  { stall_prob; stall_cycles; delay_prob; delay_cycles; after }
 
 type event = Ev_crash | Ev_stall of int
 
@@ -26,7 +23,6 @@ type t = {
   (* per-tid scheduled events, kept sorted by due time *)
   scheduled : (int, (int * event) list ref) Hashtbl.t;
   mutable n_crashes : int;
-  mutable n_prob_crashes : int;
   mutable n_stalls : int;
   mutable n_delays : int;
   mutable crashed_rev : int list;
@@ -84,14 +80,7 @@ let decide_raw t ~tid ~now ~tag ~cycles:_ =
       Some (Sthread.Stall n)
   | None ->
       let s = t.spec in
-      if now < s.after || not (s.eligible tid) then None
-      else if
-        s.crash_prob > 0.0 && t.n_prob_crashes < s.max_crashes && Prng.below t.prng s.crash_prob
-      then begin
-        t.n_prob_crashes <- t.n_prob_crashes + 1;
-        record_crash t tid;
-        Some Sthread.Crash
-      end
+      if now < s.after then None
       else if s.stall_prob > 0.0 && Prng.below t.prng s.stall_prob then begin
         t.n_stalls <- t.n_stalls + 1;
         Some (Sthread.Stall (1 + Prng.int t.prng s.stall_cycles))
@@ -120,7 +109,6 @@ let install sched ~seed spec =
       prng = Prng.create seed;
       scheduled = Hashtbl.create 16;
       n_crashes = 0;
-      n_prob_crashes = 0;
       n_stalls = 0;
       n_delays = 0;
       crashed_rev = [];

@@ -9,9 +9,10 @@
 
     Two sources of faults compose:
     - a {e schedule} of explicit events ({!schedule_crash},
-      {!schedule_stall}) — "kill client 7 at t=80_000";
-    - a {e spec} of per-scheduling-point probabilities drawn from a
-      PRNG seeded at {!install} — background chaos.
+      {!schedule_kill}, {!schedule_stall}) — "kill client 7 at
+      t=80_000". Crashes come only from here;
+    - a {e spec} of stall and delay rates drawn from a PRNG seeded at
+      {!install} — background chaos.
 
     Everything is deterministic: the simulation is single-threaded and
     event-ordered, so the same seed, spec and schedule reproduce the same
@@ -19,30 +20,24 @@
     same recovery — chaos runs are replayable bit-for-bit. *)
 
 type spec = {
-  crash_prob : float;  (** P(crash) per eligible scheduling point *)
-  stall_prob : float;  (** P(stall) per eligible scheduling point *)
+  stall_prob : float;  (** P(stall) per scheduling point *)
   stall_cycles : int;  (** stall length, drawn uniformly in [1, stall_cycles] *)
   delay_prob : float;  (** P(extra latency) per charged memory access *)
   delay_cycles : int;  (** delay length, drawn uniformly in [1, delay_cycles] *)
-  after : int;  (** quiet period: no faults before this simulated time *)
-  max_crashes : int;  (** cap on probabilistic crashes (scheduled ones don't count) *)
-  eligible : int -> bool;  (** which simulated thread ids may be faulted *)
+  after : int;  (** quiet period: no drawn faults before this simulated time *)
 }
 
 val spec :
-  ?crash_prob:float ->
   ?stall_prob:float ->
   ?stall_cycles:int ->
   ?delay_prob:float ->
   ?delay_cycles:int ->
   ?after:int ->
-  ?max_crashes:int ->
-  ?eligible:(int -> bool) ->
   unit ->
   spec
-(** All probabilities default to 0 (no background chaos), [stall_cycles]
-    and [delay_cycles] to 1000, [after] to 0, [max_crashes] to [max_int],
-    [eligible] to every thread. *)
+(** Both probabilities default to 0 (no background chaos), [stall_cycles]
+    and [delay_cycles] to 1000, [after] to 0. Every simulated thread may
+    be stalled or delayed; crashes are never drawn, only scheduled. *)
 
 type t
 

@@ -8,24 +8,15 @@ module Obs = Dps_obs.Obs
    thread, so they render on a per-socket pseudo-thread. *)
 let nic_tid socket = Obs.pseudo_tid ~kind:1 socket
 
-type config = {
-  link_latency : int;
-  cycles_per_line : int;
-  mtu_lines : int;
-  ring_lines : int;
-  rx_window : int;
-  dma_charge : bool;
-}
+(* link calibration (DESIGN.md §4): ~1 us one way at 2 GHz, ~100 Gb/s,
+   1536 B MTU *)
+let link_latency = 2_000
+let cycles_per_line = 10
+let mtu_lines = 24
 
-let default_config =
-  {
-    link_latency = 2_000;
-    cycles_per_line = 10;
-    mtu_lines = 24;
-    ring_lines = 64;
-    rx_window = 4096;
-    dma_charge = true;
-  }
+type config = { ring_lines : int; rx_window : int }
+
+let default_config = { ring_lines = 64; rx_window = 4096 }
 
 type stats = {
   mutable pkts_rx : int;
@@ -84,12 +75,14 @@ let line_bytes = 64
 let lines_of_bytes n = (n + line_bytes - 1) / line_bytes
 
 let create sched ?(config = default_config) () =
+  if config.ring_lines < 1 then invalid_arg "Net.create: ring_lines < 1";
+  if config.rx_window < 1 then invalid_arg "Net.create: rx_window < 1";
   let m = Sthread.machine sched in
   let topo = Machine.topology m in
   (* a link direction serializes one line every [cycles_per_line]: a
      bucket with no burst, so a packet's delay is its wait behind earlier
      packets plus its own serialization *)
-  let link () = Bwbucket.create ~rate:line_bytes ~per:config.cycles_per_line ~burst:0 in
+  let link () = Bwbucket.create ~rate:line_bytes ~per:cycles_per_line ~burst:0 in
   let nics =
     Array.init topo.Topology.sockets (fun s ->
         {
@@ -135,7 +128,6 @@ let create sched ?(config = default_config) () =
   t
 
 let sched t = t.sched
-let config t = t.cfg
 let nic_count t = Array.length t.nics
 let stats t = t.st
 let socket_of_conn c = c.nic.socket
@@ -149,31 +141,25 @@ let local_fraction t =
    departure, propagation delays arrival. Returns the arrival time. *)
 let reserve t link ~lines =
   let now = Sthread.now t.sched in
-  now + Bwbucket.charge link ~now ~bytes:(lines * line_bytes) + t.cfg.link_latency
+  now + Bwbucket.charge link ~now ~bytes:(lines * line_bytes) + link_latency
 
 (* DMA one packet's lines into the receive ring through the coherence
    directory, as the per-socket DMA agent. Returns the charged cycles. *)
 let dma_in t c ~bytes =
-  if not t.cfg.dma_charge then 0
-  else begin
-    let lines = lines_of_bytes bytes in
-    let cost = ref 0 in
-    for _ = 1 to lines do
-      let addr = c.rx_ring + (c.rx_wr mod t.cfg.ring_lines) in
-      c.rx_wr <- c.rx_wr + 1;
-      cost :=
-        !cost
-        + Machine.access t.m ~now:(Sthread.now t.sched) ~thread:c.nic.dma_hw ~addr
-            ~kind:Machine.Write
-    done;
-    t.st.dma_lines <- t.st.dma_lines + lines;
-    (* DDIO payload bytes drain the socket's memory-controller bucket;
-       queueing debt delays delivery (0 when bandwidth modeling is off) *)
+  let lines = lines_of_bytes bytes in
+  let cost = ref 0 in
+  for _ = 1 to lines do
+    let addr = c.rx_ring + (c.rx_wr mod t.cfg.ring_lines) in
+    c.rx_wr <- c.rx_wr + 1;
     cost :=
       !cost
-      + Machine.bw_charge_dma t.m ~now:(Sthread.now t.sched) ~socket:c.nic.socket ~bytes;
-    !cost
-  end
+      + Machine.access t.m ~now:(Sthread.now t.sched) ~thread:c.nic.dma_hw ~addr
+          ~kind:Machine.Write
+  done;
+  t.st.dma_lines <- t.st.dma_lines + lines;
+  (* DDIO payload bytes drain the socket's memory-controller bucket;
+     queueing debt delays delivery (0 when bandwidth modeling is off) *)
+  !cost + Machine.bw_charge_dma t.m ~now:(Sthread.now t.sched) ~socket:c.nic.socket ~bytes
 
 let notify_readable c = match c.on_readable with None -> () | Some f -> f ()
 
@@ -229,7 +215,7 @@ let refuse_conn t c =
     Byteq.clear c.rx;
     Queue.clear c.backlog;
     Sthread.at t.sched
-      ~time:(Sthread.now t.sched + t.cfg.link_latency)
+      ~time:(Sthread.now t.sched + link_latency)
       (fun () -> c.on_refused ())
   end
 
@@ -276,7 +262,7 @@ let connect t ~nic ~rx ?(on_refused = fun () -> ()) () =
 let send t c data =
   if (c.state = Open || c.state = Connecting) && String.length data > 0 then begin
     let len = String.length data in
-    let mtu = t.cfg.mtu_lines * line_bytes in
+    let mtu = mtu_lines * line_bytes in
     let pos = ref 0 in
     while !pos < len do
       let n = min mtu (len - !pos) in
@@ -361,18 +347,16 @@ let reply t c data =
     tally_locality t c ~lines;
     (* NIC DMA-reads the ring (coherence only; the engine's own latency is
        folded into serialization) and the packets ride the tx link *)
-    if t.cfg.dma_charge then begin
-      for i = 0 to lines - 1 do
-        ignore
-          (Machine.access t.m ~now:(Sthread.now t.sched) ~thread:c.nic.dma_hw
-             ~addr:(c.tx_ring + ((c.tx_wr - lines + i) mod t.cfg.ring_lines))
-             ~kind:Machine.Read)
-      done;
-      (* tx DDIO is posted: the bytes drain the bucket but the engine does
-         not block the serving thread (no-op when bandwidth is off) *)
-      ignore (Machine.bw_charge_dma t.m ~now:(Sthread.now t.sched) ~socket:c.nic.socket ~bytes:len)
-    end;
-    let mtu = t.cfg.mtu_lines * line_bytes in
+    for i = 0 to lines - 1 do
+      ignore
+        (Machine.access t.m ~now:(Sthread.now t.sched) ~thread:c.nic.dma_hw
+           ~addr:(c.tx_ring + ((c.tx_wr - lines + i) mod t.cfg.ring_lines))
+           ~kind:Machine.Read)
+    done;
+    (* tx DDIO is posted: the bytes drain the bucket but the engine does
+       not block the serving thread (no-op when bandwidth is off) *)
+    ignore (Machine.bw_charge_dma t.m ~now:(Sthread.now t.sched) ~socket:c.nic.socket ~bytes:len);
+    let mtu = mtu_lines * line_bytes in
     let pos = ref 0 in
     while !pos < len do
       let n = min mtu (len - !pos) in

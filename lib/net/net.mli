@@ -19,28 +19,30 @@
 
 module Sthread := Dps_sthread.Sthread
 
+val link_latency : int
+(** Propagation cycles per packet, one way: 2 000 (1 us at 2 GHz). *)
+
+val cycles_per_line : int
+(** Link serialization cost per 64 B line: 10 cycles (~100 Gb/s). Packets
+    carry at most 24 lines (a 1536 B MTU); every packet is DMA'd through
+    the coherence directory. Calibration table in DESIGN.md. *)
+
 type config = {
-  link_latency : int;  (** propagation cycles per packet, one way *)
-  cycles_per_line : int;  (** link serialization cost per 64 B line; positive *)
-  mtu_lines : int;  (** maximum payload lines per packet *)
-  ring_lines : int;  (** per-connection rx/tx DMA ring size, in lines *)
-  rx_window : int;  (** per-connection buffered-byte cap before backpressure *)
-  dma_charge : bool;  (** model DMA traffic through the coherence directory *)
+  ring_lines : int;  (** per-connection rx/tx DMA ring size, in lines; positive *)
+  rx_window : int;  (** per-connection buffered-byte cap before backpressure; positive *)
 }
 
 val default_config : config
-(** 2 000-cycle (1 us at 2 GHz) one-way latency, 10 cycles/line
-    (~100 Gb/s), 24-line (1536 B) MTU, 64-line rings, 4 KB rx window.
-    Calibration table in DESIGN.md. *)
+(** 64-line rings, 4 KB rx window. *)
 
 type t
 type conn
 
 val create : Sthread.t -> ?config:config -> unit -> t
-(** Build one NIC per socket, listening. *)
+(** Build one NIC per socket, listening. Raises [Invalid_argument] when
+    [ring_lines] or [rx_window] is below 1. *)
 
 val sched : t -> Sthread.t
-val config : t -> config
 val nic_count : t -> int
 
 (** {1 Client side — callable from event callbacks, never charged} *)

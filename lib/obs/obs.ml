@@ -29,7 +29,6 @@ type phase = {
 
 let trc_on = ref false
 let prf_on = ref false
-let us_scale = ref 2000.0
 let events : ev list ref = ref []
 let nevents = ref 0
 let id_counter = ref 0
@@ -59,11 +58,10 @@ let reset () =
   pending_bw_stall := 0;
   failpoint_drop_span_close := false
 
-let start ?(tracing = true) ?(profiling = true) ?(cycles_per_us = 2000.0) () =
+let start ?(tracing = true) ?(profiling = true) () =
   reset ();
   trc_on := tracing;
-  prf_on := profiling;
-  us_scale := cycles_per_us
+  prf_on := profiling
 
 let stop () =
   trc_on := false;
@@ -241,8 +239,11 @@ let validate () =
         (match !bad with Some msg -> Error msg | None -> Ok ())
   end
 
+(* Chrome timestamps are microseconds of a 2 GHz part *)
+let cycles_per_us = 2000.0
+
 let buf_ts b cycles =
-  Buffer.add_string b (Printf.sprintf "%.3f" (float_of_int cycles /. !us_scale))
+  Buffer.add_string b (Printf.sprintf "%.3f" (float_of_int cycles /. cycles_per_us))
 
 let buf_args b args =
   Buffer.add_string b "\"args\":{";

@@ -47,11 +47,10 @@ type arg = A_int of int | A_str of string | A_float of float
 
 (** {1 Enable / disable} *)
 
-val start : ?tracing:bool -> ?profiling:bool -> ?cycles_per_us:float -> unit -> unit
+val start : ?tracing:bool -> ?profiling:bool -> unit -> unit
 (** Reset all collected state and enable collection. [tracing] records
     trace events; [profiling] aggregates cycle attribution; both default
-    to [true]. [cycles_per_us] (default [2000.], a 2 GHz part) only scales
-    exported Chrome timestamps, never the data. *)
+    to [true]. *)
 
 val stop : unit -> unit
 (** Disable collection. Collected data stays available for export. *)
@@ -155,7 +154,7 @@ val validate : unit -> (unit, string) result
 val chrome_json : unit -> string
 (** The collected trace in Chrome [trace_event] JSON format (an object
     with a [traceEvents] array), loadable in [chrome://tracing] and
-    Perfetto. Timestamps are microseconds: cycles / [cycles_per_us]. *)
+    Perfetto. Timestamps are microseconds of a 2 GHz part: cycles / 2000. *)
 
 val write_chrome : string -> unit
 (** Write {!chrome_json} to a file. *)

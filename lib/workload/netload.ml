@@ -12,16 +12,18 @@ type spec = {
   nclients : int;
   nconns : int;
   set_pct : int;
-  val_lines : int;
   key_range : int;
   zipfian : bool;
   mode : mode;
   seed : int64;
 }
 
-let spec ?(nclients = 1000) ?(nconns = 64) ?(set_pct = 10) ?(val_lines = 2) ?(key_range = 16384)
+(* value size of every set, in cache lines *)
+let val_lines = 2
+
+let spec ?(nclients = 1000) ?(nconns = 64) ?(set_pct = 10) ?(key_range = 16384)
     ?(zipfian = true) ?(mode = Closed { think = 4000 }) ?(seed = 42L) () =
-  { nclients; nconns; set_pct; val_lines; key_range; zipfian; mode; seed }
+  { nclients; nconns; set_pct; key_range; zipfian; mode; seed }
 
 type result = {
   issued : int;
@@ -71,20 +73,20 @@ let single net =
 type rspec = {
   base : spec;  (** [nconns] is per node *)
   key_pool : int array option;
-  req_timeout : int;
-  max_retries : int;
-  backoff_base : int;
-  backoff_cap : int;
   churn_interval : int;
-  window : int;
   on_acked : (opid:int -> node:int -> unit) option;
 }
 
-let rspec ?(base = spec ()) ?key_pool ?(req_timeout = 60_000) ?(max_retries = 6)
-    ?(backoff_base = 2_000) ?(backoff_cap = 40_000) ?(churn_interval = 0) ?(window = 0)
-    ?on_acked () =
-  { base; key_pool; req_timeout; max_retries; backoff_base; backoff_cap; churn_interval;
-    window; on_acked }
+let rspec ?(base = spec ()) ?key_pool ?(churn_interval = 0) ?on_acked () =
+  { base; key_pool; churn_interval; on_acked }
+
+(* Retry policy: an outstanding request is suspect after [req_timeout]
+   cycles; a logical op gets at most [max_retries] wire sends, backing off
+   from [backoff_base] doubling up to [backoff_cap] cycles. *)
+let req_timeout = 60_000
+let max_retries = 6
+let backoff_base = 2_000
+let backoff_cap = 40_000
 
 type routed_result = {
   agg : result;
@@ -256,7 +258,7 @@ and fail_conn f cid ~close =
    b = min cap (base * 2^(attempts-1)). *)
 and retry_op f op =
   if not op.resolved then begin
-    if op.attempts > f.rs.max_retries then begin
+    if op.attempts > max_retries then begin
       op.resolved <- true;
       f.rresolved <- f.rresolved + 1;
       f.rdropped <- f.rdropped + 1;
@@ -270,7 +272,7 @@ and retry_op f op =
     end
     else begin
       f.rretries <- f.rretries + 1;
-      let b = min f.rs.backoff_cap (f.rs.backoff_base lsl min 16 (max 0 (op.attempts - 1))) in
+      let b = min backoff_cap (backoff_base lsl min 16 (max 0 (op.attempts - 1))) in
       let delay = (b / 2) + 1 + Prng.int f.jitter_prng (max 1 (b / 2)) in
       Sthread.at f.rsched ~time:(Sthread.now f.rsched + delay) (fun () ->
           if not op.resolved then
@@ -312,7 +314,7 @@ and send_op f op =
       arm_timeout f op ~gen:op.attempts
 
 and arm_timeout f op ~gen =
-  Sthread.at f.rsched ~time:(Sthread.now f.rsched + f.rs.req_timeout) (fun () ->
+  Sthread.at f.rsched ~time:(Sthread.now f.rsched + req_timeout) (fun () ->
       on_timeout f op ~gen)
 
 and on_timeout f op ~gen =
@@ -457,10 +459,9 @@ let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
   let sp = rs.base in
   let start = Sthread.now sched in
   let horizon = start + duration in
-  let link_latency = (Net.config (router.net_of 0)).Net.link_latency in
-  let grace = (10 * link_latency) + rs.req_timeout + 20_000 in
+  let grace = (10 * Net.link_latency) + req_timeout + 20_000 in
   let master = Prng.create sp.seed in
-  let twindow = if rs.window > 0 then rs.window else max 1 (duration / 32) in
+  let twindow = max 1 (duration / 32) in
   let f =
     {
       rsched = sched;
@@ -469,7 +470,7 @@ let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
       rdist =
         (if sp.zipfian then Keydist.zipf ~range:sp.key_range ()
          else Keydist.uniform ~range:sp.key_range);
-      rset_data = String.make (sp.val_lines * 64) 'x';
+      rset_data = String.make (val_lines * 64) 'x';
       rstart = start;
       rhorizon = horizon;
       rdeadline = horizon + grace;

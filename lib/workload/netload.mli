@@ -16,7 +16,7 @@
       the tail latencies show it.
 
     Requests follow the memcached study's shape: Zipfian (or uniform) keys
-    in [0, key_range), [set_pct]% sets of [val_lines]-line values, the rest
+    in [0, key_range), [set_pct]% sets of 2-line values, the rest
     single-key gets. Responses are matched to requests in connection FIFO
     order (the ASCII protocol is in-order), each completion is a latency
     sample, and everything is seeded — the same spec replays bit-for-bit.
@@ -36,7 +36,6 @@ type spec = {
   nclients : int;
   nconns : int;
   set_pct : int;  (** 0..100 *)
-  val_lines : int;  (** value size for sets, in cache lines *)
   key_range : int;
   zipfian : bool;
   mode : mode;
@@ -47,15 +46,15 @@ val spec :
   ?nclients:int ->
   ?nconns:int ->
   ?set_pct:int ->
-  ?val_lines:int ->
   ?key_range:int ->
   ?zipfian:bool ->
   ?mode:mode ->
   ?seed:int64 ->
   unit ->
   spec
-(** Defaults: 1000 clients, 64 connections, 10% sets, 2-line values,
-    16384 keys, Zipfian, closed-loop with 4000-cycle think time, seed 42. *)
+(** Defaults: 1000 clients, 64 connections, 10% sets, 16384 keys,
+    Zipfian, closed-loop with 4000-cycle think time, seed 42. Every set
+    carries a 2-line (128 B) value. *)
 
 type result = {
   issued : int;
@@ -111,14 +110,9 @@ type rspec = {
       (** key/value mix, clients, load model and seed; [nconns] is
           {e per node} *)
   key_pool : int array option;  (** restrict keys to this pool (incast) *)
-  req_timeout : int;  (** cycles before an outstanding request is suspect *)
-  max_retries : int;  (** wire sends per logical op before giving up *)
-  backoff_base : int;  (** first retry delay bound, cycles *)
-  backoff_cap : int;  (** backoff ceiling, cycles *)
   churn_interval : int;
       (** when positive, close one drained connection every this many
           cycles (round-robin) and reconnect lazily on next use *)
-  window : int;  (** goodput timeline bucket width; [0] = duration/32 *)
   on_acked : (opid:int -> node:int -> unit) option;
       (** exactly-once ledger hook: a set's STORED ack parsed, from
           [node]. The op id is also carried to the server in the
@@ -128,25 +122,22 @@ type rspec = {
 val rspec :
   ?base:spec ->
   ?key_pool:int array ->
-  ?req_timeout:int ->
-  ?max_retries:int ->
-  ?backoff_base:int ->
-  ?backoff_cap:int ->
   ?churn_interval:int ->
-  ?window:int ->
   ?on_acked:(opid:int -> node:int -> unit) ->
   unit ->
   rspec
-(** Defaults: 60k-cycle timeout, 6 retries, backoff 2k doubling to 40k,
-    no churn. *)
+(** Defaults: the default {!spec}, every key, no churn, no ledger hook.
+    The retry policy is fixed: a request is suspect after 60k cycles
+    outstanding, a logical op gets at most 6 wire sends, and retries back
+    off from 2k cycles doubling to 40k. *)
 
 type routed_result = {
   agg : result;  (** [issued] counts logical ops; retries are separate *)
   retries : int;  (** extra wire sends (backoff path) *)
   rerouted : int;  (** retries that changed node *)
   busy : int;  (** [SERVER_ERROR busy] sheds absorbed and retried *)
-  timeouts : int;  (** ops that outlived [req_timeout] at least once *)
-  dropped : int;  (** ops given up after [max_retries] or at the deadline *)
+  timeouts : int;  (** ops that outlived the 60k-cycle timeout at least once *)
+  dropped : int;  (** ops given up after 6 wire sends or at the deadline *)
   abandoned : int;  (** ops never resolved when the run ended *)
   churned : int;  (** connections recycled by the churn process *)
   conns_opened : int;
@@ -156,7 +147,7 @@ type routed_result = {
   per_node_completed : int array;
   per_node_p99 : int array;
   goodput_timeline : int array;  (** completions per [window_cycles] bucket *)
-  window_cycles : int;
+  window_cycles : int;  (** [max 1 (duration / 32)] *)
 }
 
 val run_routed :
@@ -164,11 +155,12 @@ val run_routed :
 (** Drive the fleet for [duration] cycles of issue window, then stop
     issuing, let in-flight requests complete, and invoke [stop] (typically
     [Server.stop], or [Cluster.stop] for a sharded store) once the issue
-    window plus a drain grace of [10 × link_latency + req_timeout + 20000]
-    cycles has elapsed, so reroutes still in backoff can land. Runs the
-    scheduler to quiescence and reports fleet-side measurements;
-    [agg.throughput_mops] counts every completion, including those in the
-    drain grace, against the [duration]-cycle window.
+    window plus a drain grace has elapsed: [10 × Net.link_latency], plus
+    the 60k-cycle request timeout, plus 20k cycles, so reroutes still in
+    backoff can land. Runs the scheduler to quiescence and reports
+    fleet-side measurements; [agg.throughput_mops] counts every
+    completion, including those in the drain grace, against the
+    [duration]-cycle window.
 
     User [u] sends on connection slot [u mod nconns] of the node that owns
     the key; connections open lazily on first use. Closed-loop users start

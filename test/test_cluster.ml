@@ -14,7 +14,7 @@ let mk () = Sthread.create (Machine.create (Machine.config_scaled ()))
 (* --- ring properties (pure) --- *)
 
 let test_ring_coverage () =
-  let r = Ring.create ~nnodes:4 () in
+  let r = Ring.create ~nnodes:4 in
   let nkeys = 10_000 in
   let owned = Array.make 4 0 in
   for k = 0 to nkeys - 1 do
@@ -30,13 +30,13 @@ let test_ring_coverage () =
         (c * 20 >= nkeys))
     owned;
   (* the layout is seedless: a second ring agrees on every owner *)
-  let r' = Ring.create ~nnodes:4 () in
+  let r' = Ring.create ~nnodes:4 in
   for k = 0 to 999 do
     Alcotest.(check int) "deterministic layout" (Ring.lookup r k) (Ring.lookup r' k)
   done
 
 let test_ring_remove_stability () =
-  let r = Ring.create ~nnodes:4 () in
+  let r = Ring.create ~nnodes:4 in
   let nkeys = 10_000 in
   let before = Array.init nkeys (Ring.lookup r) in
   Ring.remove r 1;
@@ -56,7 +56,7 @@ let test_ring_remove_stability () =
   Alcotest.(check int) "still 3 nodes" 3 (Ring.size r)
 
 let test_ring_successor () =
-  let r = Ring.create ~nnodes:4 () in
+  let r = Ring.create ~nnodes:4 in
   List.iter
     (fun n ->
       let s = Ring.successor r n in
@@ -85,7 +85,7 @@ let qcheck_ring_replay =
   QCheck.Test.make ~name:"ring: membership script replays to identical owners" ~count:100
     QCheck.(list (pair bool (int_bound 7)))
     (fun ops ->
-      let a = Ring.create ~nnodes:4 () and b = Ring.create ~nnodes:4 () in
+      let a = Ring.create ~nnodes:4 and b = Ring.create ~nnodes:4 in
       apply_ops a ops;
       apply_ops b ops;
       Ring.nodes a = Ring.nodes b
@@ -96,7 +96,7 @@ let qcheck_ring_add_movement =
     ~count:60
     QCheck.(pair (int_range 1 7) (int_range 8 15))
     (fun (nnodes, newcomer) ->
-      let r = Ring.create ~nnodes () in
+      let r = Ring.create ~nnodes in
       let nkeys = 4096 in
       let before = Array.init nkeys (Ring.lookup r) in
       Ring.add r newcomer;
@@ -118,7 +118,7 @@ let qcheck_ring_remove_add_roundtrip =
     QCheck.(pair (int_range 2 8) (int_bound 7))
     (fun (nnodes, victim) ->
       QCheck.assume (victim < nnodes);
-      let r = Ring.create ~nnodes () in
+      let r = Ring.create ~nnodes in
       let nkeys = 2048 in
       let before = Array.init nkeys (Ring.lookup r) in
       Ring.remove r victim;
@@ -148,6 +148,28 @@ let mk_cluster ?(nnodes = 4) ?(shed_threshold = 0) sched eo =
   Cluster.populate c ~keys:(Array.init items Fun.id) ~val_lines:1;
   Cluster.start_probe c;
   c
+
+(* An impossible cluster config fails at [create]: no pollers leaves a
+   node with nobody to serve, and a zero probe period re-arms the probe at
+   the same cycle forever. One test per field; the smallest legal value
+   still builds. *)
+let create_rejects_impossible =
+  let create cfg = ignore (Cluster.create (mk ()) cfg) in
+  let d = Cluster.default_config in
+  List.map
+    (fun (what, bad, smallest) ->
+      ( "create rejects " ^ what,
+        `Quick,
+        fun () ->
+          Alcotest.check_raises what (Invalid_argument ("Cluster.create: " ^ what)) (fun () ->
+              create bad);
+          create smallest ))
+    [
+      ("npollers < 1", { d with Cluster.npollers = 0 }, { d with Cluster.npollers = 1 });
+      ( "probe_interval < 1",
+        { d with Cluster.probe_interval = 0 },
+        { d with Cluster.probe_interval = 1 } );
+    ]
 
 let run_fleet sched cluster eo ~nclients ~duration =
   let base = Netload.spec ~nclients ~nconns:4 ~set_pct:20 ~key_range:items () in
@@ -276,3 +298,4 @@ let suite =
     ("overload sheds busy, retries safe", `Quick, test_cluster_shed_busy);
     ("open-loop fleet over the cluster router", `Quick, test_cluster_open_loop);
   ]
+  @ create_rejects_impossible

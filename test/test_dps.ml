@@ -26,8 +26,9 @@ let mk_dps ?(nclients = 20) ?(locality_size = 10) ?ring_slots sched =
     ()
 
 (* Spawn [nclients] client threads running [body tid]; every client attaches
-   first and drains at the end, so delegations always complete. *)
-let run_clients sched dps nclients body =
+   first and drains at the end, so delegations always complete. [until]
+   bounds the run for callers that check a hang as a failure. *)
+let run_clients ?until sched dps nclients body =
   for c = 0 to nclients - 1 do
     Sthread.spawn sched ~hw:(Dps.client_hw dps c) (fun () ->
         Dps.attach dps ~client:c;
@@ -35,7 +36,7 @@ let run_clients sched dps nclients body =
         Dps.client_done dps;
         Dps.drain dps)
   done;
-  Sthread.run sched
+  Sthread.run ?until sched
 
 let bump cell (d : part_data) =
   d.cells.(cell) <- d.cells.(cell) + 1;
@@ -405,28 +406,43 @@ let test_set_mode_requires_adaptive () =
     [ Dps.Owner; Dps.pollers; Dps.self_healing ]
 
 (* Liveness, fault-free: after every client attaches, each ring of every
-   partition has a member serving it. Every client calls once into every
-   partition; a ring that no member serves can only be reached by a
-   takeover, which the 1M-cycle heal timeout lets through as a failure
-   instead of a hang. Tail localities (nclients not a multiple of
-   locality_size) are where a ring can fall between members. *)
+   partition has a member serving it, under every serving policy. Every
+   client calls once into every partition. A ring that no member serves
+   never completes under [Owner] or [pollers] (no poller threads run here),
+   and completes under healing only by a takeover after the 1M-cycle heal
+   timeout; the bounded run turns either into a failure instead of a hang.
+   Tail localities (nclients not a multiple of locality_size) are where a
+   ring can fall between members. *)
+let serving_policies =
+  QCheck.(
+    make ~print:fst
+      Gen.(
+        oneofl
+          [
+            ("Owner", Dps.Owner);
+            ("pollers", Dps.pollers);
+            ("healing 1M", Dps.Shared { heal_after = Some 1_000_000; adaptive = None });
+          ]))
+
 let qcheck_every_ring_served =
   QCheck.Test.make ~name:"every ring has a server after attach" ~count:60
-    QCheck.(pair (int_range 1 40) (int_range 1 12))
-    (fun (nclients, locality_size) ->
+    QCheck.(triple (int_range 1 40) (int_range 1 12) serving_policies)
+    (fun (nclients, locality_size, (_, serving)) ->
       let sched = mk_sched () in
       let dps =
-        Dps.create sched ~nclients ~locality_size ~hash:Fun.id
-          ~serving:(Dps.Shared { heal_after = Some 1_000_000; adaptive = None })
+        Dps.create sched ~nclients ~locality_size ~hash:Fun.id ~serving
           ~mk_data:(fun _ -> ref 0)
           ()
       in
       let nparts = Dps.npartitions dps in
-      run_clients sched dps nclients (fun _ ->
+      run_clients ~until:500_000 sched dps nclients (fun _ ->
           for pid = 0 to nparts - 1 do
             ignore (Dps.call dps ~key:pid (fun r -> incr r; !r))
           done);
-      List.for_all (fun pid -> !(Dps.partition_data dps pid) = nclients) (List.init nparts Fun.id)
+      Sthread.live_threads sched = 0
+      && List.for_all
+           (fun pid -> !(Dps.partition_data dps pid) = nclients)
+           (List.init nparts Fun.id)
       && (Dps.health dps).takeovers = 0)
 
 let suite =

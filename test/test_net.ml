@@ -279,7 +279,6 @@ let test_byteq () =
 let test_link_timing () =
   let s = mk () in
   let net = Net.create s () in
-  let cfg = Net.config net in
   let readable_at = ref (-1) in
   let c = Net.connect net ~nic:0 ~rx:(fun _ -> ()) () in
   Net.set_on_readable c (fun () -> if !readable_at < 0 then readable_at := Sthread.now s);
@@ -287,13 +286,13 @@ let test_link_timing () =
   Sthread.run s;
   (* SYN serializes (1 line), then the data line behind it, plus one
      propagation delay each; both must have crossed before delivery *)
-  let min_arrival = cfg.Net.link_latency + (2 * cfg.Net.cycles_per_line) in
+  let min_arrival = Net.link_latency + (2 * Net.cycles_per_line) in
   Alcotest.(check bool)
     (Printf.sprintf "delivery after link crossing (%d >= %d)" !readable_at min_arrival)
     true
     (!readable_at >= min_arrival);
   Alcotest.(check bool) "but within the same microsecond order" true
-    (!readable_at < 2 * cfg.Net.link_latency);
+    (!readable_at < 2 * Net.link_latency);
   let st = Net.stats net in
   Alcotest.(check int) "one packet" 1 st.Net.pkts_rx;
   Alcotest.(check int) "64 bytes" 64 st.Net.bytes_rx;
@@ -317,6 +316,26 @@ let test_backpressure () =
   Alcotest.(check int) "all bytes eventually delivered" total !got;
   Alcotest.(check bool) "window held packets at the NIC" true
     ((Net.stats net).Net.backpressured > 0)
+
+(* An impossible front-end config fails at [create]: a ring of no lines
+   would fail only at the first connection, and a window of no bytes would
+   hold every packet at the NIC for good. One test per field; the smallest
+   legal value still builds. *)
+let create_rejects_impossible =
+  let create config = ignore (Net.create (mk ()) ~config ()) in
+  let d = Net.default_config in
+  List.map
+    (fun (what, bad, smallest) ->
+      ( "create rejects " ^ what,
+        `Quick,
+        fun () ->
+          Alcotest.check_raises what (Invalid_argument ("Net.create: " ^ what)) (fun () ->
+              create bad);
+          create smallest ))
+    [
+      ("ring_lines < 1", { d with Net.ring_lines = 0 }, { d with Net.ring_lines = 1 });
+      ("rx_window < 1", { d with Net.rx_window = 0 }, { d with Net.rx_window = 1 });
+    ]
 
 let test_locality_tally () =
   let s = mk () in
@@ -617,6 +636,9 @@ let suite =
     ("byte queue", `Quick, test_byteq);
     ("link timing", `Quick, test_link_timing);
     ("backpressure", `Quick, test_backpressure);
+  ]
+  @ create_rejects_impossible
+  @ [
     ("locality tally", `Quick, test_locality_tally);
     ("refusal and unlisten", `Quick, test_refusal);
     ("server end to end", `Quick, test_server_end_to_end);
