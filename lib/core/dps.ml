@@ -465,7 +465,7 @@ let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budge
       (versions < 0, "versions < 0");
       (Option.fold ~none:false ~some:(fun n -> n < 1) heal_after, "heal_after < 1");
     ];
-  let batch = max 1 (min batch max_batch) in
+  let batch = Int.max 1 (Int.min batch max_batch) in
   let m = Sthread.machine sched in
   let topo = Machine.topology m in
   let placement =
@@ -606,7 +606,7 @@ let attach t ~client =
      waits out the awaiter's full escalation timeout. For full localities
      the fold is the identity, so the ring-to-server map (and the charge
      stream) is unchanged. *)
-  let nmembers = min t.locality_size (t.nclients - (my_pid * t.locality_size)) in
+  let nmembers = Int.min t.locality_size (t.nclients - (my_pid * t.locality_size)) in
   let served =
     Array.of_list
       (List.filter_map
@@ -686,8 +686,8 @@ let serve_slots t ~pid ring ~budget =
       obs_span ~args:[ ("count", Obs.A_int n) ] "dps.dispatch" (fun () ->
           for i = 0 to n - 1 do
             let e = slot.entries.(i) in
-            match e.eop with
-            | Some op when e.ecell = None ->
+            match (e.eop, e.ecell) with
+            | Some op, None ->
                 (* fire-and-forget: no awaiter could ever re-issue this, so
                    keep the descriptor armed until the operation has run — a
                    takeover of this slot after we crash mid-dispatch re-runs
@@ -698,7 +698,7 @@ let serve_slots t ~pid ring ~budget =
                 e.edone <- true;
                 e.eop <- None;
                 incr served
-            | Some op ->
+            | Some op, Some _ ->
                 (* awaited: disarm before dispatching, so an escalating
                    awaiter that still sees the descriptor can cancel and
                    re-issue without racing our execution *)
@@ -712,7 +712,7 @@ let serve_slots t ~pid ring ~budget =
                 e.eret <- op ();
                 e.edone <- true;
                 incr served
-            | None -> ()
+            | None, _ -> ()
           done;
           (* one releasing store acks the whole batch: fill every completion
              cell, clear the toggle, then a single line transfer *)
@@ -758,7 +758,7 @@ let takeover_ring t pid ring =
   | None -> 0
   | Some l ->
       let patience =
-        match heal_after t with Some n -> max 512 (n / 16) | None -> unhealed_patience
+        match heal_after t with Some n -> Int.max 512 (n / 16) | None -> unhealed_patience
       in
       if
         Spinlock.acquire_for l ~budget:patience
@@ -1059,7 +1059,7 @@ and serve_as t cl ~max:budget =
     served := !served + serve_ring t ~pid:cl.my_pid p.rings.(ring_idx) ~budget:(budget - !served);
     incr i
   done;
-  if n > 0 then cl.cursor <- (cl.cursor + max 1 !i) mod n;
+  if n > 0 then cl.cursor <- (cl.cursor + Int.max 1 !i) mod n;
   !served
 
 let serve t ~max = serve_as t (me t) ~max
@@ -1120,7 +1120,7 @@ let submit t cl pid op cell =
       | None when Option.is_none cell -> delegate ()
       | None ->
           Simops.work backoff;
-          route (min 1024 (backoff * 2))
+          route (Int.min 1024 (backoff * 2))
   in
   if pid = cl.my_pid then Some (run_local t pid op)
   else begin
@@ -1278,7 +1278,7 @@ let await t completion =
             end
             else begin
               Simops.work !pause;
-              pause := min 4096 (2 * !pause)
+              pause := Int.min 4096 (2 * !pause)
             end;
             spin ()
       in
@@ -1350,7 +1350,7 @@ let run_poller t ~pid =
         else begin
           incr idle_rounds;
           if !idle_rounds <= 4 then Simops.work 128
-          else ignore (Sthread.park_for (min 8192 (128 lsl min 6 (!idle_rounds - 4))))
+          else ignore (Sthread.park_for (Int.min 8192 (128 lsl Int.min 6 (!idle_rounds - 4))))
         end
       done)
 

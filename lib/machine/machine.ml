@@ -24,9 +24,9 @@ let config_default =
 let config_scaled ?(factor = 16) () =
   {
     config_default with
-    priv_lines = max 64 (config_default.priv_lines / factor);
-    llc_lines = max 512 (config_default.llc_lines / factor);
-    tlb_entries = max 16 (config_default.tlb_entries / factor);
+    priv_lines = Int.max 64 (config_default.priv_lines / factor);
+    llc_lines = Int.max 512 (config_default.llc_lines / factor);
+    tlb_entries = Int.max 16 (config_default.tlb_entries / factor);
   }
 
 (* [wbusy]: the simulated time until which the line's ownership is in
@@ -193,7 +193,7 @@ let alloc t pol ~lines =
   let base = t.next_addr in
   t.next_addr <- base + lines;
   if t.next_addr > Array.length t.lines then begin
-    let cap = max t.next_addr (2 * Array.length t.lines) in
+    let cap = Int.max t.next_addr (2 * Array.length t.lines) in
     let bigger = Array.make cap no_line in
     Array.blit t.lines 0 bigger 0 (Array.length t.lines);
     t.lines <- bigger;
@@ -367,7 +367,7 @@ let fill_delay t ~now ~sock line src =
     | `Remote s -> queued t.count.bw_link_queueing (charge_edge t ~src:s ~dst:sock ~now)
     | `Dram | `Local_transfer | `Llc | `Upgrade -> 0
   in
-  let bw = max 0 (max mc link - q) in
+  let bw = Int.max 0 (Int.max mc link - q) in
   t.bw_delay <- t.bw_delay + bw;
   if Dps_obs.Obs.profiling_on () then begin
     Dps_obs.Obs.note_stall q;
@@ -458,9 +458,9 @@ let access_slow t ~now ~core ~line ~addr ~kind =
         (* Ownership transfers of one line serialize: queue behind any
            transfer still in flight. *)
         let transfer = fetch + inval + extra in
-        let queue = max 0 (line.wbusy - now) in
+        let queue = Int.max 0 (line.wbusy - now) in
         if queue > 0 then incr t.count.write_queueing;
-        line.wbusy <- max now line.wbusy + transfer;
+        line.wbusy <- Int.max now line.wbusy + transfer;
         if queue > 0 && Dps_obs.Obs.profiling_on () then Dps_obs.Obs.note_stall queue;
         translation + delay + queue + transfer
       end
@@ -512,8 +512,8 @@ let check_presence t =
 let access_mlp t ~now ~thread ~addr ~kind ~factor =
   t.bw_delay <- 0;
   let cost = access t ~now ~thread ~addr ~kind in
-  let bwd = min t.bw_delay cost in
-  max 1 ((cost - bwd) / factor) + bwd
+  let bwd = Int.min t.bw_delay cost in
+  Int.max 1 ((cost - bwd) / factor) + bwd
 
 (* NIC DDIO traffic: packet payload streamed by a DMA engine drains the
    socket's memory-controller bucket like any other memory traffic, so

@@ -91,7 +91,7 @@ let create sched ?(config = default_config) () =
              actor whose private cache stands in for the NIC's DDIO slice *)
           dma_hw =
             (s * topo.Topology.cores_per_socket * topo.Topology.threads_per_core)
-            + min 1 (topo.Topology.threads_per_core - 1);
+            + Int.min 1 (topo.Topology.threads_per_core - 1);
           rx_link = link ();
           tx_link = link ();
         })
@@ -175,7 +175,7 @@ let rec deliver_pkt t c data =
     else begin
       let cost = dma_in t c ~bytes:(String.length data) in
       let now = Sthread.now t.sched in
-      let when_ = max (now + cost) c.deliver_free in
+      let when_ = Int.max (now + cost) c.deliver_free in
       c.deliver_free <- when_;
       c.rx_pending <- c.rx_pending + String.length data;
       Sthread.at t.sched ~time:when_ (fun () ->
@@ -265,7 +265,7 @@ let send t c data =
     let mtu = mtu_lines * line_bytes in
     let pos = ref 0 in
     while !pos < len do
-      let n = min mtu (len - !pos) in
+      let n = Int.min mtu (len - !pos) in
       (* single-packet payloads (the overwhelming case) ride as-is; only a
          multi-MTU response pays for substring copies *)
       let chunk = if n = len then data else String.sub data !pos n in
@@ -319,7 +319,7 @@ let tally_locality t c ~lines =
   else t.st.remote_lines <- t.st.remote_lines + lines
 
 let recv t c ~max =
-  let avail = min max (Byteq.length c.rx) in
+  let avail = Int.min max (Byteq.length c.rx) in
   if avail = 0 then ""
   else begin
     let lines = lines_of_bytes avail in
@@ -359,7 +359,7 @@ let reply t c data =
     let mtu = mtu_lines * line_bytes in
     let pos = ref 0 in
     while !pos < len do
-      let n = min mtu (len - !pos) in
+      let n = Int.min mtu (len - !pos) in
       let chunk = if n = len then data else String.sub data !pos n in
       pos := !pos + n;
       let arrive = reserve t c.nic.tx_link ~lines:(lines_of_bytes n) in

@@ -57,7 +57,7 @@ let percentile t p =
        for b = 0 to nbuckets - 1 do
          acc := !acc + t.buckets.(b);
          if !acc >= target then begin
-           result := min (upper_edge b) t.maxv;
+           result := Int.min (upper_edge b) t.maxv;
            raise Exit
          end
        done

@@ -34,18 +34,21 @@ type tstate = {
   mutable permit : bool;
   mutable park_gen : int;  (* invalidates stale park_for timeouts *)
   mutable timed_out : bool;
+  running : (t * tstate) option;
+      (* the [current] slot's value while this thread runs, built once at
+         spawn rather than at every resumption *)
 }
 
 (* The event queue's payload. The two hot cases — resuming a suspended
    thread, and waking a parked one — carry their state and continuation
    directly instead of capturing them in a fresh closure per scheduling
    point; [Thunk] covers the rare cases (spawn, timers via [at]). *)
-type event =
+and event =
   | Resume of tstate * (unit, unit) Effect.Deep.continuation
   | Wake of tstate * (unit, unit) Effect.Deep.continuation
   | Thunk of (unit -> unit)
 
-type t = {
+and t = {
   m : Machine.t;
   events : event Calendar.t;
   mutable time : int;
@@ -150,13 +153,11 @@ let unpark t ~tid =
       | None -> state.permit <- true);
       true
 
+(* A timer runs outside every thread: the run loop clears [current]
+   before each [Thunk]. *)
 let at t ~time f =
   if time < t.time then invalid_arg "Sthread.at: time in the past";
-  Calendar.push t.events ~time
-    (Thunk
-       (fun () ->
-         current () := None;
-         f ()))
+  Calendar.push t.events ~time (Thunk f)
 
 (* Retire a thread — normal return, voluntary [exit], or [kill]. Exit hooks
    run with [current] still pointing at the dying thread, but must not
@@ -198,7 +199,7 @@ let rec exec t state f =
                     | Some hook -> (
                         match hook ~tid:state.tid ~now:t.time ~tag ~cycles:n with
                         | None -> 0
-                        | Some (Stall d) -> max 0 d
+                        | Some (Stall d) -> Int.max 0 d
                         | Some Crash ->
                             state.killed <- true;
                             0)
@@ -209,9 +210,9 @@ let rec exec t state f =
                     sat_add delay
                       (match t.sched_hook with
                       | None -> 0
-                      | Some hook -> max 0 (hook ~tid:state.tid ~now:t.time ~tag ~cycles:n))
+                      | Some hook -> Int.max 0 (hook ~tid:state.tid ~now:t.time ~tag ~cycles:n))
                   in
-                  let time = sat_add t.time (sat_add (max 0 n) delay) in
+                  let time = sat_add t.time (sat_add (Int.max 0 n) delay) in
                   Calendar.push t.events ~time (Resume (state, k)))
           | Park ->
               Some
@@ -230,7 +231,7 @@ let rec exec t state f =
     }
 
 and spawn t ~hw f =
-  let state =
+  let rec state =
     {
       tid = t.next_tid;
       hw;
@@ -241,6 +242,7 @@ and spawn t ~hw f =
       permit = false;
       park_gen = 0;
       timed_out = false;
+      running = Some (t, state);
     }
   in
   t.next_tid <- t.next_tid + 1;
@@ -253,7 +255,7 @@ and spawn t ~hw f =
   Calendar.push t.events ~time:t.time
     (Thunk
        (fun () ->
-         current () := Some (t, state);
+         current () := state.running;
          if state.killed then retire t state else exec t state f))
 
 let run ?until t =
@@ -273,17 +275,19 @@ let run ?until t =
           t.time <- tm;
           match Calendar.take t.events with
           | Resume (state, k) ->
-              cur := Some (t, state);
+              cur := state.running;
               if state.killed then Effect.Deep.discontinue k Killed else Effect.Deep.continue k ()
           | Wake (state, k) ->
               Machine.set_active t.m ~thread:state.hw true;
-              cur := Some (t, state);
+              cur := state.running;
               if state.killed then Effect.Deep.discontinue k Killed else Effect.Deep.continue k ()
-          | Thunk f -> f ()
+          | Thunk f ->
+              cur := None;
+              f ()
         end
       done)
 
-let in_sim () = !(current ()) <> None
+let in_sim () = match !(current ()) with Some _ -> true | None -> false
 let self_hw () = (snd (ctx ())).hw
 let self_id () = (snd (ctx ())).tid
 let self_prng () = (snd (ctx ())).prng
@@ -410,10 +414,11 @@ let park_for d =
     ~time:(t.time + d)
     (fun () ->
       (* wake only the park this timeout belongs to *)
-      if state.park_gen = gen && state.parked <> None then begin
-        state.timed_out <- true;
-        ignore (unpark t ~tid:state.tid)
-      end);
+      match state.parked with
+      | Some _ when state.park_gen = gen ->
+          state.timed_out <- true;
+          ignore (unpark t ~tid:state.tid)
+      | _ -> ());
   if Obs.on () then Obs.park_begin ~tid:state.tid ~now:t.time;
   Effect.perform Park;
   if Obs.on () then Obs.park_end ~tid:state.tid ~now:t.time;

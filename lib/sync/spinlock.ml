@@ -35,7 +35,7 @@ let acquire t =
 let acquire_for t ~budget =
   if not (Sthread.in_sim ()) then try_acquire t
   else begin
-    let deadline = Sthread.time () + max 0 budget in
+    let deadline = Sthread.time () + Int.max 0 budget in
     let b = Backoff.create () in
     let rec loop () =
       if try_acquire t then true

@@ -115,6 +115,9 @@ type rop = {
   mutable timed_out : bool;
   mutable last_node : int;
   mutable on_cid : int;  (** connection-table index currently carrying it; -1 = none *)
+  mutable sent_at : int;
+      (** cycle of the current wire send; -1 if it went to a node already
+          declared dead (a timer watches those) *)
 }
 
 (* Connection table in structure-of-arrays form: slot [s] of node [n] is
@@ -154,7 +157,7 @@ type fleet = {
   rset_data : string;
   rstart : int;
   rhorizon : int;
-  rdeadline : int;  (** past this, nothing re-arms or retries *)
+  rdeadline : int;  (** past this, nothing retries *)
   rhist : Histogram.t;
   node_hist : Histogram.t array;
   table : ctable;
@@ -200,6 +203,21 @@ let target_node f key =
   else
     let s = f.router.failover_of n in
     if f.router.node_up s then s else n
+
+let count_timeout f op =
+  if not op.timed_out then begin
+    op.timed_out <- true;
+    f.rtimeouts <- f.rtimeouts + 1
+  end
+
+(* A send leaves its connection (reply parsed, busy shed, or connection
+   drained). If it sat there [req_timeout] cycles or more, it timed out.
+   No timer is needed to see that: on a live node a timer could only
+   count, because [subscribe_down] drains a node's connections the moment
+   the node is declared dead. *)
+let leave_conn f op =
+  op.on_cid <- -1;
+  if op.sent_at >= 0 && Sthread.now f.rsched - op.sent_at >= req_timeout then count_timeout f op
 
 let record_completion f node latency =
   f.rcompleted <- f.rcompleted + 1;
@@ -249,7 +267,7 @@ and fail_conn f cid ~close =
         Queue.clear q;
         List.iter
           (fun op ->
-            op.on_cid <- -1;
+            leave_conn f op;
             retry_op f op)
           (List.rev orphans)
   end
@@ -311,32 +329,25 @@ and send_op f op =
       | `Get -> Wire.encode_request f.renc (Wire.Get [ string_of_int op.key ]));
       Queue.push op (ct_inflight f cid);
       Net.send (f.router.net_of node) conn (Buffer.contents f.renc);
-      arm_timeout f op ~gen:op.attempts
+      if f.router.node_up node then op.sent_at <- Sthread.now f.rsched
+      else begin
+        (* owner and failover both declared dead: no [subscribe_down]
+           callback will drain this connection, so a timer watches it *)
+        op.sent_at <- -1;
+        let gen = op.attempts in
+        Sthread.at f.rsched ~time:(Sthread.now f.rsched + req_timeout) (fun () ->
+            on_timeout f op ~gen)
+      end
 
-and arm_timeout f op ~gen =
-  Sthread.at f.rsched ~time:(Sthread.now f.rsched + req_timeout) (fun () ->
-      on_timeout f op ~gen)
-
+(* Still on the connection [req_timeout] cycles after a send to a dead
+   node (dead for good): the connection is orphaned, so drain it, which
+   reroutes every inflight op including this one. Only a dead node's
+   connection is ever drained on a timeout: a live node's reply will
+   still arrive, and a blind retransmit on a live FIFO connection would
+   double-apply. *)
 and on_timeout f op ~gen =
-  if (not op.resolved) && op.attempts = gen then begin
-    let cid = op.on_cid in
-    if cid < 0 then ()  (* already on the backoff path *)
-    else if ct_dead f.table cid then ()
-    else if not (f.router.node_up (ct_node f.table cid)) then
-      (* target declared dead: the connection is orphaned — drain it,
-         which reroutes every inflight op including this one *)
-      fail_conn f cid ~close:true
-    else begin
-      (* live node, slow reply: never retransmit on a live FIFO
-         connection (the response will still arrive and a blind
-         retransmit would double-apply); just keep watching *)
-      if not op.timed_out then begin
-        op.timed_out <- true;
-        f.rtimeouts <- f.rtimeouts + 1
-      end;
-      if Sthread.now f.rsched < f.rdeadline then arm_timeout f op ~gen
-    end
-  end
+  let cid = op.on_cid in
+  if (not op.resolved) && op.attempts = gen && cid >= 0 then fail_conn f cid ~close:true
 
 and on_rx f cid data =
   let dec =
@@ -356,7 +367,7 @@ and on_rx f cid data =
         match Queue.take_opt inflight with
         | None -> f.rerrors <- f.rerrors + 1
         | Some op -> (
-            op.on_cid <- -1;
+            leave_conn f op;
             if not op.resolved then
               match resp with
               | Wire.Server_error m
@@ -403,6 +414,7 @@ and new_op f user =
         timed_out = false;
         last_node = -1;
         on_cid = -1;
+        sent_at = -1;
       }
     in
     f.next_opid <- f.next_opid + 1;
@@ -524,6 +536,8 @@ let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
     Sthread.at sched ~time:(start + rs.churn_interval) (fun () -> churn_tick f ~cursor:0);
   Sthread.at sched ~time:(horizon + grace) (fun () -> stop ());
   Sthread.run sched;
+  (* a send still on its connection never got an answer: it timed out *)
+  Array.iter (function Some q -> Queue.iter (count_timeout f) q | None -> ()) f.table.cinflight;
   let seconds = Machine.cycles_to_seconds (Sthread.machine sched) duration in
   {
     agg =

@@ -63,6 +63,10 @@ type result = {
   hits : int;  (** values returned across all gets *)
   refused_conns : int;
   duration_cycles : int;
+      (** from the fleet's start until the scheduler ran out of events: the
+          last reply, poll or retry, or the [stop] call after the drain
+          grace, whichever came last. Request timeouts schedule no events,
+          so they never stretch it. *)
   throughput_mops : float;  (** completed requests per simulated second *)
   mean_latency : float;  (** cycles, request issue to response parse *)
   p50 : int;
@@ -91,12 +95,13 @@ type router = {
           slot [slot] (0 .. [nconns] - 1) dials *)
   node_of_key : int -> int;  (** current ring owner of a key *)
   node_up : int -> bool;
+      (** [false] from the moment the node is declared dead, for good *)
   failover_of : int -> int;
       (** retry target for a down node whose ring replay is still pending *)
   subscribe_down : (int -> unit) -> unit;
-      (** register a callback fired when the cluster declares a node dead;
-          the fleet uses it to drain (close + reroute) orphaned
-          connections promptly *)
+      (** register a callback fired when the cluster declares a node dead,
+          at the moment [node_up] turns [false]; the fleet uses it to drain
+          (close + reroute) orphaned connections promptly *)
 }
 
 val single : Net.t -> router
@@ -136,7 +141,14 @@ type routed_result = {
   retries : int;  (** extra wire sends (backoff path) *)
   rerouted : int;  (** retries that changed node *)
   busy : int;  (** [SERVER_ERROR busy] sheds absorbed and retried *)
-  timeouts : int;  (** ops that outlived the 60k-cycle timeout at least once *)
+  timeouts : int;
+      (** ops with at least one timed-out wire send, counted once per op. A
+          send to a live node times out if it leaves its connection (reply
+          parsed, busy shed, or connection drained) 60k cycles or more
+          after it went out, or is still on it when the run ends. A live
+          node's slow send is never retransmitted. A send to a node already
+          declared dead never counts: if it is still on its connection 60k
+          cycles later, the fleet drains that connection and retries. *)
   dropped : int;  (** ops given up after 6 wire sends or at the deadline *)
   abandoned : int;  (** ops never resolved when the run ended *)
   churned : int;  (** connections recycled by the churn process *)

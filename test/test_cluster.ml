@@ -284,6 +284,38 @@ let test_cluster_shed_busy () =
     (Format.asprintf "no double-apply through busy retries: %a" Eo.pp_verdict v)
     true (Eo.ok v)
 
+(* A send to a node already declared dead (owner and failover both down)
+   is the one a timer still watches. These two nodes accept nothing, so no
+   refusal or reply ever drains their connections: only the timer can, 60k
+   cycles after each send. It closes the connection and the op retries
+   once (on a fresh connection); the second timer finds the drain
+   deadline passed, and the op is dropped. None of it counts as a
+   timeout. *)
+let test_dead_target_timer () =
+  let s = mk () in
+  let nets = Array.init 2 (fun _ -> Dps_net.Net.create s ()) in
+  let router =
+    {
+      Netload.nnodes = 2;
+      net_of = (fun n -> nets.(n));
+      nic_of = (fun _ slot -> slot mod Dps_net.Net.nic_count nets.(0));
+      node_of_key = (fun key -> key mod 2);
+      node_up = (fun _ -> false);
+      failover_of = (fun n -> 1 - n);
+      subscribe_down = ignore;
+    }
+  in
+  let base = Netload.spec ~nclients:8 ~nconns:4 ~key_range:64 () in
+  let rr = Netload.run_routed s router (Netload.rspec ~base ()) ~duration:10_000 () in
+  Alcotest.(check int) "one op per user" 8 rr.Netload.agg.Netload.issued;
+  Alcotest.(check int) "none completed" 0 rr.Netload.agg.Netload.completed;
+  Alcotest.(check int) "one retry per op" 8 rr.Netload.retries;
+  Alcotest.(check int) "rerouted" 0 rr.Netload.rerouted;
+  Alcotest.(check int) "dropped at the deadline" 8 rr.Netload.dropped;
+  Alcotest.(check int) "nothing abandoned" 0 rr.Netload.abandoned;
+  Alcotest.(check int) "a dead node's sends are not timeouts" 0 rr.Netload.timeouts;
+  Alcotest.(check int) "six slots dialed, then redialed" 12 rr.Netload.conns_opened
+
 let suite =
   [
     ("ring coverage and determinism", `Quick, test_ring_coverage);
@@ -297,5 +329,6 @@ let suite =
     ("node kill -> failover, exactly-once", `Quick, test_cluster_kill_failover);
     ("overload sheds busy, retries safe", `Quick, test_cluster_shed_busy);
     ("open-loop fleet over the cluster router", `Quick, test_cluster_open_loop);
+    ("a send to a dead node waits out its timer", `Quick, test_dead_target_timer);
   ]
   @ create_rejects_impossible

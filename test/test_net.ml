@@ -624,6 +624,66 @@ let test_single_spreads_nics () =
   Alcotest.(check (list int)) "slot -> NIC" [ 0; 1; 2; 3; 0; 1; 2; 3 ]
     (List.init 8 (single.Netload.nic_of 0))
 
+(* --- fleet: request timeouts --------------------------------------------- *)
+
+(* One closed-loop user on a single node whose stock backend spends
+   [delay] cycles in every operation before answering. Wire and serving
+   add 5k-7k cycles on top. *)
+let slow_fleet ~delay =
+  let s = mk () in
+  let net = Net.create s () in
+  let backend = Variants.stock s ~nclients:8 ~buckets:64 ~capacity:128 in
+  backend.Variants.populate ~keys:(Array.init 64 Fun.id) ~val_lines:1;
+  let backend =
+    {
+      backend with
+      Variants.get =
+        (fun k ->
+          Sthread.work delay;
+          backend.Variants.get k);
+      set =
+        (fun ~key ~val_lines ->
+          Sthread.work delay;
+          backend.Variants.set ~key ~val_lines);
+    }
+  in
+  let srv = Server.start s net ~backend { Server.default_config with npollers = 8 } in
+  let sp = Netload.spec ~nclients:1 ~nconns:1 ~set_pct:20 ~key_range:64 () in
+  Netload.run_routed s (Netload.single net) (Netload.rspec ~base:sp ()) ~duration:300_000
+    ~stop:(fun () -> Server.stop srv)
+    ()
+
+(* A timeout is a send still unanswered [req_timeout] (60k) cycles after
+   it went out: every reply slower than that counts, every faster one
+   does not, and a live node's slow reply is waited for, never retried. *)
+let test_timeouts_count_slow_replies () =
+  let fast = slow_fleet ~delay:50_000 in
+  Alcotest.(check int) "fast: 5 ops" 5 fast.Netload.agg.Netload.issued;
+  Alcotest.(check int) "fast: all completed" 5 fast.Netload.agg.Netload.completed;
+  Alcotest.(check bool) "fast: every reply under 60k" true (fast.Netload.agg.Netload.p99 < 60_000);
+  Alcotest.(check int) "fast replies never time out" 0 fast.Netload.timeouts;
+  let slow = slow_fleet ~delay:62_000 in
+  Alcotest.(check int) "slow: 5 ops" 5 slow.Netload.agg.Netload.issued;
+  Alcotest.(check int) "slow: all completed" 5 slow.Netload.agg.Netload.completed;
+  Alcotest.(check bool) "slow: every reply over 60k" true (slow.Netload.agg.Netload.p50 > 60_000);
+  Alcotest.(check int) "every slow reply timed out once" 5 slow.Netload.timeouts;
+  Alcotest.(check int) "a live node is never retried" 0 slow.Netload.retries
+
+(* Nobody accepts, so no request is ever answered: each one is still on
+   its connection when the run ends, and counts as a timeout. *)
+let test_timeouts_count_unanswered () =
+  let s = mk () in
+  let net = Net.create s () in
+  let sp = Netload.spec ~nclients:8 ~nconns:4 ~key_range:64 () in
+  let rr =
+    Netload.run_routed s (Netload.single net) (Netload.rspec ~base:sp ()) ~duration:10_000 ()
+  in
+  let issued = rr.Netload.agg.Netload.issued in
+  Alcotest.(check int) "one request per user" 8 issued;
+  Alcotest.(check int) "none completed" 0 rr.Netload.agg.Netload.completed;
+  Alcotest.(check int) "all abandoned" issued rr.Netload.abandoned;
+  Alcotest.(check int) "every unanswered request timed out" issued rr.Netload.timeouts
+
 let suite =
   [
     ("request round-trip under packetization", `Quick, test_request_roundtrip);
@@ -648,4 +708,6 @@ let suite =
     ("self-healing fleet", `Quick, test_fleet_self_healing_path);
     ("open-loop fleet", `Quick, test_fleet_open_loop);
     ("single-server router spreads connections over every NIC", `Quick, test_single_spreads_nics);
+    ("timeouts count replies slower than the timeout", `Quick, test_timeouts_count_slow_replies);
+    ("timeouts count requests unanswered at the end", `Quick, test_timeouts_count_unanswered);
   ]
