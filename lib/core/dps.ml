@@ -631,9 +631,9 @@ let attach t ~client =
   t.members.(my_pid) <- cl :: t.members.(my_pid)
 
 let me t =
-  match Hashtbl.find_opt t.clients (Sthread.self_id ()) with
-  | Some c -> c
-  | None -> failwith "Dps: thread not attached"
+  match Hashtbl.find t.clients (Sthread.self_id ()) with
+  | c -> c
+  | exception Not_found -> failwith "Dps: thread not attached"
 
 (* Retire a served (or discarded) batch: hand every waiting sender its
    outcome — done, or lost for an entry that never ran — then clear claim
@@ -659,6 +659,48 @@ let retire t ~pid ring slot =
   ring.rpending <- ring.rpending - n;
   t.pending.(pid) <- t.pending.(pid) - n
 
+(* Run a claimed batch and publish its replies; returns the number of
+   operations run. *)
+let dispatch t ~pid ring slot =
+  let served = ref 0 in
+  for i = 0 to slot.count - 1 do
+    let e = slot.entries.(i) in
+    match (e.eop, e.ecell) with
+    | Some op, None ->
+        (* fire-and-forget: no awaiter could ever re-issue this, so keep
+           the descriptor armed until the operation has run — a takeover of
+           this slot after we crash mid-dispatch re-runs it. Safe against
+           double dispatch because only a dead claimer's slot can be
+           re-claimed. *)
+        Simops.work dispatch_cost;
+        e.eret <- op ();
+        e.edone <- true;
+        e.eop <- None;
+        incr served
+    | Some op, Some _ ->
+        (* awaited: disarm before dispatching, so an escalating awaiter that
+           still sees the descriptor can cancel and re-issue without racing
+           our execution *)
+        e.eop <- None;
+        (match e.ecell with
+        | Some r when r.obs_id <> 0 -> Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "dispatch"
+        | _ -> ());
+        (* request unmarshalling and dispatch, per operation *)
+        Simops.work dispatch_cost;
+        e.eret <- op ();
+        e.edone <- true;
+        incr served
+    | None, _ -> ()
+  done;
+  (* one releasing store acks the whole batch: fill every completion cell,
+     clear the toggle, then a single line transfer *)
+  retire t ~pid ring slot;
+  ring.last_served <- Sthread.time ();
+  t.last_served.(pid) <- ring.last_served;
+  if !failpoint_skip_completion_fence then Simops.write slot.maddr
+  else Simops.write_release slot.maddr;
+  !served
+
 (* Serve the requests pending in one ring, assuming exclusive access (the
    ring lock, if any, is held by the caller). The batch is the unit of
    service: each entry is claimed (op taken) before its dispatch work is
@@ -667,7 +709,10 @@ let retire t ~pid ring slot =
    entries the dead server already finished keep their buffered reply and
    are *not* re-dispatched, so a takeover of a partially served batch stays
    exactly-once. All replies then publish with one releasing store.
-   [budget] is approximate: a batch is never split across budgets. *)
+   [budget] is approximate: a batch is never split across budgets.
+
+   Here and below, a span is opened only under [Obs.on ()]: its closure
+   and arguments would otherwise be allocated on every call. *)
 let serve_slots t ~pid ring ~budget =
   let self = Sthread.self_id () in
   let served = ref 0 in
@@ -681,46 +726,14 @@ let serve_slots t ~pid ring ~budget =
          ring lock); leave the batch to it *)
       continue_ring := false
     else begin
-      let n = slot.count in
       slot.claim <- self;
-      obs_span ~args:[ ("count", Obs.A_int n) ] "dps.dispatch" (fun () ->
-          for i = 0 to n - 1 do
-            let e = slot.entries.(i) in
-            match (e.eop, e.ecell) with
-            | Some op, None ->
-                (* fire-and-forget: no awaiter could ever re-issue this, so
-                   keep the descriptor armed until the operation has run — a
-                   takeover of this slot after we crash mid-dispatch re-runs
-                   it. Safe against double dispatch because only a dead
-                   claimer's slot can be re-claimed. *)
-                Simops.work dispatch_cost;
-                e.eret <- op ();
-                e.edone <- true;
-                e.eop <- None;
-                incr served
-            | Some op, Some _ ->
-                (* awaited: disarm before dispatching, so an escalating
-                   awaiter that still sees the descriptor can cancel and
-                   re-issue without racing our execution *)
-                e.eop <- None;
-                (match e.ecell with
-                | Some r when r.obs_id <> 0 ->
-                    Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "dispatch"
-                | _ -> ());
-                (* request unmarshalling and dispatch, per operation *)
-                Simops.work dispatch_cost;
-                e.eret <- op ();
-                e.edone <- true;
-                incr served
-            | None, _ -> ()
-          done;
-          (* one releasing store acks the whole batch: fill every completion
-             cell, clear the toggle, then a single line transfer *)
-          retire t ~pid ring slot;
-          ring.last_served <- Sthread.time ();
-          t.last_served.(pid) <- ring.last_served;
-          if !failpoint_skip_completion_fence then Simops.write slot.maddr
-          else Simops.write_release slot.maddr)
+      let ran =
+        if Obs.on () then
+          obs_span ~args:[ ("count", Obs.A_int slot.count) ] "dps.dispatch" (fun () ->
+              dispatch t ~pid ring slot)
+        else dispatch t ~pid ring slot
+      in
+      served := !served + ran
     end
   done;
   !served
@@ -776,8 +789,7 @@ let takeover_ring t pid ring =
    delegation has stalled past its timeout, so a dead peer's share (or a
    whole dead locality) still makes progress. Ring locks abandoned by
    crashed holders are broken and reclaimed. *)
-let takeover_serve t pid =
-  obs_span ~args:[ ("pid", Obs.A_int pid) ] "dps.takeover" (fun () ->
+let takeover t pid =
   let served =
     Array.fold_left (fun n ring -> n + takeover_ring t pid ring) 0 t.partitions.(pid).rings
   in
@@ -785,7 +797,12 @@ let takeover_serve t pid =
     t.n_takeovers <- t.n_takeovers + 1;
     t.takeovers_pid.(pid) <- t.takeovers_pid.(pid) + 1
   end;
-  served)
+  served
+
+let takeover_serve t pid =
+  if Obs.on () then
+    obs_span ~args:[ ("pid", Obs.A_int pid) ] "dps.takeover" (fun () -> takeover t pid)
+  else takeover t pid
 
 (* Serve every ring of [pid] that holds published work. The occupancy
    hints keep this proportional to the backlog — probing all N ring locks
@@ -799,13 +816,15 @@ let serve_backlog t pid =
         if ring.rpending > 0 then served + serve_ring t ~pid ring ~budget:max_int else served)
       0 t.partitions.(pid).rings
 
+(* the runtime still interposes on local operations (§5.2 notes the
+   overhead this causes for small update ratios) *)
+let local_op t pid op =
+  Simops.work (dispatch_cost / 4);
+  op t.partitions.(pid).data
+
 let run_local t pid op =
   t.n_local <- t.n_local + 1;
-  obs_span "dps.local" (fun () ->
-      (* the runtime still interposes on local operations (§5.2 notes the
-         overhead this causes for small update ratios) *)
-      Simops.work (dispatch_cost / 4);
-      op t.partitions.(pid).data)
+  if Obs.on () then obs_span "dps.local" (fun () -> local_op t pid op) else local_op t pid op
 
 (* Direct mode: bypass the rings and serialize on the partition's CNA
    lock. The holder first drains any delegated remnants still queued in
@@ -825,32 +844,33 @@ let run_local t pid op =
    protocol / final drain sweep retire whatever remains. *)
 let direct_attempts = 4
 
+let rec direct_attempt t pid op n =
+  if Cna.try_acquire t.dlocks.(pid) then begin
+    ignore (serve_backlog t pid);
+    Simops.work (dispatch_cost / 4);
+    let v = op t.partitions.(pid).data in
+    t.n_direct <- t.n_direct + 1;
+    t.direct_pid.(pid) <- t.direct_pid.(pid) + 1;
+    Cna.release t.dlocks.(pid);
+    Some v
+  end
+  else begin
+    (* a holder that crashed inside its critical section would otherwise
+       wedge the partition in direct mode forever: try_acquire only ever
+       wins an empty queue *)
+    let dl = t.dlocks.(pid) in
+    ignore (break_dead t pid (Cna.owner dl) (fun () -> Cna.break_lock dl));
+    if n >= direct_attempts then None
+    else begin
+      Simops.work (64 * n);
+      direct_attempt t pid op (n + 1)
+    end
+  end
+
 let try_run_direct t pid op =
-  obs_span ~args:[ ("pid", Obs.A_int pid) ] "dps.direct" (fun () ->
-      let rec attempt n =
-        if Cna.try_acquire t.dlocks.(pid) then begin
-          ignore (serve_backlog t pid);
-          Simops.work (dispatch_cost / 4);
-          let v = op t.partitions.(pid).data in
-          t.n_direct <- t.n_direct + 1;
-          t.direct_pid.(pid) <- t.direct_pid.(pid) + 1;
-          Cna.release t.dlocks.(pid);
-          Some v
-        end
-        else begin
-          (* a holder that crashed inside its critical section would
-             otherwise wedge the partition in direct mode forever:
-             try_acquire only ever wins an empty queue *)
-          let dl = t.dlocks.(pid) in
-          ignore (break_dead t pid (Cna.owner dl) (fun () -> Cna.break_lock dl));
-          if n >= direct_attempts then None
-          else begin
-            Simops.work (64 * n);
-            attempt (n + 1)
-          end
-        end
-      in
-      attempt 1)
+  if Obs.on () then
+    obs_span ~args:[ ("pid", Obs.A_int pid) ] "dps.direct" (fun () -> direct_attempt t pid op 1)
+  else direct_attempt t pid op 1
 
 (* Discard instead of drain (the [failpoint_stuck_transition] mutation):
    abandon the in-flight ring slots. Awaited entries are declared lost so
@@ -1014,24 +1034,27 @@ let rec claim_slot t cl pid =
    accounting oracle to catch). *)
 and flush_stage t cl stage =
   if stage.sn > 0 then
-    obs_span ~args:[ ("n", Obs.A_int stage.sn) ] "dps.flush" (fun () ->
-        cl.flushing <- true;
-        let n0 = stage.sn in
-        let n =
-          if !failpoint_drop_batch_flush && n0 > 1 && stage.scells.(n0 - 1) = None then n0 - 1
-          else n0
-        in
-        let slot = claim_slot t cl stage.spid in
-        (* gather the staged descriptors for the group copy *)
-        Simops.charge_read stage.saddr;
-        (* empty the stage in the publish's atomic block, so a sender
-           killed at the store leaves nothing behind to publish twice *)
-        stage.sn <- 0;
-        t.n_flushes <- t.n_flushes + 1;
-        publish t cl stage.spid slot n (Array.get stage.sops) (Array.get stage.scells);
-        Array.fill stage.sops 0 n0 None;
-        Array.fill stage.scells 0 n0 None;
-        cl.flushing <- false)
+    if Obs.on () then
+      obs_span ~args:[ ("n", Obs.A_int stage.sn) ] "dps.flush" (fun () -> publish_stage t cl stage)
+    else publish_stage t cl stage
+
+and publish_stage t cl stage =
+  cl.flushing <- true;
+  let n0 = stage.sn in
+  let n =
+    if !failpoint_drop_batch_flush && n0 > 1 && stage.scells.(n0 - 1) = None then n0 - 1 else n0
+  in
+  let slot = claim_slot t cl stage.spid in
+  (* gather the staged descriptors for the group copy *)
+  Simops.charge_read stage.saddr;
+  (* empty the stage in the publish's atomic block, so a sender killed at
+     the store leaves nothing behind to publish twice *)
+  stage.sn <- 0;
+  t.n_flushes <- t.n_flushes + 1;
+  publish t cl stage.spid slot n (Array.get stage.sops) (Array.get stage.scells);
+  Array.fill stage.sops 0 n0 None;
+  Array.fill stage.scells 0 n0 None;
+  cl.flushing <- false
 
 (* Flush every staged batch whose oldest operation is at least [age]
    cycles old. Every serve flushes at [batch_age] — the bound that keeps
@@ -1096,9 +1119,12 @@ let stage_op t cl pid fop cell =
   if stage.sn >= t.batch || Sthread.time () - stage.sopened >= t.batch_age then
     flush_stage t cl stage
 
+let send t cl pid fop cell =
+  if t.batch > 1 then stage_op t cl pid fop cell else send_direct t cl pid fop cell
+
 let issue t cl pid fop cell =
-  obs_span "dps.issue" (fun () ->
-      if t.batch > 1 then stage_op t cl pid fop cell else send_direct t cl pid fop cell)
+  if Obs.on () then obs_span "dps.issue" (fun () -> send t cl pid fop cell)
+  else send t cl pid fop cell
 
 (* Route one operation to partition [pid] — the only copy of the adaptive
    choice. A local operation runs in place; a remote one is counted for the
@@ -1176,27 +1202,31 @@ let reissue t r =
    or our entry already executed and only awaits the batch publish), or
    cancel and re-issue (lost with a dead server, or wedged behind a lock we
    could not break). A cancelled entry's cell is detached so a later
-   recovery of the batch cannot complete the superseded attempt. *)
-let escalate t (r : remote) slot i =
-  ignore (takeover_serve t r.pid);
-  Simops.read slot.maddr;
-  match r.state with
-  | Flushed (s, j) when s == slot && j = i && slot.toggle ->
-      let e = slot.entries.(i) in
-      if
-        e.eop <> None
-        || ((not e.edone) && slot.claim >= 0 && Hashtbl.mem t.dead_tids slot.claim)
-      then begin
-        e.eop <- None;
-        e.ecancelled <- true;
-        e.ecell <- None;
-        reissue t r
-      end
-      else begin
-        if not (partition_has_live_member t r.pid) then fail_over t r.pid;
-        r.deadline <- deadline t
-      end
-  | _ -> r.deadline <- deadline t
+   recovery of the batch cannot complete the superseded attempt. [seen] is
+   the published entry, as the last observation found it pending. *)
+let escalate t (r : remote) seen =
+  match seen with
+  | Staged _ | Done _ | Lost -> invalid_arg "Dps.escalate: not a published entry"
+  | Flushed (slot, i) -> (
+      ignore (takeover_serve t r.pid);
+      Simops.read slot.maddr;
+      match r.state with
+      | Flushed (s, j) when s == slot && j = i && slot.toggle ->
+          let e = slot.entries.(i) in
+          if
+            e.eop <> None
+            || ((not e.edone) && slot.claim >= 0 && Hashtbl.mem t.dead_tids slot.claim)
+          then begin
+            e.eop <- None;
+            e.ecancelled <- true;
+            e.ecell <- None;
+            reissue t r
+          end
+          else begin
+            if not (partition_has_live_member t r.pid) then fail_over t r.pid;
+            r.deadline <- deadline t
+          end
+      | _ -> r.deadline <- deadline t)
 
 (* Charge the pickup read if the server published the completion and we
    have not yet paid the line transfer that fetches the reply. *)
@@ -1213,7 +1243,8 @@ let pickup r =
    forced out. A published one is polled — every observation of the reply
    goes through a charged read of the message line, so a completion
    discovered while serving is still only returned after the poll that
-   would fetch it. [`Pending] leaves the idle duty to the caller. *)
+   would fetch it. [`Pending] leaves the idle duty to the caller, with
+   [r.state] still the published entry. *)
 let rec observe t cl r =
   match r.state with
   | Done v ->
@@ -1227,10 +1258,10 @@ let rec observe t cl r =
   | Staged stage ->
       flush_stage t cl stage;
       `Again
-  | Flushed (slot, i) -> (
+  | Flushed (slot, _) -> (
       Simops.read slot.maddr;
       r.fresh <- None;
-      match r.state with Flushed _ -> `Pending (slot, i) | _ -> observe t cl r)
+      match r.state with Flushed _ -> `Pending | _ -> observe t cl r)
 
 (* The wait step [try_await] and [await] share: serve my share; failing
    that, if the partition flipped under our published op (nobody may serve
@@ -1251,9 +1282,28 @@ let try_await t completion =
       match observe t cl r with
       | `Done v -> Some v
       | `Again -> None
-      | `Pending (slot, i) ->
-          if (not (wait_step t cl r)) && Sthread.time () > r.deadline then escalate t r slot i;
+      | `Pending ->
+          let seen = r.state in
+          if (not (wait_step t cl r)) && Sthread.time () > r.deadline then escalate t r seen;
           None)
+
+(* Escalate the pause while the locality has nothing to serve, so a
+   long-running remote operation does not turn into a polling storm. *)
+let rec await_spin t cl r pause =
+  match observe t cl r with
+  | `Done v -> v
+  | `Again -> await_spin t cl r 32
+  | `Pending ->
+      let seen = r.state in
+      if wait_step t cl r then await_spin t cl r 32
+      else if Sthread.time () > r.deadline then begin
+        escalate t r seen;
+        await_spin t cl r 32
+      end
+      else begin
+        Simops.work pause;
+        await_spin t cl r (Int.min 4096 (2 * pause))
+      end
 
 let await t completion =
   match completion with
@@ -1261,28 +1311,8 @@ let await t completion =
   | Remote r ->
       let cl = me t in
       r.deadline <- deadline t;
-      (* escalate the pause while the locality has nothing to serve, so a
-         long-running remote operation does not turn into a polling storm *)
-      let pause = ref 32 in
-      let rec spin () =
-        match observe t cl r with
-        | `Done v -> v
-        | `Again ->
-            pause := 32;
-            spin ()
-        | `Pending (slot, i) ->
-            if wait_step t cl r then pause := 32
-            else if Sthread.time () > r.deadline then begin
-              escalate t r slot i;
-              pause := 32
-            end
-            else begin
-              Simops.work !pause;
-              pause := Int.min 4096 (2 * !pause)
-            end;
-            spin ()
-      in
-      obs_span "dps.await" spin
+      if Obs.on () then obs_span "dps.await" (fun () -> await_spin t cl r 32)
+      else await_spin t cl r 32
 
 let call t ~key op = await t (execute t ~key op)
 

@@ -131,6 +131,9 @@ type t = {
   stats : Stats.t;
   count : counters;  (* cells of [stats] *)
   active : bool array;
+  sibling : int array;
+      (* each hardware thread's hyperthread sibling, itself if it has none:
+         [work_cost] reads it without the option [Topology] returns *)
 }
 
 let buckets n ~rate ~per ~burst =
@@ -182,6 +185,9 @@ let create ?(seed = 42L) cfg =
     stats;
     count = counters stats;
     active = Array.make (Topology.nthreads topo) false;
+    sibling =
+      Array.init (Topology.nthreads topo) (fun hw ->
+          Option.value ~default:hw (Topology.sibling_of_thread topo hw));
   }
 
 let topology t = t.cfg.topo
@@ -562,9 +568,8 @@ let interconnect_bytes t = Array.fold_left (fun acc b -> acc + Bwbucket.bytes b)
 let set_active t ~thread v = t.active.(thread) <- v
 
 let work_cost t ~thread n =
-  match Topology.sibling_of_thread t.cfg.topo thread with
-  | Some sib when t.active.(sib) -> n * 8 / 5
-  | Some _ | None -> n
+  let sib = t.sibling.(thread) in
+  if sib <> thread && t.active.(sib) then n * 8 / 5 else n
 
 let cycles_to_seconds t cycles = float_of_int cycles /. (t.cfg.topo.Topology.ghz *. 1e9)
 

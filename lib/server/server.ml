@@ -172,8 +172,6 @@ let handle t p req =
           t.st.bad_requests <- t.st.bad_requests + 1;
           if not noreply then out (Wire.Client_error "bad key"))
 
-(* One service round for a readable connection: drain bytes, serve up to
-   [batch_limit] requests, write the batched response. *)
 (* The peer closed: count it once and release the connection's slot (the
    acceptor admits against live = accepted - closed). The sconn simply
    stops being re-enqueued; its decoder and buffers go with it. *)
@@ -183,11 +181,15 @@ let release t sc =
     t.st.closed <- t.st.closed + 1
   end
 
-let service t p sc =
-  if Net.is_closed sc.c then release t sc
-  else
-  obs_span ~args:[ ("conn", Obs.A_int (Net.conn_id sc.c)) ] "srv.service" @@ fun () ->
-  let data = obs_span "srv.rx" (fun () -> Net.recv t.net sc.c ~max:recv_chunk) in
+(* One service round for a readable connection: drain bytes, serve up to
+   [batch_limit] requests, write the batched response. Here and in
+   [service], a span is opened only under [Obs.on ()]: its closure and
+   arguments would otherwise be allocated on every call. *)
+let serve_conn t p sc =
+  let data =
+    if Obs.on () then obs_span "srv.rx" (fun () -> Net.recv t.net sc.c ~max:recv_chunk)
+    else Net.recv t.net sc.c ~max:recv_chunk
+  in
   Wire.feed sc.dec data;
   (* bounded-queue load shedding: when this poller's ready backlog exceeds
      the threshold, answer SERVER_ERROR busy without touching the backend —
@@ -198,7 +200,11 @@ let service t p sc =
   let served = ref 0 in
   let parsing = ref true in
   while !parsing && !served < batch_limit do
-    match obs_span "srv.parse" (fun () -> Wire.next_request sc.dec) with
+    let next =
+      if Obs.on () then obs_span "srv.parse" (fun () -> Wire.next_request sc.dec)
+      else Wire.next_request sc.dec
+    in
+    match next with
     | Wire.Need_more -> parsing := false
     | Wire.Bad { msg = _; reply } ->
         t.st.bad_requests <- t.st.bad_requests + 1;
@@ -214,15 +220,15 @@ let service t p sc =
         if not noreply then Wire.encode_response p.out (Wire.Server_error "busy");
         incr served
     | Wire.Item req ->
-        obs_span "srv.serve" (fun () -> handle t p req);
+        if Obs.on () then obs_span "srv.serve" (fun () -> handle t p req) else handle t p req;
         incr served
   done;
   if Buffer.length p.out > 0 then begin
     t.st.batches <- t.st.batches + 1;
-    obs_span
-      ~args:[ ("bytes", Obs.A_int (Buffer.length p.out)) ]
-      "srv.tx"
-      (fun () -> Net.reply t.net sc.c (Buffer.contents p.out));
+    if Obs.on () then
+      obs_span ~args:[ ("bytes", Obs.A_int (Buffer.length p.out)) ] "srv.tx" (fun () ->
+          Net.reply t.net sc.c (Buffer.contents p.out))
+    else Net.reply t.net sc.c (Buffer.contents p.out);
     Buffer.clear p.out
   end;
   (* More buffered bytes, or a full batch with frames still in the decoder:
@@ -230,6 +236,13 @@ let service t p sc =
      parks until more bytes arrive. *)
   if Net.recv_ready sc.c > 0 || (!served >= batch_limit && Wire.buffered sc.dec > 0)
   then enqueue t p sc
+
+let service t p sc =
+  if Net.is_closed sc.c then release t sc
+  else if Obs.on () then
+    obs_span ~args:[ ("conn", Obs.A_int (Net.conn_id sc.c)) ] "srv.service" (fun () ->
+        serve_conn t p sc)
+  else serve_conn t p sc
 
 let poller_body t p () =
   p.tid <- Sthread.self_id ();

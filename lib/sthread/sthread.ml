@@ -24,29 +24,37 @@ type trace_ev =
   | T_wake of { tid : int }
   | T_retire of { tid : int }
 
+(* A thread is running, suspended (its [resume] event queued), parked
+   ([parked], nothing queued) or woken ([wake] queued), so it has at most
+   one of those events queued and one continuation to keep: [k]. Everything
+   a scheduling point needs is built once per thread, so suspending,
+   parking and waking allocate nothing but the runtime's continuation.
+   Only a [Suspend] or [Park] handler queues [resume] or [wake] — [kill]
+   and [unpark] go through [parked] — so [k] is set whenever either event
+   runs; nothing may queue them before the thread's first suspension. *)
 type tstate = {
   tid : int;
   hw : int;
   prng : Prng.t;
   mutable pending : int;
   mutable killed : bool;
-  mutable parked : (unit, unit) Effect.Deep.continuation option;
+  mutable k : (unit, unit) Effect.Deep.continuation;
+      (* where the thread stopped; [no_k] before its first suspension *)
+  mutable resume_at : int;  (* when the [Suspend] being performed ends *)
+  mutable parked : bool;
   mutable permit : bool;
   mutable park_gen : int;  (* invalidates stale park_for timeouts *)
   mutable timed_out : bool;
   running : (t * tstate) option;
-      (* the [current] slot's value while this thread runs, built once at
-         spawn rather than at every resumption *)
+      (* the [current] slot's value while this thread runs *)
+  resume : event;  (* [Resume] of this thread *)
+  wake : event;  (* [Wake] of this thread *)
 }
 
-(* The event queue's payload. The two hot cases — resuming a suspended
-   thread, and waking a parked one — carry their state and continuation
-   directly instead of capturing them in a fresh closure per scheduling
-   point; [Thunk] covers the rare cases (spawn, timers via [at]). *)
-and event =
-  | Resume of tstate * (unit, unit) Effect.Deep.continuation
-  | Wake of tstate * (unit, unit) Effect.Deep.continuation
-  | Thunk of (unit -> unit)
+(* The event queue's payload. The hot cases — resuming a suspended thread,
+   waking a parked one — are values built once per thread; [Thunk] covers
+   the rest (spawn, [park_for] deadlines, timers via [at]). *)
+and event = Resume of tstate | Wake of tstate | Thunk of (unit -> unit)
 
 and t = {
   m : Machine.t;
@@ -114,11 +122,15 @@ let emit_sync t state acquire token =
 
 let emit_wake t state = match t.tracer with None -> () | Some f -> f (T_wake { tid = state.tid })
 
-type _ Effect.t += Suspend : (int * op_tag) -> unit Effect.t
+(* [Suspend] resumes the thread at its [resume_at]; [Park] blocks it until
+   an [unpark] (or consumes a permit). Both are constants: what they need
+   is in the thread's state. *)
+type _ Effect.t += Suspend : unit Effect.t
 type _ Effect.t += Park : unit Effect.t
 
-let suspend_tagged tag cycles = Effect.perform (Suspend (cycles, tag))
-let suspend cycles = suspend_tagged Work_op cycles
+(* A placeholder for [tstate.k]; the run loop only reads [k] at an event
+   that a suspension or park queued after storing it. *)
+let no_k : (unit, unit) Effect.Deep.continuation = Obj.magic 0
 
 let exit () =
   ignore (ctx ());
@@ -127,30 +139,30 @@ let exit () =
 (* Resume a parked thread: the hardware thread was released while blocked
    (the hyperthread pair is genuinely idle), so re-activate it first —
    [Wake] carries that extra [set_active] in the run loop. *)
-let resume_parked t (state : tstate) k = Calendar.push t.events ~time:t.time (Wake (state, k))
+let resume_parked t state =
+  state.parked <- false;
+  Calendar.push t.events ~time:t.time state.wake
 
+(* [Hashtbl.find], not [find_opt]: a lookup per wakeup allocates no option. *)
 let kill t ~tid =
-  match Hashtbl.find_opt t.states tid with
-  | Some state ->
+  match Hashtbl.find t.states tid with
+  | exception Not_found -> false
+  | state ->
       state.killed <- true;
-      (match state.parked with
-      | Some k ->
-          state.parked <- None;
-          resume_parked t state k
-      | None -> ());
+      if state.parked then resume_parked t state;
       true
-  | None -> false
+
+let unpark_state t state =
+  (match t.tracer with
+  | None -> ()
+  | Some f -> f (T_unpark { src = current_tid t; dst = state.tid }));
+  if state.parked then resume_parked t state else state.permit <- true
 
 let unpark t ~tid =
-  match Hashtbl.find_opt t.states tid with
-  | None -> false
-  | Some state ->
-      (match t.tracer with None -> () | Some f -> f (T_unpark { src = current_tid t; dst = tid }));
-      (match state.parked with
-      | Some k ->
-          state.parked <- None;
-          resume_parked t state k
-      | None -> state.permit <- true);
+  match Hashtbl.find t.states tid with
+  | exception Not_found -> false
+  | state ->
+      unpark_state t state;
       true
 
 (* A timer runs outside every thread: the run loop clears [current]
@@ -177,8 +189,31 @@ let sat_add a b =
   let s = a + b in
   if s < 0 then max_int else s
 
+(* The thread's two effect handlers, built once: each stores the
+   continuation and queues the thread's own event, or parks it. *)
 let rec exec t state f =
   let open Effect.Deep in
+  let suspended =
+    Some
+      (fun k ->
+        state.k <- k;
+        Calendar.push t.events ~time:state.resume_at state.resume)
+  in
+  let parked =
+    Some
+      (fun k ->
+        state.k <- k;
+        if state.permit || state.killed then begin
+          state.permit <- false;
+          Calendar.push t.events ~time:t.time state.resume
+        end
+        else begin
+          (* Blocked threads release the core: the hyperthread sibling
+             runs undilated until the wakeup. *)
+          Machine.set_active t.m ~thread:state.hw false;
+          state.parked <- true
+        end)
+  in
   match_with f ()
     {
       retc = (fun () -> retire t state);
@@ -190,43 +225,8 @@ let rec exec t state f =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Suspend (n, tag) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let delay =
-                    match t.fault_hook with
-                    | None -> 0
-                    | Some hook -> (
-                        match hook ~tid:state.tid ~now:t.time ~tag ~cycles:n with
-                        | None -> 0
-                        | Some (Stall d) -> Int.max 0 d
-                        | Some Crash ->
-                            state.killed <- true;
-                            0)
-                  in
-                  (* schedule-exploration hook: extra cycles forced onto this
-                     scheduling point (lib/check preemption schedules) *)
-                  let delay =
-                    sat_add delay
-                      (match t.sched_hook with
-                      | None -> 0
-                      | Some hook -> Int.max 0 (hook ~tid:state.tid ~now:t.time ~tag ~cycles:n))
-                  in
-                  let time = sat_add t.time (sat_add (Int.max 0 n) delay) in
-                  Calendar.push t.events ~time (Resume (state, k)))
-          | Park ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  if state.permit || state.killed then begin
-                    state.permit <- false;
-                    Calendar.push t.events ~time:t.time (Resume (state, k))
-                  end
-                  else begin
-                    (* Blocked threads release the core: the hyperthread
-                       sibling runs undilated until the wakeup. *)
-                    Machine.set_active t.m ~thread:state.hw false;
-                    state.parked <- Some k
-                  end)
+          | Suspend -> (suspended : ((a, unit) continuation -> unit) option)
+          | Park -> parked
           | _ -> None);
     }
 
@@ -238,11 +238,15 @@ and spawn t ~hw f =
       prng = Prng.split t.root_prng;
       pending = 0;
       killed = false;
-      parked = None;
+      k = no_k;
+      resume_at = 0;
+      parked = false;
       permit = false;
       park_gen = 0;
       timed_out = false;
       running = Some (t, state);
+      resume = Resume state;
+      wake = Wake state;
     }
   in
   t.next_tid <- t.next_tid + 1;
@@ -257,6 +261,10 @@ and spawn t ~hw f =
        (fun () ->
          current () := state.running;
          if state.killed then retire t state else exec t state f))
+
+let continue_thread state =
+  if state.killed then Effect.Deep.discontinue state.k Killed
+  else Effect.Deep.continue state.k ()
 
 let run ?until t =
   let cur = current () in
@@ -274,13 +282,13 @@ let run ?until t =
         else begin
           t.time <- tm;
           match Calendar.take t.events with
-          | Resume (state, k) ->
+          | Resume state ->
               cur := state.running;
-              if state.killed then Effect.Deep.discontinue k Killed else Effect.Deep.continue k ()
-          | Wake (state, k) ->
+              continue_thread state
+          | Wake state ->
               Machine.set_active t.m ~thread:state.hw true;
               cur := state.running;
-              if state.killed then Effect.Deep.discontinue k Killed else Effect.Deep.continue k ()
+              continue_thread state
           | Thunk f ->
               cur := None;
               f ()
@@ -314,11 +322,48 @@ let take_pending state =
   state.pending <- 0;
   p
 
+(* Extra cycles the fault and schedule hooks put on a scheduling point
+   about to charge [n] cycles for [tag]. A [Crash] marks the thread to die
+   at its resumption. *)
+let hook_delay t state tag n =
+  let delay =
+    match t.fault_hook with
+    | None -> 0
+    | Some hook -> (
+        match hook ~tid:state.tid ~now:t.time ~tag ~cycles:n with
+        | None -> 0
+        | Some (Stall d) -> Int.max 0 d
+        | Some Crash ->
+            state.killed <- true;
+            0)
+  in
+  (* schedule-exploration hook: extra cycles forced onto this scheduling
+     point (lib/check preemption schedules) *)
+  sat_add delay
+    (match t.sched_hook with
+    | None -> 0
+    | Some hook -> Int.max 0 (hook ~tid:state.tid ~now:t.time ~tag ~cycles:n))
+
+let hooked t = match (t.fault_hook, t.sched_hook) with None, None -> false | _ -> true
+
+(* Suspend the calling thread for [n] cycles plus the hooks' [delay]. *)
+let suspend_for t state n delay =
+  state.resume_at <- sat_add t.time (sat_add (Int.max 0 n) delay);
+  Effect.perform Suspend
+
+(* A scheduling point with a constant tag; accesses build theirs only
+   when a hook will read it. *)
+let suspend_tagged t state tag n =
+  suspend_for t state n (if hooked t then hook_delay t state tag n else 0)
+
+let suspend_access t state kind addr n =
+  suspend_for t state n (if hooked t then hook_delay t state (Access_op (kind, addr)) n else 0)
+
 let work n =
   let t, state = ctx () in
   let cost = Machine.work_cost t.m ~thread:state.hw n in
   if Obs.on () then Obs.charged ~tid:state.tid ~hw:state.hw ~cycles:cost ~cls:`Work;
-  suspend (cost + take_pending state)
+  suspend_tagged t state Work_op (cost + take_pending state)
 
 (* Trace-event timing must match when the operation's effect is visible to
    other threads. The codebase's convention is mutate-then-charge for plain
@@ -336,7 +381,7 @@ let access ~cls kind addr =
   if obs then Obs.charged ~tid:state.tid ~hw:state.hw ~cycles:cost ~cls:`Mem;
   let store = match cls with Store | Release_store -> true | _ -> false in
   if store then emit_access t state cls addr;
-  suspend_tagged (Access_op (kind, addr)) (cost + take_pending state);
+  suspend_access t state kind addr (cost + take_pending state);
   if not store then emit_access t state cls addr
 
 let read addr = access ~cls:Load Machine.Read addr
@@ -356,7 +401,7 @@ let access_pipelined ~factor ~kind addr =
     match kind with Machine.Read -> Load | Machine.Write -> Store | Machine.Rmw -> Atomic
   in
   if cls = Store then emit_access t state cls addr;
-  suspend_tagged (Access_op (kind, addr)) (cost + take_pending state);
+  suspend_access t state kind addr (cost + take_pending state);
   if cls <> Store then emit_access t state cls addr
 
 let charge_read_cls cls addr =
@@ -380,22 +425,22 @@ let sync_release token =
   emit_sync t state false token
 
 let flush () =
-  let _, state = ctx () in
+  let t, state = ctx () in
   if state.pending > 0 then begin
     let n = state.pending in
     state.pending <- 0;
-    suspend n
+    suspend_tagged t state Work_op n
   end
 
 let yield () =
-  let _, state = ctx () in
-  suspend_tagged Yield_op (1 + take_pending state)
+  let t, state = ctx () in
+  suspend_tagged t state Yield_op (1 + take_pending state)
 
 let park () =
   let t, state = ctx () in
   (* settle batched traversal charges before blocking *)
   let p = take_pending state in
-  if p > 0 then suspend p;
+  if p > 0 then suspend_tagged t state Work_op p;
   state.park_gen <- state.park_gen + 1;
   if Obs.on () then Obs.park_begin ~tid:state.tid ~now:t.time;
   Effect.perform Park;
@@ -406,19 +451,19 @@ let park_for d =
   if d <= 0 then invalid_arg "Sthread.park_for";
   let t, state = ctx () in
   let p = take_pending state in
-  if p > 0 then suspend p;
+  if p > 0 then suspend_tagged t state Work_op p;
   let gen = state.park_gen + 1 in
   state.park_gen <- gen;
   state.timed_out <- false;
+  (* saturated: a deadline past every horizon never fires *)
   at t
-    ~time:(t.time + d)
+    ~time:(sat_add t.time d)
     (fun () ->
       (* wake only the park this timeout belongs to *)
-      match state.parked with
-      | Some _ when state.park_gen = gen ->
-          state.timed_out <- true;
-          ignore (unpark t ~tid:state.tid)
-      | _ -> ());
+      if state.parked && state.park_gen = gen then begin
+        state.timed_out <- true;
+        unpark_state t state
+      end);
   if Obs.on () then Obs.park_begin ~tid:state.tid ~now:t.time;
   Effect.perform Park;
   if Obs.on () then Obs.park_end ~tid:state.tid ~now:t.time;

@@ -202,7 +202,8 @@ val park_for : int -> bool
     the timeout fired first, [false] if an {!unpark} (or pending permit)
     woke the thread sooner. The epoll-with-timeout of the simulated world —
     event-loop pollers use it to alternate blocking with bounded background
-    serving (e.g. draining DPS delegation rings). *)
+    serving (e.g. draining DPS delegation rings). The deadline saturates: a
+    [d] that reaches past [max_int] never times out. *)
 
 val unpark : t -> tid:int -> bool
 (** Wake thread [tid]: resume it at the current simulated time if it is

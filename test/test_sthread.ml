@@ -422,6 +422,159 @@ let test_park_for () =
   Sthread.run s;
   Alcotest.(check (pair bool int)) "first sleep timed out at 300" (true, 300) !first
 
+(* A [park_for] timeout and another thread's [unpark] on the same cycle:
+   the event queued first wins. Parker first, its timeout wakes it and the
+   unpark leaves a permit; waker first, the unpark wakes it, the timeout
+   finds it awake and leaves nothing. *)
+let park_for_tie ~parker_first =
+  let s = mk () in
+  let parker_tid = if parker_first then 0 else 1 in
+  let first = ref (false, -1) and second = ref (false, -1) in
+  let parker () =
+    let timed = Sthread.park_for 100 in
+    first := (timed, Sthread.time ());
+    let timed = Sthread.park_for 1_000 in
+    second := (timed, Sthread.time ())
+  in
+  let waker () =
+    Sthread.work 100;
+    ignore (Sthread.unpark s ~tid:parker_tid)
+  in
+  if parker_first then begin
+    Sthread.spawn s ~hw:0 parker;
+    Sthread.spawn s ~hw:2 waker
+  end
+  else begin
+    Sthread.spawn s ~hw:2 waker;
+    Sthread.spawn s ~hw:0 parker
+  end;
+  Sthread.run s;
+  (!first, !second)
+
+let test_park_for_ties () =
+  let pair = Alcotest.(pair bool int) in
+  let first, second = park_for_tie ~parker_first:true in
+  Alcotest.check pair "parker first: timed out" (true, 100) first;
+  Alcotest.check pair "parker first: permit left" (false, 100) second;
+  let first, second = park_for_tie ~parker_first:false in
+  Alcotest.check pair "waker first: woken" (false, 100) first;
+  Alcotest.check pair "waker first: no permit" (true, 1_100) second
+
+let test_stale_timer_spares_park () =
+  let s = mk () in
+  let woken = ref [] in
+  Sthread.spawn s ~hw:0 (fun () ->
+      ignore (Sthread.park_for 1_000);
+      woken := Sthread.time () :: !woken;
+      (* the first park's timer is still queued for cycle 1000 *)
+      Sthread.park ();
+      woken := Sthread.time () :: !woken);
+  Sthread.at s ~time:100 (fun () -> ignore (Sthread.unpark s ~tid:0));
+  Sthread.at s ~time:5_000 (fun () -> ignore (Sthread.unpark s ~tid:0));
+  Sthread.run s;
+  Alcotest.(check (list int)) "woken only by unparks" [ 100; 5_000 ] (List.rev !woken)
+
+let test_kill_with_resume_pending () =
+  let s = mk () in
+  let finalized_at = ref (-1) and exited_at = ref (-1) and reached = ref false in
+  Sthread.on_exit s (fun _ -> exited_at := Sthread.now s);
+  Sthread.spawn s ~hw:0 (fun () ->
+      Fun.protect
+        ~finally:(fun () -> finalized_at := Sthread.time ())
+        (fun () ->
+          Sthread.work 500;
+          reached := true));
+  Sthread.at s ~time:100 (fun () -> ignore (Sthread.kill s ~tid:0));
+  Sthread.run s;
+  Alcotest.(check bool) "never resumed" false !reached;
+  Alcotest.(check int) "finalizer at the resume cycle" 500 !finalized_at;
+  Alcotest.(check int) "retired at the resume cycle" 500 !exited_at
+
+let test_park_for_saturates () =
+  let s = mk () in
+  let result = ref (true, -1) in
+  Sthread.spawn s ~hw:0 (fun () ->
+      Sthread.work 10;
+      let timed = Sthread.park_for max_int in
+      result := (timed, Sthread.time ()));
+  Sthread.at s ~time:100 (fun () -> ignore (Sthread.unpark s ~tid:0));
+  Sthread.run s;
+  Alcotest.(check (pair bool int)) "woken by the unpark" (false, 100) !result
+
+(* --- allocation per scheduling point ----------------------------------- *)
+
+(* Minor words allocated per call of [op], over [calls] calls in one
+   simulated thread (a partner thread, if any, runs alongside). *)
+let words_per_call ?partner op =
+  let calls = 100_000 in
+  let s = mk () in
+  let m = Sthread.machine s in
+  let a = Machine.alloc m (Machine.On_node 0) ~lines:1 in
+  let words = ref nan in
+  Sthread.spawn s ~hw:0 (fun () ->
+      (* the first call warms the line and any lazy state *)
+      op a;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        op a
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int calls);
+  Option.iter (fun f -> Sthread.spawn s ~hw:2 (fun () -> f s)) partner;
+  Sthread.run s;
+  !words
+
+(* A suspension allocates the runtime's continuation and nothing else:
+   2 words on OCaml 5.1, 4 per park/unpark round trip. The bounds leave
+   room for a runtime whose continuation is a word larger, but not for an
+   [Access_op] tag built per access (3 words) or a boxed suspension. *)
+let test_allocation_per_scheduling_point () =
+  let budget name bound op =
+    let w = words_per_call op in
+    if w > bound then Alcotest.failf "%s: %.2f minor words per call, budget %.0f" name w bound
+  in
+  budget "read" 4.0 Sthread.read;
+  budget "write" 4.0 Sthread.write;
+  budget "rmw" 4.0 Sthread.rmw;
+  budget "work" 4.0 (fun _ -> Sthread.work 10);
+  budget "yield" 4.0 (fun _ -> Sthread.yield ());
+  budget "charge_read + flush" 4.0 (fun a ->
+      Sthread.charge_read a;
+      Sthread.flush ());
+  (* a park/unpark round trip: the parker (thread 0) parks, its partner
+     unparks it and yields; both suspensions count *)
+  let w =
+    words_per_call
+      ~partner:(fun s ->
+        while Sthread.unpark s ~tid:0 do
+          Sthread.yield ()
+        done)
+      (fun _ -> Sthread.park ())
+  in
+  if w > 8.0 then Alcotest.failf "park/unpark: %.2f minor words per round trip, budget 8" w
+
+(* Nothing the scheduler keeps outlives a finished thread: what its
+   closure captured is garbage once [run] returns. *)
+let spawn_capturing s w =
+  let data = Bytes.make 64 'x' in
+  Weak.set w 0 (Some data);
+  Sthread.spawn s ~hw:0 (fun () ->
+      Sthread.work 10;
+      ignore (Sthread.park_for 1_000);
+      Sthread.park ();
+      ignore (Sys.opaque_identity data))
+[@@inline never]
+
+let test_finished_thread_collectable () =
+  let s = mk () in
+  let w = Weak.create 1 in
+  spawn_capturing s w;
+  Sthread.at s ~time:100 (fun () -> ignore (Sthread.unpark s ~tid:0));
+  Sthread.at s ~time:200 (fun () -> ignore (Sthread.unpark s ~tid:0));
+  Sthread.run s;
+  Gc.full_major ();
+  Alcotest.(check bool) "captured data collected" false (Weak.check w 0);
+  Alcotest.(check int) "none live" 0 (Sthread.live_threads s)
+
 let test_at_events () =
   let s = mk () in
   let log = ref [] in
@@ -445,6 +598,12 @@ let suite =
     ("park releases hardware thread", `Quick, test_park_releases_hardware_thread);
     ("park_for timeout", `Quick, test_park_for);
     ("at events", `Quick, test_at_events);
+    ("park_for ties with unpark", `Quick, test_park_for_ties);
+    ("stale timer spares a park", `Quick, test_stale_timer_spares_park);
+    ("kill with resume pending", `Quick, test_kill_with_resume_pending);
+    ("park_for max_int", `Quick, test_park_for_saturates);
+    ("allocation per scheduling point", `Quick, test_allocation_per_scheduling_point);
+    ("finished thread collectable", `Quick, test_finished_thread_collectable);
     ("single thread runs", `Quick, test_single_thread_runs);
     ("kill drops thread", `Quick, test_kill_drops_thread);
     ("exit terminates", `Quick, test_exit_terminates);
