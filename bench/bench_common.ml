@@ -14,6 +14,7 @@ module Ffwd = Dps_ffwd.Ffwd
 
 module type SET = Dps_ds.Set_intf.SET
 module Par = Dps_simcore.Par
+module Json = Dps_obs.Json
 
 let quick = Sys.getenv_opt "BENCH_QUICK" <> None
 
@@ -300,17 +301,7 @@ let json_begin () =
   json_first := true;
   json_section := ""
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_str s = Json.to_string (Json.Str s)
 
 (* Leak detector for the determinism contract: the JSON buffer (like all
    printing) belongs to the main domain. A point that records from inside
@@ -328,12 +319,12 @@ let json_record ~series ~x (fields : (string * float) list) =
       if not !json_first then Buffer.add_string b ",\n";
       json_first := false;
       Buffer.add_string b
-        (Printf.sprintf "  {\"section\": \"%s\", \"series\": \"%s\", \"x\": \"%s\""
-           (json_escape !json_section) (json_escape series) (json_escape x));
+        (Printf.sprintf "  {\"section\": %s, \"series\": %s, \"x\": %s" (json_str !json_section)
+           (json_str series) (json_str x));
       List.iter
         (fun (k, v) ->
           let v = if Float.is_finite v then Printf.sprintf "%.6g" v else "null" in
-          Buffer.add_string b (Printf.sprintf ", \"%s\": %s" (json_escape k) v))
+          Buffer.add_string b (Printf.sprintf ", %s: %s" (json_str k) v))
         fields;
       Buffer.add_char b '}'
 

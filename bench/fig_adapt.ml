@@ -21,7 +21,6 @@ open Bench_common
 module Machine = Dps_machine.Machine
 module Topology = Dps_machine.Topology
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 module Alloc = Dps_sthread.Alloc
 module Prng = Dps_simcore.Prng
 module Driver = Dps_workload.Driver
@@ -100,7 +99,7 @@ let run_one ~label ~mk =
     if (not hot) && tid mod 5 <> 0 then begin
       (* cool phases idle four clients in five: they keep their event-loop
          duty (drain their own partition's rings) but issue nothing *)
-      Simops.work 400;
+      Sthread.work 400;
       ignore (Dps.serve dps ~max:4)
     end
     else begin
@@ -115,8 +114,8 @@ let run_one ~label ~mk =
       in
       ignore
         (Dps.call dps ~key (fun addr ->
-             Simops.rmw addr;
-             Simops.work op_len;
+             Sthread.rmw addr;
+             Sthread.work op_len;
              0));
       (* attribute the op to the phase that retired it: a backlogged mode
          drags its unfinished ops into the next phase's ledger, which is
@@ -133,8 +132,8 @@ let run_one ~label ~mk =
       done;
       (* jittered think decorrelates the issue times — a fixed quantum
          synchronizes every client into burst arrivals at the locks *)
-      if hot then Simops.work (1_000 + Prng.int p 1_000)
-      else Simops.work (think - 1_000 + Prng.int p 2_000)
+      if hot then Sthread.work (1_000 + Prng.int p 1_000)
+      else Sthread.work (think - 1_000 + Prng.int p 2_000)
     end
   in
   let agg = measure_dps ~sched dps ~threads ~duration ~op () in
@@ -263,7 +262,7 @@ let fig_flip_kill () =
                  d.(c) <- d.(c) + 1;
                  d.(c)));
           acked.(c) <- acked.(c) + 1;
-          Simops.work 200
+          Sthread.work 200
         done;
         Dps.client_done dps;
         Dps.drain dps)

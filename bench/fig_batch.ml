@@ -20,7 +20,6 @@
 open Bench_common
 module Machine = Dps_machine.Machine
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 module Prng = Dps_simcore.Prng
 module Histogram = Dps_simcore.Histogram
 module Driver = Dps_workload.Driver
@@ -58,7 +57,7 @@ let run_window ?(config = full_config) ?(on_machine = fun (_ : Machine.t) -> ())
       Array.init window (fun _ ->
           let key = base + (nparts * Prng.int p 64) in
           Dps.execute dps ~key (fun () ->
-              Simops.work op_len;
+              Sthread.work op_len;
               0))
     in
     Array.iter (fun c -> ignore (Dps.await dps c)) pending
@@ -113,11 +112,11 @@ let run_aged ~batch_age =
     let t0 = Sthread.time () in
     Dps.execute_async dps ~key (fun () ->
         Histogram.add lat (Sthread.time () - t0);
-        Simops.work op_len;
+        Sthread.work op_len;
         0);
     (* think time between submissions keeps every stage below the full
        batch, so only the age bound publishes it *)
-    Simops.work 2000;
+    Sthread.work 2000;
     ignore (Dps.serve dps ~max:4)
   in
   let (_ : Driver.result) = measure_dps ~sched dps ~threads ~duration:default_duration ~op () in

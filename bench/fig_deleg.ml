@@ -6,7 +6,6 @@
 
 open Bench_common
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 module Prng = Dps_simcore.Prng
 module Driver = Dps_workload.Driver
 
@@ -23,7 +22,7 @@ let run ?(config = full_config) ?(on_machine = fun (_ : Dps_machine.Machine.t) -
   let m = Dps_machine.Machine.create config in
   let sched = Sthread.create m in
   let spin () =
-    if op_len > 0 then Simops.work op_len;
+    if op_len > 0 then Sthread.work op_len;
     0
   in
   let result =
@@ -42,7 +41,7 @@ let run ?(config = full_config) ?(on_machine = fun (_ : Dps_machine.Machine.t) -
           (match mode with
           | Dps_sync -> ignore (Dps.call dps ~key (fun () -> spin ()))
           | Dps_async | Ffwd_servers _ -> Dps.execute_async dps ~key (fun () -> spin ()));
-          if delay > 0 then Simops.work delay
+          if delay > 0 then Sthread.work delay
         in
         measure_dps ~sched dps ~threads ~duration ~op ()
     | Ffwd_servers servers ->
@@ -50,7 +49,7 @@ let run ?(config = full_config) ?(on_machine = fun (_ : Dps_machine.Machine.t) -
         let op ~tid:_ ~step:_ =
           let p = Sthread.self_prng () in
           ignore (Ffwd.call f ~server:(Prng.int p servers) spin);
-          if delay > 0 then Simops.work delay
+          if delay > 0 then Sthread.work delay
         in
         measure_ffwd ~sched f ~threads ~duration ~op ()
   in

@@ -12,7 +12,6 @@
 
 open Bench_common
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 module Prng = Dps_simcore.Prng
 module Driver = Dps_workload.Driver
 module Faults = Dps_faults
@@ -60,7 +59,7 @@ let run ~chaos ~duration =
     let key = Prng.int p (64 * nparts) in
     ignore
       (Dps.call dps ~key (fun () ->
-           Simops.work op_len;
+           Sthread.work op_len;
            0))
   in
   let r = measure_dps ~sched dps ~threads ~duration ~op () in

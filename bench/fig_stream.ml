@@ -21,7 +21,6 @@ module Machine = Dps_machine.Machine
 module Costs = Dps_machine.Costs
 module Sthread = Dps_sthread.Sthread
 module Driver = Dps_workload.Driver
-module Simops = Dps_sthread.Simops
 module Prng = Dps_simcore.Prng
 module Ffwd = Dps_ffwd.Ffwd
 
@@ -168,7 +167,7 @@ let run_ab_ffwd ~servers =
     for _ = 1 to Fig_batch.window do
       ignore
         (Ffwd.call f ~server (fun () ->
-             Simops.work Fig_batch.op_len;
+             Sthread.work Fig_batch.op_len;
              0))
     done
   in

@@ -161,7 +161,7 @@ module Events = struct
 
   let drain_loop t =
     while t.queue <> [] do
-      if pump t = 0 then Dps_sthread.Simops.work 64
+      if pump t = 0 then Dps_sthread.Sthread.work 64
     done
 
 end
@@ -184,12 +184,12 @@ module Pvar = struct
 
   let get (type a) (dps : a Dps.t) (t : 'b t) =
     let slot = t.(Dps.my_partition dps) in
-    if slot.addr >= 0 then Dps_sthread.Simops.read slot.addr;
+    if slot.addr >= 0 then Dps_sthread.Sthread.read slot.addr;
     slot.value
 
   let set (type a) (dps : a Dps.t) (t : 'b t) v =
     let slot = t.(Dps.my_partition dps) in
-    if slot.addr >= 0 then Dps_sthread.Simops.write slot.addr;
+    if slot.addr >= 0 then Dps_sthread.Sthread.write slot.addr;
     slot.value <- v
 
   let get_at (t : 'b t) pid = t.(pid).value

@@ -1,7 +1,6 @@
 module Machine = Dps_machine.Machine
 module Topology = Dps_machine.Topology
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 module Alloc = Dps_sthread.Alloc
 module Spinlock = Dps_sync.Spinlock
 module Cna = Dps_sync.Cna
@@ -255,7 +254,7 @@ let npartitions t = Array.length t.partitions
 let bucket_of_key t key = abs (t.hash key mod Array.length t.ns_table)
 
 let bucket_owner t ~bucket =
-  Simops.charge_read (t.ns_base + (bucket / 8));
+  Sthread.charge_read (t.ns_base + (bucket / 8));
   t.ns_table.(bucket)
 
 let partition_of_key t key = bucket_owner t ~bucket:(bucket_of_key t key)
@@ -280,7 +279,7 @@ let bump_version t ~key =
     t.n_bumps <- t.n_bumps + 1;
     (* a publishing store, charged to whichever thread applies the write:
        the serving thread under delegation, the lock holder in direct mode *)
-    Simops.write_release (t.vers_base + (s / 8))
+    Sthread.write_release (t.vers_base + (s / 8))
   end
 
 let read_version t ~key =
@@ -289,7 +288,7 @@ let read_version t ~key =
     let s = vslot t key in
     (* racy by design: a cached entry validated against a torn-stale value
        only fails conservatively (false invalidation), never serves stale *)
-    Simops.read_racy (t.vers_base + (s / 8));
+    Sthread.read_racy (t.vers_base + (s / 8));
     t.vers.(s)
   end
 
@@ -327,7 +326,7 @@ let signals t ~pid =
    when [adaptive t]: the line is read-mostly and stays shared until a
    controller flip invalidates it, so steady state costs one hot read. *)
 let current_mode t pid =
-  Simops.read t.mode_addr.(pid);
+  Sthread.read t.mode_addr.(pid);
   t.modes.(pid)
 
 (* Close a delegation's async span exactly once, at the observation that
@@ -672,7 +671,7 @@ let dispatch t ~pid ring slot =
            this slot after we crash mid-dispatch re-runs it. Safe against
            double dispatch because only a dead claimer's slot can be
            re-claimed. *)
-        Simops.work dispatch_cost;
+        Sthread.work dispatch_cost;
         e.eret <- op ();
         e.edone <- true;
         e.eop <- None;
@@ -686,7 +685,7 @@ let dispatch t ~pid ring slot =
         | Some r when r.obs_id <> 0 -> Obs.async_step ~id:r.obs_id ~now:(Sthread.time ()) "dispatch"
         | _ -> ());
         (* request unmarshalling and dispatch, per operation *)
-        Simops.work dispatch_cost;
+        Sthread.work dispatch_cost;
         e.eret <- op ();
         e.edone <- true;
         incr served
@@ -697,8 +696,8 @@ let dispatch t ~pid ring slot =
   retire t ~pid ring slot;
   ring.last_served <- Sthread.time ();
   t.last_served.(pid) <- ring.last_served;
-  if !failpoint_skip_completion_fence then Simops.write slot.maddr
-  else Simops.write_release slot.maddr;
+  if !failpoint_skip_completion_fence then Sthread.write slot.maddr
+  else Sthread.write_release slot.maddr;
   !served
 
 (* Serve the requests pending in one ring, assuming exclusive access (the
@@ -719,7 +718,7 @@ let serve_slots t ~pid ring ~budget =
   let continue_ring = ref true in
   while !continue_ring && !served < budget do
     let slot = ring.slots.(ring.recv_idx mod Array.length ring.slots) in
-    Simops.read slot.maddr;
+    Sthread.read slot.maddr;
     if not slot.toggle then continue_ring := false
     else if slot.claim >= 0 && not (Hashtbl.mem t.dead_tids slot.claim) then
       (* a live server is mid-dispatch (reachable only through a broken
@@ -819,7 +818,7 @@ let serve_backlog t pid =
 (* the runtime still interposes on local operations (§5.2 notes the
    overhead this causes for small update ratios) *)
 let local_op t pid op =
-  Simops.work (dispatch_cost / 4);
+  Sthread.work (dispatch_cost / 4);
   op t.partitions.(pid).data
 
 let run_local t pid op =
@@ -847,7 +846,7 @@ let direct_attempts = 4
 let rec direct_attempt t pid op n =
   if Cna.try_acquire t.dlocks.(pid) then begin
     ignore (serve_backlog t pid);
-    Simops.work (dispatch_cost / 4);
+    Sthread.work (dispatch_cost / 4);
     let v = op t.partitions.(pid).data in
     t.n_direct <- t.n_direct + 1;
     t.direct_pid.(pid) <- t.direct_pid.(pid) + 1;
@@ -862,7 +861,7 @@ let rec direct_attempt t pid op n =
     ignore (break_dead t pid (Cna.owner dl) (fun () -> Cna.break_lock dl));
     if n >= direct_attempts then None
     else begin
-      Simops.work (64 * n);
+      Sthread.work (64 * n);
       direct_attempt t pid op (n + 1)
     end
   end
@@ -887,7 +886,7 @@ let discard_rings t pid =
               slot.entries.(i).edone <- false
             done;
             retire t ~pid ring slot;
-            Simops.write_release slot.maddr
+            Sthread.write_release slot.maddr
           end)
         ring.slots)
     t.partitions.(pid).rings
@@ -915,7 +914,7 @@ let quiesce t pid =
             t.partitions.(pid).rings;
           stalls := 0
         end
-        else Simops.work 128
+        else Sthread.work 128
       end
     done
   end
@@ -947,14 +946,14 @@ let set_mode t ~pid target =
   match (t.modes.(pid), target) with
   | (Delegated | Draining), `Direct ->
       t.modes.(pid) <- Draining;
-      Simops.write_release t.mode_addr.(pid);
+      Sthread.write_release t.mode_addr.(pid);
       quiesce t pid;
       t.modes.(pid) <- Direct;
-      Simops.write_release t.mode_addr.(pid);
+      Sthread.write_release t.mode_addr.(pid);
       note_flip t pid Direct
   | (Direct | Draining), `Delegated ->
       t.modes.(pid) <- Delegated;
-      Simops.write_release t.mode_addr.(pid);
+      Sthread.write_release t.mode_addr.(pid);
       note_flip t pid Delegated
   | Direct, `Direct | Delegated, `Delegated -> ()
 
@@ -991,7 +990,7 @@ let publish t cl pid slot n op_at cell_at =
   let ring = t.partitions.(pid).rings.(cl.tid) in
   ring.rpending <- ring.rpending + n;
   t.pending.(pid) <- t.pending.(pid) + n;
-  Simops.write_release slot.maddr
+  Sthread.write_release slot.maddr
 
 (* Claim a free slot in this client's ring to [pid], serving own duties
    while the ring is full. Under self-healing, a ring stuck full past the
@@ -1005,10 +1004,10 @@ let rec claim_slot t cl pid =
   let due = ref (deadline t) in
   let rec try_claim () =
     let slot = ring.slots.(ring.send_idx mod Array.length ring.slots) in
-    Simops.read slot.maddr;
+    Sthread.read slot.maddr;
     if slot.toggle then begin
       (* ring full: overlap with serving (§4.3) *)
-      if serve_as t cl ~max:t.check_budget = 0 then Simops.work 64;
+      if serve_as t cl ~max:t.check_budget = 0 then Sthread.work 64;
       (* a full ring on a partition that flipped to direct mode may have
          nobody left serving it — it is our own ring, so drain it ourselves *)
       if t.modes.(pid) <> Delegated then ignore (serve_ring t ~pid ring ~budget:max_int);
@@ -1046,7 +1045,7 @@ and publish_stage t cl stage =
   in
   let slot = claim_slot t cl stage.spid in
   (* gather the staged descriptors for the group copy *)
-  Simops.charge_read stage.saddr;
+  Sthread.charge_read stage.saddr;
   (* empty the stage in the publish's atomic block, so a sender killed at
      the store leaves nothing behind to publish twice *)
   stage.sn <- 0;
@@ -1097,7 +1096,7 @@ let flush_pending t = flush_all t (me t)
 let send_direct t cl pid fop cell =
   let slot = claim_slot t cl pid in
   (* argument marshalling into the message line *)
-  Simops.work marshal_cost;
+  Sthread.work marshal_cost;
   publish t cl pid slot 1 (fun _ -> Some fop) (fun _ -> cell)
 
 (* Coalescing send: marshal into the thread-private staging line; the
@@ -1105,8 +1104,8 @@ let send_direct t cl pid fop cell =
 let stage_op t cl pid fop cell =
   let stage = t.stages.(cl.tid).(pid) in
   (* argument marshalling into the staging line (socket-local) *)
-  Simops.work marshal_cost;
-  Simops.write stage.saddr;
+  Sthread.work marshal_cost;
+  Sthread.write stage.saddr;
   if stage.sn = 0 then stage.sopened <- Sthread.time ();
   stage.sops.(stage.sn) <- Some fop;
   stage.scells.(stage.sn) <- cell;
@@ -1145,7 +1144,7 @@ let submit t cl pid op cell =
       | Some _ as v -> v
       | None when Option.is_none cell -> delegate ()
       | None ->
-          Simops.work backoff;
+          Sthread.work backoff;
           route (Int.min 1024 (backoff * 2))
   in
   if pid = cl.my_pid then Some (run_local t pid op)
@@ -1209,7 +1208,7 @@ let escalate t (r : remote) seen =
   | Staged _ | Done _ | Lost -> invalid_arg "Dps.escalate: not a published entry"
   | Flushed (slot, i) -> (
       ignore (takeover_serve t r.pid);
-      Simops.read slot.maddr;
+      Sthread.read slot.maddr;
       match r.state with
       | Flushed (s, j) when s == slot && j = i && slot.toggle ->
           let e = slot.entries.(i) in
@@ -1234,7 +1233,7 @@ let pickup r =
   match r.fresh with
   | Some s ->
       r.fresh <- None;
-      Simops.read s.maddr
+      Sthread.read s.maddr
   | None -> ()
 
 (* One observation of a remote completion, the step [try_await] and
@@ -1259,7 +1258,7 @@ let rec observe t cl r =
       flush_stage t cl stage;
       `Again
   | Flushed (slot, _) -> (
-      Simops.read slot.maddr;
+      Sthread.read slot.maddr;
       r.fresh <- None;
       match r.state with Flushed _ -> `Pending | _ -> observe t cl r)
 
@@ -1301,7 +1300,7 @@ let rec await_spin t cl r pause =
         await_spin t cl r 32
       end
       else begin
-        Simops.work pause;
+        Sthread.work pause;
         await_spin t cl r (Int.min 4096 (2 * pause))
       end
 
@@ -1379,7 +1378,7 @@ let run_poller t ~pid =
         if !served > 0 then idle_rounds := 0
         else begin
           incr idle_rounds;
-          if !idle_rounds <= 4 then Simops.work 128
+          if !idle_rounds <= 4 then Sthread.work 128
           else ignore (Sthread.park_for (Int.min 8192 (128 lsl Int.min 6 (!idle_rounds - 4))))
         end
       done)
@@ -1406,7 +1405,7 @@ let rebalance t ~bucket ~to_ ~extract ~insert =
            moved := extract data bucket;
            List.length !moved));
     t.ns_table.(bucket) <- to_;
-    Simops.write_release (t.ns_base + (bucket / 8));
+    Sthread.write_release (t.ns_base + (bucket / 8));
     List.iter
       (fun (key, value) -> ignore (call_on t ~pid:to_ (fun data -> insert data ~key ~value; 0)))
       !moved
@@ -1432,7 +1431,7 @@ let drain t =
   let cl = me t in
   flush_all t cl;
   while t.remaining > 0 do
-    if serve_as t cl ~max:t.check_budget = 0 then Simops.work 128
+    if serve_as t cl ~max:t.check_budget = 0 then Sthread.work 128
   done;
   (* No client will issue again; flush leftover (e.g. asynchronous)
      requests still sitting in this peer's share of the rings. *)
@@ -1444,7 +1443,7 @@ let drain t =
   if adaptive t then
     for pid = 0 to npartitions t - 1 do
       while t.pending.(pid) > 0 && not t.dead.(pid) do
-        if takeover_serve t pid = 0 then Simops.work 128
+        if takeover_serve t pid = 0 then Sthread.work 128
       done
     done
 

@@ -11,7 +11,7 @@
     load, while [rebalance] (cold) restores the balanced shape the
     algorithm maintains and that wins read-heavy workloads. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Optik = Dps_sync.Optik
 
@@ -38,9 +38,9 @@ let create alloc = { alloc; root = mk_node alloc min_int 0 false }
 (* racy by design: optimistic store-free traversal; updates re-validate
    via the per-node OPTIK version before committing *)
 let rec descend_from n key =
-  Simops.charge_read_racy n.addr;
+  Sthread.charge_read_racy n.addr;
   if key = n.key then begin
-    Simops.flush ();
+    Sthread.flush ();
     `Found n
   end
   else
@@ -48,7 +48,7 @@ let rec descend_from n key =
     match child with
     | Some c -> descend_from c key
     | None ->
-        Simops.flush ();
+        Sthread.flush ();
         `Slot n
 
 let rec insert t ~key ~value =
@@ -75,14 +75,14 @@ let rec insert t ~key ~value =
         let n = mk_node t.alloc key value true in
         (* releasing init publish: [n] is lockable as a parent slot the
            moment the link lands, before this writer unlocks [p] *)
-        Simops.write_release n.addr;
+        Sthread.write_release n.addr;
         if Optik.try_lock_at p.lock v then begin
           let slot_free = if key < p.key then p.left = None else p.right = None in
           if slot_free then begin
             if key < p.key then p.left <- Some n else p.right <- Some n;
             (* model the relaxed-balance repair: a rotation rewrites the
                parent's links *)
-            Simops.write p.addr;
+            Sthread.write p.addr;
             Optik.unlock p.lock;
             true
           end
@@ -128,7 +128,7 @@ let to_list t =
 (* Cold-only: rebuild the tree perfectly balanced, standing in for the
    continuous rebalancing the real algorithm performs. *)
 let rebalance t =
-  assert (not (Dps_sthread.Sthread.in_sim ()));
+  assert (not (Sthread.in_sim ()));
   let entries = Array.of_list (to_list t) in
   let root = mk_node t.alloc min_int 0 false in
   let rec build lo hi =

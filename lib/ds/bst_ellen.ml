@@ -8,7 +8,7 @@
     the record doubles as the modification stamp the original uses to avoid
     ABA. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 
 (* The [stamp] makes every update record a distinct heap block: an
@@ -73,7 +73,7 @@ let create alloc =
 (* All CASes: one charged atomic on the owner's line; the compare and the
    mutation happen together at the resume point. *)
 let cas_upd n ~expect ~state' =
-  Simops.rmw n.addr;
+  Sthread.rmw n.addr;
   if n.upd == expect then begin
     n.upd <- mk_update state';
     true
@@ -89,7 +89,7 @@ let tree_is a b =
   | Leaf _, Node _ | Node _, Leaf _ -> false
 
 let cas_child p ~old_ ~new_ =
-  Simops.rmw p.addr;
+  Sthread.rmw p.addr;
   if tree_is p.left old_ then begin
     p.left <- new_;
     true
@@ -109,15 +109,15 @@ type found = {
 }
 
 let search t key =
-  Simops.charge_read t.root.addr;
+  Sthread.charge_read t.root.addr;
   let rec go gp gpupd p pupd cur =
     match cur with
     | Leaf l ->
-        Simops.charge_read l.laddr;
-        Simops.flush ();
+        Sthread.charge_read l.laddr;
+        Sthread.flush ();
         { gp; gpupd; p; pupd; l }
     | Node n ->
-        Simops.charge_read n.addr;
+        Sthread.charge_read n.addr;
         let u = n.upd in
         go (Some p) pupd n u (if key < n.key then n.left else n.right)
   in
@@ -126,7 +126,7 @@ let search t key =
 let help_insert op =
   ignore (cas_child op.ip ~old_:(Leaf op.il) ~new_:(Node op.inew));
   (* unflag *)
-  Simops.rmw op.ip.addr;
+  Sthread.rmw op.ip.addr;
   (match op.ip.upd.state with
   | IFlag op' when op' == op -> op.ip.upd <- mk_update Clean
   | Clean | IFlag _ | DFlag _ | Mark _ -> ())
@@ -136,7 +136,7 @@ let help_marked op =
     match op.dp.left with Leaf l when l == op.dl -> op.dp.right | _ -> op.dp.left
   in
   ignore (cas_child op.dgp ~old_:(Node op.dp) ~new_:other);
-  Simops.rmw op.dgp.addr;
+  Sthread.rmw op.dgp.addr;
   match op.dgp.upd.state with
   | DFlag op' when op' == op -> op.dgp.upd <- mk_update Clean
   | Clean | IFlag _ | DFlag _ | Mark _ -> ()
@@ -147,14 +147,14 @@ let help_delete op =
     true
   end
   else begin
-    Simops.read op.dp.addr;
+    Sthread.read op.dp.addr;
     match op.dp.upd.state with
     | Mark op' when op' == op ->
         help_marked op;
         true
     | Clean | IFlag _ | DFlag _ | Mark _ ->
         (* backtrack: unflag the grandparent *)
-        Simops.rmw op.dgp.addr;
+        Sthread.rmw op.dgp.addr;
         (match op.dgp.upd.state with
         | DFlag op' when op' == op -> op.dgp.upd <- mk_update Clean
         | Clean | IFlag _ | DFlag _ | Mark _ -> ());
@@ -177,19 +177,19 @@ let rec insert t ~key ~value =
   end
   else begin
     let nl = mk_leaf t.alloc key value in
-    Simops.write nl.laddr;
+    Sthread.write nl.laddr;
     let ni =
       if key < s.l.lkey then mk_internal t.alloc s.l.lkey (Leaf nl) (Leaf s.l)
       else mk_internal t.alloc key (Leaf s.l) (Leaf nl)
     in
-    Simops.write ni.addr;
+    Sthread.write ni.addr;
     let op = { ip = s.p; il = s.l; inew = ni } in
     if cas_upd s.p ~expect:s.pupd ~state':(IFlag op) then begin
       help_insert op;
       true
     end
     else begin
-      Simops.read s.p.addr;
+      Sthread.read s.p.addr;
       help s.p.upd;
       insert t ~key ~value
     end
@@ -214,7 +214,7 @@ let rec remove t key =
         if help_delete op then true else remove t key
       end
       else begin
-        Simops.read gp.addr;
+        Sthread.read gp.addr;
         help gp.upd;
         remove t key
       end

@@ -8,7 +8,7 @@
     profile — cheap in-place updates, read-only lookups, trees that only
     grow structurally. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 
 type node = {
@@ -32,9 +32,9 @@ let create alloc = { alloc; root = mk_node alloc min_int 0 false }
 (* Descend to the node holding [key], or to the parent under which it
    belongs. Pure charged reads. *)
 let rec descend_from n key =
-  Simops.charge_read n.addr;
+  Sthread.charge_read n.addr;
   if key = n.key then begin
-    Simops.flush ();
+    Sthread.flush ();
     `Found n
   end
   else
@@ -42,7 +42,7 @@ let rec descend_from n key =
     match child with
     | Some c -> descend_from c key
     | None ->
-        Simops.flush ();
+        Sthread.flush ();
         `Slot n
 
 let rec insert t ~key ~value =
@@ -51,7 +51,7 @@ let rec insert t ~key ~value =
       if n.present then false
       else begin
         (* revive the tombstone *)
-        Simops.rmw n.addr;
+        Sthread.rmw n.addr;
         if n.present then false
         else begin
           n.value <- value;
@@ -61,8 +61,8 @@ let rec insert t ~key ~value =
       end
   | `Slot p ->
       let n = mk_node t.alloc key value true in
-      Simops.write n.addr;
-      Simops.rmw p.addr;
+      Sthread.write n.addr;
+      Sthread.rmw p.addr;
       let slot_free = if key < p.key then p.left = None else p.right = None in
       if slot_free then begin
         if key < p.key then p.left <- Some n else p.right <- Some n;
@@ -77,7 +77,7 @@ let remove t key =
   | `Found n ->
       if not n.present then false
       else begin
-        Simops.rmw n.addr;
+        Sthread.rmw n.addr;
         if n.present then begin
           n.present <- false;
           true

@@ -6,7 +6,7 @@
     node(s) and re-validate the links before mutating. This is also the
     structure DPS uses inside each locality for the bst experiments. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Ticket = Dps_sync.Ticket
 
@@ -44,15 +44,15 @@ let create alloc =
 let search t key =
   (* racy by design: store-free traversal; updaters re-validate the links
      under the node ticket locks before mutating *)
-  Simops.charge_read_racy t.super.addr;
+  Sthread.charge_read_racy t.super.addr;
   let rec go gp p cur =
     match cur with
     | Leaf l ->
-        Simops.charge_read_racy l.laddr;
-        Simops.flush ();
+        Sthread.charge_read_racy l.laddr;
+        Sthread.flush ();
         (gp, p, l)
     | Node n ->
-        Simops.charge_read_racy n.addr;
+        Sthread.charge_read_racy n.addr;
         go p n (if key < n.key then n.left else n.right)
   in
   go t.super t.super t.super.left
@@ -84,16 +84,16 @@ let rec insert t ~key ~value =
     end
     else begin
       let nl = mk_leaf t.alloc key value in
-      Simops.write nl.laddr;
+      Sthread.write nl.laddr;
       let ni =
         if key < l.lkey then mk_internal t.alloc l.lkey (Leaf nl) (Leaf l)
         else mk_internal t.alloc key (Leaf l) (Leaf nl)
       in
       (* releasing init publish: [ni] is lockable as a parent the moment
          the link lands, before this writer releases [p.lock] *)
-      Simops.write_release ni.addr;
+      Sthread.write_release ni.addr;
       replace_child p ~old_:l ~new_:(Node ni);
-      Simops.write p.addr;
+      Sthread.write p.addr;
       Ticket.release p.lock;
       true
     end
@@ -114,11 +114,11 @@ let rec remove t key =
     else begin
       let sibling = match p.left with Leaf l' when l' == l -> p.right | _ -> p.left in
       p.removed <- true;
-      Simops.write p.addr;
+      Sthread.write p.addr;
       (match gp.left with
       | Node n when n == p -> gp.left <- sibling
       | _ -> gp.right <- sibling);
-      Simops.write gp.addr;
+      Sthread.write gp.addr;
       Ticket.release p.lock;
       Ticket.release gp.lock;
       true

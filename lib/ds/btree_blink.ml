@@ -11,7 +11,7 @@
    take the same per-node locks. A node spans ceil(capacity/8) cache
    lines. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Spinlock = Dps_sync.Spinlock
 
@@ -61,7 +61,7 @@ let create alloc =
 (* racy by design: Lehman-Yao readers descend without locks and recover
    from concurrent splits via the high key and right link; writers
    re-validate ([chase], range checks) after locking *)
-let touch n = Simops.charge_read_racy n.addr
+let touch n = Sthread.charge_read_racy n.addr
 
 (* index of the first key >= key *)
 let lower_bound n key =
@@ -95,13 +95,13 @@ let descend t key =
     end
   in
   let leaf = go t.root in
-  Simops.flush ();
+  Sthread.flush ();
   leaf
 
 let lookup t key =
   let leaf = descend t key in
   let leaf = chase leaf key in
-  Simops.flush ();
+  Sthread.flush ();
   let i = lower_bound leaf key in
   if i < leaf.nkeys && leaf.keys.(i) = key then Some leaf.values.(i) else None
 
@@ -119,7 +119,7 @@ let insert_slot n i key value child =
   n.values.(i) <- value;
   if not n.leaf then n.children.(i + 1) <- child;
   n.nkeys <- n.nkeys + 1;
-  Simops.write n.addr
+  Sthread.write n.addr
 
 (* Split a locked full node; returns (separator, new right node). *)
 let split t n =
@@ -153,8 +153,8 @@ let split t n =
   n.right <- Some r;
   (* releasing publish: [r] is reachable (and lockable) the moment the
      right link lands, before this writer releases any lock *)
-  Simops.write_release r.addr;
-  Simops.write n.addr;
+  Sthread.write_release r.addr;
+  Sthread.write n.addr;
   (sep, r)
 
 (* Find the parent of the node covering [sep] at level [lvl] (root = height). *)
@@ -174,7 +174,7 @@ let find_parent t sep lvl =
   in
   touch t.root;
   let p = go t.root t.height in
-  Simops.flush ();
+  Sthread.flush ();
   p
 
 (* Propagate a split upward: insert (sep, right) into the parent at [lvl],
@@ -190,7 +190,7 @@ let rec complete_split t ~lvl ~sep ~right ~from =
       new_root.children.(0) <- Some from;
       new_root.children.(1) <- Some right;
       (* releasing publish: the new root is reachable immediately *)
-      Simops.write_release new_root.addr;
+      Sthread.write_release new_root.addr;
       t.root <- new_root;
       t.height <- t.height + 1;
       Spinlock.release t.grow_lock
@@ -264,7 +264,7 @@ let rec remove t key =
       done;
       leaf.nkeys <- leaf.nkeys - 1;
       leaf.keys.(leaf.nkeys) <- max_int;
-      Simops.write leaf.addr;
+      Sthread.write leaf.addr;
       Spinlock.release leaf.lock;
       true
     end

@@ -3,7 +3,7 @@
     line per bucket; the lock shares the bucket's line, exactly as
     fine-grained-locked tables lay it out. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Spinlock = Dps_sync.Spinlock
 
@@ -37,19 +37,19 @@ let insert t ~key ~value =
   let rec walk = function
     | None -> None
     | Some n ->
-        Simops.charge_read n.addr;
+        Sthread.charge_read n.addr;
         if n.key = key then Some n else walk n.next
   in
   let found = walk b.chain in
-  Simops.flush ();
+  Sthread.flush ();
   let result =
     match found with
     | Some _ -> false
     | None ->
         let n = { key; value; addr = Alloc.line t.alloc; next = b.chain } in
-        Simops.write n.addr;
+        Sthread.write n.addr;
         b.chain <- Some n;
-        Simops.write b.baddr;
+        Sthread.write b.baddr;
         true
   in
   Spinlock.release b.lock;
@@ -61,22 +61,22 @@ let remove t key =
   let rec unlink prev = function
     | None -> false
     | Some n ->
-        Simops.charge_read n.addr;
+        Sthread.charge_read n.addr;
         if n.key = key then begin
-          Simops.flush ();
+          Sthread.flush ();
           (match prev with
           | None ->
               b.chain <- n.next;
-              Simops.write b.baddr
+              Sthread.write b.baddr
           | Some p ->
               p.next <- n.next;
-              Simops.write p.addr);
+              Sthread.write p.addr);
           true
         end
         else unlink (Some n) n.next
   in
   let result = unlink None b.chain in
-  Simops.flush ();
+  Sthread.flush ();
   Spinlock.release b.lock;
   result
 
@@ -84,15 +84,15 @@ let lookup t key =
   (* racy by design: the read path takes no lock (memcached-style); it may
      observe a bucket mid-update, which chain walking tolerates *)
   let b = t.buckets.(bucket_of t key) in
-  Simops.charge_read_racy b.baddr;
+  Sthread.charge_read_racy b.baddr;
   let rec walk = function
     | None -> None
     | Some n ->
-        Simops.charge_read_racy n.addr;
+        Sthread.charge_read_racy n.addr;
         if n.key = key then Some n.value else walk n.next
   in
   let r = walk b.chain in
-  Simops.flush ();
+  Sthread.flush ();
   r
 
 let update t ~key ~value =
@@ -101,17 +101,17 @@ let update t ~key ~value =
   let rec walk = function
     | None -> false
     | Some n ->
-        Simops.charge_read n.addr;
+        Sthread.charge_read n.addr;
         if n.key = key then begin
           n.value <- value;
-          Simops.flush ();
-          Simops.write n.addr;
+          Sthread.flush ();
+          Sthread.write n.addr;
           true
         end
         else walk n.next
   in
   let r = walk b.chain in
-  Simops.flush ();
+  Sthread.flush ();
   Spinlock.release b.lock;
   r
 

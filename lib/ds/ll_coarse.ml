@@ -2,7 +2,7 @@
     baseline. The simplest possible implementation: every operation holds
     the lock for its whole traversal. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Mcs = Dps_sync.Mcs
 
@@ -21,12 +21,12 @@ let create alloc =
 
 (* Walk to the first node with key >= [key]; charges one read per hop. *)
 let search t key =
-  Simops.charge_read t.head.addr;
+  Sthread.charge_read t.head.addr;
   let rec go pred =
     match pred.next with
     | None -> (pred, None)
     | Some curr ->
-        Simops.charge_read curr.addr;
+        Sthread.charge_read curr.addr;
         if curr.key >= key then (pred, Some curr) else go curr
   in
   go t.head
@@ -39,12 +39,12 @@ let insert t ~key ~value =
     | Some c when c.key = key -> false
     | _ ->
         let n = { key; value; addr = Alloc.line t.alloc; next = curr } in
-        Simops.write n.addr;
+        Sthread.write n.addr;
         pred.next <- Some n;
-        Simops.write pred.addr;
+        Sthread.write pred.addr;
         true
   in
-  Simops.flush ();
+  Sthread.flush ();
   Mcs.release t.lock;
   result
 
@@ -55,11 +55,11 @@ let remove t key =
     match curr with
     | Some c when c.key = key ->
         pred.next <- c.next;
-        Simops.write pred.addr;
+        Sthread.write pred.addr;
         true
     | Some _ | None -> false
   in
-  Simops.flush ();
+  Sthread.flush ();
   Mcs.release t.lock;
   result
 
@@ -67,7 +67,7 @@ let lookup t key =
   Mcs.acquire t.lock;
   let _, curr = search t key in
   let result = match curr with Some c when c.key = key -> Some c.value | Some _ | None -> None in
-  Simops.flush ();
+  Sthread.flush ();
   Mcs.release t.lock;
   result
 

@@ -3,7 +3,7 @@
     in the node's cache line, logical marking before physical unlink,
     post-lock validation. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Spinlock = Dps_sync.Spinlock
 
@@ -31,10 +31,10 @@ let create alloc =
 (* Unsynchronized traversal: returns (pred, curr) with
    pred.key < key <= curr.key. Both may be stale; callers validate. *)
 let search t key =
-  Simops.charge_read_racy t.head.addr;
+  Sthread.charge_read_racy t.head.addr;
   let rec go pred =
     let curr = Option.get pred.next in
-    Simops.charge_read_racy curr.addr;
+    Sthread.charge_read_racy curr.addr;
     if curr.key >= key then (pred, curr) else go curr
   in
   go t.head
@@ -45,7 +45,7 @@ let validate pred curr = (not pred.marked) && (not curr.marked) && points_to pre
 
 let rec insert t ~key ~value =
   let pred, curr = search t key in
-  Simops.flush ();
+  Sthread.flush ();
   Spinlock.acquire pred.lock;
   Spinlock.acquire curr.lock;
   if validate pred curr then begin
@@ -55,9 +55,9 @@ let rec insert t ~key ~value =
         let n = mk_node t.alloc key value (Some curr) in
         (* releasing init publish: [n] is lockable as a predecessor the
            moment the link lands, before this writer releases its locks *)
-        Simops.write_release n.addr;
+        Sthread.write_release n.addr;
         pred.next <- Some n;
-        Simops.write pred.addr;
+        Sthread.write pred.addr;
         true
       end
     in
@@ -73,7 +73,7 @@ let rec insert t ~key ~value =
 
 let rec remove t key =
   let pred, curr = search t key in
-  Simops.flush ();
+  Sthread.flush ();
   if curr.key <> key then false
   else begin
     Spinlock.acquire pred.lock;
@@ -83,9 +83,9 @@ let rec remove t key =
         if curr.key <> key then false
         else begin
           curr.marked <- true;
-          Simops.write curr.addr;
+          Sthread.write curr.addr;
           pred.next <- curr.next;
-          Simops.write pred.addr;
+          Sthread.write pred.addr;
           true
         end
       in
@@ -103,7 +103,7 @@ let rec remove t key =
 (* Wait-free: no locks, no retries. *)
 let lookup t key =
   let _, curr = search t key in
-  Simops.flush ();
+  Sthread.flush ();
   if curr.key = key && not curr.marked then Some curr.value else None
 
 let to_list t =

@@ -6,7 +6,7 @@
     comparison and mutation performed at a single scheduling point. Searches
     physically unlink marked nodes they encounter, as in the original. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 
 type node = {
@@ -35,7 +35,7 @@ let failpoint_drop_cas_retry = ref false
 (* CAS of [n]'s (next, marked) pair. [expect] is the node [n.next] is
    expected to point at (nodes are unique, options are compared unwrapped). *)
 let cas_next n ~expect ~expect_marked ~next ~marked =
-  Simops.rmw n.addr;
+  Sthread.rmw n.addr;
   let next_matches = match n.next with Some c -> c == expect | None -> false in
   if next_matches && n.marked = expect_marked then begin
     n.next <- next;
@@ -50,12 +50,12 @@ exception Restart
    nodes seen on the way. Restarts if an unlink CAS fails. *)
 let rec search t key =
   try
-    Simops.charge_read t.head.addr;
+    Sthread.charge_read t.head.addr;
     let rec go pred =
       let curr = Option.get pred.next in
-      Simops.charge_read curr.addr;
+      Sthread.charge_read curr.addr;
       if curr.marked then begin
-        Simops.flush ();
+        Sthread.flush ();
         (* help unlink; pred must still be unmarked and point at curr *)
         if not (cas_next pred ~expect:curr ~expect_marked:false ~next:curr.next ~marked:false)
         then raise Restart;
@@ -65,7 +65,7 @@ let rec search t key =
       else go curr
     in
     let r = go t.head in
-    Simops.flush ();
+    Sthread.flush ();
     r
   with Restart -> search t key
 
@@ -74,7 +74,7 @@ let rec insert t ~key ~value =
   if curr.key = key then false
   else begin
     let n = mk_node t.alloc key value (Some curr) in
-    Simops.write n.addr;
+    Sthread.write n.addr;
     if cas_next pred ~expect:curr ~expect_marked:false ~next:(Some n) ~marked:false then true
     else if !failpoint_drop_cas_retry then false
     else insert t ~key ~value
@@ -96,14 +96,14 @@ let rec remove t key =
 
 (* Wait-free in the original sense: a plain traversal with a final check. *)
 let lookup t key =
-  Simops.charge_read t.head.addr;
+  Sthread.charge_read t.head.addr;
   let rec go n =
     let curr = Option.get n.next in
-    Simops.charge_read curr.addr;
+    Sthread.charge_read curr.addr;
     if curr.key >= key then curr else go curr
   in
   let curr = go t.head in
-  Simops.flush ();
+  Sthread.flush ();
   if curr.key = key && not curr.marked then Some curr.value else None
 
 let to_list t =

@@ -2,7 +2,7 @@
     PPoPP'16): optimistic unsynchronized traversal, then a version-validating
     try-lock on the predecessor replaces the usual lock-then-validate dance. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Optik = Dps_sync.Optik
 
@@ -32,9 +32,9 @@ let create alloc =
 let search t key =
   let rec go pred vpred =
     let curr = Option.get pred.next in
-    Simops.charge_read curr.addr;
+    Sthread.charge_read curr.addr;
     if curr.key >= key then begin
-      Simops.flush ();
+      Sthread.flush ();
       (pred, vpred, curr)
     end
     else go curr (Optik.get_version curr.lock)
@@ -57,7 +57,7 @@ let rec insert t ~key ~value =
     end
     else begin
       let n = mk_node t.alloc key value (Some curr) in
-      Simops.write n.addr;
+      Sthread.write n.addr;
       pred.next <- Some n;
       (* the unlock's version bump publishes the change *)
       Optik.unlock pred.lock;

@@ -4,7 +4,7 @@
     with broadcast (see {!Dps_adapters.Queue}); this is the per-partition
     implementation and the shared baseline. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 
 type node = { value : int; stamp : int; addr : int; mutable next : node option }
@@ -17,7 +17,7 @@ type t = {
   mutable tail : node;
 }
 
-let now_stamp () = if Dps_sthread.Sthread.in_sim () then Dps_sthread.Sthread.time () else 0
+let now_stamp () = if Sthread.in_sim () then Sthread.time () else 0
 
 let create alloc =
   let sentinel = { value = 0; stamp = 0; addr = Alloc.line alloc; next = None } in
@@ -31,46 +31,46 @@ let create alloc =
 
 let rec enqueue t value =
   let n = { value; stamp = now_stamp (); addr = Alloc.line t.alloc; next = None } in
-  Simops.write n.addr;
-  Simops.read t.tail_addr;
+  Sthread.write n.addr;
+  Sthread.read t.tail_addr;
   let last = t.tail in
-  Simops.charge_read last.addr;
+  Sthread.charge_read last.addr;
   match last.next with
   | Some _ ->
       (* tail lagging: help swing it *)
-      Simops.rmw t.tail_addr;
+      Sthread.rmw t.tail_addr;
       (match (t.tail == last, last.next) with
       | true, Some nxt -> t.tail <- nxt
       | _, Some _ | _, None -> ());
       enqueue t value
   | None ->
       (* link at the end: CAS on last.next *)
-      Simops.rmw last.addr;
+      Sthread.rmw last.addr;
       if last.next = None then begin
         last.next <- Some n;
         (* swing tail (may fail benignly) *)
-        Simops.rmw t.tail_addr;
+        Sthread.rmw t.tail_addr;
         if t.tail == last then t.tail <- n
       end
       else enqueue t value
 
 let rec dequeue t =
-  Simops.read t.head_addr;
+  Sthread.read t.head_addr;
   let first = t.head in
-  Simops.charge_read first.addr;
+  Sthread.charge_read first.addr;
   match first.next with
   | None ->
-      Simops.flush ();
+      Sthread.flush ();
       None
   | Some candidate ->
-      Simops.charge_read candidate.addr;
+      Sthread.charge_read candidate.addr;
       (* CAS head from first to candidate *)
-      Simops.rmw t.head_addr;
+      Sthread.rmw t.head_addr;
       if t.head == first then begin
         t.head <- candidate;
         (* keep tail ahead of head *)
         if t.tail == first then begin
-          Simops.rmw t.tail_addr;
+          Sthread.rmw t.tail_addr;
           if t.tail == first then t.tail <- candidate
         end;
         Some candidate.value
@@ -78,22 +78,22 @@ let rec dequeue t =
       else dequeue t
 
 let peek t =
-  Simops.read t.head_addr;
+  Sthread.read t.head_addr;
   match t.head.next with
   | None -> None
   | Some n ->
-      Simops.charge_read n.addr;
-      Simops.flush ();
+      Sthread.charge_read n.addr;
+      Sthread.flush ();
       Some n.value
 
 (** Enqueue time of the current front (for the DPS broadcast dequeue). *)
 let peek_stamp t =
-  Simops.read t.head_addr;
+  Sthread.read t.head_addr;
   match t.head.next with
   | None -> None
   | Some n ->
-      Simops.charge_read n.addr;
-      Simops.flush ();
+      Sthread.charge_read n.addr;
+      Sthread.flush ();
       Some n.stamp
 
 let size t =

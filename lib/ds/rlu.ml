@@ -9,7 +9,6 @@
     deferred reclamation safe, so unlink-then-quiesce preserves reader
     safety exactly as RLU's log write-back does. *)
 
-module Simops = Dps_sthread.Simops
 module Alloc = Dps_sthread.Alloc
 module Sthread = Dps_sthread.Sthread
 
@@ -38,30 +37,30 @@ let my_slot t =
 
 let reader_lock t =
   let s = my_slot t in
-  Simops.read t.gaddr;
+  Sthread.read t.gaddr;
   s.local_clock <- t.gclock;
   s.active <- true;
   (* releasing publish: [synchronize]'s quiescence poll reads this slot *)
-  Simops.write_release s.saddr
+  Sthread.write_release s.saddr
 
 let reader_unlock t =
   let s = my_slot t in
   s.active <- false;
   (* releasing publish: the grace-period waiter takes its HB edge from here *)
-  Simops.write_release s.saddr
+  Sthread.write_release s.saddr
 
 (** Writer-side grace period: advance the clock and wait until no reader is
     still running under the old clock. The caller must have ended its own
     read section (see {!writer_end}). *)
 let synchronize t =
-  Simops.rmw t.gaddr;
+  Sthread.rmw t.gaddr;
   t.gclock <- t.gclock + 1;
   let target = t.gclock in
   List.iter
     (fun s ->
       let b = Dps_sync.Backoff.create ~initial:32 ~cap:4096 () in
       let rec wait () =
-        Simops.read s.saddr;
+        Sthread.read s.saddr;
         if s.active && s.local_clock < target then begin
           Dps_sync.Backoff.once b;
           wait ()

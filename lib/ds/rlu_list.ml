@@ -3,7 +3,7 @@
     updates try-lock the affected nodes (aborting and retrying on conflict,
     as rlu_abort does) and pay a full grace period before returning. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Spinlock = Dps_sync.Spinlock
 
@@ -32,14 +32,14 @@ let search t key =
   (* racy by design: RLU read sections run concurrently with writers (the
      grace period, not ordering, protects readers); updaters re-validate
      after try-locking *)
-  Simops.charge_read_racy t.head.addr;
+  Sthread.charge_read_racy t.head.addr;
   let rec go pred =
     let curr = Option.get pred.next in
-    Simops.charge_read_racy curr.addr;
+    Sthread.charge_read_racy curr.addr;
     if curr.key >= key then (pred, curr) else go curr
   in
   let r = go t.head in
-  Simops.flush ();
+  Sthread.flush ();
   r
 
 let lookup t key =
@@ -59,7 +59,7 @@ let rec insert t ~key ~value =
   else if not (Spinlock.try_acquire pred.lock) then begin
     (* rlu_abort: end the section and retry *)
     Rlu.reader_unlock t.rlu;
-    Simops.work 64;
+    Sthread.work 64;
     insert t ~key ~value
   end
   else if pred.removed || not (match pred.next with Some c -> c == curr | None -> false) then begin
@@ -71,9 +71,9 @@ let rec insert t ~key ~value =
     let n = mk_node t.alloc key value (Some curr) in
     (* releasing init publish: [n] is try-lockable as a predecessor the
        moment the link lands, before this writer releases [pred.lock] *)
-    Simops.write_release n.addr;
+    Sthread.write_release n.addr;
     pred.next <- Some n;
-    Simops.write pred.addr;
+    Sthread.write pred.addr;
     Rlu.writer_end_and_synchronize t.rlu;
     Spinlock.release pred.lock;
     true
@@ -88,13 +88,13 @@ let rec remove t key =
   end
   else if not (Spinlock.try_acquire pred.lock) then begin
     Rlu.reader_unlock t.rlu;
-    Simops.work 64;
+    Sthread.work 64;
     remove t key
   end
   else if not (Spinlock.try_acquire curr.lock) then begin
     Spinlock.release pred.lock;
     Rlu.reader_unlock t.rlu;
-    Simops.work 64;
+    Sthread.work 64;
     remove t key
   end
   else if
@@ -108,9 +108,9 @@ let rec remove t key =
   end
   else begin
     curr.removed <- true;
-    Simops.write curr.addr;
+    Sthread.write curr.addr;
     pred.next <- curr.next;
-    Simops.write pred.addr;
+    Sthread.write pred.addr;
     (* grace period before the node may be reclaimed *)
     Rlu.writer_end_and_synchronize t.rlu;
     Spinlock.release curr.lock;

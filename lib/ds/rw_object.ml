@@ -3,7 +3,7 @@
     given number of the object's lines — the knobs behind Figures 7 and 8
     (working-set size and coherence traffic). *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Machine = Dps_machine.Machine
 
@@ -34,12 +34,12 @@ let operate t i =
   let o = t.objects.(i) in
   for l = 0 to o.nlines - 1 do
     if l < t.write_lines then begin
-      Simops.read (o.base + l);
-      Simops.write (o.base + l)
+      Sthread.read (o.base + l);
+      Sthread.write (o.base + l)
     end
-    else Simops.charge_read (o.base + l)
+    else Sthread.charge_read (o.base + l)
   done;
-  Simops.flush ()
+  Sthread.flush ()
 
 (** Read-modify-write of a random [window] of object [i]'s lines — the
     Table 2 access pattern: a huge resident object of which each operation
@@ -48,24 +48,24 @@ let operate_window t i ~window =
   let o = t.objects.(i) in
   let window = min window o.nlines in
   let start =
-    if Dps_sthread.Sthread.in_sim () then
-      let p = Dps_sthread.Sthread.self_prng () in
+    if Sthread.in_sim () then
+      let p = Sthread.self_prng () in
       Dps_simcore.Prng.int p (max 1 (o.nlines - window + 1))
     else 0
   in
   for l = start to start + window - 1 do
     if l - start < t.write_lines then begin
-      Simops.read (o.base + l);
-      Simops.write (o.base + l)
+      Sthread.read (o.base + l);
+      Sthread.write (o.base + l)
     end
-    else Simops.charge_read (o.base + l)
+    else Sthread.charge_read (o.base + l)
   done;
-  Simops.flush ()
+  Sthread.flush ()
 
 (** Read-only scan of object [i]. *)
 let scan t i =
   let o = t.objects.(i) in
   for l = 0 to o.nlines - 1 do
-    Simops.charge_read (o.base + l)
+    Sthread.charge_read (o.base + l)
   done;
-  Simops.flush ()
+  Sthread.flush ()

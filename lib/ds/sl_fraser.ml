@@ -7,7 +7,6 @@
     link is the linearization point of insertion; upper levels are
     best-effort index shortcuts, exactly as in the original. *)
 
-module Simops = Dps_sthread.Simops
 module Alloc = Dps_sthread.Alloc
 module Prng = Dps_simcore.Prng
 module Sthread = Dps_sthread.Sthread
@@ -48,7 +47,7 @@ let points_to pred lvl expect =
    mark-in-pointer of the original: a marked predecessor's links are
    frozen). [expect] is the node currently linked. *)
 let cas_next pred lvl ~expect ~next =
-  Simops.rmw pred.addr;
+  Sthread.rmw pred.addr;
   if (not pred.marked) && points_to pred lvl expect then begin
     pred.next.(lvl) <- next;
     true
@@ -58,7 +57,7 @@ let cas_next pred lvl ~expect ~next =
 (* Allow self-unlinking from a marked predecessor (cleanup must be able to
    proceed through chains of marked nodes). *)
 let cas_next_cleanup pred lvl ~expect ~next =
-  Simops.rmw pred.addr;
+  Sthread.rmw pred.addr;
   if points_to pred lvl expect then begin
     pred.next.(lvl) <- next;
     true
@@ -72,15 +71,15 @@ exception Restart
    observation time). *)
 let rec find t key preds succs =
   try
-    Simops.charge_read t.head.addr;
+    Sthread.charge_read t.head.addr;
     let pred = ref t.head in
     for lvl = max_level - 1 downto 0 do
       let continue_level = ref true in
       while !continue_level do
         let curr = Option.get !pred.next.(lvl) in
-        Simops.charge_read curr.addr;
+        Sthread.charge_read curr.addr;
         if curr.marked && curr != t.tail then begin
-          Simops.flush ();
+          Sthread.flush ();
           if not (cas_next_cleanup !pred lvl ~expect:curr ~next:curr.next.(lvl)) then
             raise Restart
         end
@@ -92,7 +91,7 @@ let rec find t key preds succs =
         end
       done
     done;
-    Simops.flush ()
+    Sthread.flush ()
   with Restart -> find t key preds succs
 
 let rec insert t ~key ~value =
@@ -105,7 +104,7 @@ let rec insert t ~key ~value =
     for l = 0 to level - 1 do
       n.next.(l) <- Some succs.(l)
     done;
-    Simops.write n.addr;
+    Sthread.write n.addr;
     if not (cas_next preds.(0) 0 ~expect:succs.(0) ~next:(Some n)) then insert t ~key ~value
     else begin
       (* link the index levels; abandon if the node gets deleted meanwhile *)
@@ -117,7 +116,7 @@ let rec insert t ~key ~value =
           find t key preds succs;
           if succs.(lvl) == n then incr l (* a helper linked it *)
           else begin
-            Simops.rmw n.addr;
+            Sthread.rmw n.addr;
             if n.marked then l := level else n.next.(lvl) <- Some succs.(lvl)
           end
         end
@@ -132,7 +131,7 @@ let remove t key =
   let victim = succs.(0) in
   if victim.key <> key then false
   else begin
-    Simops.rmw victim.addr;
+    Sthread.rmw victim.addr;
     if victim.marked then false
     else begin
       victim.marked <- true;
@@ -144,59 +143,59 @@ let remove t key =
 
 (* Wait-free: plain traversal, no helping. *)
 let lookup t key =
-  Simops.charge_read t.head.addr;
+  Sthread.charge_read t.head.addr;
   let pred = ref t.head in
   for lvl = max_level - 1 downto 0 do
     let continue_level = ref true in
     while !continue_level do
       let curr = Option.get !pred.next.(lvl) in
-      Simops.charge_read curr.addr;
+      Sthread.charge_read curr.addr;
       if curr.key < key then pred := curr else continue_level := false
     done
   done;
   let curr = Option.get !pred.next.(0) in
-  Simops.flush ();
+  Sthread.flush ();
   if curr.key = key && not curr.marked then Some curr.value else None
 
 (* Priority-queue entry points (Shavit & Lotan build directly on this
    structure; see {!Pq_shavit}). *)
 
 let peek_min t =
-  Simops.charge_read t.head.addr;
+  Sthread.charge_read t.head.addr;
   let rec go n =
     match n.next.(0) with
     | None -> None
     | Some c ->
-        Simops.charge_read c.addr;
+        Sthread.charge_read c.addr;
         if c == t.tail then begin
-          Simops.flush ();
+          Sthread.flush ();
           None
         end
         else if c.marked then go c
         else begin
-          Simops.flush ();
+          Sthread.flush ();
           Some (c.key, c.value)
         end
   in
   go t.head
 
 let rec remove_min t =
-  Simops.charge_read t.head.addr;
+  Sthread.charge_read t.head.addr;
   let rec first_unmarked n =
     match n.next.(0) with
     | None -> None
     | Some c ->
-        Simops.charge_read c.addr;
+        Sthread.charge_read c.addr;
         if c == t.tail then None
         else if c.marked then first_unmarked c
         else Some c
   in
   match first_unmarked t.head with
   | None ->
-      Simops.flush ();
+      Sthread.flush ();
       None
   | Some c ->
-      Simops.rmw c.addr;
+      Sthread.rmw c.addr;
       if c.marked then remove_min t
       else begin
         c.marked <- true;

@@ -4,7 +4,6 @@
     key order, which makes lock acquisition deadlock-free), validate, then
     link or unlink. *)
 
-module Simops = Dps_sthread.Simops
 module Alloc = Dps_sthread.Alloc
 module Prng = Dps_simcore.Prng
 module Sthread = Dps_sthread.Sthread
@@ -57,14 +56,14 @@ let random_level t =
    and fills preds/succs. *)
 let find t key preds succs =
   (* racy by design: wait-free search; updaters re-validate under locks *)
-  Simops.charge_read_racy t.head.addr;
+  Sthread.charge_read_racy t.head.addr;
   let lfound = ref (-1) in
   let pred = ref t.head in
   for lvl = max_level - 1 downto 0 do
     let continue_level = ref true in
     while !continue_level do
       let curr = Option.get !pred.next.(lvl) in
-      Simops.charge_read_racy curr.addr;
+      Sthread.charge_read_racy curr.addr;
       if curr.key < key then pred := curr
       else begin
         if !lfound = -1 && curr.key = key then lfound := lvl;
@@ -74,7 +73,7 @@ let find t key preds succs =
       end
     done
   done;
-  Simops.flush ();
+  Sthread.flush ();
   !lfound
 
 (* Lock preds.(0..level-1) bottom-up, skipping duplicates (identical preds
@@ -107,7 +106,7 @@ let rec insert t ~key ~value =
          design — the inserter's releasing fully_linked publish is the
          only thing being awaited *)
       while not found.fully_linked do
-        Simops.read_racy found.addr
+        Sthread.read_racy found.addr
       done;
       false
     end
@@ -134,15 +133,15 @@ let rec insert t ~key ~value =
       (* releasing init publish: once the bottom link lands, other threads
          may lock [n] as a predecessor and write its line — their lock
          acquisition (an atomic on [n.addr]) must be ordered after this *)
-      Simops.write_release n.addr;
+      Sthread.write_release n.addr;
       for lvl = 0 to level - 1 do
         preds.(lvl).next.(lvl) <- Some n;
-        Simops.write preds.(lvl).addr
+        Sthread.write preds.(lvl).addr
       done;
       (* fully_linked is set without holding [n]'s lock, exactly as the
          original's volatile fullyLinked field; model it as an atomic
          update so it coexists with lock-holders' writes to the line *)
-      Simops.rmw n.addr;
+      Sthread.rmw n.addr;
       n.fully_linked <- true;
       unlock_preds preds level;
       true
@@ -180,7 +179,7 @@ let remove t key =
         end
         else begin
           v.marked <- true;
-          Simops.write v.addr;
+          Sthread.write v.addr;
           is_marked := true
         end
       end;
@@ -195,7 +194,7 @@ let remove t key =
         if !valid then begin
           for lvl = !top_level - 1 downto 0 do
             preds.(lvl).next.(lvl) <- v.next.(lvl);
-            Simops.write preds.(lvl).addr
+            Sthread.write preds.(lvl).addr
           done;
           Spinlock.release v.lock;
           unlock_preds preds !top_level;

@@ -5,7 +5,7 @@
     and also a shared-memory baseline whose single hot top line collapses
     under cross-socket contention. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 
 type node = { value : int; stamp : int; addr : int; next : node option }
@@ -14,15 +14,15 @@ type t = { alloc : Alloc.t; top_addr : int; mutable top : node option; mutable p
 
 let create alloc = { alloc; top_addr = Alloc.line alloc; top = None; pushes = 0 }
 
-let now_stamp () = if Dps_sthread.Sthread.in_sim () then Dps_sthread.Sthread.time () else 0
+let now_stamp () = if Sthread.in_sim () then Sthread.time () else 0
 
 let rec push t value =
-  Simops.read t.top_addr;
+  Sthread.read t.top_addr;
   let seen = t.top in
   let n = { value; stamp = now_stamp (); addr = Alloc.line t.alloc; next = seen } in
-  Simops.write n.addr;
+  Sthread.write n.addr;
   (* CAS top: compare-and-swing at a single charged atomic *)
-  Simops.rmw t.top_addr;
+  Sthread.rmw t.top_addr;
   if t.top == seen then begin
     t.top <- Some n;
     t.pushes <- t.pushes + 1
@@ -30,12 +30,12 @@ let rec push t value =
   else push t value
 
 let rec pop t =
-  Simops.read t.top_addr;
+  Sthread.read t.top_addr;
   match t.top with
   | None -> None
   | Some n ->
-      Simops.charge_read n.addr;
-      Simops.rmw t.top_addr;
+      Sthread.charge_read n.addr;
+      Sthread.rmw t.top_addr;
       if (match t.top with Some m -> m == n | None -> false) then begin
         t.top <- n.next;
         Some n.value
@@ -43,22 +43,22 @@ let rec pop t =
       else pop t
 
 let peek t =
-  Simops.read t.top_addr;
+  Sthread.read t.top_addr;
   match t.top with
   | None -> None
   | Some n ->
-      Simops.charge_read n.addr;
-      Simops.flush ();
+      Sthread.charge_read n.addr;
+      Sthread.flush ();
       Some n.value
 
 (** Push time of the current top (for the DPS broadcast pop). *)
 let peek_stamp t =
-  Simops.read t.top_addr;
+  Sthread.read t.top_addr;
   match t.top with
   | None -> None
   | Some n ->
-      Simops.charge_read n.addr;
-      Simops.flush ();
+      Sthread.charge_read n.addr;
+      Sthread.flush ();
       Some n.stamp
 
 let size t =

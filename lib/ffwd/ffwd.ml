@@ -1,7 +1,6 @@
 module Machine = Dps_machine.Machine
 module Topology = Dps_machine.Topology
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 
 let group_size = 15
 
@@ -40,8 +39,7 @@ let max_pipeline = 8
 let server_dispatch_cycles = 16
 
 let server_access srv ~kind addr =
-  if Sthread.in_sim () then
-    Sthread.access_pipelined ~factor:(max 1 (min max_pipeline srv.mlp)) ~kind addr
+  Sthread.access_pipelined ~factor:(max 1 (min max_pipeline srv.mlp)) ~kind addr
 
 (* Scan one group: execute every pending request, then publish all replies
    with a single response-line write (ffwd's reply batching). *)
@@ -54,7 +52,7 @@ let serve_group t srv g =
       | Some op when s.seq > s.resp_seq ->
           incr found;
           s.op <- None;
-          Simops.work server_dispatch_cycles;
+          Sthread.work server_dispatch_cycles;
           let v = op () in
           s.resp <- v;
           s.resp_seq <- s.seq
@@ -125,16 +123,16 @@ let call t ~server op =
   let g = t.servers.(server).groups.(cid / group_size) in
   let slot = g.slots.(cid mod group_size) in
   (* marshal the call into the request line *)
-  Simops.work 100;
+  Sthread.work 100;
   slot.seq <- slot.seq + 1;
   slot.op <- Some op;
-  Simops.write slot.raddr;
+  Sthread.write slot.raddr;
   let want = slot.seq in
   (* replies can be millions of cycles away behind a serialized server;
      back off deeply rather than hammering the response line *)
   let b = Dps_sync.Backoff.create ~initial:32 ~cap:8192 () in
   while slot.resp_seq < want do
-    Simops.read g.gaddr;
+    Sthread.read g.gaddr;
     if slot.resp_seq < want then Dps_sync.Backoff.once b
   done;
   slot.resp

@@ -2,7 +2,7 @@
     structure whose bump-on-every-get makes stock memcached's read path
     store-heavy and contended. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Spinlock = Dps_sync.Spinlock
 
@@ -23,12 +23,12 @@ let unlink t (it : Item.t) =
   (match it.Item.lprev with
   | Some p ->
       p.Item.lnext <- it.Item.lnext;
-      Simops.write p.Item.haddr
+      Sthread.write p.Item.haddr
   | None -> t.head <- it.Item.lnext);
   (match it.Item.lnext with
   | Some n ->
       n.Item.lprev <- it.Item.lprev;
-      Simops.write n.Item.haddr
+      Sthread.write n.Item.haddr
   | None -> t.tail <- it.Item.lprev);
   it.Item.lprev <- None;
   it.Item.lnext <- None;
@@ -39,11 +39,11 @@ let push_front_locked t (it : Item.t) =
   assert (not it.Item.in_lru);
   it.Item.lnext <- t.head;
   it.Item.lprev <- None;
-  Simops.write it.Item.haddr;
+  Sthread.write it.Item.haddr;
   (match t.head with
   | Some h ->
       h.Item.lprev <- Some it;
-      Simops.write h.Item.haddr
+      Sthread.write h.Item.haddr
   | None -> t.tail <- Some it);
   t.head <- Some it;
   it.Item.in_lru <- true;

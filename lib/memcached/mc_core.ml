@@ -7,7 +7,7 @@
     - [Clock]: ParSec-style — gets are store-free; sets mark a reference
       bit and eviction gives referenced items a second chance (CLOCK). *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 
 type recency = Lru_list | Clock
@@ -46,13 +46,13 @@ let hit_rate t = if t.gets = 0 then 0.0 else float_of_int t.hits /. float_of_int
 
 let touch_value it =
   for l = 0 to it.Item.val_lines - 1 do
-    Simops.charge_read (it.Item.val_base + l)
+    Sthread.charge_read (it.Item.val_base + l)
   done;
-  Simops.flush ()
+  Sthread.flush ()
 
 let write_value it =
   for l = 0 to it.Item.val_lines - 1 do
-    Simops.write (it.Item.val_base + l)
+    Sthread.write (it.Item.val_base + l)
   done
 
 (* memcached rate-limits LRU reordering (an item is bumped at most once
@@ -92,10 +92,10 @@ let rec clock_victim t guard =
   match Lru.pop_tail t.lru with
   | None -> None
   | Some it ->
-      Simops.read it.Item.haddr;
+      Sthread.read it.Item.haddr;
       if it.Item.referenced && guard > 0 then begin
         it.Item.referenced <- false;
-        Simops.write it.Item.haddr;
+        Sthread.write it.Item.haddr;
         Lru.insert t.lru it;
         clock_victim t (guard - 1)
       end
@@ -127,14 +127,14 @@ let set t ~key ~val_lines =
       end;
       it.Item.stamp <- it.Item.stamp + 1;
       it.Item.referenced <- true;
-      Simops.write it.Item.haddr;
+      Sthread.write it.Item.haddr;
       write_value it;
       (match t.recency with Lru_list -> Lru.touch t.lru it | Clock -> ())
   | None ->
       if size t >= t.capacity then evict_one t;
       let base = Slab.allocate t.slab ~lines:val_lines in
       let it = Item.make ~key ~haddr:(Alloc.line t.alloc) ~val_base:base ~val_lines in
-      Simops.write it.Item.haddr;
+      Sthread.write it.Item.haddr;
       write_value it;
       Mc_hash.insert t.hash it;
       Lru.insert t.lru it

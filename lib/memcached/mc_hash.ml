@@ -1,7 +1,7 @@
 (** memcached's item hash table: chained buckets, a spinlock embedded in
     each bucket's cache line. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Spinlock = Dps_sync.Spinlock
 
@@ -34,11 +34,11 @@ let find_in_chain key chain =
   let rec go = function
     | None -> None
     | Some (it : Item.t) ->
-        Simops.charge_read it.Item.haddr;
+        Sthread.charge_read it.Item.haddr;
         if it.Item.key = key then Some it else go it.Item.hnext
   in
   let r = go chain in
-  Simops.flush ();
+  Sthread.flush ();
   r
 
 (** Lock-free read path (bucket line is read, not locked): used by
@@ -46,7 +46,7 @@ let find_in_chain key chain =
     documented optimistic-read trade. *)
 let find_nolock t key =
   let b = t.buckets.(bucket_of t key) in
-  Simops.charge_read b.baddr;
+  Sthread.charge_read b.baddr;
   find_in_chain key b.chain
 
 let find t key = with_bucket t key (fun b -> find_in_chain key b.chain)
@@ -54,29 +54,29 @@ let find t key = with_bucket t key (fun b -> find_in_chain key b.chain)
 let insert t (it : Item.t) =
   with_bucket t it.Item.key (fun b ->
       it.Item.hnext <- b.chain;
-      Simops.write it.Item.haddr;
+      Sthread.write it.Item.haddr;
       b.chain <- Some it;
-      Simops.write b.baddr)
+      Sthread.write b.baddr)
 
 let remove t key =
   with_bucket t key (fun b ->
       let rec unlink prev = function
         | None -> None
         | Some (it : Item.t) ->
-            Simops.charge_read it.Item.haddr;
+            Sthread.charge_read it.Item.haddr;
             if it.Item.key = key then begin
-              Simops.flush ();
+              Sthread.flush ();
               (match prev with
               | None ->
                   b.chain <- it.Item.hnext;
-                  Simops.write b.baddr
+                  Sthread.write b.baddr
               | Some (p : Item.t) ->
                   p.Item.hnext <- it.Item.hnext;
-                  Simops.write p.Item.haddr);
+                  Sthread.write p.Item.haddr);
               Some it
             end
             else unlink (Some it) it.Item.hnext
       in
       let r = unlink None b.chain in
-      Simops.flush ();
+      Sthread.flush ();
       r)

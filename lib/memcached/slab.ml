@@ -3,7 +3,7 @@
     lock is taken (one charged atomic) on every allocate/free — the slab
     lock traffic stock memcached pays. *)
 
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 
 type klass = { meta_addr : int; chunk_lines : int; mutable free : int list }
@@ -26,7 +26,7 @@ let class_for t lines =
     address. Reuses freed chunks of the same class first. *)
 let allocate t ~lines =
   let k = t.classes.(class_for t lines) in
-  Simops.rmw k.meta_addr;
+  Sthread.rmw k.meta_addr;
   match k.free with
   | base :: rest ->
       k.free <- rest;
@@ -35,7 +35,7 @@ let allocate t ~lines =
 
 let free t ~base ~lines =
   let k = t.classes.(class_for t lines) in
-  Simops.rmw k.meta_addr;
+  Sthread.rmw k.meta_addr;
   k.free <- base :: k.free
 
 let free_chunks t = Array.fold_left (fun acc k -> acc + List.length k.free) 0 t.classes

@@ -1,5 +1,4 @@
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 module Alloc = Dps_sthread.Alloc
 
 type slot = { addr : int; mutable entered_at : int (* -1 = quiescent *) }
@@ -28,13 +27,13 @@ let enter t =
   let s = my_slot t in
   s.entered_at <- now ();
   (* releasing publish: [quiesce]'s poll reads this slot *)
-  Simops.write_release s.addr
+  Sthread.write_release s.addr
 
 let exit t =
   let s = my_slot t in
   s.entered_at <- -1;
   (* releasing publish: the quiescence waiter takes its HB edge from here *)
-  Simops.write_release s.addr
+  Sthread.write_release s.addr
 
 let quiesce t =
   let start = now () in
@@ -42,7 +41,7 @@ let quiesce t =
     (fun s ->
       let b = Dps_sync.Backoff.create ~initial:32 ~cap:4096 () in
       let rec wait () =
-        Simops.read s.addr;
+        Sthread.read s.addr;
         (* a reader still inside a section it entered before [start] may
            still hold references from before our unlink *)
         if s.entered_at >= 0 && s.entered_at <= start then begin

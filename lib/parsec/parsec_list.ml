@@ -1,4 +1,4 @@
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Mcs = Dps_sync.Mcs
 
@@ -25,14 +25,14 @@ let create alloc =
    with the serialized writer; quiescence (not ordering) keeps unlinked
    nodes alive until every reader exits *)
 let search t key =
-  Simops.charge_read_racy t.head.addr;
+  Sthread.charge_read_racy t.head.addr;
   let rec go pred =
     let curr = Option.get pred.next in
-    Simops.charge_read_racy curr.addr;
+    Sthread.charge_read_racy curr.addr;
     if curr.key >= key then (pred, curr) else go curr
   in
   let r = go t.head in
-  Simops.flush ();
+  Sthread.flush ();
   r
 
 let lookup t key =
@@ -51,9 +51,9 @@ let insert t ~key ~value =
     if curr.key = key then false
     else begin
       let n = mk_node t.alloc key value (Some curr) in
-      Simops.write n.addr;
+      Sthread.write n.addr;
       pred.next <- Some n;
-      Simops.write pred.addr;
+      Sthread.write pred.addr;
       true
     end
   in
@@ -67,7 +67,7 @@ let remove t key =
     if curr.key <> key then false
     else begin
       pred.next <- curr.next;
-      Simops.write pred.addr;
+      Sthread.write pred.addr;
       (* grace period before the node's memory may be reused *)
       Parsec.quiesce t.rt;
       true

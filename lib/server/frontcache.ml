@@ -1,4 +1,4 @@
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 
 type stats = {
   mutable hits : int;
@@ -58,7 +58,7 @@ let install t s ~key ~ver ~present =
   t.freq.(s) <- 1;
   t.cand_key.(s) <- empty_key;
   t.cand_freq.(s) <- 0;
-  Simops.write (line t s)
+  Sthread.write (line t s)
 
 (* The coherence protocol lives here: the key's backend version is read
    BEFORE the backend fetch, and the entry is installed under that earlier
@@ -69,14 +69,14 @@ let install t s ~key ~ver ~present =
    value installed under a new version, served as fresh forever. *)
 let lookup t key ~fetch =
   let s = slot t key in
-  Simops.read (line t s);
+  Sthread.read (line t s);
   if t.keys.(s) = key then begin
     let v_now = t.version_of key in
     if v_now = t.vers.(s) then begin
       t.st.hits <- t.st.hits + 1;
       if t.freq.(s) < max_freq then begin
         t.freq.(s) <- t.freq.(s) + 1;
-        Simops.write (line t s)
+        Sthread.write (line t s)
       end;
       t.present.(s)
     end
@@ -87,7 +87,7 @@ let lookup t key ~fetch =
       let present = fetch () in
       t.vers.(s) <- v_now;
       t.present.(s) <- present;
-      Simops.write (line t s);
+      Sthread.write (line t s);
       present
     end
   end
@@ -111,18 +111,18 @@ let lookup t key ~fetch =
         t.st.admits <- t.st.admits + 1;
         install t s ~key ~ver:v_before ~present
       end
-      else Simops.write (line t s)
+      else Sthread.write (line t s)
     end;
     present
   end
 
 let invalidate t key =
   let s = slot t key in
-  Simops.read (line t s);
+  Sthread.read (line t s);
   if t.keys.(s) = key then begin
     t.keys.(s) <- empty_key;
     t.st.invals <- t.st.invals + 1;
-    Simops.write (line t s)
+    Sthread.write (line t s)
   end
 
 let stats t = t.st

@@ -23,7 +23,7 @@
     via a candidate counter, and evicts only once it has out-counted the
     resident's (decaying) hit count — one-shot keys cannot flush the hot
     set. All probe/update traffic is charged to the slot's cache line via
-    {!Dps_sthread.Simops}, so simulated cost tracks the host data layout
+    {!Dps_sthread.Sthread}, so simulated cost tracks the host data layout
     (four entries per line). *)
 
 type stats = {

@@ -1,5 +1,4 @@
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 module Machine = Dps_machine.Machine
 module Topology = Dps_machine.Topology
 module Net = Dps_net.Net
@@ -274,7 +273,7 @@ let poller_body t p () =
             if served > 0 then streak := 0
             else begin
               incr streak;
-              if !streak <= spin_rounds then Simops.work 256
+              if !streak <= spin_rounds then Sthread.work 256
               else begin
                 t.st.parks <- t.st.parks + 1;
                 let backoff =

@@ -356,14 +356,30 @@ let suspend_for t state n delay =
 let suspend_tagged t state tag n =
   suspend_for t state n (if hooked t then hook_delay t state tag n else 0)
 
-let suspend_access t state kind addr n =
-  suspend_for t state n (if hooked t then hook_delay t state (Access_op (kind, addr)) n else 0)
+(* The charged operations below do nothing outside a simulated thread, so
+   library code runs the same logic cold (population, verification) and
+   charged. Each reads the [current] slot once. *)
 
 let work n =
-  let t, state = ctx () in
-  let cost = Machine.work_cost t.m ~thread:state.hw n in
-  if Obs.on () then Obs.charged ~tid:state.tid ~hw:state.hw ~cycles:cost ~cls:`Work;
-  suspend_tagged t state Work_op (cost + take_pending state)
+  match !(current ()) with
+  | None -> ()
+  | Some (t, state) ->
+      let cost = Machine.work_cost t.m ~thread:state.hw n in
+      if Obs.on () then Obs.charged ~tid:state.tid ~hw:state.hw ~cycles:cost ~cls:`Work;
+      suspend_tagged t state Work_op (cost + take_pending state)
+
+(* The machine's cost of one memory access, recorded for observability.
+   [mlp > 0] divides its latency by that memory-level parallelism
+   ({!access_pipelined}); [mlp = 0] is a plain access. *)
+let charge t state ~mlp kind addr =
+  let obs = Obs.on () in
+  if obs then Obs.clear_stall ();
+  let cost =
+    if mlp = 0 then Machine.access t.m ~now:t.time ~thread:state.hw ~addr ~kind
+    else Machine.access_mlp t.m ~now:t.time ~thread:state.hw ~addr ~kind ~factor:mlp
+  in
+  if obs then Obs.charged ~tid:state.tid ~hw:state.hw ~cycles:cost ~cls:`Mem;
+  cost
 
 (* Trace-event timing must match when the operation's effect is visible to
    other threads. The codebase's convention is mutate-then-charge for plain
@@ -373,101 +389,92 @@ let work n =
    stores emit before the suspension, loads and rmw after — otherwise a
    spin-reader could observe an unlock and emit its load before the
    releaser's store event lands, losing the happens-before edge. *)
-let access ~cls kind addr =
-  let t, state = ctx () in
-  let obs = Obs.on () in
-  if obs then Obs.clear_stall ();
-  let cost = Machine.access t.m ~now:t.time ~thread:state.hw ~addr ~kind in
-  if obs then Obs.charged ~tid:state.tid ~hw:state.hw ~cycles:cost ~cls:`Mem;
+let suspend_access t state cls kind addr cost =
   let store = match cls with Store | Release_store -> true | _ -> false in
   if store then emit_access t state cls addr;
-  suspend_access t state kind addr (cost + take_pending state);
+  let n = cost + take_pending state in
+  suspend_for t state n (if hooked t then hook_delay t state (Access_op (kind, addr)) n else 0);
   if not store then emit_access t state cls addr
 
-let read addr = access ~cls:Load Machine.Read addr
-let read_racy addr = access ~cls:Racy_load Machine.Read addr
-let write addr = access ~cls:Store Machine.Write addr
-let write_release addr = access ~cls:Release_store Machine.Write addr
-let rmw addr = access ~cls:Atomic Machine.Rmw addr
+let access cls kind addr =
+  match !(current ()) with
+  | None -> ()
+  | Some (t, state) -> suspend_access t state cls kind addr (charge t state ~mlp:0 kind addr)
+
+let read addr = access Load Machine.Read addr
+let read_racy addr = access Racy_load Machine.Read addr
+let write addr = access Store Machine.Write addr
+let write_release addr = access Release_store Machine.Write addr
+let rmw addr = access Atomic Machine.Rmw addr
 
 let access_pipelined ~factor ~kind addr =
   assert (factor >= 1);
-  let t, state = ctx () in
-  let obs = Obs.on () in
-  if obs then Obs.clear_stall ();
-  let cost = Machine.access_mlp t.m ~now:t.time ~thread:state.hw ~addr ~kind ~factor in
-  if obs then Obs.charged ~tid:state.tid ~hw:state.hw ~cycles:cost ~cls:`Mem;
-  let cls =
-    match kind with Machine.Read -> Load | Machine.Write -> Store | Machine.Rmw -> Atomic
-  in
-  if cls = Store then emit_access t state cls addr;
-  suspend_access t state kind addr (cost + take_pending state);
-  if cls <> Store then emit_access t state cls addr
+  match !(current ()) with
+  | None -> ()
+  | Some (t, state) ->
+      let cls =
+        match kind with Machine.Read -> Load | Machine.Write -> Store | Machine.Rmw -> Atomic
+      in
+      suspend_access t state cls kind addr (charge t state ~mlp:factor kind addr)
 
 let charge_read_cls cls addr =
-  let t, state = ctx () in
-  let obs = Obs.on () in
-  if obs then Obs.clear_stall ();
-  let cost = Machine.access t.m ~now:t.time ~thread:state.hw ~addr ~kind:Machine.Read in
-  if obs then Obs.charged ~tid:state.tid ~hw:state.hw ~cycles:cost ~cls:`Mem;
-  state.pending <- state.pending + cost;
-  emit_access t state cls addr
+  match !(current ()) with
+  | None -> ()
+  | Some (t, state) ->
+      state.pending <- state.pending + charge t state ~mlp:0 Machine.Read addr;
+      emit_access t state cls addr
 
 let charge_read addr = charge_read_cls Load addr
 let charge_read_racy addr = charge_read_cls Racy_load addr
 
 let sync_acquire token =
-  let t, state = ctx () in
-  emit_sync t state true token
+  match !(current ()) with None -> () | Some (t, state) -> emit_sync t state true token
 
 let sync_release token =
-  let t, state = ctx () in
-  emit_sync t state false token
+  match !(current ()) with None -> () | Some (t, state) -> emit_sync t state false token
 
 let flush () =
-  let t, state = ctx () in
-  if state.pending > 0 then begin
-    let n = state.pending in
-    state.pending <- 0;
-    suspend_tagged t state Work_op n
-  end
+  match !(current ()) with
+  | Some (t, state) when state.pending > 0 -> suspend_tagged t state Work_op (take_pending state)
+  | _ -> ()
 
 let yield () =
   let t, state = ctx () in
   suspend_tagged t state Yield_op (1 + take_pending state)
 
-let park () =
-  let t, state = ctx () in
-  (* settle batched traversal charges before blocking *)
+(* Park the calling thread until an unpark (or a pending permit) or, for
+   [timeout > 0], until [timeout] cycles pass. Batched [charge_read] costs
+   are settled first. *)
+let block t state timeout =
   let p = take_pending state in
   if p > 0 then suspend_tagged t state Work_op p;
-  state.park_gen <- state.park_gen + 1;
+  let gen = state.park_gen + 1 in
+  state.park_gen <- gen;
+  if timeout > 0 then begin
+    state.timed_out <- false;
+    (* saturated: a deadline past every horizon never fires *)
+    at t
+      ~time:(sat_add t.time timeout)
+      (fun () ->
+        (* wake only the park this timeout belongs to *)
+        if state.parked && state.park_gen = gen then begin
+          state.timed_out <- true;
+          unpark_state t state
+        end)
+  end;
   if Obs.on () then Obs.park_begin ~tid:state.tid ~now:t.time;
   Effect.perform Park;
   if Obs.on () then Obs.park_end ~tid:state.tid ~now:t.time;
   emit_wake t state
 
+let park () =
+  let t, state = ctx () in
+  block t state 0
+
 let park_for d =
   if d <= 0 then invalid_arg "Sthread.park_for";
   let t, state = ctx () in
-  let p = take_pending state in
-  if p > 0 then suspend_tagged t state Work_op p;
-  let gen = state.park_gen + 1 in
-  state.park_gen <- gen;
-  state.timed_out <- false;
-  (* saturated: a deadline past every horizon never fires *)
-  at t
-    ~time:(sat_add t.time d)
-    (fun () ->
-      (* wake only the park this timeout belongs to *)
-      if state.parked && state.park_gen = gen then begin
-        state.timed_out <- true;
-        unpark_state t state
-      end);
-  if Obs.on () then Obs.park_begin ~tid:state.tid ~now:t.time;
-  Effect.perform Park;
-  if Obs.on () then Obs.park_end ~tid:state.tid ~now:t.time;
-  emit_wake t state;
+  block t state d;
   state.timed_out
 
 type sched = t
@@ -479,9 +486,9 @@ module Waitq = struct
   let waiters = Queue.length
 
   let wait q =
-    let _, state = ctx () in
+    let t, state = ctx () in
     Queue.push state.tid q;
-    park ()
+    block t state 0
 
   let signal sched q =
     let rec go () =

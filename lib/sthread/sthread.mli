@@ -7,8 +7,12 @@
     interleave at memory-access granularity — lock-free retry loops, CAS
     races and delegation hand-offs genuinely happen.
 
-    The scheduler is driven by {!run}; all other functions in this interface
-    must be called from inside a simulated thread. *)
+    The scheduler is driven by {!run}. Outside a simulated thread the
+    charged operations ({!work} to {!flush}) do nothing, so library code
+    runs the same insert/lookup/remove paths cold (setup, verification) and
+    charged. The identity and blocking calls ({!self_hw}, {!self_id},
+    {!self_prng}, {!time}, {!yield}, {!park}, {!park_for}, {!exit}) raise
+    [Failure] there. *)
 
 type t
 
@@ -105,12 +109,24 @@ val set_tracer : t -> (trace_ev -> unit) option -> unit
     the charge is paid — i.e. at the point the mutation the access stands
     for actually lands — so event order equals effect order. *)
 
-(** {1 Operations available inside a simulated thread} *)
+(** {1 Operations of a simulated thread}
+
+    The charged operations, {!work} to {!flush}, return at once without
+    effect outside a simulated thread (cold setup, an {!at} callback).
+    Inside one, all but {!charge_read}, {!charge_read_racy} and the
+    uncharged {!sync_acquire}/{!sync_release} are scheduling points.
+
+    The annotated variants carry intent for the happens-before race
+    detector in [lib/check] (see DESIGN.md for the policy):
+    {!read_racy}/{!charge_read_racy} mark reads that are racy by design and
+    re-validated before use; {!write_release} marks a publishing store
+    (lock release, ring-slot hand-off); {!rmw} is always acquire+release on
+    its line. Charged costs are identical to the plain variants. *)
 
 val in_sim : unit -> bool
-(** Whether the caller is executing inside a simulated thread. Library code
-    uses this to run the same logic charged (in simulation) or cold (setup
-    and verification outside the simulation). *)
+(** Whether the caller is executing inside a simulated thread. Code that
+    needs a thread's identity or clock ({!self_id}, {!time}) checks it to
+    fall back to a cold default. *)
 
 val self_hw : unit -> int
 (** Hardware thread the calling fiber is pinned to. *)

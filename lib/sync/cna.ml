@@ -1,6 +1,5 @@
 module Machine = Dps_machine.Machine
 module Topology = Dps_machine.Topology
-module Simops = Dps_sthread.Simops
 module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 
@@ -70,8 +69,8 @@ let acquire t =
   q.locked <- true;
   q.next <- None;
   q.socket <- my_socket t;
-  Simops.write q.qaddr;
-  Simops.rmw t.tail_addr;
+  Sthread.write q.qaddr;
+  Sthread.rmw t.tail_addr;
   (* atomic swap of the tail pointer *)
   let pred = t.tail in
   t.tail <- Some q;
@@ -79,10 +78,10 @@ let acquire t =
   | None -> t.owner_tid <- q.qtid
   | Some p ->
       p.next <- Some q;
-      Simops.write_release p.qaddr;
+      Sthread.write_release p.qaddr;
       let b = Backoff.create ~initial:16 ~cap:2048 () in
       let rec wait () =
-        Simops.read q.qaddr;
+        Sthread.read q.qaddr;
         if q.locked then begin
           Backoff.once b;
           wait ()
@@ -97,7 +96,7 @@ let acquire t =
 let try_acquire t =
   if t.tail <> None then begin
     (* busy: pay the probe read, fail without touching the queue *)
-    Simops.read t.tail_addr;
+    Sthread.read t.tail_addr;
     false
   end
   else begin
@@ -105,8 +104,8 @@ let try_acquire t =
     q.locked <- true;
     q.next <- None;
     q.socket <- my_socket t;
-    Simops.write q.qaddr;
-    Simops.rmw t.tail_addr;
+    Sthread.write q.qaddr;
+    Sthread.rmw t.tail_addr;
     (* the swap is conditional this time: back off if a waiter beat us *)
     match t.tail with
     | Some _ -> false
@@ -125,7 +124,7 @@ let hand_to t ~local n =
   end;
   t.owner_tid <- n.qtid;
   n.locked <- false;
-  Simops.write_release n.qaddr
+  Sthread.write_release n.qaddr
 
 (* Append the chain [h .. l] (already nil-terminated by the caller) to the
    secondary queue. *)
@@ -134,7 +133,7 @@ let stash t h l =
   | None -> t.sec_head <- Some h
   | Some st ->
       st.next <- Some h;
-      Simops.write_release st.qaddr);
+      Sthread.write_release st.qaddr);
   t.sec_tail <- Some l
 
 (* Splice the whole secondary queue in front of [rest] (the remainder of
@@ -144,7 +143,7 @@ let stash t h l =
 let release_secondary t ~rest =
   let h = Option.get t.sec_head and l = Option.get t.sec_tail in
   l.next <- rest;
-  Simops.write_release l.qaddr;
+  Sthread.write_release l.qaddr;
   t.sec_head <- None;
   t.sec_tail <- None;
   hand_to t ~local:(h.socket = my_socket t) h
@@ -158,7 +157,7 @@ let pass t my_sock n =
     (* fairness epoch: starved remote waiters go first *)
     release_secondary t ~rest:(Some n)
   else begin
-    Simops.read n.qaddr;
+    Sthread.read n.qaddr;
     if n.socket = my_sock then hand_to t ~local:true n
     else begin
       (* walk for a same-socket waiter; an unlinked arrival ends the scan *)
@@ -166,14 +165,14 @@ let pass t my_sock n =
         match prev.next with
         | None -> None
         | Some c ->
-            Simops.read c.qaddr;
+            Sthread.read c.qaddr;
             if c.socket = my_sock then Some (prev, c) else scan c
       in
       match scan n with
       | Some (prev, local) ->
           (* detach [n .. prev] into the secondary queue *)
           prev.next <- None;
-          Simops.write_release prev.qaddr;
+          Sthread.write_release prev.qaddr;
           stash t n prev;
           hand_to t ~local:true local
       | None ->
@@ -184,13 +183,13 @@ let pass t my_sock n =
 
 let release t =
   let q = qnode_for t in
-  Simops.read q.qaddr;
+  Sthread.read q.qaddr;
   match q.next with
   | Some n -> pass t q.socket n
   | None -> (
       (* no linked successor: either the queue is empty or an arrival is
          between its tail swap and the link write *)
-      Simops.rmw t.tail_addr;
+      Sthread.rmw t.tail_addr;
       match t.tail with
       | Some q' when q' == q -> (
           match t.sec_head with
@@ -204,7 +203,7 @@ let release t =
               release_secondary t ~rest:None)
       | Some _ | None ->
           let rec wait_link () =
-            Simops.read q.qaddr;
+            Sthread.read q.qaddr;
             if q.next = None then wait_link ()
           in
           wait_link ();
@@ -229,7 +228,7 @@ let break_lock t =
     t.sec_tail <- None;
     t.local_streak <- 0;
     t.owner_tid <- -1;
-    Simops.rmw t.tail_addr
+    Sthread.rmw t.tail_addr
   end
 
 let remote_transfers t = t.remote_transfers

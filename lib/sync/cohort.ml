@@ -1,7 +1,6 @@
 module Machine = Dps_machine.Machine
 module Topology = Dps_machine.Topology
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 module Alloc = Dps_sthread.Alloc
 
 (* May the current socket keep the global lock and hand off locally? *)
@@ -46,22 +45,22 @@ let my_cohort t = t.cohorts.(Topology.socket_of_thread t.topo (Sthread.self_hw (
 let acquire t =
   let c = my_cohort t in
   (* announce interest so a releasing peer prefers a local hand-off *)
-  Simops.rmw c.state_addr;
+  Sthread.rmw c.state_addr;
   c.waiting <- c.waiting + 1;
   Mcs.acquire c.local_lock;
-  Simops.rmw c.state_addr;
+  Sthread.rmw c.state_addr;
   c.waiting <- c.waiting - 1;
   if not c.owns_global then begin
     Ticket.acquire t.global;
     t.global_transfers <- t.global_transfers + 1;
     c.owns_global <- true;
     c.handoffs <- 0;
-    Simops.write c.state_addr
+    Sthread.write c.state_addr
   end
 
 let release t =
   let c = my_cohort t in
-  Simops.read c.state_addr;
+  Sthread.read c.state_addr;
   let keep_local = c.waiting > 0 && c.handoffs < handoff_budget in
   if keep_local then begin
     (* hand the global lock off within the socket: just release the local
@@ -71,7 +70,7 @@ let release t =
   end
   else begin
     c.owns_global <- false;
-    Simops.write c.state_addr;
+    Sthread.write c.state_addr;
     Ticket.release t.global;
     Mcs.release c.local_lock
   end

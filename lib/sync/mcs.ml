@@ -1,4 +1,3 @@
-module Simops = Dps_sthread.Simops
 module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 
@@ -28,8 +27,8 @@ let acquire t =
   let q = qnode_for t in
   q.locked <- true;
   q.next <- None;
-  Simops.write q.qaddr;
-  Simops.rmw t.tail_addr;
+  Sthread.write q.qaddr;
+  Sthread.rmw t.tail_addr;
   (* atomic swap of the tail pointer *)
   let pred = t.tail in
   t.tail <- Some q;
@@ -37,13 +36,13 @@ let acquire t =
   | None -> ()
   | Some p ->
       p.next <- Some q;
-      Simops.write_release p.qaddr;
+      Sthread.write_release p.qaddr;
       (* every observation of the hand-off goes through a charged read: the
          read that sees locked=false is the acquire side of the releaser's
          releasing store *)
       let b = Backoff.create ~initial:16 ~cap:2048 () in
       let rec wait () =
-        Simops.read q.qaddr;
+        Sthread.read q.qaddr;
         if q.locked then begin
           Backoff.once b;
           wait ()
@@ -53,26 +52,26 @@ let acquire t =
 
 let release t =
   let q = qnode_for t in
-  Simops.read q.qaddr;
+  Sthread.read q.qaddr;
   match q.next with
   | Some n ->
       n.locked <- false;
-      Simops.write_release n.qaddr
+      Sthread.write_release n.qaddr
   | None -> (
       (* try to swing tail back to empty *)
-      Simops.rmw t.tail_addr;
+      Sthread.rmw t.tail_addr;
       match t.tail with
       | Some q' when q' == q -> t.tail <- None
       | Some _ | None ->
           (* a successor is between swap and link: wait for it to appear,
              observing the link through a charged (acquiring) read *)
           let rec wait_link () =
-            Simops.read q.qaddr;
+            Sthread.read q.qaddr;
             if q.next = None then wait_link ()
           in
           wait_link ();
           let n = Option.get q.next in
           n.locked <- false;
-          Simops.write_release n.qaddr)
+          Sthread.write_release n.qaddr)
 
 let held t = t.tail <> None

@@ -1,4 +1,4 @@
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 
 type t = { addr : int; mutable version : int }
 
@@ -8,13 +8,13 @@ let embed ~addr = { addr; version = 0 }
 let get_version t =
   (* racy by design: optik locks embed in data lines, so the optimistic
      version read races the holder's field stores; callers re-validate *)
-  Simops.read_racy t.addr;
+  Sthread.read_racy t.addr;
   t.version
 
 let is_locked v = v land 1 = 1
 
 let try_lock_at t v =
-  Simops.rmw t.addr;
+  Sthread.rmw t.addr;
   if t.version = v && not (is_locked v) then begin
     t.version <- v + 1;
     true
@@ -39,4 +39,4 @@ let lock t =
 let unlock t =
   assert (is_locked t.version);
   t.version <- t.version + 1;
-  Simops.write_release t.addr
+  Sthread.write_release t.addr

@@ -1,4 +1,3 @@
-module Simops = Dps_sthread.Simops
 module Sthread = Dps_sthread.Sthread
 
 type t = { addr : int; mutable locked : bool; mutable owner : int }
@@ -7,7 +6,7 @@ let create alloc = { addr = Dps_sthread.Alloc.line alloc; locked = false; owner 
 let embed ~addr = { addr; locked = false; owner = -1 }
 
 let try_acquire t =
-  Simops.rmw t.addr;
+  Sthread.rmw t.addr;
   if t.locked then false
   else begin
     t.locked <- true;
@@ -20,7 +19,7 @@ let acquire t =
   let rec loop () =
     (* racy by design: spinlocks embed in data lines (lazy lists), so the
        spin read may race the holder's field stores; the rmw re-checks *)
-    Simops.read_racy t.addr;
+    Sthread.read_racy t.addr;
     if t.locked then begin
       Backoff.once b;
       loop ()
@@ -52,7 +51,7 @@ let release t =
   assert t.locked;
   t.locked <- false;
   t.owner <- -1;
-  Simops.write_release t.addr
+  Sthread.write_release t.addr
 
 let held t = t.locked
 let owner t = if t.locked then Some t.owner else None
@@ -61,5 +60,5 @@ let break_lock t =
   if t.locked then begin
     t.locked <- false;
     t.owner <- -1;
-    Simops.write_release t.addr
+    Sthread.write_release t.addr
   end

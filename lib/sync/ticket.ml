@@ -1,4 +1,4 @@
-module Simops = Dps_sthread.Simops
+module Sthread = Dps_sthread.Sthread
 
 type t = { addr : int; mutable next : int; mutable owner : int }
 
@@ -6,7 +6,7 @@ let create alloc = { addr = Dps_sthread.Alloc.line alloc; next = 0; owner = 0 }
 let embed ~addr = { addr; next = 0; owner = 0 }
 
 let acquire t =
-  Simops.rmw t.addr;
+  Sthread.rmw t.addr;
   let my = t.next in
   t.next <- my + 1;
   (* racy by design: ticket locks embed in data lines (e.g. bst-tk nodes),
@@ -15,7 +15,7 @@ let acquire t =
      the releaser's HB edge. *)
   let b = Backoff.create ~initial:16 ~cap:256 () in
   let rec wait () =
-    Simops.read_racy t.addr;
+    Sthread.read_racy t.addr;
     if t.owner <> my then begin
       Backoff.once b;
       wait ()
@@ -25,6 +25,6 @@ let acquire t =
 
 let release t =
   t.owner <- t.owner + 1;
-  Simops.write_release t.addr
+  Sthread.write_release t.addr
 
 let held t = t.owner < t.next

@@ -427,10 +427,14 @@ and new_op f user =
    new op for user [slot]. *)
 let rec arrivals f prng ~mean_gap slot =
   let u = 1.0 -. Prng.float prng 1.0 in
-  let gap = int_of_float (-.mean_gap *. log u) in
-  let when_ = Sthread.now f.rsched + max 1 gap in
-  if when_ < f.rhorizon then
-    Sthread.at f.rsched ~time:when_ (fun () ->
+  let gap = -.mean_gap *. log u in
+  let now = Sthread.now f.rsched in
+  let window = f.rhorizon - now in
+  (* compared in float: a gap past the window need not fit an int *)
+  if window > 1 && gap < float_of_int window then
+    Sthread.at f.rsched
+      ~time:(now + max 1 (int_of_float gap))
+      (fun () ->
         new_op f slot;
         arrivals f prng ~mean_gap slot)
 
@@ -469,6 +473,10 @@ let rec churn_tick f ~cursor =
 
 let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
   let sp = rs.base in
+  (match sp.mode with
+  | Open { rate_mops } when not (Float.is_finite rate_mops && rate_mops > 0.) ->
+      invalid_arg "Netload.run_routed: open-loop rate_mops must be positive and finite"
+  | Open _ | Closed _ -> ());
   let start = Sthread.now sched in
   let horizon = start + duration in
   let grace = (10 * Net.link_latency) + req_timeout + 20_000 in

@@ -179,4 +179,7 @@ val run_routed :
     staggered over one think time. Open-loop arrivals run one Poisson
     process per connection slot, each arrival a new request of user =
     slot, drawn from a third split of the seed's stream so the closed-loop
-    key and jitter streams do not depend on the load model. *)
+    key and jitter streams do not depend on the load model.
+
+    Raises [Invalid_argument] before scheduling anything if an open-loop
+    [rate_mops] is not positive and finite. *)

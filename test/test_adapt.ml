@@ -5,7 +5,6 @@
     caught and replay bit-for-bit. *)
 
 module Sthread = Dps_sthread.Sthread
-module Simops = Dps_sthread.Simops
 module Schedule = Dps_check.Schedule
 module Check = Dps_check.Check
 module Faults = Dps_faults
@@ -247,9 +246,9 @@ let cna_mutex_scenario ctl =
               Cna.acquire l;
               if !in_cs then fail "two threads inside the critical section";
               in_cs := true;
-              Simops.read line;
+              Sthread.read line;
               Sthread.work 40;
-              Simops.write line;
+              Sthread.write line;
               incr count;
               in_cs := false;
               Cna.release l

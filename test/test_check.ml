@@ -200,7 +200,7 @@ let fingerprint ctl =
   for tid = 0 to 3 do
     Sthread.spawn s ~hw:(tid * 16) (fun () ->
         for i = 0 to 19 do
-          Dps_sthread.Simops.rmw lines.((tid + i) mod 4)
+          Sthread.rmw lines.((tid + i) mod 4)
         done)
   done;
   Sthread.run s;

@@ -187,7 +187,7 @@ let test_explore_jobs_invariant () =
         for tid = 0 to 3 do
           Dps_sthread.Sthread.spawn sim.Check.sched ~hw:(tid * 16) (fun () ->
               for i = 0 to 19 do
-                Dps_sthread.Simops.rmw lines.((tid + i) mod 4)
+                Dps_sthread.Sthread.rmw lines.((tid + i) mod 4)
               done)
         done;
         Dps_sthread.Sthread.run sim.Check.sched;
@@ -212,7 +212,7 @@ let test_explore_clean_jobs_invariant () =
         for tid = 0 to 3 do
           Dps_sthread.Sthread.spawn sim.Check.sched ~hw:(tid * 16) (fun () ->
               for i = 0 to 9 do
-                Dps_sthread.Simops.rmw lines.((tid + i) mod 4)
+                Dps_sthread.Sthread.rmw lines.((tid + i) mod 4)
               done)
         done;
         Dps_sthread.Sthread.run sim.Check.sched;

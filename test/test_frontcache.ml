@@ -1,5 +1,5 @@
 (* Front cache: host-side model tests of the version-validated presence
-   cache (Simops charges are no-ops outside simulated threads, so the
+   cache (Sthread charges are no-ops outside simulated threads, so the
    protocol runs bare), then end-to-end coherence through a real server —
    set→get on one connection must never see a stale read, including
    across a poller kill and self-healing partition takeover. *)

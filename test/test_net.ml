@@ -591,6 +591,29 @@ let test_fleet_open_loop () =
   Alcotest.(check int) "no errors" 0 r.Netload.errors;
   Alcotest.(check int) "nothing abandoned" 0 rr.Netload.abandoned
 
+(* An open-loop rate that is not positive and finite is rejected before
+   anything is scheduled; left through, its infinite or negative mean gap
+   issued a request per connection slot per cycle, as did a positive rate
+   whose gaps overflow an int. *)
+let test_open_loop_rate_checked () =
+  let fleet rate_mops =
+    let s = mk () in
+    let net = Net.create s () in
+    let sp =
+      Netload.spec ~nclients:2 ~nconns:2 ~key_range:64 ~mode:(Netload.Open { rate_mops }) ()
+    in
+    Netload.run_routed s (Netload.single net) (Netload.rspec ~base:sp ()) ~duration:4_000 ()
+  in
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises (Printf.sprintf "rate %g" rate)
+        (Invalid_argument "Netload.run_routed: open-loop rate_mops must be positive and finite")
+        (fun () -> ignore (fleet rate)))
+    [ 0.0; -1.0; nan ];
+  let issued = (fleet 1.0).Netload.agg.Netload.issued in
+  Alcotest.(check bool) (Printf.sprintf "1 Mops/s issues a few (%d)" issued) true (issued < 20);
+  Alcotest.(check int) "1e-300 Mops/s issues none" 0 (fleet 1e-300).Netload.agg.Netload.issued
+
 (* The one-node router spreads connection slots round-robin over the NICs,
    and the fleet dials each slot through it: losing either half serves the
    whole fleet from one socket's pollers. *)
@@ -686,6 +709,7 @@ let test_timeouts_count_unanswered () =
 
 let suite =
   [
+    ("open-loop rate checked", `Quick, test_open_loop_rate_checked);
     ("request round-trip under packetization", `Quick, test_request_roundtrip);
     ("response round-trip under packetization", `Quick, test_response_roundtrip);
     ("truncation never misparses", `Quick, test_truncation_safe);

@@ -258,7 +258,7 @@ let test_failpoint_drop_span_close () =
   let sched = Sthread.create m in
   Sthread.spawn sched ~hw:0 (fun () ->
       Obs.failpoint_drop_span_close := true;
-      Sthread.obs_span "mutated" (fun () -> Dps_sthread.Simops.work 100));
+      Sthread.obs_span "mutated" (fun () -> Sthread.work 100));
   Sthread.run sched;
   Obs.stop ();
   Alcotest.(check bool) "flag self-cleared" false !Obs.failpoint_drop_span_close;
@@ -271,7 +271,7 @@ let test_failpoint_drop_span_close () =
   let m = Machine.create Machine.config_default in
   let sched = Sthread.create m in
   Sthread.spawn sched ~hw:0 (fun () ->
-      Sthread.obs_span "clean" (fun () -> Dps_sthread.Simops.work 100));
+      Sthread.obs_span "clean" (fun () -> Sthread.work 100));
   Sthread.run sched;
   Obs.stop ();
   (match Obs.validate () with

@@ -170,6 +170,45 @@ let test_outside_context_rejected () =
   Alcotest.check_raises "no context" (Failure "Sthread: called from outside a simulated thread")
     (fun () -> ignore (Sthread.self_hw ()))
 
+(* The charged operations are cold-aware: outside a simulated thread
+   (cold setup) and inside an [at] callback they return without effect, so
+   one data-structure path serves population and the measured run. The
+   identity calls still refuse. *)
+let test_charged_ops_cold () =
+  let s = mk () in
+  let m = Sthread.machine s in
+  let a = Machine.alloc m (Machine.On_node 0) ~lines:1 in
+  let accesses () = Dps_simcore.Stats.get (Machine.stats m) "accesses" in
+  let events = ref 0 in
+  Sthread.set_tracer s (Some (fun _ -> incr events));
+  let every_op () =
+    Sthread.work 100;
+    Sthread.read a;
+    Sthread.read_racy a;
+    Sthread.write a;
+    Sthread.write_release a;
+    Sthread.rmw a;
+    Sthread.access_pipelined ~factor:4 ~kind:Machine.Write a;
+    Sthread.charge_read a;
+    Sthread.charge_read_racy a;
+    Sthread.flush ();
+    Sthread.sync_acquire 1;
+    Sthread.sync_release 1
+  in
+  let before = accesses () in
+  every_op ();
+  let ran = ref false in
+  Sthread.at s ~time:100 (fun () ->
+      every_op ();
+      ran := true);
+  Sthread.run s;
+  Alcotest.(check bool) "at callback ran" true !ran;
+  Alcotest.(check int) "no access charged" before (accesses ());
+  Alcotest.(check int) "no trace event" 0 !events;
+  Alcotest.(check int) "no time charged" 100 (Sthread.now s);
+  Alcotest.check_raises "self_id" (Failure "Sthread: called from outside a simulated thread")
+    (fun () -> ignore (Sthread.self_id ()))
+
 let test_access_pipelined () =
   (* pipelined accesses charge a fraction of the latency but keep the full
      coherence transition *)
@@ -621,6 +660,7 @@ let suite =
     ("spawn from inside", `Quick, test_spawn_from_inside);
     ("exception propagates", `Quick, test_exception_propagates);
     ("outside context rejected", `Quick, test_outside_context_rejected);
+    ("charged ops cold", `Quick, test_charged_ops_cold);
     ("access pipelined", `Quick, test_access_pipelined);
     ("hyperthread dilation", `Quick, test_hyperthread_dilation_in_sim);
   ]

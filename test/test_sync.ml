@@ -1,15 +1,13 @@
 (* Tests for simulated locks: mutual exclusion under genuine interleaving,
-   fairness, OPTIK validation semantics, barrier rendezvous. *)
+   fairness, OPTIK validation semantics. *)
 
 module Machine = Dps_machine.Machine
 module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
-module Simops = Dps_sthread.Simops
 module Spinlock = Dps_sync.Spinlock
 module Ticket = Dps_sync.Ticket
 module Mcs = Dps_sync.Mcs
 module Optik = Dps_sync.Optik
-module Barrier = Dps_sync.Barrier
 
 let mk () =
   let m = Machine.create Machine.config_default in
@@ -34,10 +32,10 @@ let exercise_lock mk_lock =
           incr in_cs;
           if !in_cs > !max_in_cs then max_in_cs := !in_cs;
           let v = !counter in
-          Simops.read data_addr;
-          Simops.work 50;
+          Sthread.read data_addr;
+          Sthread.work 50;
           counter := v + 1;
-          Simops.write data_addr;
+          Sthread.write data_addr;
           decr in_cs;
           release ()
         done)
@@ -145,37 +143,6 @@ let test_optik_conflict_detected () =
   Sthread.run s;
   Alcotest.(check bool) "conflict detected" true !observed_stale
 
-let test_barrier () =
-  let s, alloc = mk () in
-  let b = Barrier.create alloc ~parties:8 in
-  let before = ref 0 and after_min = ref max_int in
-  for t = 0 to 7 do
-    Sthread.spawn s ~hw:(t * 2) (fun () ->
-        Sthread.work (100 * (t + 1));
-        incr before;
-        Barrier.await b;
-        (* everyone must have arrived *)
-        if !before < 8 then Alcotest.fail "barrier released early";
-        after_min := min !after_min !before)
-  done;
-  Sthread.run s;
-  Alcotest.(check int) "all arrived before release" 8 !after_min
-
-let test_barrier_reusable () =
-  let s, alloc = mk () in
-  let b = Barrier.create alloc ~parties:4 in
-  let rounds = Array.make 4 0 in
-  for t = 0 to 3 do
-    Sthread.spawn s ~hw:(t * 2) (fun () ->
-        for _ = 1 to 5 do
-          Sthread.work (50 + (t * 77));
-          Barrier.await b;
-          rounds.(t) <- rounds.(t) + 1
-        done)
-  done;
-  Sthread.run s;
-  Array.iter (fun r -> Alcotest.(check int) "5 rounds" 5 r) rounds
-
 let test_cohort_mutex () =
   exercise_lock (fun alloc ->
       let m = Alloc.machine alloc in
@@ -195,7 +162,7 @@ let test_cohort_prefers_local_handoff () =
     Sthread.spawn s ~hw (fun () ->
         for _ = 1 to 25 do
           Dps_sync.Cohort.acquire l;
-          Simops.work 100;
+          Sthread.work 100;
           Dps_sync.Cohort.release l
         done)
   done;
@@ -226,7 +193,7 @@ let test_cna_prefers_local_handoff () =
     Sthread.spawn s ~hw (fun () ->
         for _ = 1 to 25 do
           Dps_sync.Cna.acquire l;
-          Simops.work 100;
+          Sthread.work 100;
           Dps_sync.Cna.release l
         done)
   done;
@@ -251,14 +218,14 @@ let test_cna_fairness_budget () =
       for _ = 1 to 3 do
         Dps_sync.Cna.acquire l;
         incr remote_got;
-        Simops.work 50;
+        Sthread.work 50;
         Dps_sync.Cna.release l
       done);
   for t = 0 to 7 do
     Sthread.spawn s ~hw:(t * 2) (fun () ->
         for _ = 1 to 40 do
           Dps_sync.Cna.acquire l;
-          Simops.work 50;
+          Sthread.work 50;
           Dps_sync.Cna.release l
         done)
   done;
@@ -291,8 +258,6 @@ let suite =
     ("mcs FIFO", `Quick, test_mcs_fifo);
     ("optik validation", `Quick, test_optik_validation);
     ("optik conflict detected", `Quick, test_optik_conflict_detected);
-    ("barrier", `Quick, test_barrier);
-    ("barrier reusable", `Quick, test_barrier_reusable);
     ("cohort mutual exclusion", `Quick, test_cohort_mutex);
     ("cohort prefers local handoff", `Quick, test_cohort_prefers_local_handoff);
     ("cna mutual exclusion", `Quick, test_cna_mutex);

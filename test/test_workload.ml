@@ -108,8 +108,8 @@ let test_driver_measures () =
   let r =
     Driver.measure ~sched ~threads:4 ~duration:100_000
       ~op:(fun ~tid ~step ->
-        Dps_sthread.Simops.read (a + ((tid + step) mod 64));
-        Dps_sthread.Simops.work 100)
+        Sthread.read (a + ((tid + step) mod 64));
+        Sthread.work 100)
       ()
   in
   Alcotest.(check int) "threads" 4 r.Driver.threads;
@@ -122,7 +122,7 @@ let test_driver_min_ops () =
   let sched = Sthread.create m in
   let r =
     Driver.measure ~sched ~threads:2 ~duration:10 ~min_ops:5
-      ~op:(fun ~tid:_ ~step:_ -> Dps_sthread.Simops.work 1_000)
+      ~op:(fun ~tid:_ ~step:_ -> Sthread.work 1_000)
       ()
   in
   Alcotest.(check bool) "min ops respected" true (r.Driver.ops >= 10)
@@ -135,7 +135,7 @@ let test_driver_prologue_epilogue () =
     Driver.measure ~sched ~threads:3 ~duration:1_000
       ~prologue:(fun ~tid:_ -> incr pro)
       ~epilogue:(fun ~tid:_ -> incr epi)
-      ~op:(fun ~tid:_ ~step:_ -> Dps_sthread.Simops.work 100)
+      ~op:(fun ~tid:_ ~step:_ -> Sthread.work 100)
       ()
   in
   Alcotest.(check int) "prologues" 3 !pro;
@@ -160,8 +160,8 @@ let test_driver_reproducible () =
       ~op:(fun ~tid:_ ~step:_ ->
         let p = Sthread.self_prng () in
         let k = Keydist.sample dist p in
-        if Prng.bool p then Dps_sthread.Simops.write (a + k)
-        else Dps_sthread.Simops.read (a + k))
+        if Prng.bool p then Sthread.write (a + k)
+        else Sthread.read (a + k))
       ()
   in
   let r1 = run_once () and r2 = run_once () in
