@@ -41,22 +41,39 @@ let config_scaled ?(factor = 16) () =
    [sharers] is set, and socket [s]'s LLC exactly when bit [s] of [in_llc]
    is set, so the access paths test membership on the record they already
    loaded; the boxes are touched only to insert an absent line or to
-   remove one. *)
+   remove one.
+
+   [meta] packs the rest into one int, so a record is 5 words, not 7:
+   bits 0-5 hold [owner + 1] (0 when no core owns the line), bit 6 is
+   [dirty] (modified relative to DRAM: an eviction writes back) and the
+   bits from 7 up hold the fixed [home] socket. [create] bounds cores and
+   sockets to 63, so both fit. *)
 type line = {
-  home : int;
-  mutable owner : int;
+  mutable meta : int;
   mutable sharers : int;
   mutable in_llc : int;
   mutable wbusy : int;
-  mutable dirty : bool;  (* modified relative to DRAM: an eviction writes back *)
 }
 
-type region = { base : int; nlines : int; pol : policy }
+let[@inline] owner l = (l.meta land 63) - 1
+let[@inline] set_owner l core = l.meta <- (l.meta land lnot 63) lor (core + 1)
+let[@inline] dirty l = l.meta land 64 <> 0
+let[@inline] set_dirty l d = l.meta <- (if d then l.meta lor 64 else l.meta land lnot 64)
+let[@inline] home l = l.meta lsr 7
+
+(* A run of addresses with one policy. [alloc] extends the last region
+   instead of adding one when both are [On_node] the same node. *)
+type region = { base : int; mutable nlines : int; pol : policy }
 
 (* Placeholder for never-touched entries of the dense directory, compared
    physically; never written, and its empty masks read as absent
    everywhere. *)
-let no_line = { home = -1; owner = -1; sharers = 0; in_llc = 0; wbusy = 0; dirty = false }
+let no_line = { meta = 0; sharers = 0; in_llc = 0; wbusy = 0 }
+
+(* The directory is a spine of fixed-size chunks: growing it copies the
+   spine, not the entries, and leaves no doubling slack. *)
+let chunk_bits = 14
+let chunk_mask = (1 lsl chunk_bits) - 1
 
 let line_bytes = 64
 
@@ -108,16 +125,15 @@ type t = {
   tlb : Cachebox.t array;  (* per physical core, in pages *)
   llc : Cachebox.t array;  (* per socket *)
   socket_cores : int array;  (* per socket, the mask of its cores *)
-  mutable lines : line array;
-    (* The coherence directory, keyed directly by line index. [alloc] hands
-       out addresses densely from 0, so the directory is a flat array grown
-       alongside [next_addr] — one load per lookup where the previous
-       [Hashtbl] hashed and chased buckets on every access. Entries
-       materialize lazily on first touch, exactly as the hash table did. *)
+  mutable lines : line array array;
+    (* The coherence directory, keyed directly by line index: chunk
+       [addr lsr chunk_bits], entry [addr land chunk_mask]. [alloc] hands
+       out addresses densely from 0 and adds the chunks [next_addr]
+       reaches; entries materialize lazily on first touch. *)
   mutable tlb_cores : int array;
     (* per page (64 lines), the mask of the cores whose TLB holds it:
        TLB presence, as [sharers] is private-cache presence; grown with
-       [lines] *)
+       [next_addr] *)
   dram : Bwbucket.t array;
   mc : Bwbucket.t array;
   link : Bwbucket.t array;
@@ -166,8 +182,8 @@ let create ?(seed = 42L) cfg =
             if Topology.socket_of_core topo c = s then m := !m lor (1 lsl c)
           done;
           !m);
-    lines = Array.make 65536 no_line;
-    tlb_cores = Array.make (65536 / 64) 0;
+    lines = [||];
+    tlb_cores = [||];
     (* one line of burst: a FIFO server taking [dram_cycles_per_line] per line *)
     dram =
       buckets topo.Topology.sockets ~rate:line_bytes ~per:bw.Costs.dram_cycles_per_line
@@ -194,26 +210,38 @@ let topology t = t.cfg.topo
 let config t = t.cfg
 let stats t = t.stats
 
+(* [a] grown to at least [n] entries, doubling, new entries [fill] *)
+let grown a n fill =
+  if n <= Array.length a then a
+  else begin
+    let bigger = Array.make (Int.max n (2 * Array.length a)) fill in
+    Array.blit a 0 bigger 0 (Array.length a);
+    bigger
+  end
+
 let alloc t pol ~lines =
-  assert (lines > 0);
+  if lines < 1 then invalid_arg (Printf.sprintf "Machine.alloc: %d lines" lines);
+  let sockets = t.cfg.topo.Topology.sockets in
+  (match pol with
+  | On_node n when n < 0 || n >= sockets ->
+      invalid_arg (Printf.sprintf "Machine.alloc: node %d on a %d-socket machine" n sockets)
+  | On_node _ | Interleave -> ());
   let base = t.next_addr in
   t.next_addr <- base + lines;
-  if t.next_addr > Array.length t.lines then begin
-    let cap = Int.max t.next_addr (2 * Array.length t.lines) in
-    let bigger = Array.make cap no_line in
-    Array.blit t.lines 0 bigger 0 (Array.length t.lines);
-    t.lines <- bigger;
-    let pages = Array.make ((cap + 63) / 64) 0 in
-    Array.blit t.tlb_cores 0 pages 0 (Array.length t.tlb_cores);
-    t.tlb_cores <- pages
+  let chunks = ((t.next_addr - 1) lsr chunk_bits) + 1 in
+  let have = Array.length t.lines in
+  if chunks > have then begin
+    let chunk c = if c < have then t.lines.(c) else Array.make (1 lsl chunk_bits) no_line in
+    t.lines <- Array.init chunks chunk;
+    t.tlb_cores <- grown t.tlb_cores ((chunks lsl chunk_bits) / 64) 0
   end;
-  if t.nregions = Array.length t.regions then begin
-    let bigger = Array.make (2 * t.nregions) t.regions.(0) in
-    Array.blit t.regions 0 bigger 0 t.nregions;
-    t.regions <- bigger
-  end;
-  t.regions.(t.nregions) <- { base; nlines = lines; pol };
-  t.nregions <- t.nregions + 1;
+  let last = if t.nregions = 0 then None else Some t.regions.(t.nregions - 1) in
+  (match (last, pol) with
+  | Some ({ pol = On_node m; _ } as r), On_node n when m = n -> r.nlines <- r.nlines + lines
+  | _ ->
+      t.regions <- grown t.regions (t.nregions + 1) t.regions.(0);
+      t.regions.(t.nregions) <- { base; nlines = lines; pol };
+      t.nregions <- t.nregions + 1);
   base
 
 let region_of t addr =
@@ -237,27 +265,26 @@ let region_of t addr =
 let compute_home t addr =
   let r = region_of t addr in
   match r.pol with
-  | On_node n ->
-      assert (n >= 0 && n < t.cfg.topo.Topology.sockets);
-      n
+  | On_node n -> n
   | Interleave -> (addr - r.base) mod t.cfg.topo.Topology.sockets
 
 (* First touch of a line; [compute_home] rejects an unallocated address. *)
 let fresh_line t addr =
-  let l =
-    { home = compute_home t addr; owner = -1; sharers = 0; in_llc = 0; wbusy = 0; dirty = false }
-  in
-  t.lines.(addr) <- l;
+  let l = { meta = compute_home t addr lsl 7; sharers = 0; in_llc = 0; wbusy = 0 } in
+  t.lines.(addr lsr chunk_bits).(addr land chunk_mask) <- l;
   l
 
+(* The directory entry of an allocated address, [no_line] if untouched. *)
+let[@inline] entry t addr = t.lines.(addr lsr chunk_bits).(addr land chunk_mask)
+
 let[@inline] line_of t addr =
-  let l = if addr >= 0 && addr < t.next_addr then t.lines.(addr) else no_line in
+  let l = if addr >= 0 && addr < t.next_addr then entry t addr else no_line in
   if l != no_line then l else fresh_line t addr
 
-let home_of t addr = (line_of t addr).home
+let home_of t addr = home (line_of t addr)
 
 (* Whether [core]'s private cache holds [line] (the presence invariant). *)
-let[@inline] holds line core = line.owner = core || line.sharers land (1 lsl core) <> 0
+let[@inline] holds line core = owner line = core || line.sharers land (1 lsl core) <> 0
 
 (* Insert a line [core] does not hold. A line falling out of a private
    cache loses its coherence permissions: dirty data is considered written
@@ -266,9 +293,9 @@ let priv_insert t core addr =
   match Cachebox.add t.priv.(core) addr with
   | None -> ()
   | Some victim ->
-      let l = t.lines.(victim) in
+      let l = entry t victim in
       l.sharers <- l.sharers land lnot (1 lsl core);
-      if l.owner = core then l.owner <- -1
+      if owner l = core then set_owner l (-1)
 
 (* Remove [addr] from box [i] for every bit [i] of [mask]. *)
 let remove_all boxes mask addr =
@@ -310,13 +337,13 @@ let llc_insert t ~now sock line addr =
     match Cachebox.add t.llc.(sock) addr with
     | None -> ()
     | Some victim ->
-        let l = t.lines.(victim) in
+        let l = entry t victim in
         l.in_llc <- l.in_llc land lnot bit;
-        if l.dirty && bw_enabled t then begin
-          l.dirty <- false;
+        if dirty l && bw_enabled t then begin
+          set_dirty l false;
           incr t.count.bw_writebacks;
-          ignore (charge t.mc l.home ~now);
-          if l.home <> sock then ignore (charge_edge t ~src:sock ~dst:l.home ~now)
+          ignore (charge t.mc (home l) ~now);
+          if home l <> sock then ignore (charge_edge t ~src:sock ~dst:(home l) ~now)
         end
   end
 
@@ -336,8 +363,9 @@ let llc_socket_elsewhere line sock =
 let fetch_cost t line ~core ~sock =
   let c = t.cfg.costs in
   let topo = t.cfg.topo in
-  if line.owner >= 0 && line.owner <> core then begin
-    let owner_sock = Topology.socket_of_core topo line.owner in
+  let owner = owner line in
+  if owner >= 0 && owner <> core then begin
+    let owner_sock = Topology.socket_of_core topo owner in
     if owner_sock = sock then (c.Costs.llc_hit, `Local_transfer)
     else (c.Costs.llc_remote, `Remote owner_sock)
   end
@@ -345,7 +373,7 @@ let fetch_cost t line ~core ~sock =
   else begin
     let src = llc_socket_elsewhere line sock in
     if src >= 0 then (c.Costs.llc_remote, `Remote src)
-    else if line.home = sock then (c.Costs.dram_local, `Dram)
+    else if home line = sock then (c.Costs.dram_local, `Dram)
     else (c.Costs.dram_remote, `Remote_dram)
   end
 
@@ -365,11 +393,12 @@ let count_fetch t = function
    [bw_delay] for {!access_mlp}. *)
 let fill_delay t ~now ~sock line src =
   let from_dram = match src with `Dram | `Remote_dram -> true | _ -> false in
-  let q = if from_dram then queued t.count.dram_queueing (charge t.dram line.home ~now) else 0 in
-  let mc = if from_dram then queued t.count.bw_mc_queueing (charge t.mc line.home ~now) else 0 in
+  let q = if from_dram then queued t.count.dram_queueing (charge t.dram (home line) ~now) else 0 in
+  let mc = if from_dram then queued t.count.bw_mc_queueing (charge t.mc (home line) ~now) else 0 in
   let link =
     match src with
-    | `Remote_dram -> queued t.count.bw_link_queueing (charge_edge t ~src:line.home ~dst:sock ~now)
+    | `Remote_dram ->
+        queued t.count.bw_link_queueing (charge_edge t ~src:(home line) ~dst:sock ~now)
     | `Remote s -> queued t.count.bw_link_queueing (charge_edge t ~src:s ~dst:sock ~now)
     | `Dram | `Local_transfer | `Llc | `Upgrade -> 0
   in
@@ -385,19 +414,21 @@ let invalidation_cost t line ~core ~sock =
   let c = t.cfg.costs in
   (* sharers other than [core] and the owner, whose copy goes with the transfer *)
   let others = line.sharers land lnot (1 lsl core) in
-  let others = if line.owner >= 0 then others land lnot (1 lsl line.owner) else others in
+  let owner = owner line in
+  let others = if owner >= 0 then others land lnot (1 lsl owner) else others in
   if others land lnot t.socket_cores.(sock) <> 0 then c.Costs.inval_remote
   else if others <> 0 then c.Costs.inval_local
   else 0
 
 let do_invalidate t line ~core ~sock ~addr =
-  let holders = if line.owner >= 0 then line.sharers lor (1 lsl line.owner) else line.sharers in
+  let owner = owner line in
+  let holders = if owner >= 0 then line.sharers lor (1 lsl owner) else line.sharers in
   remove_all t.priv (holders land lnot (1 lsl core)) addr;
   remove_all t.llc (line.in_llc land lnot (1 lsl sock)) addr;
   line.in_llc <- line.in_llc land (1 lsl sock);
   line.sharers <- 1 lsl core;
-  line.owner <- core;
-  line.dirty <- true
+  set_owner line core;
+  set_dirty line true
 
 (* Address translation: the page walk reads page tables homed where the
    page lives, so pointer chases over big remote working sets pay remote
@@ -412,7 +443,7 @@ let tlb_cost t ~core ~sock line addr =
     (match Cachebox.add t.tlb.(core) page with
     | Some victim -> t.tlb_cores.(victim) <- t.tlb_cores.(victim) land lnot bit
     | None -> ());
-    if line.home = sock then t.cfg.costs.Costs.walk_local else t.cfg.costs.Costs.walk_remote
+    if home line = sock then t.cfg.costs.Costs.walk_local else t.cfg.costs.Costs.walk_remote
   end
 
 let access_slow t ~now ~core ~line ~addr ~kind =
@@ -431,10 +462,11 @@ let access_slow t ~now ~core ~line ~addr ~kind =
         let cost, src = fetch_cost t line ~core ~sock in
         count_fetch t src;
         let delay = fill_delay t ~now ~sock line src in
-        if line.owner >= 0 then begin
+        let owner = owner line in
+        if owner >= 0 then begin
           (* Dirty remote copy becomes shared. *)
-          line.sharers <- line.sharers lor (1 lsl line.owner);
-          line.owner <- -1
+          line.sharers <- line.sharers lor (1 lsl owner);
+          set_owner line (-1)
         end;
         line.sharers <- line.sharers lor (1 lsl core);
         priv_insert t core addr;
@@ -443,7 +475,7 @@ let access_slow t ~now ~core ~line ~addr ~kind =
       end
   | Write | Rmw ->
       let extra = if kind = Rmw then c.Costs.rmw_extra else 0 in
-      if line.owner = core then begin
+      if owner line = core then begin
         incr t.count.priv_hits;
         translation + c.Costs.priv_hit + extra
       end
@@ -496,7 +528,7 @@ let check_presence t =
              box_name i)
   in
   for addr = 0 to t.next_addr - 1 do
-    let l = t.lines.(addr) in
+    let l = entry t addr in
     Array.iteri (fun c box -> expect "line" addr "private cache of core" c box (holds l c)) t.priv;
     Array.iteri
       (fun s box -> expect "line" addr "LLC of socket" s box (l.in_llc land (1 lsl s) <> 0))

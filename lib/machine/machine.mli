@@ -38,7 +38,9 @@ val config : t -> config
 
 val alloc : t -> policy -> lines:int -> int
 (** Allocate a region of [lines] cache lines; returns the base address.
-    Line metadata is materialised lazily, so huge sparse regions are cheap. *)
+    Line metadata is materialised lazily, so huge sparse regions are cheap.
+    Raises [Invalid_argument] if [lines < 1] or the policy names a node
+    outside the machine's sockets. *)
 
 val access : t -> now:int -> thread:int -> addr:int -> kind:kind -> int
 (** [access t ~now ~thread ~addr ~kind] performs one access by hardware

@@ -3,7 +3,8 @@
     Backs both connection receive buffers and the incremental wire-protocol
     decoder: bytes are appended at the tail as packets arrive and consumed
     from the head as frames parse, with random access into the unconsumed
-    window for scanning. *)
+    window for scanning. An empty queue holds no buffer unless it needed
+    more than 256 B: an idle connection's queues cost only their records. *)
 
 type t
 

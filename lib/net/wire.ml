@@ -100,7 +100,7 @@ let buffered d = Byteq.length d.q
    transmit the [skip] payload bytes, which must not be parsed as commands. *)
 let drain_skip d =
   if d.skip > 0 then begin
-    let n = min d.skip (Byteq.length d.q) in
+    let n = Int.min d.skip (Byteq.length d.q) in
     Byteq.drop d.q n;
     d.skip <- d.skip - n
   end
@@ -110,7 +110,7 @@ let drain_skip d =
    [`Too_long] if [max_line] bytes arrived without one. *)
 let read_line d ~pos =
   let len = Byteq.length d.q in
-  let limit = min len (pos + d.max_line + 2) in
+  let limit = Int.min len (pos + d.max_line + 2) in
   let rec scan i =
     if i + 1 >= limit then if len - pos > d.max_line then `Too_long else `Need_more
     else if Byteq.get d.q i = '\r' && Byteq.get d.q (i + 1) = '\n' then

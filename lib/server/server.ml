@@ -146,7 +146,7 @@ let handle t p req =
       match int_of_string_opt key with
       | Some key ->
           t.st.sets <- t.st.sets + 1;
-          let val_lines = max 1 ((String.length data + 63) / 64) in
+          let val_lines = Int.max 1 ((String.length data + 63) / 64) in
           (* drop our own cached entry before forwarding: the delegated
              write lands asynchronously, but a get on this same poller must
              already miss and go through the (FIFO-ordered) backend path *)
@@ -277,9 +277,9 @@ let poller_body t p () =
               else begin
                 t.st.parks <- t.st.parks + 1;
                 let backoff =
-                  poll_interval lsl min 3 (!streak - spin_rounds - 1)
+                  poll_interval lsl Int.min 3 (!streak - spin_rounds - 1)
                 in
-                ignore (Sthread.park_for (min t.cfg.park_max backoff));
+                ignore (Sthread.park_for (Int.min t.cfg.park_max backoff));
                 (* serve the ring immediately on wake-up, before the
                    connection queue gets its turn: peers' delegations
                    aged a full park interval already *)

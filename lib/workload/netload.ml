@@ -290,8 +290,8 @@ and retry_op f op =
     end
     else begin
       f.rretries <- f.rretries + 1;
-      let b = min backoff_cap (backoff_base lsl min 16 (max 0 (op.attempts - 1))) in
-      let delay = (b / 2) + 1 + Prng.int f.jitter_prng (max 1 (b / 2)) in
+      let b = Int.min backoff_cap (backoff_base lsl Int.min 16 (Int.max 0 (op.attempts - 1))) in
+      let delay = (b / 2) + 1 + Prng.int f.jitter_prng (Int.max 1 (b / 2)) in
       Sthread.at f.rsched ~time:(Sthread.now f.rsched + delay) (fun () ->
           if not op.resolved then
             if Sthread.now f.rsched >= f.rdeadline then begin
@@ -433,7 +433,7 @@ let rec arrivals f prng ~mean_gap slot =
   (* compared in float: a gap past the window need not fit an int *)
   if window > 1 && gap < float_of_int window then
     Sthread.at f.rsched
-      ~time:(now + max 1 (int_of_float gap))
+      ~time:(now + Int.max 1 (int_of_float gap))
       (fun () ->
         new_op f slot;
         arrivals f prng ~mean_gap slot)
@@ -481,7 +481,7 @@ let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
   let horizon = start + duration in
   let grace = (10 * Net.link_latency) + req_timeout + 20_000 in
   let master = Prng.create sp.seed in
-  let twindow = max 1 (duration / 32) in
+  let twindow = Int.max 1 (duration / 32) in
   let f =
     {
       rsched = sched;

@@ -185,6 +185,65 @@ let test_alloc_homes () =
   let homes = List.init 8 (fun i -> Machine.home_of m (b + i)) in
   Alcotest.(check (list int)) "interleaved" [ 0; 1; 2; 3; 0; 1; 2; 3 ] homes
 
+(* A bad [alloc] is refused at the call: a node past the sockets used to
+   fail on the first access, far away, and with region runs it could have
+   extended another node's region. Each refusal consumes no address; the
+   smallest legal call is accepted. *)
+let test_alloc_rejects_bad () =
+  List.iter
+    (fun (name, pol, lines, legal) ->
+      let m = mk_machine () in
+      match Machine.alloc m pol ~lines with
+      | exception Invalid_argument _ ->
+          Alcotest.(check bool) (name ^ " refused") legal false;
+          Alcotest.(check int) (name ^ " consumed nothing") 0
+            (Machine.alloc m Machine.Interleave ~lines:1)
+      | base ->
+          Alcotest.(check bool) (name ^ " accepted") legal true;
+          let home = match pol with Machine.On_node n -> n | Machine.Interleave -> 0 in
+          Alcotest.(check int) (name ^ " homed") home (Machine.home_of m base))
+    [
+      ("no lines", Machine.On_node 0, 0, false);
+      ("negative lines", Machine.Interleave, -1, false);
+      ("node past the sockets", Machine.On_node 4, 1, false);
+      ("negative node", Machine.On_node (-1), 1, false);
+      ("one line on the last node", Machine.On_node 3, 1, true);
+      ("one interleaved line", Machine.Interleave, 1, true);
+    ]
+
+(* Consecutive allocations on one node share a region; interleaved ones
+   never do, since their homes stripe from their own base. Every address
+   must still home as its own allocation says, across directory chunks,
+   and the first address past the last allocation must still be refused. *)
+let qcheck_region_runs =
+  QCheck.Test.make ~name:"region runs home every address like its allocation" ~count:100
+    QCheck.(
+      list_of_size Gen.(1 -- 24) (pair (int_bound 4) (oneof [ int_range 1 8; int_range 1 4000 ])))
+    (fun allocs ->
+      let m = mk_machine () in
+      let sockets = topo.Topology.sockets in
+      let model =
+        List.map
+          (fun (node, lines) ->
+            let pol = if node = sockets then Machine.Interleave else Machine.On_node node in
+            (Machine.alloc m pol ~lines, lines, pol))
+          allocs
+      in
+      List.iter
+        (fun (base, lines, pol) ->
+          for a = base to base + lines - 1 do
+            let want =
+              match pol with Machine.On_node n -> n | Machine.Interleave -> (a - base) mod sockets
+            in
+            let got = Machine.home_of m a in
+            if got <> want then QCheck.Test.fail_reportf "address %d homed on %d, not %d" a got want
+          done)
+        model;
+      let next = List.fold_left (fun acc (_, lines, _) -> acc + lines) 0 model in
+      match Machine.home_of m next with
+      | exception Invalid_argument _ -> true
+      | h -> QCheck.Test.fail_reportf "address %d past the last allocation homed on %d" next h)
+
 let test_access_costs_ordering () =
   let m = mk_machine () in
   let costs = (Machine.config m).Machine.costs in
@@ -390,6 +449,8 @@ let suite =
     ("cachebox no duplicate", `Quick, test_cachebox_no_duplicate);
     QCheck_alcotest.to_alcotest qcheck_cachebox_capacity;
     ("alloc homes", `Quick, test_alloc_homes);
+    ("alloc rejects bad arguments", `Quick, test_alloc_rejects_bad);
+    QCheck_alcotest.to_alcotest qcheck_region_runs;
     ("access cost ordering", `Quick, test_access_costs_ordering);
     ("write invalidates readers", `Quick, test_write_invalidates_readers);
     ("write upgrade cheap", `Quick, test_write_upgrade_cheaper_than_remote);

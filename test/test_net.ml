@@ -274,6 +274,108 @@ let test_byteq () =
   ignore (Byteq.take q ~max:max_int);
   Alcotest.(check int) "drained" 0 (Byteq.length q)
 
+(* A random [Byteq] program against a string model. Chunks run both under
+   and over the 256 B a drained buffer may have and still be dropped, and
+   [Drain] empties the queue often, so buffers are dropped and re-created
+   many times. Whenever the queue is empty it must hold no buffer of at
+   most 256 B: it is then as small as a fresh queue, or it kept a buffer
+   of more than 256 B (buffer sizes are powers of two, so 512 B or
+   more). *)
+type byteq_op =
+  | Push of int
+  | Take of int
+  | Drop of int
+  | Sub of int * int
+  | Get of int
+  | Drain
+  | Clear
+
+let byteq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun n -> Push n) (oneof [ int_bound 40; int_range 200 700 ]));
+        (2, map (fun n -> Take n) (int_bound 300));
+        (2, map (fun n -> Drop n) (int_bound 300));
+        (1, map2 (fun p l -> Sub (p, l)) (int_bound 300) (int_bound 300));
+        (1, map (fun i -> Get i) (int_bound 300));
+        (2, return Drain);
+        (1, return Clear);
+      ])
+
+let qcheck_byteq_model =
+  let fresh_words = Obj.reachable_words (Obj.repr (Byteq.create ())) in
+  QCheck.Test.make ~name:"byte queue agrees with a string model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (1 -- 80) byteq_op_gen))
+    (fun ops ->
+      let q = Byteq.create () in
+      let model = ref "" in
+      let next = ref 0 in
+      let chunk n =
+        incr next;
+        String.init n (fun i -> Char.chr (((!next * 31) + i) land 255))
+      in
+      let consume n =
+        let len = String.length !model in
+        let got = String.sub !model 0 n in
+        model := String.sub !model n (len - n);
+        got
+      in
+      List.iteri
+        (fun step op ->
+          let len = String.length !model in
+          let fail what = QCheck.Test.fail_reportf "step %d: %s disagrees" step what in
+          (match op with
+          | Push n ->
+              let c = chunk n in
+              Byteq.push q c;
+              model := !model ^ c
+          | Take n -> if Byteq.take q ~max:n <> consume (Int.min n len) then fail "take"
+          | Drop n ->
+              let n = n mod (len + 1) in
+              Byteq.drop q n;
+              ignore (consume n)
+          | Sub (p, l) ->
+              let p = p mod (len + 1) in
+              let l = l mod (len - p + 1) in
+              if Byteq.sub q ~pos:p ~len:l <> String.sub !model p l then fail "sub"
+          | Get i -> if len > 0 && Byteq.get q (i mod len) <> !model.[i mod len] then fail "get"
+          | Drain -> if Byteq.take q ~max:max_int <> consume len then fail "drain"
+          | Clear ->
+              Byteq.clear q;
+              model := "");
+          if Byteq.length q <> String.length !model then fail "length";
+          if Byteq.sub q ~pos:0 ~len:(Byteq.length q) <> !model then fail "contents";
+          let words = Obj.reachable_words (Obj.repr q) in
+          if Byteq.length q = 0 && words > fresh_words && words <= fresh_words + (256 / 8) then
+            QCheck.Test.fail_reportf "step %d: empty queue kept a %d-word buffer" step
+              (words - fresh_words))
+        ops;
+      true)
+
+(* An idle connection's queues hold no buffer: drained after a small
+   exchange, a queue is as small as a fresh one, its record plus the
+   shared empty buffer. A queue that needed more than 256 B keeps its
+   buffer, which its next burst reuses: single pushes of 256 B and 257 B
+   sit on either side of the boundary. *)
+let test_byteq_drops_idle_buffer () =
+  let words q = Obj.reachable_words (Obj.repr q) in
+  let q = Byteq.create () in
+  let fresh = words q in
+  Alcotest.(check bool) "fresh queue is a record and an empty buffer" true (fresh <= 6);
+  Byteq.push q (String.make 40 'a');
+  Byteq.push q (String.make 100 'b');
+  Alcotest.(check bool) "a pushed queue holds a buffer" true (words q > fresh);
+  ignore (Byteq.take q ~max:max_int);
+  Alcotest.(check int) "drained small queue" fresh (words q);
+  Byteq.push q (String.make 256 'c');
+  Byteq.drop q 100;
+  Byteq.clear q;
+  Alcotest.(check int) "cleared 256 B queue" fresh (words q);
+  Byteq.push q (String.make 257 'd');
+  Byteq.drop q 257;
+  Alcotest.(check bool) "drained 257 B queue keeps its buffer" true (words q > 256 / 8)
+
 (* --- NIC / link / DMA model -------------------------------------------- *)
 
 let test_link_timing () =
@@ -718,6 +820,8 @@ let suite =
     ("garbage bytes resynchronize", `Quick, test_garbage_resync);
     ("truncated multiget response", `Quick, test_truncated_multiget_response);
     ("byte queue", `Quick, test_byteq);
+    QCheck_alcotest.to_alcotest qcheck_byteq_model;
+    ("byte queue drops an idle buffer", `Quick, test_byteq_drops_idle_buffer);
     ("link timing", `Quick, test_link_timing);
     ("backpressure", `Quick, test_backpressure);
   ]
