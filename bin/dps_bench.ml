@@ -12,6 +12,8 @@
 open Cmdliner
 open Dps_bench_figures
 module Driver = Dps_workload.Driver
+module Machine = Dps_machine.Machine
+module Topology = Dps_machine.Topology
 
 module type SET = Dps_ds.Set_intf.SET
 
@@ -31,25 +33,45 @@ let structures : (string * (module SET)) list =
       (module Dps_ds.Sl_herlihy);
       (module Dps_ds.Sl_fraser);
       (module Dps_ds.Hashtable);
-      (module Dps_ds.Btree_blink);
       (module Dps_parsec.Parsec_list);
     ]
 
 type harness = Shared | Dps_h | Ffwd_h
 
+let ( let* ) = Result.bind
+
+(* Every flag's range, checked before anything is built. The stock and
+   DPS harnesses pin one client per hardware thread; ffwd's clients share
+   the hardware threads its servers leave free, so any count fits. ffwd
+   puts one server on each socket. *)
+let check_args ~topo ~harness ~threads ~size ~update ~duration ~servers ~seeds ~jobs =
+  let max_threads =
+    match harness with Shared | Dps_h -> Topology.nthreads topo | Ffwd_h -> max_int
+  in
+  let* () = Cli_args.in_range "--threads" ~lo:1 ~hi:max_threads threads in
+  let* () = Cli_args.in_range "--size" ~lo:1 size in
+  let* () = Cli_args.in_range "--update" ~lo:0 ~hi:100 update in
+  let* () = Cli_args.in_range "--duration" ~lo:1 duration in
+  let* () = Cli_args.in_range "--servers" ~lo:1 ~hi:topo.Topology.sockets servers in
+  let* () = Cli_args.in_range "--seeds" ~lo:1 seeds in
+  Cli_args.in_range "--jobs" ~lo:1 jobs
+
 (* Independent seeds fan out on the figures' runner: results print in
    seed order whatever the job count. *)
 let run_bench structure harness threads size update skewed duration servers scaled seed seeds
     jobs =
-  let (module S : SET) =
-    match List.assoc_opt structure structures with
-    | Some s -> s
-    | None ->
-        Printf.eprintf "unknown structure %S; pick from: %s\n" structure
-          (String.concat ", " (List.map fst structures));
-        exit 2
-  in
   let config = if scaled then Bench_common.scaled_config else Bench_common.full_config in
+  let* (module S : SET) =
+    Option.to_result
+      ~none:
+        (Printf.sprintf "--structure: unknown structure %S; pick from: %s" structure
+           (String.concat ", " (List.map fst structures)))
+      (List.assoc_opt structure structures)
+  in
+  let* () =
+    check_args ~topo:config.Machine.topo ~harness ~threads ~size ~update ~duration ~servers
+      ~seeds ~jobs
+  in
   let w = Bench_common.workload ~threads ~size ~update_pct:update ~skewed ~duration () in
   let run seed =
     match harness with
@@ -58,10 +80,11 @@ let run_bench structure harness threads size update skewed duration servers scal
     | Ffwd_h -> Bench_common.run_ffwd ~seed (module S) ~config ~servers w
   in
   Bench_common.set_jobs jobs;
-  let seeds = List.init (max 1 seeds) (fun i -> Int64.add seed (Int64.of_int i)) in
-  match Bench_common.map_points run seeds with
+  let seeds = List.init seeds (fun i -> Int64.add seed (Int64.of_int i)) in
+  (match Bench_common.map_points run seeds with
   | [ r ] -> Format.printf "%a@." Driver.pp_result r
-  | rs -> List.iter2 (fun s r -> Format.printf "seed %Ld: %a@." s Driver.pp_result r) seeds rs
+  | rs -> List.iter2 (fun s r -> Format.printf "seed %Ld: %a@." s Driver.pp_result r) seeds rs);
+  Ok ()
 
 (* --- command line --- *)
 
@@ -106,7 +129,8 @@ let cmd =
   Cmd.v
     (Cmd.info "dps-bench" ~doc)
     Term.(
-      const run_bench $ structure $ harness $ threads $ size $ update $ skewed $ duration
-      $ servers $ scaled $ seed $ seeds $ jobs)
+      term_result' ~usage:true
+        (const run_bench $ structure $ harness $ threads $ size $ update $ skewed $ duration
+       $ servers $ scaled $ seed $ seeds $ jobs))
 
 let () = exit (Cmd.eval cmd)

@@ -9,6 +9,7 @@
 
 open Cmdliner
 module Machine = Dps_machine.Machine
+module Topology = Dps_machine.Topology
 module Sthread = Dps_sthread.Sthread
 module Prng = Dps_simcore.Prng
 module Keydist = Dps_workload.Keydist
@@ -18,8 +19,24 @@ module Variants = Dps_memcached.Variants
 
 type which = Stock | Parsec | Ffwd | Dps_v | Dps_parsec
 
+let ( let* ) = Result.bind
+
+(* Every flag's range, checked before anything is built. Every variant
+   but ffwd pins one client per hardware thread; ffwd's clients share the
+   hardware threads its server leaves free, so any count fits. *)
+let check_args ~topo ~variant ~threads ~items ~value_bytes ~set_pct ~duration =
+  let max_threads = if variant = Ffwd then max_int else Topology.nthreads topo in
+  let* () = Cli_args.in_range "--threads" ~lo:1 ~hi:max_threads threads in
+  let* () = Cli_args.in_range "--items" ~lo:1 items in
+  let* () = Cli_args.in_range "--value-bytes" ~lo:1 value_bytes in
+  let* () = Cli_args.in_range "--set" ~lo:0 ~hi:100 set_pct in
+  Cli_args.in_range "--duration" ~lo:1 duration
+
 let run_mc variant ycsb threads items value_bytes set_pct duration scaled seed =
   let config = if scaled then Machine.config_scaled () else Machine.config_default in
+  let* () =
+    check_args ~topo:config.Machine.topo ~variant ~threads ~items ~value_bytes ~set_pct ~duration
+  in
   let m = Machine.create ~seed config in
   let sched = Sthread.create m in
   let buckets = max 256 items and capacity = 2 * items in
@@ -32,7 +49,7 @@ let run_mc variant ycsb threads items value_bytes set_pct duration scaled seed =
     | Dps_parsec ->
         Variants.dps_parsec sched ~nclients:threads ~locality_size:10 ~buckets ~capacity ()
   in
-  let val_lines = max 1 ((value_bytes + 63) / 64) in
+  let val_lines = (value_bytes + 63) / 64 in
   v.Variants.populate ~keys:(Array.init items Fun.id) ~val_lines;
   let gen =
     match ycsb with
@@ -73,7 +90,8 @@ let run_mc variant ycsb threads items value_bytes set_pct duration scaled seed =
   if !gets > 0 then
     Printf.printf "hit rate: %.3f (%d hits / %d gets)\n"
       (float_of_int !hits /. float_of_int !gets)
-      !hits !gets
+      !hits !gets;
+  Ok ()
 
 let variant =
   let alts =
@@ -120,7 +138,8 @@ let cmd =
   let doc = "run one memcached benchmark point on the simulated NUMA machine" in
   Cmd.v (Cmd.info "dps-mc" ~doc)
     Term.(
-      const run_mc $ variant $ ycsb $ threads $ items $ value_bytes $ set_pct $ duration
-      $ scaled $ seed)
+      term_result' ~usage:true
+        (const run_mc $ variant $ ycsb $ threads $ items $ value_bytes $ set_pct $ duration
+       $ scaled $ seed))
 
 let () = exit (Cmd.eval cmd)

@@ -36,7 +36,7 @@ let default_policy =
 (* Coherence-stall share of the direct path, read from the profiler: the
    stalled fraction of dps.direct's self cycles. 0.0 when profiling is off
    or the phase has never run — the signal degrades to neutral. *)
-let direct_stall_share () =
+let stall_share () =
   if not (Obs.profiling_on ()) then 0.0
   else
     match List.find_opt (fun r -> r.Obs.phase = "dps.direct") (Obs.profile ()) with
@@ -45,7 +45,7 @@ let direct_stall_share () =
         if denom = 0 then 0.0 else float_of_int r.Obs.self_stall /. float_of_int denom
     | None -> 0.0
 
-let run ?(policy = default_policy) ?stall_share dps =
+let run ?(policy = default_policy) dps =
   let n = Dps.npartitions dps in
   let prev = Array.init n (fun pid -> Dps.signals dps ~pid) in
   let hot = Array.make n 0 in
@@ -55,7 +55,7 @@ let run ?(policy = default_policy) ?stall_share dps =
   while Dps.active dps do
     ignore (Sthread.park_for policy.epoch);
     incr epochs;
-    let stall = match stall_share with Some f -> f () | None -> direct_stall_share () in
+    let stall = stall_share () in
     for pid = 0 to n - 1 do
       let s = Dps.signals dps ~pid in
       let p = prev.(pid) in

@@ -27,16 +27,13 @@ type policy = {
 
 val default_policy : policy
 
-val direct_stall_share : unit -> float
-(** Stalled fraction of the direct path's self cycles, from the profiler
-    ([dps.direct] phase); 0.0 when profiling is off. The default
-    [stall_share] input of {!run}. *)
-
-val run : ?policy:policy -> ?stall_share:(unit -> float) -> 'a Dps.t -> unit
+val run : ?policy:policy -> 'a Dps.t -> unit
 (** Controller thread body: sample, decide, migrate, until the instance's
     clients are all done ([Dps.active] turns false). Spawn it on a spare
     hardware thread; it is the single [Dps.set_mode] writer. An epoch with
     traffic at or above [hot_ops] (or a backlog, latency, or stall signal
     crossing its threshold) votes hot, one at or below [cool_ops] votes
     cool, anything between holds the current mode; [hot_epochs] /
-    [cool_epochs] consecutive votes flip the partition. *)
+    [cool_epochs] consecutive votes flip the partition. The stall signal
+    is the stalled fraction of the direct path's self cycles, read from
+    the profiler's [dps.direct] phase (0.0 when profiling is off). *)

@@ -56,10 +56,11 @@ module Events : sig
     extension §4.4 names as future work ("DPS with asynchronous execution
     can be easily integrated into an event-driven programming model").
 
-    A client submits operations with completion callbacks and periodically
-    {!pump}s its loop: pending completions whose replies have arrived fire
-    their callbacks, and the client serves its locality's delegations in
-    the same turn — keeping the §4.3 peer property inside an event loop. *)
+    A client submits operations with completion callbacks and then runs
+    its loop ({!drain_loop}): each turn, pending completions whose replies
+    have arrived fire their callbacks, and the client serves its
+    locality's delegations in the same turn — keeping the §4.3 peer
+    property inside an event loop. *)
 
   type 'a t
 
@@ -68,18 +69,15 @@ module Events : sig
 
   val submit : 'a t -> key:int -> ('a -> int) -> (int -> unit) -> unit
 (** Route the operation like [Dps.execute]; the callback fires from a later
-    {!pump} (immediately at the next pump for local execution). *)
-
-  val pump : 'a t -> int
-(** One loop turn: flush any staged request batch, collect arrived
-    completions, fire their callbacks, serve delegated requests. Returns
-    the number of callbacks fired. *)
+    loop turn (the next one for local execution). *)
 
   val pending : 'a t -> int
 (** Submitted operations whose callbacks have not fired yet. *)
 
   val drain_loop : 'a t -> unit
-(** Pump until no submissions are pending. *)
+(** Run loop turns until no submissions are pending. A turn flushes any
+    staged request batch, collects arrived completions, fires their
+    callbacks and, when none fired, serves delegated requests. *)
 
 end
 

@@ -120,7 +120,6 @@ let nodes_up t = Array.fold_left (fun acc n -> if n.up then acc + 1 else acc) 0 
 let node_dead t id = not t.nodes.(id).up
 let failover_log t = List.rev t.failover_log
 let ring t = t.ring
-let on_node_down t cb = t.down_subs <- cb :: t.down_subs
 
 (* Gossip-free death detection: a node is dead when its own DPS watchdog
    says every poller (= DPS client) vanished without client_done — there
@@ -202,7 +201,7 @@ let router t =
     node_of_key = (fun key -> Ring.lookup t.ring key);
     node_up = (fun id -> t.nodes.(id).up);
     failover_of = (fun id -> Ring.successor t.ring id);
-    subscribe_down = on_node_down t;
+    subscribe_down = (fun cb -> t.down_subs <- cb :: t.down_subs);
   }
 
 let register_obs t reg =

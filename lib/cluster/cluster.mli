@@ -80,10 +80,6 @@ val failover_log : t -> (int * int) list
 
 val ring : t -> Ring.t
 
-val on_node_down : t -> (int -> unit) -> unit
-(** Register a callback fired (once per node) when the probe declares a
-    node dead, after the ring has been replayed. *)
-
 val start_probe : t -> unit
 (** Start the periodic health probe (first sample one cycle from now). *)
 

@@ -23,7 +23,6 @@ let mix h =
   !h land max_int
 
 let point ~node ~replica = mix (((node + 1) * 0x9e3779b9) + (replica * 0x85ebca6b))
-let hash_key key = mix (key + 0x165667b1)
 
 let vnodes = 64
 
@@ -64,7 +63,7 @@ let owner_at t h =
   done;
   snd pts.(if !lo = n then 0 else !lo)
 
-let lookup t key = owner_at t (hash_key key)
+let lookup t key = owner_at t (mix (key + 0x165667b1))
 
 (* The node that inherits [node]'s keys if it fails: the owner the ring
    would pick with [node]'s points deleted, probed at [node]'s first

@@ -38,6 +38,3 @@ val nodes : t -> int list
 
 val size : t -> int
 val is_live : t -> int -> bool
-
-val hash_key : int -> int
-(** The key-side hash, exposed for tests. *)

@@ -292,7 +292,6 @@ let read_version t ~key =
     t.vers.(s)
   end
 
-let version_bumps t = t.n_bumps
 let delegated_ops t = t.n_delegated
 let local_ops t = t.n_local
 let batch_flushes t = t.n_flushes

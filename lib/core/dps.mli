@@ -153,9 +153,6 @@ val read_version : 'a t -> key:int -> int
     caches a value with a version observed {e before} fetching it can only
     err toward a false invalidation). [0] when versions are off. *)
 
-val version_bumps : 'a t -> int
-(** Total {!bump_version} calls that hit an armed table. *)
-
 val rebalance :
   'a t ->
   bucket:int ->
@@ -242,12 +239,10 @@ val flush_pending : 'a t -> unit
 val my_partition : 'a t -> int
 (** The calling client's own partition. *)
 
-val execute_on : 'a t -> pid:int -> ('a -> int) -> completion
-(** Like {!execute}, but targeting a partition directly (used by broadcast
+val call_on : 'a t -> pid:int -> ('a -> int) -> int
+(** Like {!call}, but targeting a partition directly (used by broadcast
     patterns that pick a partition from peeked state, e.g. §3.4 stacks and
     queues). *)
-
-val call_on : 'a t -> pid:int -> ('a -> int) -> int
 
 val run_poller : 'a t -> pid:int -> unit
 (** §4.4 liveness: body for a dedicated polling thread devoted to locality

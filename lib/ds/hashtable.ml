@@ -15,18 +15,16 @@ type t = { alloc : Alloc.t; buckets : bucket array; mask : int }
 
 let name = "hashtable"
 
-let rec pow2 n = if n <= 1 then 1 else 2 * pow2 ((n + 1) / 2)
+(* a power of two, so a bucket index is a mask *)
+let nbuckets = 1024
 
-let create_sized alloc ~buckets:n =
-  let n = pow2 n in
-  let base = Alloc.lines alloc n in
+let create alloc =
+  let base = Alloc.lines alloc nbuckets in
   let mk i =
     let baddr = base + i in
     { baddr; lock = Spinlock.embed ~addr:baddr; chain = None }
   in
-  { alloc; buckets = Array.init n mk; mask = n - 1 }
-
-let create alloc = create_sized alloc ~buckets:1024
+  { alloc; buckets = Array.init nbuckets mk; mask = nbuckets - 1 }
 
 (* Fibonacci hashing spreads adjacent keys across buckets. *)
 let bucket_of t key = (key * 0x9E3779B1) lsr 7 land t.mask

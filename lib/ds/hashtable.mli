@@ -16,8 +16,5 @@ val to_list : t -> (int * int) list
 val check_invariants : t -> unit
 val maintenance : t -> unit
 
-val create_sized : Dps_sthread.Alloc.t -> buckets:int -> t
-(** [create] with an explicit bucket count (rounded up to a power of two). *)
-
 val update : t -> key:int -> value:int -> bool
 (** Overwrite an existing key's value; [false] if absent. *)

@@ -118,8 +118,6 @@ let install sched ~seed spec =
     (Some (fun ~tid ~now ~tag ~cycles -> decide t ~tid ~now ~tag ~cycles));
   t
 
-let uninstall t = Sthread.set_fault_hook t.sched None
-
 let register_obs t reg =
   let module R = Dps_obs.Registry in
   let g name f = R.gauge_fn reg name (fun () -> float_of_int (f t)) in

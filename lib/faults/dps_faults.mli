@@ -45,9 +45,6 @@ val install : Dps_sthread.Sthread.t -> seed:int64 -> spec -> t
 (** Install the plan as the scheduler's fault hook (replacing any previous
     hook). The plan draws from its own PRNG stream seeded with [seed]. *)
 
-val uninstall : t -> unit
-(** Clear the scheduler's fault hook (faults stop; counters survive). *)
-
 val schedule_crash : t -> tid:int -> at:int -> unit
 (** Kill thread [tid] at its first scheduling point at or after simulated
     time [at]. Exact and deterministic regardless of the spec. *)

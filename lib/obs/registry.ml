@@ -116,26 +116,3 @@ let pp ppf t =
           Fmt.pf ppf "%s%a count=%d mean=%.1f p50=%d p99=%d p999=%d max=%d@." s.name
             pp_labels s.labels h.count h.mean h.p50 h.p99 h.p999 h.max)
     (snapshot t)
-
-let to_json t =
-  let sample_json s =
-    let labels = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.labels) in
-    let base = [ ("name", Json.Str s.name); ("labels", labels) ] in
-    let rest =
-      match s.value with
-      | Counter_v c -> [ ("kind", Json.Str "counter"); ("value", Json.Num (float_of_int c)) ]
-      | Gauge_v g -> [ ("kind", Json.Str "gauge"); ("value", Json.Num g) ]
-      | Histo_v h ->
-          [
-            ("kind", Json.Str "histogram");
-            ("count", Json.Num (float_of_int h.count));
-            ("mean", Json.Num h.mean);
-            ("p50", Json.Num (float_of_int h.p50));
-            ("p99", Json.Num (float_of_int h.p99));
-            ("p999", Json.Num (float_of_int h.p999));
-            ("max", Json.Num (float_of_int h.max));
-          ]
-    in
-    Json.Obj (base @ rest)
-  in
-  Json.List (List.map sample_json (snapshot t))

@@ -71,6 +71,3 @@ val snapshot : t -> sample list
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable table of {!snapshot}. *)
-
-val to_json : t -> Json.t
-(** [{"name":..., "labels":{...}, "kind":..., value fields...}] list. *)

@@ -140,5 +140,3 @@ let pop t =
     let time = t.times.(0) in
     Some (time, take_root t)
   end
-
-let min_time t = if t.len = 0 then None else Some t.times.(0)

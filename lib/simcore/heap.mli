@@ -27,5 +27,3 @@ val take : 'a t -> 'a
 
 val pop : 'a t -> (int * 'a) option
 (** Pop the minimum [(time, payload)], or [None] if empty. *)
-
-val min_time : 'a t -> int option

@@ -64,11 +64,3 @@ let percentile t p =
      with Exit -> ());
     !result
   end
-
-let merge_into ~dst src =
-  for b = 0 to nbuckets - 1 do
-    dst.buckets.(b) <- dst.buckets.(b) + src.buckets.(b)
-  done;
-  dst.total <- dst.total + src.total;
-  dst.sum <- dst.sum +. src.sum;
-  if src.maxv > dst.maxv then dst.maxv <- src.maxv

@@ -16,4 +16,3 @@ val percentile : t -> float -> int
     edge). Returns 0 on an empty histogram. *)
 
 val max_value : t -> int
-val merge_into : dst:t -> t -> unit

@@ -438,10 +438,6 @@ let flush () =
   | Some (t, state) when state.pending > 0 -> suspend_tagged t state Work_op (take_pending state)
   | _ -> ()
 
-let yield () =
-  let t, state = ctx () in
-  suspend_tagged t state Yield_op (1 + take_pending state)
-
 (* Park the calling thread until an unpark (or a pending permit) or, for
    [timeout > 0], until [timeout] cycles pass. Batched [charge_read] costs
    are settled first. *)

@@ -11,7 +11,7 @@
     charged operations ({!work} to {!flush}) do nothing, so library code
     runs the same insert/lookup/remove paths cold (setup, verification) and
     charged. The identity and blocking calls ({!self_hw}, {!self_id},
-    {!self_prng}, {!time}, {!yield}, {!park}, {!park_for}, {!exit}) raise
+    {!self_prng}, {!time}, {!park}, {!park_for}, {!exit}) raise
     [Failure] there. *)
 
 type t
@@ -23,7 +23,9 @@ exception Killed
 
 type op_tag = Work_op | Access_op of Dps_machine.Machine.kind * int | Yield_op
 (** What a suspension is for — lets fault hooks target specific operation
-    classes (e.g. delay only memory accesses to some address range). *)
+    classes (e.g. delay only memory accesses to some address range).
+    Nothing suspends with [Yield_op] any more; the constructor stays only
+    because [bench/perf]'s exhaustive match on the tag names it. *)
 
 type fault = Crash | Stall of int
 (** A fault decision for one scheduling point: [Crash] kills the thread at
@@ -194,9 +196,6 @@ val charge_read_racy : int -> unit
 
 val flush : unit -> unit
 (** Suspend for all cycles accumulated by {!charge_read} (no-op if none). *)
-
-val yield : unit -> unit
-(** Give up the processor for one cycle. *)
 
 (** {1 Blocking and wakeups}
 

@@ -6,7 +6,7 @@ module Alloc = Dps_sthread.Alloc
 (* Consecutive same-socket hand-offs before the holder must splice the
    secondary queue back in (the paper draws this threshold from a PRNG;
    a deterministic budget keeps simulation runs replayable). *)
-let default_fairness = 32
+let fairness = 32
 
 type qnode = {
   qaddr : int;
@@ -29,13 +29,12 @@ type t = {
   mutable local_streak : int;  (* consecutive same-socket hand-offs *)
   mutable remote_transfers : int;  (* hand-offs that crossed sockets *)
   mutable handoffs : int;  (* total hand-offs *)
-  fairness : int;
   qnodes : (int, qnode) Hashtbl.t;  (* logical thread id -> qnode *)
   topo : Topology.t;
   alloc : Alloc.t;
 }
 
-let create ?(fairness = default_fairness) alloc m =
+let create alloc m =
   {
     tail_addr = Alloc.line alloc;
     tail = None;
@@ -45,7 +44,6 @@ let create ?(fairness = default_fairness) alloc m =
     local_streak = 0;
     remote_transfers = 0;
     handoffs = 0;
-    fairness = max 1 fairness;
     qnodes = Hashtbl.create 64;
     topo = Machine.topology m;
     alloc;
@@ -153,7 +151,7 @@ let release_secondary t ~rest =
    secondary queue. Every visited node costs a charged read — the scan is
    the price CNA pays, once per hand-off, to keep the lock on-socket. *)
 let pass t my_sock n =
-  if t.local_streak >= t.fairness && t.sec_head <> None then
+  if t.local_streak >= fairness && t.sec_head <> None then
     (* fairness epoch: starved remote waiters go first *)
     release_secondary t ~rest:(Some n)
   else begin

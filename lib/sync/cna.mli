@@ -5,9 +5,10 @@
     detaching the skipped remote-socket waiters into a secondary queue.
     The lock's data line therefore migrates between sockets rarely — like
     a cohort lock — but with a single queue word and no per-socket lock
-    instances. After [fairness] consecutive same-socket hand-offs the
-    secondary queue is spliced back in front of the main queue, so remote
-    waiters are delayed, never starved.
+    instances. After 32 consecutive same-socket hand-offs the secondary
+    queue is spliced back in front of the main queue, so remote waiters
+    are delayed, never starved (the paper draws this epoch from a PRNG; a
+    fixed budget keeps runs replayable).
 
     This is the lock behind DPS's {e direct} partition mode: when the
     adaptive controller decides a partition is too cool to be worth
@@ -16,10 +17,7 @@
 
 type t
 
-val create : ?fairness:int -> Dps_sthread.Alloc.t -> Dps_machine.Machine.t -> t
-(** [fairness] (default 32) is the consecutive-local-hand-off budget
-    before the secondary queue must be spliced back (the paper draws the
-    epoch from a PRNG; a deterministic budget keeps runs replayable). *)
+val create : Dps_sthread.Alloc.t -> Dps_machine.Machine.t -> t
 
 val acquire : t -> unit
 

@@ -1,8 +1,10 @@
 module Prng = Dps_simcore.Prng
 
+(* YCSB's Zipfian constant *)
+let theta = 0.99
+
 type zipf_state = {
   n : int;
-  theta : float;
   alpha : float;
   zetan : float;
   eta : float;
@@ -15,22 +17,22 @@ let uniform ~range =
   assert (range > 0);
   Uniform range
 
-let zeta n theta =
+let zeta n =
   let sum = ref 0.0 in
   for i = 1 to n do
     sum := !sum +. (1.0 /. Float.pow (float_of_int i) theta)
   done;
   !sum
 
-let zipf ?(theta = 0.99) ?(scrambled = true) ~range () =
+let zipf ?(scrambled = true) ~range () =
   assert (range > 0);
-  let zetan = zeta range theta in
-  let zeta2 = zeta 2 theta in
+  let zetan = zeta range in
+  let zeta2 = zeta 2 in
   let alpha = 1.0 /. (1.0 -. theta) in
   let eta =
     (1.0 -. Float.pow (2.0 /. float_of_int range) (1.0 -. theta)) /. (1.0 -. (zeta2 /. zetan))
   in
-  Zipf { n = range; theta; alpha; zetan; eta; scrambled }
+  Zipf { n = range; alpha; zetan; eta; scrambled }
 
 let range = function Uniform n -> n | Zipf z -> z.n
 
@@ -48,7 +50,7 @@ let sample t prng =
       let uz = u *. z.zetan in
       let rank =
         if uz < 1.0 then 0
-        else if uz < 1.0 +. Float.pow 0.5 z.theta then 1
+        else if uz < 1.0 +. Float.pow 0.5 theta then 1
         else
           let r =
             float_of_int z.n *. Float.pow ((z.eta *. u) -. z.eta +. 1.0) z.alpha

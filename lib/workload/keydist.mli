@@ -2,14 +2,15 @@
 
     [zipf] is YCSB's Zipfian generator (Gray et al.'s algorithm, the one the
     paper uses via YCSB for the memcached study and for "skewed" data-
-    structure workloads); [scrambled] hashes the rank so hot keys spread
-    over the key space, as YCSB's ScrambledZipfian does. *)
+    structure workloads) at YCSB's fixed skew, theta = 0.99; [scrambled]
+    hashes the rank so hot keys spread over the key space, as YCSB's
+    ScrambledZipfian does. *)
 
 type t
 
 val uniform : range:int -> t
-val zipf : ?theta:float -> ?scrambled:bool -> range:int -> unit -> t
-(** [theta] defaults to YCSB's 0.99; [scrambled] defaults to [true]. *)
+val zipf : ?scrambled:bool -> range:int -> unit -> t
+(** [scrambled] defaults to [true]. *)
 
 val range : t -> int
 

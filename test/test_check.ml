@@ -33,7 +33,6 @@ let sets : (module SET) list =
     (module Dps_ds.Sl_herlihy);
     (module Dps_ds.Sl_fraser);
     (module Dps_ds.Hashtable);
-    (module Dps_ds.Btree_blink);
     (module Dps_parsec.Parsec_list);
   ]
 

@@ -14,7 +14,6 @@ let () =
       ("integration", Test_integration.suite);
       ("adapters", Test_adapters.suite);
       ("parsec", Test_parsec.suite);
-      ("btree", Test_btree.suite);
       ("net", Test_net.suite);
       ("check", Test_check.suite);
       ("cluster", Test_cluster.suite);

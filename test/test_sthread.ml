@@ -575,17 +575,16 @@ let test_allocation_per_scheduling_point () =
   budget "write" 4.0 Sthread.write;
   budget "rmw" 4.0 Sthread.rmw;
   budget "work" 4.0 (fun _ -> Sthread.work 10);
-  budget "yield" 4.0 (fun _ -> Sthread.yield ());
   budget "charge_read + flush" 4.0 (fun a ->
       Sthread.charge_read a;
       Sthread.flush ());
   (* a park/unpark round trip: the parker (thread 0) parks, its partner
-     unparks it and yields; both suspensions count *)
+     unparks it and works a cycle; both suspensions count *)
   let w =
     words_per_call
       ~partner:(fun s ->
         while Sthread.unpark s ~tid:0 do
-          Sthread.yield ()
+          Sthread.work 1
         done)
       (fun _ -> Sthread.park ())
   in

@@ -206,12 +206,14 @@ let test_cna_prefers_local_handoff () =
   Alcotest.(check bool) "lock released at the end" false (Dps_sync.Cna.held l)
 
 let test_cna_fairness_budget () =
-  (* a remote waiter parked on the secondary queue must still get the lock
-     once the local streak exhausts the fairness budget *)
+  (* a remote waiter parked on the secondary queue must get the lock once
+     the local streak exhausts the fairness budget, not only when the local
+     stream dries up: 8 local threads x 40 acquisitions exhaust the budget
+     of 32 hand-offs many times over *)
   let s, alloc = mk () in
   let m = Alloc.machine alloc in
-  let l = Dps_sync.Cna.create ~fairness:8 alloc m in
-  let remote_got = ref 0 in
+  let l = Dps_sync.Cna.create alloc m in
+  let remote_got = ref 0 and local_got = ref 0 and local_before_remote_done = ref 0 in
   (* one waiter on socket 2 against a stream of socket-0 acquirers *)
   Sthread.spawn s ~hw:40 (fun () ->
       Sthread.work 500;
@@ -220,17 +222,26 @@ let test_cna_fairness_budget () =
         incr remote_got;
         Sthread.work 50;
         Dps_sync.Cna.release l
-      done);
+      done;
+      local_before_remote_done := !local_got);
   for t = 0 to 7 do
     Sthread.spawn s ~hw:(t * 2) (fun () ->
         for _ = 1 to 40 do
           Dps_sync.Cna.acquire l;
+          incr local_got;
           Sthread.work 50;
           Dps_sync.Cna.release l
         done)
   done;
   Sthread.run s;
-  Alcotest.(check int) "remote waiter served all its acquisitions" 3 !remote_got
+  Alcotest.(check int) "remote waiter served all its acquisitions" 3 !remote_got;
+  (* each remote acquisition waits out at most one budget of 32 local
+     hand-offs plus the 8 local waiters already queued *)
+  Alcotest.(check bool)
+    (Printf.sprintf "remote waiter done after %d of 320 local acquisitions"
+       !local_before_remote_done)
+    true
+    (!local_before_remote_done <= 3 * (32 + 8))
 
 let test_lock_cold_path () =
   (* Outside the simulation locks are uncontended and free. *)

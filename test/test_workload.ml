@@ -26,7 +26,7 @@ let test_uniform_covers () =
 
 let test_zipf_skew () =
   (* Unscrambled zipf: rank 0 must dominate. *)
-  let d = Keydist.zipf ~theta:0.99 ~scrambled:false ~range:1000 () in
+  let d = Keydist.zipf ~scrambled:false ~range:1000 () in
   let p = Prng.create 3L in
   let counts = Array.make 1000 0 in
   let n = 50_000 in
@@ -40,7 +40,7 @@ let test_zipf_skew () =
   Alcotest.(check bool) "rank 1 > rank 500" true (counts.(1) > counts.(500))
 
 let test_zipf_scrambled_spreads () =
-  let d = Keydist.zipf ~theta:0.99 ~scrambled:true ~range:1000 () in
+  let d = Keydist.zipf ~scrambled:true ~range:1000 () in
   let p = Prng.create 4L in
   let counts = Array.make 1000 0 in
   for _ = 1 to 50_000 do
