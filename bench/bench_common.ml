@@ -1,5 +1,5 @@
 (** Shared plumbing for the paper-figure benchmarks: building machines,
-    populating structures, placing and retiring DPS and ffwd clients, and
+    drawing population keys, placing and retiring DPS and ffwd clients, and
     running the set benchmark of §5.2 under the shared-memory, ffwd and
     DPS harnesses (which [bin/dps_bench] also runs, one point at a time). *)
 
@@ -103,39 +103,6 @@ let population_keys ~size ~seed =
   done;
   keys
 
-type populate_order = Descending | Balanced | Shuffled
-
-(* Cold population. Lists need descending order (O(1) at the head); BSTs
-   get either a balanced insertion order or the shuffled order whose depth
-   matches random insertion. *)
-let populate (type a) (module S : SET with type t = a) (set : a) ~keys ~order =
-  match order with
-  | Shuffled -> Array.iter (fun key -> ignore (S.insert set ~key ~value:key)) keys
-  | Descending ->
-      let sorted = Array.copy keys in
-      Array.sort (fun a b -> compare b a) sorted;
-      Array.iter (fun key -> ignore (S.insert set ~key ~value:key)) sorted
-  | Balanced ->
-      let sorted = Array.copy keys in
-      Array.sort compare sorted;
-      let rec go lo hi =
-        if lo <= hi then begin
-          let mid = (lo + hi) / 2 in
-          ignore (S.insert set ~key:sorted.(mid) ~value:sorted.(mid));
-          go lo (mid - 1);
-          go (mid + 1) hi
-        end
-      in
-      go 0 (Array.length sorted - 1)
-
-let order_for_name name =
-  if String.length name >= 3 && String.sub name 0 3 = "bst" then Balanced
-  else
-    match name with
-    | "lb-b" | "lf-n" | "lf-h" -> Balanced
-    | "lb-h" | "lf-f" -> Shuffled
-    | _ -> Descending
-
 (* The §5.2 per-operation mix: pick a key from [0, 2*size), then update
    (half inserts, half removes) or lookup. *)
 let mk_op_mix (w : workload) ~insert ~remove ~lookup =
@@ -196,10 +163,7 @@ let run_shared ?seed (module S : SET) ~config (w : workload) =
   let sched = Sthread.create m in
   let alloc = Alloc.create m ~cold:Alloc.Spread in
   let set = S.create alloc in
-  populate (module S) set
-    ~keys:(population_keys ~size:w.size ~seed:11L)
-    ~order:(order_for_name S.name);
-  S.maintenance set;
+  S.populate set (population_keys ~size:w.size ~seed:11L);
   Driver.measure ~sched ~threads:w.threads ~duration:w.duration ?min_ops:w.min_ops
     ~op:
       (mk_op_mix w
@@ -224,16 +188,13 @@ let run_dps ?seed (module S : SET) ~config ?(locality_size = 10) (w : workload) 
       ()
   in
   let keys = population_keys ~size:w.size ~seed:11L in
-  (* per-partition cold population in that structure's preferred order *)
   let nparts = Dps.npartitions dps in
   let parts = Array.make nparts [] in
   Array.iter
     (fun k -> parts.(Dps.partition_of_key dps k) <- k :: parts.(Dps.partition_of_key dps k))
     keys;
   for p = 0 to nparts - 1 do
-    let part = Dps.partition_data dps p in
-    populate (module S) part ~keys:(Array.of_list parts.(p)) ~order:(order_for_name S.name);
-    S.maintenance part
+    S.populate (Dps.partition_data dps p) (Array.of_list parts.(p))
   done;
   measure_dps ~sched dps ~threads:w.threads ~duration:w.duration ?min_ops:w.min_ops
     ~op:
@@ -265,11 +226,7 @@ let run_ffwd ?seed (module S : SET) ~config ~servers (w : workload) =
   let per_shard = Array.make servers [] in
   Array.iter (fun k -> per_shard.(k mod servers) <- k :: per_shard.(k mod servers)) keys;
   for s = 0 to servers - 1 do
-    populate (module S)
-      shards.(s)
-      ~keys:(Array.of_list per_shard.(s))
-      ~order:(order_for_name S.name);
-    S.maintenance shards.(s)
+    S.populate shards.(s) (Array.of_list per_shard.(s))
   done;
   let shard_call key op =
     Ffwd.call f ~server:(key mod servers) (fun () -> op shards.(key mod servers))

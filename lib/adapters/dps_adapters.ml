@@ -165,33 +165,3 @@ module Events = struct
     done
 
 end
-
-(* Partition-wide variables; interface documented in the .mli. *)
-module Pvar = struct
-  type 'b slot = { addr : int; mutable value : 'b }
-  type 'b t = 'b slot array
-
-  let create (type a) (dps : a Dps.t) ~init =
-    Array.init (Dps.npartitions dps) (fun pid -> { addr = -1; value = init pid })
-
-  let create_on (type a) machine (dps : a Dps.t) ~node_of ~init : 'b t =
-    Array.init (Dps.npartitions dps) (fun pid ->
-        {
-          addr =
-            Dps_machine.Machine.alloc machine (Dps_machine.Machine.On_node (node_of pid)) ~lines:1;
-          value = init pid;
-        })
-
-  let get (type a) (dps : a Dps.t) (t : 'b t) =
-    let slot = t.(Dps.my_partition dps) in
-    if slot.addr >= 0 then Dps_sthread.Sthread.read slot.addr;
-    slot.value
-
-  let set (type a) (dps : a Dps.t) (t : 'b t) v =
-    let slot = t.(Dps.my_partition dps) in
-    if slot.addr >= 0 then Dps_sthread.Sthread.write slot.addr;
-    slot.value <- v
-
-  let get_at (t : 'b t) pid = t.(pid).value
-  let fold f init (t : 'b t) = Array.fold_left (fun acc s -> f acc s.value) init t
-end

@@ -80,31 +80,3 @@ module Events : sig
     callbacks and, when none fired, serves delegated requests. *)
 
 end
-
-module Pvar : sig
-  (** Partition-wide variables — the §4.5 porting aid ("DPS provides macros
-      to define and use partition-wide variables, similar to per-cpu
-      variables in the Linux kernel"). Each partition owns one copy, homed
-      on its NUMA node; accessors read/write the caller's own partition's
-      copy with local traffic. *)
-
-  type 'b t
-
-  val create : 'a Dps.t -> init:(int -> 'b) -> 'b t
-  (** Uncharged copies (no cache-line accounting); fine for metadata. *)
-
-  val create_on :
-    Dps_machine.Machine.t -> 'a Dps.t -> node_of:(int -> int) -> init:(int -> 'b) -> 'b t
-  (** Copies backed by one cache line each, homed by [node_of pid]. *)
-
-  val get : 'a Dps.t -> 'b t -> 'b
-  (** The calling client's partition's copy (charged if line-backed). *)
-
-  val set : 'a Dps.t -> 'b t -> 'b -> unit
-
-  val get_at : 'b t -> int -> 'b
-  (** Cold read of partition [pid]'s copy. *)
-
-  val fold : ('acc -> 'b -> 'acc) -> 'acc -> 'b t -> 'acc
-  (** Cold fold over all copies (e.g. summing per-partition counters). *)
-end

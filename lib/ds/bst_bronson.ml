@@ -154,6 +154,6 @@ let check_invariants t =
   (match t.root.left with Some l -> go min_int t.root.key l | None -> ());
   match t.root.right with Some r -> go t.root.key max_int r | None -> ()
 
-(* Offline maintenance (SET signature): restore the balanced shape the
-   real algorithm maintains continuously. *)
-let maintenance = rebalance
+let populate t keys =
+  Set_intf.balanced (insert t) keys;
+  rebalance t

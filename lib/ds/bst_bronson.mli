@@ -1,20 +1,8 @@
 (** Optimistic lock-based internal BST in the style of Bronson et al.
     (PPoPP'10) — the paper's [lb-b]; see DESIGN.md for the stand-in level.
 
-    Implements {!Set_intf.SET}. All operations are charged against the
-    simulated machine when called from a simulated thread and are free
-    (single-threaded) otherwise. *)
+    Its {!populate} rebuilds the tree perfectly balanced after inserting,
+    standing in for the rebalancing the real algorithm performs
+    continuously. *)
 
-type t
-
-val name : string
-val create : Dps_sthread.Alloc.t -> t
-val insert : t -> key:int -> value:int -> bool
-val remove : t -> int -> bool
-val lookup : t -> int -> int option
-val to_list : t -> (int * int) list
-val check_invariants : t -> unit
-val maintenance : t -> unit
-
-val rebalance : t -> unit
-(** Cold-only: rebuild perfectly balanced (also exposed as [maintenance]). *)
+include Set_intf.SET

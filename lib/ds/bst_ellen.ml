@@ -248,5 +248,4 @@ let check_invariants t =
   in
   go min_int max_int (Node t.root)
 
-(* Offline maintenance hook (SET signature); nothing to do here. *)
-let maintenance _ = ()
+let populate t keys = Set_intf.balanced (insert t) keys

@@ -107,5 +107,4 @@ let check_invariants t =
   (match t.root.left with Some l -> go min_int t.root.key l | None -> ());
   match t.root.right with Some r -> go t.root.key max_int r | None -> ()
 
-(* Offline maintenance hook (SET signature); nothing to do here. *)
-let maintenance _ = ()
+let populate t keys = Set_intf.balanced (insert t) keys

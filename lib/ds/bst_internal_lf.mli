@@ -1,17 +1,4 @@
 (** Lock-free internal BST with logical deletion — stand-in for the
-    paper's [lf-h]; see DESIGN.md.
+    paper's [lf-h]; see DESIGN.md. *)
 
-    Implements {!Set_intf.SET}. All operations are charged against the
-    simulated machine when called from a simulated thread and are free
-    (single-threaded) otherwise. *)
-
-type t
-
-val name : string
-val create : Dps_sthread.Alloc.t -> t
-val insert : t -> key:int -> value:int -> bool
-val remove : t -> int -> bool
-val lookup : t -> int -> int option
-val to_list : t -> (int * int) list
-val check_invariants : t -> unit
-val maintenance : t -> unit
+include Set_intf.SET

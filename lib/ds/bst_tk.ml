@@ -151,5 +151,4 @@ let check_invariants t =
   in
   go min_int max_int t.super.left
 
-(* Offline maintenance hook (SET signature); nothing to do here. *)
-let maintenance _ = ()
+let populate t keys = Set_intf.balanced (insert t) keys

@@ -139,5 +139,4 @@ let check_invariants t =
       go b.chain)
     t.buckets
 
-(* Offline maintenance hook (SET signature); nothing to do here. *)
-let maintenance _ = ()
+let populate t keys = Set_intf.descending (insert t) keys

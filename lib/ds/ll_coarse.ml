@@ -87,5 +87,4 @@ let check_invariants t =
   in
   go min_int t.head.next
 
-(* Offline maintenance hook (SET signature); nothing to do here. *)
-let maintenance _ = ()
+let populate t keys = Set_intf.descending (insert t) keys

@@ -1,21 +1,8 @@
-(** Michael's lock-free linked list (SPAA'02) — the paper's [lf-m].
+(** Michael's lock-free linked list (SPAA'02) — the paper's [lf-m]. *)
 
-    Implements {!Set_intf.SET}. All operations are charged against the
-    simulated machine when called from a simulated thread and are free
-    (single-threaded) otherwise. *)
-
-type t
+include Set_intf.SET
 
 val failpoint_drop_cas_retry : bool ref
 (** Test-only mutation for the lib/check self-test: when set, a failed
     insert CAS gives up instead of retrying (a lost-update bug the
     linearizability oracle must catch). Default [false]. *)
-
-val name : string
-val create : Dps_sthread.Alloc.t -> t
-val insert : t -> key:int -> value:int -> bool
-val remove : t -> int -> bool
-val lookup : t -> int -> int option
-val to_list : t -> (int * int) list
-val check_invariants : t -> unit
-val maintenance : t -> unit

@@ -1,6 +1,10 @@
 (** The common shape of the key/value set structures evaluated in the paper
     (§5.2): linked lists, binary search trees and skip lists all represent a
-    set of nodes with unique integer keys and three operations. *)
+    set of nodes with unique integer keys and three operations.
+
+    Every implementation charges its operations against the simulated
+    machine when called from a simulated thread and is free (single-threaded)
+    otherwise. *)
 
 module type SET = sig
   type t
@@ -24,8 +28,33 @@ module type SET = sig
   val check_invariants : t -> unit
   (** Raise [Failure] on a broken structural invariant; cold use only. *)
 
-  val maintenance : t -> unit
-  (** Offline maintenance after cold population (cold use only). A no-op
-      for most structures; the Bronson-style tree rebalances here, standing
-      in for the rebalancing its real counterpart performs continuously. *)
+  val populate : t -> int array -> unit
+  (** Cold population (cold use only): insert every key, valued as itself,
+      in the order this structure's shape needs — one of [descending],
+      [balanced] or [given] below. Lists take descending order (O(1) at
+      the head); trees and skip lists take a balanced order or the given
+      (shuffled) order, whose depth matches random insertion. *)
 end
+
+(* The population orders, over a structure's own [insert]. *)
+
+let given insert keys = Array.iter (fun key -> ignore (insert ~key ~value:key)) keys
+
+let descending insert keys =
+  let sorted = Array.copy keys in
+  Array.sort (fun a b -> compare b a) sorted;
+  given insert sorted
+
+(* Medians first, so the unbalanced trees come out perfectly balanced. *)
+let balanced insert keys =
+  let sorted = Array.copy keys in
+  Array.sort compare sorted;
+  let rec go lo hi =
+    if lo <= hi then begin
+      let mid = (lo + hi) / 2 in
+      ignore (insert ~key:sorted.(mid) ~value:sorted.(mid));
+      go lo (mid - 1);
+      go (mid + 1) hi
+    end
+  in
+  go 0 (Array.length sorted - 1)

@@ -247,5 +247,4 @@ let check_invariants t =
       (level_keys ~include_marked:false lvl)
   done
 
-(* Offline maintenance hook (SET signature); nothing to do here. *)
-let maintenance _ = ()
+let populate t keys = Set_intf.given (insert t) keys

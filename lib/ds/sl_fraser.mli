@@ -1,20 +1,7 @@
 (** Lock-free skip list — the paper's [lf-f]; also the substrate of the
-    Shavit-Lotan priority queue.
+    Shavit-Lotan priority queue. *)
 
-    Implements {!Set_intf.SET}. All operations are charged against the
-    simulated machine when called from a simulated thread and are free
-    (single-threaded) otherwise. *)
-
-type t
-
-val name : string
-val create : Dps_sthread.Alloc.t -> t
-val insert : t -> key:int -> value:int -> bool
-val remove : t -> int -> bool
-val lookup : t -> int -> int option
-val to_list : t -> (int * int) list
-val check_invariants : t -> unit
-val maintenance : t -> unit
+include Set_intf.SET
 
 (** {1 Priority-queue entry points (used by {!Pq_shavit})} *)
 

@@ -241,5 +241,4 @@ let check_invariants t =
     go min_int t.head
   done
 
-(* Offline maintenance hook (SET signature); nothing to do here. *)
-let maintenance _ = ()
+let populate t keys = Set_intf.given (insert t) keys

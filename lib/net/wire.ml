@@ -89,9 +89,10 @@ let encode_response b = function
 
 type 'a parse = Item of 'a | Need_more | Bad of { msg : string; reply : response }
 
-type decoder = { q : Byteq.t; max_line : int; mutable skip : int }
+type decoder = { q : Byteq.t; mutable skip : int }
 
-let decoder ?(max_line = 8192) () = { q = Byteq.create (); max_line; skip = 0 }
+let max_line = 8192
+let decoder () = { q = Byteq.create (); skip = 0 }
 let feed d s = Byteq.push d.q s
 let buffered d = Byteq.length d.q
 
@@ -110,9 +111,9 @@ let drain_skip d =
    [`Too_long] if [max_line] bytes arrived without one. *)
 let read_line d ~pos =
   let len = Byteq.length d.q in
-  let limit = Int.min len (pos + d.max_line + 2) in
+  let limit = Int.min len (pos + max_line + 2) in
   let rec scan i =
-    if i + 1 >= limit then if len - pos > d.max_line then `Too_long else `Need_more
+    if i + 1 >= limit then if len - pos > max_line then `Too_long else `Need_more
     else if Byteq.get d.q i = '\r' && Byteq.get d.q (i + 1) = '\n' then
       `Line (Byteq.sub d.q ~pos ~len:(i - pos), i + 2)
     else scan (i + 1)

@@ -47,9 +47,9 @@ type 'a parse =
 
 type decoder
 
-val decoder : ?max_line:int -> unit -> decoder
-(** [max_line] (default 8192) bounds a single protocol line; longer lines
-    are rejected as [Bad] without waiting for their CRLF. *)
+val decoder : unit -> decoder
+(** A single protocol line holds at most 8192 bytes; a longer one is
+    rejected as [Bad] without waiting for its CRLF. *)
 
 val feed : decoder -> string -> unit
 (** Append raw connection bytes. *)

@@ -94,4 +94,4 @@ let check_invariants t =
   in
   go min_int t.head
 
-let maintenance _ = ()
+let populate t keys = Dps_ds.Set_intf.descending (insert t) keys

@@ -1,17 +1,6 @@
 (** The ParSec sorted linked list of §5.2: wait-free reads inside ParSec
     quiescence sections, writers serialized by a single MCS lock, unlinked
     nodes reclaimed only after a grace period. This is the list the paper
-    integrates with DPS for the Figure 10 experiments.
+    integrates with DPS for the Figure 10 experiments. *)
 
-    Implements {!Dps_ds.Set_intf.SET}. *)
-
-type t
-
-val name : string
-val create : Dps_sthread.Alloc.t -> t
-val insert : t -> key:int -> value:int -> bool
-val remove : t -> int -> bool
-val lookup : t -> int -> int option
-val to_list : t -> (int * int) list
-val check_invariants : t -> unit
-val maintenance : t -> unit
+include Dps_ds.Set_intf.SET

@@ -1,7 +1,8 @@
 (** Binary min-heap keyed by [(time, seq)], structure-of-arrays.
 
-    This is the simulator's event queue. Ties on [time] are broken by an
-    insertion sequence number so the simulation is deterministic. The heap
+    It holds {!Calendar}'s events beyond its window, and [bench/perf]'s
+    layer microbenchmark times it alone. Ties on [time] are broken by an
+    insertion sequence number so the order is deterministic. The heap
     orders only int arrays (times, sequence numbers and slot indices);
     each payload sits at a stable slot of a separate pool from {!push}
     until it is taken, so sifting never moves a boxed value or pays the

@@ -232,39 +232,6 @@ let test_event_loop_pipelines () =
         true
         (!event_cycles < !sync_cycles))
 
-(* --- partition-wide variables (§4.5) --- *)
-
-let test_pvar () =
-  let m = Machine.create Machine.config_default in
-  let sched = Sthread.create m in
-  let dps =
-    Dps.create sched ~nclients:20 ~locality_size:10 ~hash:Fun.id ~mk_data:(fun _ -> ()) ()
-  in
-  let counters =
-    Dps_adapters.Pvar.create_on m dps
-      ~node_of:(fun pid -> pid mod 4)
-      ~init:(fun _ -> 0)
-  in
-  for c = 0 to 19 do
-    Sthread.spawn sched ~hw:(Dps.client_hw dps c) (fun () ->
-        Dps.attach dps ~client:c;
-        (* each client bumps its own partition's counter 5 times; the
-           variable is per-partition so clients of one locality share it *)
-        for _ = 1 to 5 do
-          let v = Dps_adapters.Pvar.get dps counters in
-          Dps_adapters.Pvar.set dps counters (v + 1)
-        done;
-        Dps.client_done dps;
-        Dps.drain dps)
-  done;
-  Sthread.run sched;
-  (* Without synchronization increments may race (they are per-partition,
-     not per-thread), but each copy must be touched and the total bounded. *)
-  let total = Dps_adapters.Pvar.fold ( + ) 0 counters in
-  Alcotest.(check bool) "all partition copies used" true
-    (Dps_adapters.Pvar.get_at counters 0 > 0 && Dps_adapters.Pvar.get_at counters 1 > 0);
-  Alcotest.(check bool) (Printf.sprintf "total bounded (%d)" total) true (total > 0 && total <= 100)
-
 (* --- dedicated pollers (§4.4) --- *)
 
 let test_dedicated_poller_responsiveness () =
@@ -332,7 +299,6 @@ let suite =
     ("dps pq adapter", `Quick, test_dps_pq_adapter);
     ("event loop callbacks", `Quick, test_event_loop_callbacks);
     ("event loop pipelines", `Quick, test_event_loop_pipelines);
-    ("partition-wide variables", `Quick, test_pvar);
     ("dedicated poller responsiveness", `Quick, test_dedicated_poller_responsiveness);
     ("poller requires flag", `Quick, test_poller_requires_flag);
   ]

@@ -59,6 +59,29 @@ let sequential_ops (module S : SET) () =
   let final = List.sort compare !model in
   Alcotest.(check (list (pair int int))) (S.name ^ " final contents") final (S.to_list t)
 
+(* --- cold population: every key, valued as itself, charging nothing --- *)
+
+let cold_populate (module S : SET) () =
+  let s, alloc = fresh_alloc () in
+  let t = S.create alloc in
+  let n = 1000 in
+  let keys = Array.init n (fun i -> (2 * i) + 1) in
+  let prng = Prng.create 5L in
+  for i = n - 1 downto 1 do
+    let j = Prng.int prng (i + 1) in
+    let k = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- k
+  done;
+  S.populate t keys;
+  S.check_invariants t;
+  Alcotest.(check (list (pair int int)))
+    (S.name ^ " populated contents")
+    (List.init n (fun i -> ((2 * i) + 1, (2 * i) + 1)))
+    (S.to_list t);
+  let accesses = Dps_simcore.Stats.get (Machine.stats (Sthread.machine s)) "accesses" in
+  Alcotest.(check int) (S.name ^ " populate charges nothing") 0 accesses
+
 (* --- concurrent inserts over disjoint ranges: nothing may be lost --- *)
 
 let concurrent_disjoint (module S : SET) () =
@@ -306,6 +329,7 @@ let set_cases =
     (fun (module S : SET) ->
       [
         (S.name ^ " sequential vs model", `Quick, sequential_ops (module S));
+        (S.name ^ " cold populate", `Quick, cold_populate (module S));
         (S.name ^ " concurrent disjoint", `Quick, concurrent_disjoint (module S));
         (S.name ^ " concurrent conflict", `Quick, concurrent_conflict (module S));
         QCheck_alcotest.to_alcotest (qcheck_conflict_seeds (module S));
