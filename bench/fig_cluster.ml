@@ -175,13 +175,11 @@ let matrix =
        out the full 50k-cycle escalation timeout, their connection
        queues crossed the shed threshold, and the per-connection retries
        re-concentrated on the same pollers in a metastable shed-retry
-       storm (30% of ops dropped). Two knobs stay tuned for fleet scale:
-       the park ceiling is clamped (mostly-idle partitions otherwise
-       back off into 16k-cycle parks, which both pads delegated-get tail
-       latency and multiplies awaiter spin work — 3x the wall time for
-       the same result), and the shed threshold gets headroom over the
-       512-conn-node default, which at 65k conns/node is a cliff one
-       random arrival burst away. *)
+       storm (30% of ops dropped). One knob stays tuned for fleet scale:
+       the shed threshold gets headroom over the 512-conn-node default,
+       which at 65k conns/node is a cliff one random arrival burst away.
+       Idle pollers need no tuning: they park until a connection or a
+       delegation wakes them. *)
     (let n = if quick then 262_144 else 1_000_000 in
      let dur = if quick then 32_000_000 else 128_000_000 in
      scen "scale"
@@ -192,7 +190,7 @@ let matrix =
            c with
            Cluster.npollers = 10;
            server =
-             { c.Cluster.server with Server.max_conns = n; park_max = 2_000; shed_threshold = 512 };
+             { c.Cluster.server with Server.max_conns = n; shed_threshold = 512 };
            net = { c.Cluster.net with Net.ring_lines = 8 };
          })
        ~gates:(gates ~max_p99:250_000 ~min_goodput:10.0 ~min_conns:250_000 ()));

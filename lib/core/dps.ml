@@ -119,6 +119,14 @@ and stage = {
 
 type completion = Local of int | Remote of remote
 
+(* A parked server's doorbell. A server whose rings hold nothing arms its
+   bell, points each of those rings at it and parks with no timer; a
+   publish into one of them rings the bell, which disarms it and unparks
+   [bsid]. [no_bell] is never armed. *)
+type bell = { bsid : int; mutable armed : bool }
+
+let no_bell = { bsid = -1; armed = false }
+
 (* A ring of messages for one (client, partition) pair, allocated on the
    partition's NUMA node. The client owns [send_idx], the serving peer owns
    [recv_idx]; the toggle bit replaces head/tail comparison. [rlock] exists
@@ -138,6 +146,7 @@ type ring = {
      per-ring occupancy byte a real implementation would co-locate with
      the partition's metadata *)
   mutable rpending : int;
+  mutable bell : bell;  (* the last server to park on this ring *)
 }
 
 type 'a partition = { info : partition_info; data : 'a; rings : ring array (* per client *) }
@@ -155,6 +164,7 @@ type client = {
   mutable cursor : int;  (* round-robin scan position, for serving fairness *)
   mutable cstate : cstate;
   mutable flushing : bool;  (* re-entrancy guard: flush → serve → flush *)
+  bell : bell;  (* armed while parked in [poll] *)
 }
 
 (* Per-partition access mode (adaptive delegation). [Delegated] is the
@@ -223,6 +233,7 @@ type 'a t = {
   mutable n_failovers : int;
   mutable n_crashes : int;
   mutable n_lock_breaks : int;
+  mutable n_doorbells : int;
   takeovers_pid : int array;  (* per partition: foreign serves of its rings *)
   lock_breaks_pid : int array;  (* per partition: locks reclaimed from dead holders *)
   (* adaptive delegation (all unused — and unallocated — unless [serving]
@@ -370,6 +381,23 @@ let health t =
     lock_breaks_by_partition = Array.copy t.lock_breaks_pid;
   }
 
+(* Ring a doorbell: wake the server parked behind it, at no charge. A
+   bell whose thread died rings nobody and is not counted. *)
+let ring_bell t b =
+  if b.armed then begin
+    b.armed <- false;
+    if Sthread.unpark t.sched ~tid:b.bsid then t.n_doorbells <- t.n_doorbells + 1
+  end
+
+(* A client stops issuing (done or crashed). The last one wakes every
+   parked server, so dedicated pollers see the run end. *)
+let client_gone t =
+  t.remaining <- t.remaining - 1;
+  if t.remaining = 0 then
+    Array.iter
+      (fun p -> Array.iter (fun (ring : ring) -> ring_bell t ring.bell) p.rings)
+      t.partitions
+
 (* Hand [cl]'s serving share to a peer of its locality, so an exiting or
    crashed client does not orphan its rings (the §4.4 liveness argument
    needs *some* thread of the locality to keep serving them). Prefer a peer
@@ -388,7 +416,10 @@ let adopt_share t cl =
     | Some peer ->
         peer.served <- Array.append peer.served cl.served;
         cl.served <- [||];
-        t.n_adoptions <- t.n_adoptions + 1
+        t.n_adoptions <- t.n_adoptions + 1;
+        (* a parked peer is not registered on the rings it just adopted:
+           wake it to scan them *)
+        ring_bell t peer.bell
     | None -> ()
   end
 
@@ -435,9 +466,15 @@ let handle_exit t sid =
   | None -> ()
   | Some cl ->
       Hashtbl.remove t.clients sid;
+      (* a sender killed at its publish's store never rang the doorbell *)
+      Array.iter
+        (fun p ->
+          let ring = p.rings.(cl.tid) in
+          if ring.rpending > 0 then ring_bell t ring.bell)
+        t.partitions;
       if cl.cstate = Issuing then begin
         t.n_crashes <- t.n_crashes + 1;
-        t.remaining <- t.remaining - 1
+        client_gone t
       end;
       cl.cstate <- Gone;
       adopt_share t cl;
@@ -503,6 +540,7 @@ let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budge
         last_served = 0;
         rlock;
         rpending = 0;
+        bell = no_bell;
       }
     in
     { info; data = mk_data info; rings = Array.init nclients mk_ring }
@@ -553,6 +591,7 @@ let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budge
       n_failovers = 0;
       n_crashes = 0;
       n_lock_breaks = 0;
+      n_doorbells = 0;
       takeovers_pid = Array.make nparts 0;
       lock_breaks_pid = Array.make nparts 0;
       modes = Array.make nparts (if start_mode = Some `Direct then Direct else Delegated);
@@ -623,6 +662,7 @@ let attach t ~client =
       cursor = 0;
       cstate = Issuing;
       flushing = false;
+      bell = { bsid = sid; armed = false };
     }
   in
   Hashtbl.replace t.clients sid cl;
@@ -989,7 +1029,9 @@ let publish t cl pid slot n op_at cell_at =
   let ring = t.partitions.(pid).rings.(cl.tid) in
   ring.rpending <- ring.rpending + n;
   t.pending.(pid) <- t.pending.(pid) + n;
-  Sthread.write_release slot.maddr
+  Sthread.write_release slot.maddr;
+  (* the doorbell, once the message line has moved *)
+  ring_bell t ring.bell
 
 (* Claim a free slot in this client's ring to [pid], serving own duties
    while the ring is full. Under self-healing, a ring stuck full past the
@@ -1087,6 +1129,49 @@ let serve t ~max = serve_as t (me t) ~max
 let flush_all t cl = flush_aged t cl ~age:0
 
 let flush_pending t = flush_all t (me t)
+
+(* Whether [ring]'s next slot holds a published batch: one charged read
+   that settles at the caller's next scheduling point. Racy by design:
+   serving re-reads the slot under the ring's discipline. *)
+let published ring =
+  let slot = ring.slots.(ring.recv_idx mod Array.length ring.slots) in
+  Sthread.charge_read_racy slot.maddr;
+  slot.toggle
+
+(* The park both polling loops share. In one atomic block: probe the next
+   slot of each of the [n] rings [ring_at] names and, if none holds a
+   published batch, arm [bell], point every ring at it and park with no
+   timer. A publisher sets its toggle before its store's charge and rings
+   after it, so a batch the probe missed finds the bell armed; a bell rung
+   while the probe's reads settle leaves a wakeup permit, and the park
+   returns at once. [true] if the caller parked. *)
+let park_unless_published bell n ring_at =
+  let rec any i = i < n && (published (ring_at i) || any (i + 1)) in
+  if any 0 then false
+  else begin
+    bell.armed <- true;
+    for i = 0 to n - 1 do
+      (ring_at i).bell <- bell
+    done;
+    Sthread.park ();
+    bell.armed <- false;
+    true
+  end
+
+(* The idle duty of a client with nothing else to do: publish its staged
+   batches, serve its share, and park once the share holds nothing. *)
+let poll t ~max =
+  let cl = me t in
+  flush_all t cl;
+  let rings = t.partitions.(cl.my_pid).rings in
+  let ring_at i = rings.(snd cl.served.(i)) in
+  let rec go () =
+    let served = serve_as t cl ~max in
+    if served > 0 then served
+    else if park_unless_published cl.bell (Array.length cl.served) ring_at then 0
+    else go ()
+  in
+  go ()
 
 (* The [batch = 1] send, identical to the paper's one-op-per-line
    protocol. It marshals straight into the message line rather than
@@ -1355,31 +1440,24 @@ let detach t =
 (* S4.4 liveness: a dedicated polling thread for one locality. It checks
    every ring of the partition (not just one peer's share), so delegations
    make progress even when all the locality's clients are busy outside
-   DPS. Requires a [Shared] serving policy (ring locks).
-
-   Polling is adaptive: a handful of empty scans spin (a request landing
-   while the poller is hot is served within ~128 cycles), after which the
-   poller backs off into exponentially longer timed parks capped at 8192
-   cycles — an idle locality stops burning its core without giving up the
-   bounded-latency guarantee. *)
+   DPS. Requires a [Shared] serving policy (ring locks). A scan that serves
+   nothing parks until a publish into the partition rings the doorbell, or
+   the last client stops issuing. *)
 let run_poller t ~pid =
   require t ~fn:"run_poller" ~adaptive:false;
-  let p = t.partitions.(pid) in
+  let rings = t.partitions.(pid).rings in
+  let bell = { bsid = Sthread.self_id (); armed = false } in
   if Obs.tracing_on () then
-    Obs.thread_name ~tid:(Sthread.self_id ()) (Printf.sprintf "dps-poller p%d" pid);
+    Obs.thread_name ~tid:bell.bsid (Printf.sprintf "dps-poller p%d" pid);
   obs_span ~args:[ ("pid", Obs.A_int pid) ] "dps.poll" (fun () ->
-      let idle_rounds = ref 0 in
       while t.remaining > 0 do
-        let served = ref 0 in
-        Array.iter
-          (fun ring -> served := !served + serve_ring t ~pid ring ~budget:max_int)
-          p.rings;
-        if !served > 0 then idle_rounds := 0
-        else begin
-          incr idle_rounds;
-          if !idle_rounds <= 4 then Sthread.work 128
-          else ignore (Sthread.park_for (Int.min 8192 (128 lsl Int.min 6 (!idle_rounds - 4))))
-        end
+        let served =
+          Array.fold_left (fun n ring -> n + serve_ring t ~pid ring ~budget:max_int) 0 rings
+        in
+        (* the run's end rings only armed bells, so the [remaining] test
+           shares the park's atomic block *)
+        if served = 0 && t.remaining > 0 then
+          ignore (park_unless_published bell (Array.length rings) (Array.get rings))
       done)
 
 (* Dynamic repartitioning (the paper assumes static partitioning and notes
@@ -1424,7 +1502,7 @@ let client_done t =
           adopt_share t cl
       end
   | None -> ());
-  t.remaining <- t.remaining - 1
+  client_gone t
 
 let drain t =
   let cl = me t in
@@ -1451,6 +1529,8 @@ let register_obs ?(labels = []) t reg =
   let g ?(labels = labels) name help f = R.gauge_fn reg ~labels ~help ("dps." ^ name) f in
   let n ?labels name help f = g ?labels name help (fun () -> float_of_int (f ())) in
   n "delegated_ops" "operations sent to a remote partition" (fun () -> t.n_delegated);
+  n "doorbells" "parked servers woken by a publish, an adoption or the run's end" (fun () ->
+      t.n_doorbells);
   n "local_ops" "operations run on the caller's own partition" (fun () -> t.n_local);
   n "batch_flushes" "staged batches published to a ring" (fun () -> t.n_flushes);
   n "takeovers" "foreign serves of a stuck partition's rings" (fun () -> t.n_takeovers);

@@ -228,8 +228,18 @@ val serve : 'a t -> max:int -> int
 (** Serve up to [max] requests pending on the caller's partition rings;
     returns the number served ([max] is approximate — a batch is never
     split). Also publishes any of the caller's staged batches that have
-    aged out. Exposed for §4.4 liveness (dedicated pollers) and for idle
-    loops. *)
+    aged out. Never blocks: for loops that serve between their own work
+    (§4.4 liveness); a loop with nothing else to do uses {!poll}. *)
+
+val poll : 'a t -> max:int -> int
+(** The idle duty of a client with nothing else to do, such as a server
+    poller with no readable connection: publish its staged batches, serve
+    up to [max] requests from its share of the rings and return the
+    number served. When the share holds nothing, park with no timer until
+    a publish into one of its rings rings the doorbell, an adoption hands
+    it more rings, or anything else unparks the thread; then return 0.
+    The probe, the registration and the park share one atomic block, and
+    a publisher rings after its releasing store, so no wakeup is lost. *)
 
 val flush_pending : 'a t -> unit
 (** Publish every batch the calling client still has staged, regardless of
@@ -247,7 +257,8 @@ val call_on : 'a t -> pid:int -> ('a -> int) -> int
 val run_poller : 'a t -> pid:int -> unit
 (** §4.4 liveness: body for a dedicated polling thread devoted to locality
     [pid]. Serves every ring of the partition (serializing with peers
-    through the per-ring locks) until all clients are done. Raises
+    through the per-ring locks) until all clients are done, parking like
+    {!poll} whenever the partition's rings hold nothing. Raises
     [Invalid_argument] under the [Owner] serving policy. *)
 
 val client_done : 'a t -> unit

@@ -28,8 +28,8 @@ type t = {
   client_hw : int -> int;  (** where to pin client [i] *)
   idle : (unit -> int) option;
       (** bounded background duty for an idle client (DPS ring draining);
-          returns the number of operations served so the caller can tell a
-          useful round from an empty one *)
+          returns the number of operations served, or parks until woken
+          and returns 0 when there was nothing to serve *)
   version_of : (int -> int) option;
       (** charged read of a key's write-version — the validation side of a
           delegation-coherent front cache; [None] unless the variant was
@@ -165,13 +165,7 @@ let dps_generic sched ~name ~recency ~get_mode ?serving ?(batch = 1) ?(batch_age
             Mc_core.set core ~key ~val_lines)
           keys);
     client_hw = (fun i -> Dps.client_hw dps i);
-    idle =
-      Some
-        (fun () ->
-          (* flush this poller's own staged delegations before serving:
-             an idle event loop must not sit on a partial batch *)
-          Dps.flush_pending dps;
-          Dps.serve dps ~max:16);
+    idle = Some (fun () -> Dps.poll dps ~max:16);
     version_of =
       (if Dps.versioned dps then Some (fun key -> Dps.read_version dps ~key) else None);
     health = Some (fun () -> Dps.health dps);

@@ -23,8 +23,10 @@ type t = {
           no requests of their own (an event-loop poller otherwise blocks
           with peers' operations queued on its partition), and must flush
           any staged request batch of their own. Bounded work per call;
-          returns the number of operations served so callers can adapt
-          their polling (spin while busy, park when repeatedly empty). *)
+          returns the number of operations served. With nothing to serve
+          it parks until a delegation lands on the caller's rings or
+          anything else unparks the thread (a readable connection), and
+          returns 0 ({!Dps.poll}). *)
   version_of : (int -> int) option;
       (** charged read of a key's current write-version — the validation
           side of a delegation-coherent front cache (see DESIGN.md §10).

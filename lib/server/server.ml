@@ -36,12 +36,6 @@ let recv_chunk = 2048
 (* Value bytes served on a hit: two cache lines. *)
 let payload = String.make (2 * 64) 'v'
 
-(* Adaptive polling for backends with an idle duty: spin this many brief
-   rounds, then park from [poll_interval] cycles, doubling up to
-   [park_max]. *)
-let spin_rounds = 4
-let poll_interval = 2000
-
 type stats = {
   mutable conns : int;
   mutable requests : int;
@@ -248,44 +242,25 @@ let poller_body t p () =
   if Obs.tracing_on () then
     Obs.thread_name ~tid:p.tid (Printf.sprintf "srv-poller %d (s%d)" p.idx p.socket);
   t.backend.Variants.attach p.idx;
-  (* consecutive empty idle rounds; reset by any served request or any
-     background serving the backend's idle duty reports *)
-  let streak = ref 0 in
   while not t.stopping do
     match Queue.take_opt p.ready with
     | Some sc ->
         sc.queued <- false;
-        streak := 0;
         service t p sc
-    | None -> (
-        (* A DPS poller cannot block unconditionally: peers' delegated
-           operations queue on its partition ring whether or not it has
-           connections of its own, so it adapts — spin (brief charged
-           work) while traffic was recent, then park with a timeout that
-           backs off while everything stays quiet, serving the ring
-           around each park. *)
-        match t.backend.Variants.idle with
-        | None ->
-            t.st.parks <- t.st.parks + 1;
-            Sthread.park ()
-        | Some idle ->
-            let served = obs_span "srv.poll" idle in
-            if served > 0 then streak := 0
-            else begin
-              incr streak;
-              if !streak <= spin_rounds then Sthread.work 256
-              else begin
-                t.st.parks <- t.st.parks + 1;
-                let backoff =
-                  poll_interval lsl Int.min 3 (!streak - spin_rounds - 1)
-                in
-                ignore (Sthread.park_for (Int.min t.cfg.park_max backoff));
-                (* serve the ring immediately on wake-up, before the
-                   connection queue gets its turn: peers' delegations
-                   aged a full park interval already *)
-                if obs_span "srv.poll" idle > 0 then streak := 0
-              end
-            end)
+    | None ->
+        (* Nothing readable: park until a connection turns readable. A DPS
+           poller cannot block unconditionally — peers' delegated
+           operations queue on its partition's rings whether or not it has
+           connections of its own — so its idle duty serves them and parks
+           only while they are empty, until a publish rings its doorbell. *)
+        let parked =
+          match t.backend.Variants.idle with
+          | None ->
+              Sthread.park ();
+              true
+          | Some idle -> obs_span "srv.poll" idle = 0
+        in
+        if parked then t.st.parks <- t.st.parks + 1
   done;
   t.backend.Variants.finish ()
 

@@ -9,10 +9,11 @@
     per-connection receive window in {!Dps_net.Net} is the other half).
 
     Pollers do blocking I/O: each parks until one of its connections turns
-    readable, then drains it — charged ring reads, incremental wire
-    parsing, request routing into the backend (a {!Dps_memcached.Variants}
-    record: shared-memory, ffwd or DPS; under DPS a poller is a DPS client
-    and serves its peers while awaiting its own delegations), and one
+    readable (a DPS poller also until a delegation lands on its rings),
+    then drains it — charged ring reads, incremental wire parsing, request
+    routing into the backend (a {!Dps_memcached.Variants} record:
+    shared-memory, ffwd or DPS; under DPS a poller is a DPS client and
+    serves its peers while awaiting its own delegations), and one
     batched response write per service round (at most 16 requests), so
     response packets amortize link serialization. Requests are drained
     2 KB per receive and every hit returns a 2-line (128 B) value.
@@ -27,13 +28,11 @@ type config = {
   npollers : int;
   max_conns : int;  (** connections beyond this are refused *)
   park_max : int;
-      (** ceiling on the park timeout. A poller whose backend has an [idle]
-          duty (DPS) drains its delegation ring whenever it has no
-          connection to serve; after 4 empty rounds of brief spinning it
-          parks, 2000 cycles at first, doubling each consecutive empty
-          round up to this ceiling, so a long-idle poller neither burns
-          cycles nor sleeps through a ring that fills up, and a blocked
-          poller cannot starve peers delegating into its partition *)
+      (** no longer read: pollers park with no timer and are woken by a
+          readable connection or a delegation landing on their rings. The
+          field stays only because the benchmark's workloads
+          ([bench/perf/workloads.ml]) set it, and goes with the next
+          change to that benchmark. *)
   acceptor_hw : int option;
       (** hardware thread for the acceptor; [None] (the default) uses the
           machine's last thread. Cluster mode pins each node's acceptor
@@ -56,8 +55,8 @@ type config = {
 }
 
 val default_config : config
-(** 40 pollers, 1024 connections, parks capped at 16000 cycles, the
-    acceptor on the machine's last thread, no shedding, no front cache. *)
+(** 40 pollers, 1024 connections, the acceptor on the machine's last
+    thread, no shedding, no front cache. *)
 
 type stats = {
   mutable conns : int;
@@ -70,7 +69,7 @@ type stats = {
   mutable bad_requests : int;
       (** malformed frames answered ERROR / CLIENT_ERROR / SERVER_ERROR *)
   mutable batches : int;  (** batched response writes *)
-  mutable parks : int;  (** poller blocking episodes (spin rounds excluded) *)
+  mutable parks : int;  (** poller blocking episodes *)
   mutable shed : int;  (** requests answered [SERVER_ERROR busy] under overload *)
   mutable closed : int;
       (** peer-closed connections observed and released; the acceptor

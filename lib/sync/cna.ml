@@ -28,7 +28,6 @@ type t = {
   mutable owner_tid : int;  (* holder's thread id, -1 when free (host metadata) *)
   mutable local_streak : int;  (* consecutive same-socket hand-offs *)
   mutable remote_transfers : int;  (* hand-offs that crossed sockets *)
-  mutable handoffs : int;  (* total hand-offs *)
   qnodes : (int, qnode) Hashtbl.t;  (* logical thread id -> qnode *)
   topo : Topology.t;
   alloc : Alloc.t;
@@ -43,7 +42,6 @@ let create alloc m =
     owner_tid = -1;
     local_streak = 0;
     remote_transfers = 0;
-    handoffs = 0;
     qnodes = Hashtbl.create 64;
     topo = Machine.topology m;
     alloc;
@@ -114,7 +112,6 @@ let try_acquire t =
   end
 
 let hand_to t ~local n =
-  t.handoffs <- t.handoffs + 1;
   if local then t.local_streak <- t.local_streak + 1
   else begin
     t.local_streak <- 0;
@@ -230,4 +227,3 @@ let break_lock t =
   end
 
 let remote_transfers t = t.remote_transfers
-let handoffs t = t.handoffs

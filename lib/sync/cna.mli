@@ -45,6 +45,3 @@ val break_lock : t -> unit
 
 val remote_transfers : t -> int
 (** Hand-offs that moved the lock to another socket (tests/ablation). *)
-
-val handoffs : t -> int
-(** Total hand-offs performed (local + remote). *)

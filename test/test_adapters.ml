@@ -159,7 +159,7 @@ let test_dps_queue () =
         (List.length !dequeued + remaining))
 
 let test_dps_pq_adapter () =
-  let removed = ref [] in
+  let removed = ref [] and peeked = ref None in
   with_dps_clients
     ~mk_data:(fun (info : Dps.partition_info) -> Dps_ds.Pq_shavit.create info.Dps.alloc)
     ~nclients:20
@@ -170,6 +170,9 @@ let test_dps_pq_adapter () =
       if c = 0 then begin
         (* after own inserts, drain a few global minima *)
         Dps_sthread.Sthread.work 30_000;
+        (* key 1 is client 0's own and only client 0 removes, so it is
+           the global minimum whatever the other clients still insert *)
+        peeked := Dps_adapters.Pq.find_min dps;
         for _ = 1 to 5 do
           match Dps_adapters.Pq.remove_min dps with
           | Some (k, _) -> removed := k :: !removed
@@ -177,7 +180,10 @@ let test_dps_pq_adapter () =
         done
       end)
     (fun _ ->
+      Alcotest.(check (option (pair int int))) "find_min peeks without removing" (Some (1, 0))
+        !peeked;
       Alcotest.(check int) "removed 5 minima" 5 (List.length !removed);
+      Alcotest.(check int) "first removal is the peeked minimum" 1 (List.hd (List.rev !removed));
       (* broadcast findMin drains in roughly ascending order when no
          concurrent inserts race it; here inserts mostly finished *)
       Alcotest.(check bool) "small keys came out" true (List.for_all (fun k -> k <= 250) !removed))
@@ -267,6 +273,8 @@ let test_dedicated_poller_responsiveness () =
           Dps.drain dps)
     done;
     Sthread.run sched;
+    (* a poller parked when the last client finished must wake and exit *)
+    Alcotest.(check int) "every thread finished" 0 (Sthread.live_threads sched);
     !latency
   in
   let without = run_with ~poller:false in

@@ -334,7 +334,6 @@ let fleet_live_words nusers =
         {
           d.Cluster.server with
           Dps_server.Server.max_conns = nusers;
-          park_max = 2_000;
           shed_threshold = 512;
         };
       net = { d.Cluster.net with Dps_net.Net.ring_lines = 8 };

@@ -445,6 +445,87 @@ let qcheck_every_ring_served =
            (List.init nparts Fun.id)
       && (Dps.health dps).takeovers = 0)
 
+(* A server parked in [poll] is registered only on the rings of its own
+   share. When a crashed peer's share moves to it, the adoption must wake
+   it, or a later delegation into an adopted ring rings the dead peer's
+   bell and waits forever (no healing under [Owner]). Clients 2 and 3
+   serve partition 1; client 1's ring there is client 3's until the
+   crash. *)
+let test_adopted_share_wakes_parked_server () =
+  let sched = mk_sched () in
+  let dps = mk_dps ~nclients:4 ~locality_size:2 sched in
+  let stop = ref false and latency = ref (-1) in
+  for c = 0 to 3 do
+    Sthread.spawn sched ~hw:(Dps.client_hw dps c) (fun () ->
+        Dps.attach dps ~client:c;
+        (match c with
+        | 1 ->
+            Sthread.work 40_000;
+            let t0 = Sthread.time () in
+            ignore (Dps.call dps ~key:1 (bump 0));
+            latency := Sthread.time () - t0;
+            stop := true;
+            ignore (Sthread.unpark sched ~tid:2)
+        | 2 | 3 ->
+            while not !stop do
+              ignore (Dps.poll dps ~max:16)
+            done
+        | _ -> ());
+        Dps.client_done dps;
+        Dps.drain dps)
+  done;
+  Sthread.at sched ~time:20_000 (fun () -> ignore (Sthread.kill sched ~tid:3));
+  Sthread.run ~until:1_000_000 sched;
+  Alcotest.(check bool)
+    (Printf.sprintf "delegation into the adopted ring served (%d cycles)" !latency)
+    true
+    (!latency >= 0 && !latency <= 20_000);
+  (* client 0 hands its share to client 1 at its early [client_done] *)
+  Alcotest.(check int) "both shares adopted" 2 (Dps.health dps).Dps.adoptions;
+  Alcotest.(check int) "every thread finished" 0 (Sthread.live_threads sched)
+
+(* A sender killed at its publish's store never rings the doorbell; its
+   exit hook must, or the batch waits behind a parked server. Client 1's
+   ring in partition 1 is served by client 3, parked in [poll]; client 1
+   dies at the store of a fire-and-forget delegation there. *)
+let test_dead_sender_rings_doorbell () =
+  let sched = mk_sched () in
+  let dps = mk_dps ~nclients:4 ~locality_size:2 sched in
+  let stop = ref false and applied_at = ref (-1) in
+  Sthread.set_fault_hook sched
+    (Some
+       (fun ~tid ~now ~tag ~cycles:_ ->
+         match tag with
+         | Sthread.Access_op (Machine.Write, _) when tid = 1 && now >= 40_000 -> Some Sthread.Crash
+         | _ -> None));
+  for c = 0 to 3 do
+    Sthread.spawn sched ~hw:(Dps.client_hw dps c) (fun () ->
+        Dps.attach dps ~client:c;
+        (match c with
+        | 1 ->
+            Sthread.work 40_000;
+            Dps.execute_async dps ~key:1 (fun _ ->
+                applied_at := Sthread.time ();
+                0)
+        | 2 | 3 ->
+            while not !stop do
+              ignore (Dps.poll dps ~max:16)
+            done
+        | _ -> ());
+        Dps.client_done dps;
+        Dps.drain dps)
+  done;
+  Sthread.at sched ~time:100_000 (fun () ->
+      stop := true;
+      List.iter (fun tid -> ignore (Sthread.unpark sched ~tid)) [ 2; 3 ]);
+  Sthread.run ~until:1_000_000 sched;
+  Alcotest.(check int) "the sender crashed" 1 (Dps.health dps).Dps.crashes;
+  Alcotest.(check bool)
+    (Printf.sprintf "its published delegation ran at %d" !applied_at)
+    true
+    (!applied_at >= 40_000 && !applied_at <= 60_000);
+  Alcotest.(check int) "every thread finished" 0 (Sthread.live_threads sched)
+
 let suite =
   [
     ("partition mapping", `Quick, test_partition_mapping);
@@ -468,4 +549,6 @@ let suite =
     ("create rejects impossible configs", `Quick, test_create_rejects_impossible);
     ("set_mode requires an adaptive policy", `Quick, test_set_mode_requires_adaptive);
     QCheck_alcotest.to_alcotest qcheck_every_ring_served;
+    ("adopted share wakes a parked server", `Quick, test_adopted_share_wakes_parked_server);
+    ("a sender killed at its publish rings the doorbell", `Quick, test_dead_sender_rings_doorbell);
   ]

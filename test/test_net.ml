@@ -799,6 +799,138 @@ let test_timeouts_count_slow_replies () =
   Alcotest.(check int) "every slow reply timed out once" 5 slow.Netload.timeouts;
   Alcotest.(check int) "a live node is never retried" 0 slow.Netload.retries
 
+(* --- doorbell-woken pollers ----------------------------------------------- *)
+
+(* Scheduling points of a DPS-backed server with no traffic at all, stopped
+   after [idle] cycles: its pollers park on an empty scan and nothing rings
+   their doorbells, so the idle span costs no scheduling point. *)
+let idle_server_sched_points ~idle =
+  let s = mk () in
+  let net = Net.create s () in
+  let backend =
+    Variants.dps_mc s ~serving:Dps.self_healing ~nclients:8 ~locality_size:4 ~buckets:256
+      ~capacity:512 ()
+  in
+  let srv = Server.start s net ~backend { Server.default_config with npollers = 8 } in
+  let points = ref 0 in
+  Sthread.set_sched_hook s
+    (Some
+       (fun ~tid:_ ~now:_ ~tag:_ ~cycles:_ ->
+         incr points;
+         0));
+  Sthread.at s ~time:idle (fun () -> Server.stop srv);
+  Sthread.run s;
+  Alcotest.(check int) "every thread finished" 0 (Sthread.live_threads s);
+  !points
+
+let test_idle_server_costs_nothing () =
+  let short = idle_server_sched_points ~idle:1_000_000 in
+  let long = idle_server_sched_points ~idle:8_000_000 in
+  Alcotest.(check bool) "pollers ran" true (short > 0);
+  Alcotest.(check int) "8M idle cycles cost what 1M cost" short long
+
+(* Every get below is a multi-get with one key per partition, sent while
+   the whole server is parked, so it delegates to every other partition's
+   parked server in turn. A fault-free get takes about 5k cycles plus 2.2k
+   per partition (at most 27k here). A server nobody wakes never serves
+   under [Owner], and under healing the awaiting poller takes it over only
+   50k cycles into each wait; the bound lies between. *)
+let doorbell_bound ~nparts = 6_000 + (3_000 * nparts)
+
+let qcheck_parked_servers_wake =
+  QCheck.Test.make ~name:"a delegated get to a parked server completes within a bound" ~count:25
+    QCheck.(
+      quad (int_range 2 12) (int_range 1 6) bool
+        (list_of_size Gen.(int_range 1 3) (int_range 0 20)))
+    (fun (npollers, locality_size, healing, jitters) ->
+      (* the shrinker may leave the ranges; at least two partitions *)
+      let npollers = Int.max 2 npollers in
+      let locality_size = Int.max 1 (Int.min locality_size (npollers - 1)) in
+      let s = mk () in
+      let net = Net.create s () in
+      let serving = if healing then Dps.self_healing else Dps.Owner in
+      let backend =
+        Variants.dps_mc s ~serving ~nclients:npollers ~locality_size ~buckets:256 ~capacity:512 ()
+      in
+      let nparts = (npollers + locality_size - 1) / locality_size in
+      backend.Variants.populate ~keys:(Array.init nparts Fun.id) ~val_lines:1;
+      let srv = Server.start s net ~backend { Server.default_config with npollers } in
+      let get = Printf.sprintf "get %s\r\n" (String.concat " " (List.init nparts string_of_int)) in
+      let bound = doorbell_bound ~nparts in
+      (* one connection per get, each sent two bounds after the last, so
+         the server is parked again at every send *)
+      let times =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (t, acc) j ->
+                  let t = t + (2 * bound) + (1_000 * j) in
+                  (t, t :: acc))
+                (0, []) jitters))
+      in
+      let latencies =
+        List.map
+          (fun at ->
+            let lat = ref (-1) in
+            let c = Net.connect net ~nic:0 ~rx:(fun _ -> lat := Sthread.now s - at) () in
+            Sthread.at s ~time:at (fun () -> Net.send net c get);
+            lat)
+          times
+      in
+      let horizon = List.fold_left Int.max 0 times + bound in
+      Sthread.run ~until:horizon s;
+      let answered = List.for_all (fun lat -> !lat >= 0 && !lat <= bound) latencies in
+      Server.stop srv;
+      Sthread.run ~until:(horizon + 1_000_000) s;
+      answered && Sthread.live_threads s = 0)
+
+let doorbells reg =
+  List.fold_left
+    (fun acc (smp : Dps_obs.Registry.sample) ->
+      match smp.value with
+      | Dps_obs.Registry.Gauge_v v when smp.name = "dps.doorbells" -> acc + int_of_float v
+      | _ -> acc)
+    0 (Dps_obs.Registry.snapshot reg)
+
+(* [dps.doorbells] counts parked servers woken by a publish: none in a run
+   whose clients only call and drain, some in a served fleet. *)
+let test_doorbell_counter () =
+  let s = mk () in
+  let dps =
+    Dps.create s ~nclients:8 ~locality_size:4 ~hash:Fun.id ~mk_data:(fun _ -> ref 0) ()
+  in
+  for c = 0 to 7 do
+    Sthread.spawn s ~hw:(Dps.client_hw dps c) (fun () ->
+        Dps.attach dps ~client:c;
+        for k = 0 to 9 do
+          ignore (Dps.call dps ~key:k (fun r -> incr r; !r))
+        done;
+        Dps.client_done dps;
+        Dps.drain dps)
+  done;
+  Sthread.run s;
+  let reg = Dps_obs.Registry.create () in
+  Dps.register_obs dps reg;
+  Alcotest.(check int) "no server parked, no doorbell" 0 (doorbells reg);
+  let s = mk () in
+  let net = Net.create s () in
+  let backend =
+    Variants.dps_mc s ~serving:Dps.self_healing ~nclients:40 ~locality_size:10 ~buckets:1024
+      ~capacity:2048 ()
+  in
+  backend.Variants.populate ~keys:(Array.init 1024 Fun.id) ~val_lines:2;
+  let srv = Server.start s net ~backend { Server.default_config with npollers = 40 } in
+  let sp = Netload.spec ~nclients:200 ~nconns:16 ~set_pct:20 ~key_range:1024 ~seed:7L () in
+  let rr =
+    Netload.run_routed s (Netload.single net) (Netload.rspec ~base:sp ()) ~duration:60_000
+      ~stop:(fun () -> Server.stop srv)
+      ()
+  in
+  Alcotest.(check bool) "fleet made progress" true (rr.Netload.agg.Netload.completed > 100);
+  let reg = Dps_obs.Registry.create () in
+  Option.iter (fun f -> f ~labels:[] reg) backend.Variants.register_obs;
+  Alcotest.(check bool) "a fleet rings doorbells" true (doorbells reg > 0)
+
 (* Nobody accepts, so no request is ever answered: each one is still on
    its connection when the run ends, and counts as a timeout. *)
 let test_timeouts_count_unanswered () =
@@ -843,4 +975,7 @@ let suite =
     ("single-server router spreads connections over every NIC", `Quick, test_single_spreads_nics);
     ("timeouts count replies slower than the timeout", `Quick, test_timeouts_count_slow_replies);
     ("timeouts count requests unanswered at the end", `Quick, test_timeouts_count_unanswered);
+    ("an idle DPS server costs no scheduling point", `Quick, test_idle_server_costs_nothing);
+    QCheck_alcotest.to_alcotest qcheck_parked_servers_wake;
+    ("doorbell counter", `Quick, test_doorbell_counter);
   ]

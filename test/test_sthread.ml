@@ -578,6 +578,9 @@ let test_allocation_per_scheduling_point () =
   budget "charge_read + flush" 4.0 (fun a ->
       Sthread.charge_read a;
       Sthread.flush ());
+  (* the splitmix64 state is unboxed: a draw allocates nothing *)
+  let prng = Dps_simcore.Prng.create 1L in
+  budget "Prng.int" 0.0 (fun _ -> ignore (Dps_simcore.Prng.int prng 100));
   (* a park/unpark round trip: the parker (thread 0) parks, its partner
      unparks it and works a cycle; both suspensions count *)
   let w =
@@ -589,6 +592,56 @@ let test_allocation_per_scheduling_point () =
       (fun _ -> Sthread.park ())
   in
   if w > 8.0 then Alcotest.failf "park/unpark: %.2f minor words per round trip, budget 8" w
+
+(* Minor words one asynchronous delegation allocates besides its
+   suspensions, with no server parked on the target ring: the issuer's
+   closures and the peer's serve, both threads counted. The suspensions
+   are priced at what a [work] suspension costs on this runtime, so the
+   bound does not depend on the continuation's size. *)
+let delegation_words () =
+  let calls = 10_000 in
+  let s = mk () in
+  let dps = Dps.create s ~nclients:2 ~locality_size:1 ~hash:Fun.id ~mk_data:(fun _ -> ref 0) () in
+  let points = ref 0 and per_point = ref nan and words = ref nan in
+  Sthread.set_sched_hook s
+    (Some
+       (fun ~tid:_ ~now:_ ~tag:_ ~cycles:_ ->
+         incr points;
+         0));
+  let op r =
+    incr r;
+    0
+  in
+  Sthread.spawn s ~hw:(Dps.client_hw dps 0) (fun () ->
+      Dps.attach dps ~client:0;
+      Dps.execute_async dps ~key:1 op;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        Sthread.work 1
+      done;
+      per_point := (Gc.minor_words () -. w0) /. float_of_int calls;
+      let p0 = !points in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        Dps.execute_async dps ~key:1 op
+      done;
+      let w = Gc.minor_words () -. w0 in
+      words := (w -. (!per_point *. float_of_int (!points - p0))) /. float_of_int calls;
+      Dps.client_done dps;
+      Dps.drain dps);
+  Sthread.spawn s ~hw:(Dps.client_hw dps 1) (fun () ->
+      Dps.attach dps ~client:1;
+      Dps.client_done dps;
+      Dps.drain dps);
+  Sthread.run s;
+  Alcotest.(check int) "every delegation applied" (calls + 1) !(Dps.partition_data dps 1);
+  !words
+
+(* 81.4 words on OCaml 5.1: the doorbell check in the publish adds
+   nothing, and any added option or closure (2+ words) fails the bound *)
+let test_delegation_allocation () =
+  let w = delegation_words () in
+  if w > 82.0 then Alcotest.failf "delegation: %.2f minor words besides suspensions, budget 82" w
 
 (* Nothing the scheduler keeps outlives a finished thread: what its
    closure captured is garbage once [run] returns. *)
@@ -641,6 +694,7 @@ let suite =
     ("kill with resume pending", `Quick, test_kill_with_resume_pending);
     ("park_for max_int", `Quick, test_park_for_saturates);
     ("allocation per scheduling point", `Quick, test_allocation_per_scheduling_point);
+    ("allocation per delegation", `Quick, test_delegation_allocation);
     ("finished thread collectable", `Quick, test_finished_thread_collectable);
     ("single thread runs", `Quick, test_single_thread_runs);
     ("kill drops thread", `Quick, test_kill_drops_thread);
