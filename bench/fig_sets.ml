@@ -111,6 +111,10 @@ let fig9_panel ~title w_of =
   let rec print2 labels = function
     | orig :: dps :: rest ->
         let label = List.hd labels in
+        json_record ~series:(label ^ "/orig") ~x:"80"
+          [ ("throughput_mops", orig.Driver.throughput_mops) ];
+        json_record ~series:(label ^ "/DPS") ~x:"80"
+          [ ("throughput_mops", dps.Driver.throughput_mops) ];
         Printf.printf "%-10s %12.3f %12.3f %7.1fx\n%!" label orig.Driver.throughput_mops
           dps.Driver.throughput_mops
           (dps.Driver.throughput_mops /. max 1e-9 orig.Driver.throughput_mops);

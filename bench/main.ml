@@ -36,7 +36,7 @@ let experiments : (string * string * (unit -> unit)) list =
     ("net", "memcached over the simulated network front-end", Fig_net.all);
     ("ablations", "DPS design-knob ablations", Fig_ablation.all);
     ("faults", "throughput under injected crashes/stalls", Fig_faults.all);
-    ("batch", "request batching and adaptive polling on the DPS hot path", Fig_batch.all);
+    ("batch", "request batching on the DPS hot path", Fig_batch.all);
     ("adapt", "adaptive delegation: drifting-skew phases + mode-flip exactly-once", Fig_adapt.all);
     ("cluster", "sharded multi-node serving with failover (stress matrix)", Fig_cluster.all);
     ("stream", "STREAM bandwidth calibration + delegation bytes A/B", Fig_stream.all);

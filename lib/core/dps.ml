@@ -799,6 +799,18 @@ let break_dead t pid holder break =
       true
   | _ -> false
 
+(* Break the lock of each of the [n] rings [ring_at] names whose holder
+   died inside it. [serve_ring] skips a held lock, so a batch published
+   behind a dead holder's lock is otherwise served only by an awaiting
+   sender's escalation, and a fire-and-forget delegation has none. Charges
+   nothing unless a lock is broken. *)
+let break_dead_rings t pid n ring_at =
+  for i = 0 to n - 1 do
+    match (ring_at i).rlock with
+    | Some l -> ignore (break_dead t pid (Spinlock.owner l) (fun () -> Spinlock.break_lock l))
+    | None -> ()
+  done
+
 (* Forced-serve patience under a policy that does not heal *)
 let unhealed_patience = default_heal_after / 16
 
@@ -1158,18 +1170,28 @@ let park_unless_published bell n ring_at =
     true
   end
 
+(* A client's share of its partition's rings, as [park_unless_published]
+   and [break_dead_rings] take them *)
+let share_at t cl =
+  let rings = t.partitions.(cl.my_pid).rings in
+  fun i -> rings.(snd cl.served.(i))
+
 (* The idle duty of a client with nothing else to do: publish its staged
-   batches, serve its share, and park once the share holds nothing. *)
+   batches, serve its share, and park once the share holds nothing. A
+   published batch the scan could not serve may sit behind a dead
+   holder's lock. *)
 let poll t ~max =
   let cl = me t in
   flush_all t cl;
-  let rings = t.partitions.(cl.my_pid).rings in
-  let ring_at i = rings.(snd cl.served.(i)) in
+  let ring_at = share_at t cl in
   let rec go () =
     let served = serve_as t cl ~max in
     if served > 0 then served
     else if park_unless_published cl.bell (Array.length cl.served) ring_at then 0
-    else go ()
+    else begin
+      break_dead_rings t cl.my_pid (Array.length cl.served) ring_at;
+      go ()
+    end
   in
   go ()
 
@@ -1456,8 +1478,10 @@ let run_poller t ~pid =
         in
         (* the run's end rings only armed bells, so the [remaining] test
            shares the park's atomic block *)
-        if served = 0 && t.remaining > 0 then
-          ignore (park_unless_published bell (Array.length rings) (Array.get rings))
+        if
+          served = 0 && t.remaining > 0
+          && not (park_unless_published bell (Array.length rings) (Array.get rings))
+        then break_dead_rings t pid (Array.length rings) (Array.get rings)
       done)
 
 (* Dynamic repartitioning (the paper assumes static partitioning and notes
@@ -1511,7 +1535,9 @@ let drain t =
     if serve_as t cl ~max:t.check_budget = 0 then Sthread.work 128
   done;
   (* No client will issue again; flush leftover (e.g. asynchronous)
-     requests still sitting in this peer's share of the rings. *)
+     requests still sitting in this peer's share of the rings, including
+     any behind the lock of a server that died mid-dispatch. *)
+  break_dead_rings t cl.my_pid (Array.length cl.served) (share_at t cl);
   while serve_as t cl ~max:max_int > 0 do
     ()
   done;

@@ -239,7 +239,10 @@ val poll : 'a t -> max:int -> int
     a publish into one of its rings rings the doorbell, an adoption hands
     it more rings, or anything else unparks the thread; then return 0.
     The probe, the registration and the park share one atomic block, and
-    a publisher rings after its releasing store, so no wakeup is lost. *)
+    a publisher rings after its releasing store, so no wakeup is lost.
+    When the scan served nothing but the probe saw a published batch, the
+    lock of any share ring whose holder died inside it is broken, so a
+    server that crashed mid-dispatch does not wedge the loop. *)
 
 val flush_pending : 'a t -> unit
 (** Publish every batch the calling client still has staged, regardless of
@@ -258,7 +261,8 @@ val run_poller : 'a t -> pid:int -> unit
 (** §4.4 liveness: body for a dedicated polling thread devoted to locality
     [pid]. Serves every ring of the partition (serializing with peers
     through the per-ring locks) until all clients are done, parking like
-    {!poll} whenever the partition's rings hold nothing. Raises
+    {!poll} whenever the partition's rings hold nothing, and breaking
+    like {!poll} the lock of any ring whose holder died inside it. Raises
     [Invalid_argument] under the [Owner] serving policy. *)
 
 val client_done : 'a t -> unit
@@ -267,7 +271,9 @@ val client_done : 'a t -> unit
 val drain : 'a t -> unit
 (** Keep serving delegated requests until every client is done — call after
     {!client_done} so in-flight delegations to this locality still make
-    progress. *)
+    progress. Its final sweep first breaks the lock of any ring of the
+    caller's share whose holder died inside it, so a batch a crashed
+    server left half-dispatched still runs. *)
 
 val delegated_ops : 'a t -> int
 val local_ops : 'a t -> int

@@ -13,7 +13,7 @@ type node = {
   addr : int;
   lock : Spinlock.t;
   mutable marked : bool;
-  mutable next : node option;
+  mutable next : node;
 }
 
 type t = { alloc : Alloc.t; head : node }
@@ -24,24 +24,26 @@ let mk_node alloc key value next =
   let addr = Alloc.line alloc in
   { key; value; addr; lock = Spinlock.embed ~addr; marked = false; next }
 
+(* The tail links to itself: every node has a successor. *)
 let create alloc =
-  let tail = mk_node alloc max_int 0 None in
-  { alloc; head = mk_node alloc min_int 0 (Some tail) }
+  let addr = Alloc.line alloc in
+  let rec tail =
+    { key = max_int; value = 0; addr; lock = Spinlock.embed ~addr; marked = false; next = tail }
+  in
+  { alloc; head = mk_node alloc min_int 0 tail }
 
 (* Unsynchronized traversal: returns (pred, curr) with
    pred.key < key <= curr.key. Both may be stale; callers validate. *)
 let search t key =
   Sthread.charge_read_racy t.head.addr;
   let rec go pred =
-    let curr = Option.get pred.next in
+    let curr = pred.next in
     Sthread.charge_read_racy curr.addr;
     if curr.key >= key then (pred, curr) else go curr
   in
   go t.head
 
-let points_to pred curr = match pred.next with Some c -> c == curr | None -> false
-
-let validate pred curr = (not pred.marked) && (not curr.marked) && points_to pred curr
+let validate pred curr = (not pred.marked) && (not curr.marked) && pred.next == curr
 
 let rec insert t ~key ~value =
   let pred, curr = search t key in
@@ -52,11 +54,11 @@ let rec insert t ~key ~value =
     let result =
       if curr.key = key then false
       else begin
-        let n = mk_node t.alloc key value (Some curr) in
+        let n = mk_node t.alloc key value curr in
         (* releasing init publish: [n] is lockable as a predecessor the
            moment the link lands, before this writer releases its locks *)
         Sthread.write_release n.addr;
-        pred.next <- Some n;
+        pred.next <- n;
         Sthread.write pred.addr;
         true
       end
@@ -108,20 +110,20 @@ let lookup t key =
 
 let to_list t =
   let rec go acc n =
-    match n.next with
-    | None -> List.rev acc
-    | Some c -> if c.key = max_int then List.rev acc else go ((c.key, c.value) :: acc) c
+    let c = n.next in
+    if c.key = max_int then List.rev acc else go ((c.key, c.value) :: acc) c
   in
   go [] t.head
 
 let check_invariants t =
+  (* a self-linked node other than the tail fails the ordering check *)
   let rec go prev n =
-    match n.next with
-    | None -> if n.key <> max_int then failwith "ll_lazy: missing tail sentinel"
-    | Some c ->
-        if c.key <= prev then failwith "ll_lazy: keys not strictly increasing";
-        if c.marked then failwith "ll_lazy: reachable marked node";
-        go c.key c
+    if n.key <> max_int then begin
+      let c = n.next in
+      if c.key <= prev then failwith "ll_lazy: keys not strictly increasing";
+      if c.marked then failwith "ll_lazy: reachable marked node";
+      go c.key c
+    end
   in
   go min_int t.head
 

@@ -14,7 +14,7 @@ type node = {
   mutable value : int;
   addr : int;
   mutable marked : bool;
-  mutable next : node option;
+  mutable next : node;
 }
 
 type t = { alloc : Alloc.t; head : node }
@@ -24,20 +24,21 @@ let name = "lf-m"
 let mk_node alloc key value next =
   { key; value; addr = Alloc.line alloc; marked = false; next }
 
+(* The tail links to itself: every node has a successor. *)
 let create alloc =
-  let tail = mk_node alloc max_int 0 None in
-  { alloc; head = mk_node alloc min_int 0 (Some tail) }
+  let addr = Alloc.line alloc in
+  let rec tail = { key = max_int; value = 0; addr; marked = false; next = tail } in
+  { alloc; head = mk_node alloc min_int 0 tail }
 
 (* Test-only mutation (lib/check self-test): when set, a failed insert CAS
    gives up instead of retrying, silently dropping the insert. *)
 let failpoint_drop_cas_retry = ref false
 
 (* CAS of [n]'s (next, marked) pair. [expect] is the node [n.next] is
-   expected to point at (nodes are unique, options are compared unwrapped). *)
+   expected to point at (nodes are unique, so compared physically). *)
 let cas_next n ~expect ~expect_marked ~next ~marked =
   Sthread.rmw n.addr;
-  let next_matches = match n.next with Some c -> c == expect | None -> false in
-  if next_matches && n.marked = expect_marked then begin
+  if n.next == expect && n.marked = expect_marked then begin
     n.next <- next;
     n.marked <- marked;
     true
@@ -52,7 +53,7 @@ let rec search t key =
   try
     Sthread.charge_read t.head.addr;
     let rec go pred =
-      let curr = Option.get pred.next in
+      let curr = pred.next in
       Sthread.charge_read curr.addr;
       if curr.marked then begin
         Sthread.flush ();
@@ -73,9 +74,9 @@ let rec insert t ~key ~value =
   let pred, curr = search t key in
   if curr.key = key then false
   else begin
-    let n = mk_node t.alloc key value (Some curr) in
+    let n = mk_node t.alloc key value curr in
     Sthread.write n.addr;
-    if cas_next pred ~expect:curr ~expect_marked:false ~next:(Some n) ~marked:false then true
+    if cas_next pred ~expect:curr ~expect_marked:false ~next:n ~marked:false then true
     else if !failpoint_drop_cas_retry then false
     else insert t ~key ~value
   end
@@ -85,8 +86,8 @@ let rec remove t key =
   if curr.key <> key then false
   else begin
     (* logical delete: mark curr (linearization point) *)
-    let succ = Option.get curr.next (* never tail, so a successor exists *) in
-    if cas_next curr ~expect:succ ~expect_marked:false ~next:(Some succ) ~marked:true then begin
+    let succ = curr.next in
+    if cas_next curr ~expect:succ ~expect_marked:false ~next:succ ~marked:true then begin
       (* physical unlink is best-effort; searches will finish the job *)
       ignore (search t key);
       true
@@ -98,7 +99,7 @@ let rec remove t key =
 let lookup t key =
   Sthread.charge_read t.head.addr;
   let rec go n =
-    let curr = Option.get n.next in
+    let curr = n.next in
     Sthread.charge_read curr.addr;
     if curr.key >= key then curr else go curr
   in
@@ -108,21 +109,20 @@ let lookup t key =
 
 let to_list t =
   let rec go acc n =
-    match n.next with
-    | None -> List.rev acc
-    | Some c ->
-        if c.key = max_int then List.rev acc
-        else go (if c.marked then acc else (c.key, c.value) :: acc) c
+    let c = n.next in
+    if c.key = max_int then List.rev acc
+    else go (if c.marked then acc else (c.key, c.value) :: acc) c
   in
   go [] t.head
 
 let check_invariants t =
+  (* a self-linked node other than the tail fails the ordering check *)
   let rec go prev n =
-    match n.next with
-    | None -> if n.key <> max_int then failwith "ll_michael: missing tail sentinel"
-    | Some c ->
-        if c.key <= prev then failwith "ll_michael: keys not strictly increasing";
-        go c.key c
+    if n.key <> max_int then begin
+      let c = n.next in
+      if c.key <= prev then failwith "ll_michael: keys not strictly increasing";
+      go c.key c
+    end
   in
   go min_int t.head
 

@@ -12,7 +12,7 @@ type node = {
   addr : int;
   lock : Optik.t;
   mutable removed : bool;
-  mutable next : node option;
+  mutable next : node;
 }
 
 type t = { alloc : Alloc.t; head : node }
@@ -23,15 +23,19 @@ let mk_node alloc key value next =
   let addr = Alloc.line alloc in
   { key; value; addr; lock = Optik.embed ~addr; removed = false; next }
 
+(* The tail links to itself: every node has a successor. *)
 let create alloc =
-  let tail = mk_node alloc max_int 0 None in
-  { alloc; head = mk_node alloc min_int 0 (Some tail) }
+  let addr = Alloc.line alloc in
+  let rec tail =
+    { key = max_int; value = 0; addr; lock = Optik.embed ~addr; removed = false; next = tail }
+  in
+  { alloc; head = mk_node alloc min_int 0 tail }
 
 (* Traverse reading each pred's version *before* its next pointer, so an
    unchanged version at lock time proves the link we followed still holds. *)
 let search t key =
   let rec go pred vpred =
-    let curr = Option.get pred.next in
+    let curr = pred.next in
     Sthread.charge_read curr.addr;
     if curr.key >= key then begin
       Sthread.flush ();
@@ -56,9 +60,9 @@ let rec insert t ~key ~value =
       insert t ~key ~value
     end
     else begin
-      let n = mk_node t.alloc key value (Some curr) in
+      let n = mk_node t.alloc key value curr in
       Sthread.write n.addr;
-      pred.next <- Some n;
+      pred.next <- n;
       (* the unlock's version bump publishes the change *)
       Optik.unlock pred.lock;
       true
@@ -99,20 +103,20 @@ let lookup t key =
 
 let to_list t =
   let rec go acc n =
-    match n.next with
-    | None -> List.rev acc
-    | Some c -> if c.key = max_int then List.rev acc else go ((c.key, c.value) :: acc) c
+    let c = n.next in
+    if c.key = max_int then List.rev acc else go ((c.key, c.value) :: acc) c
   in
   go [] t.head
 
 let check_invariants t =
+  (* a self-linked node other than the tail fails the ordering check *)
   let rec go prev n =
-    match n.next with
-    | None -> if n.key <> max_int then failwith "ll_optik: missing tail sentinel"
-    | Some c ->
-        if c.key <= prev then failwith "ll_optik: keys not strictly increasing";
-        if c.removed then failwith "ll_optik: reachable removed node";
-        go c.key c
+    if n.key <> max_int then begin
+      let c = n.next in
+      if c.key <= prev then failwith "ll_optik: keys not strictly increasing";
+      if c.removed then failwith "ll_optik: reachable removed node";
+      go c.key c
+    end
   in
   go min_int t.head
 

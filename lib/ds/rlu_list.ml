@@ -13,7 +13,7 @@ type node = {
   addr : int;
   lock : Spinlock.t;
   mutable removed : bool;
-  mutable next : node option;
+  mutable next : node;
 }
 
 type t = { alloc : Alloc.t; rlu : Rlu.t; head : node }
@@ -24,9 +24,13 @@ let mk_node alloc key value next =
   let addr = Alloc.line alloc in
   { key; value; addr; lock = Spinlock.embed ~addr; removed = false; next }
 
+(* The tail links to itself: every node has a successor. *)
 let create alloc =
-  let tail = mk_node alloc max_int 0 None in
-  { alloc; rlu = Rlu.create alloc; head = mk_node alloc min_int 0 (Some tail) }
+  let addr = Alloc.line alloc in
+  let rec tail =
+    { key = max_int; value = 0; addr; lock = Spinlock.embed ~addr; removed = false; next = tail }
+  in
+  { alloc; rlu = Rlu.create alloc; head = mk_node alloc min_int 0 tail }
 
 let search t key =
   (* racy by design: RLU read sections run concurrently with writers (the
@@ -34,7 +38,7 @@ let search t key =
      after try-locking *)
   Sthread.charge_read_racy t.head.addr;
   let rec go pred =
-    let curr = Option.get pred.next in
+    let curr = pred.next in
     Sthread.charge_read_racy curr.addr;
     if curr.key >= key then (pred, curr) else go curr
   in
@@ -62,17 +66,17 @@ let rec insert t ~key ~value =
     Sthread.work 64;
     insert t ~key ~value
   end
-  else if pred.removed || not (match pred.next with Some c -> c == curr | None -> false) then begin
+  else if pred.removed || pred.next != curr then begin
     Spinlock.release pred.lock;
     Rlu.reader_unlock t.rlu;
     insert t ~key ~value
   end
   else begin
-    let n = mk_node t.alloc key value (Some curr) in
+    let n = mk_node t.alloc key value curr in
     (* releasing init publish: [n] is try-lockable as a predecessor the
        moment the link lands, before this writer releases [pred.lock] *)
     Sthread.write_release n.addr;
-    pred.next <- Some n;
+    pred.next <- n;
     Sthread.write pred.addr;
     Rlu.writer_end_and_synchronize t.rlu;
     Spinlock.release pred.lock;
@@ -97,10 +101,7 @@ let rec remove t key =
     Sthread.work 64;
     remove t key
   end
-  else if
-    pred.removed || curr.removed
-    || not (match pred.next with Some c -> c == curr | None -> false)
-  then begin
+  else if pred.removed || curr.removed || pred.next != curr then begin
     Spinlock.release curr.lock;
     Spinlock.release pred.lock;
     Rlu.reader_unlock t.rlu;
@@ -120,20 +121,20 @@ let rec remove t key =
 
 let to_list t =
   let rec go acc n =
-    match n.next with
-    | None -> List.rev acc
-    | Some c -> if c.key = max_int then List.rev acc else go ((c.key, c.value) :: acc) c
+    let c = n.next in
+    if c.key = max_int then List.rev acc else go ((c.key, c.value) :: acc) c
   in
   go [] t.head
 
 let check_invariants t =
+  (* a self-linked node other than the tail fails the ordering check *)
   let rec go prev n =
-    match n.next with
-    | None -> if n.key <> max_int then failwith "rlu_list: missing tail sentinel"
-    | Some c ->
-        if c.key <= prev then failwith "rlu_list: keys not strictly increasing";
-        if c.removed then failwith "rlu_list: reachable removed node";
-        go c.key c
+    if n.key <> max_int then begin
+      let c = n.next in
+      if c.key <= prev then failwith "rlu_list: keys not strictly increasing";
+      if c.removed then failwith "rlu_list: reachable removed node";
+      go c.key c
+    end
   in
   go min_int t.head
 

@@ -1,6 +1,8 @@
 (** The common shape of the key/value set structures evaluated in the paper
     (§5.2): linked lists, binary search trees and skip lists all represent a
-    set of nodes with unique integer keys and three operations.
+    set of nodes with unique integer keys and three operations. Keys lie
+    strictly between [min_int] and [max_int]: the lists and skip lists
+    keep their head and tail sentinels there, and nothing checks it.
 
     Every implementation charges its operations against the simulated
     machine when called from a simulated thread and is free (single-threaded)

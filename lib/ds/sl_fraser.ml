@@ -17,22 +17,19 @@ type node = {
   key : int;
   mutable value : int;
   addr : int;
-  level : int;
   mutable marked : bool;
-  next : node option array;  (* length [level] *)
+  next : node array;  (* one successor per level; the tail has none *)
 }
 
 type t = { alloc : Alloc.t; head : node; tail : node; cold_prng : Prng.t }
 
 let name = "lf-f"
 
-let mk_node alloc key value level =
-  { key; value; addr = Alloc.line alloc; level; marked = false; next = Array.make level None }
+let mk_node alloc key value next = { key; value; addr = Alloc.line alloc; marked = false; next }
 
 let create alloc =
-  let tail = mk_node alloc max_int 0 max_level in
-  let head = mk_node alloc min_int 0 max_level in
-  Array.fill head.next 0 max_level (Some tail);
+  let tail = mk_node alloc max_int 0 [||] in
+  let head = mk_node alloc min_int 0 (Array.make max_level tail) in
   { alloc; head; tail; cold_prng = Prng.create 0xBADC0FFEEL }
 
 let random_level t =
@@ -40,15 +37,12 @@ let random_level t =
   let rec go l = if l < max_level && Prng.bool p then go (l + 1) else l in
   go 1
 
-let points_to pred lvl expect =
-  match pred.next.(lvl) with Some c -> c == expect | None -> false
-
 (* CAS of pred.next[lvl], refused if pred is marked (models the
    mark-in-pointer of the original: a marked predecessor's links are
    frozen). [expect] is the node currently linked. *)
 let cas_next pred lvl ~expect ~next =
   Sthread.rmw pred.addr;
-  if (not pred.marked) && points_to pred lvl expect then begin
+  if (not pred.marked) && pred.next.(lvl) == expect then begin
     pred.next.(lvl) <- next;
     true
   end
@@ -58,7 +52,7 @@ let cas_next pred lvl ~expect ~next =
    proceed through chains of marked nodes). *)
 let cas_next_cleanup pred lvl ~expect ~next =
   Sthread.rmw pred.addr;
-  if points_to pred lvl expect then begin
+  if pred.next.(lvl) == expect then begin
     pred.next.(lvl) <- next;
     true
   end
@@ -76,7 +70,7 @@ let rec find t key preds succs =
     for lvl = max_level - 1 downto 0 do
       let continue_level = ref true in
       while !continue_level do
-        let curr = Option.get !pred.next.(lvl) in
+        let curr = !pred.next.(lvl) in
         Sthread.charge_read curr.addr;
         if curr.marked && curr != t.tail then begin
           Sthread.flush ();
@@ -100,24 +94,21 @@ let rec insert t ~key ~value =
   if succs.(0).key = key then false
   else begin
     let level = random_level t in
-    let n = mk_node t.alloc key value level in
-    for l = 0 to level - 1 do
-      n.next.(l) <- Some succs.(l)
-    done;
+    let n = mk_node t.alloc key value (Array.sub succs 0 level) in
     Sthread.write n.addr;
-    if not (cas_next preds.(0) 0 ~expect:succs.(0) ~next:(Some n)) then insert t ~key ~value
+    if not (cas_next preds.(0) 0 ~expect:succs.(0) ~next:n) then insert t ~key ~value
     else begin
       (* link the index levels; abandon if the node gets deleted meanwhile *)
       let l = ref 1 in
       while !l < level && not n.marked do
         let lvl = !l in
-        if cas_next preds.(lvl) lvl ~expect:succs.(lvl) ~next:(Some n) then incr l
+        if cas_next preds.(lvl) lvl ~expect:succs.(lvl) ~next:n then incr l
         else begin
           find t key preds succs;
           if succs.(lvl) == n then incr l (* a helper linked it *)
           else begin
             Sthread.rmw n.addr;
-            if n.marked then l := level else n.next.(lvl) <- Some succs.(lvl)
+            if n.marked then l := level else n.next.(lvl) <- succs.(lvl)
           end
         end
       done;
@@ -148,12 +139,12 @@ let lookup t key =
   for lvl = max_level - 1 downto 0 do
     let continue_level = ref true in
     while !continue_level do
-      let curr = Option.get !pred.next.(lvl) in
+      let curr = !pred.next.(lvl) in
       Sthread.charge_read curr.addr;
       if curr.key < key then pred := curr else continue_level := false
     done
   done;
-  let curr = Option.get !pred.next.(0) in
+  let curr = !pred.next.(0) in
   Sthread.flush ();
   if curr.key = key && not curr.marked then Some curr.value else None
 
@@ -163,32 +154,26 @@ let lookup t key =
 let peek_min t =
   Sthread.charge_read t.head.addr;
   let rec go n =
-    match n.next.(0) with
-    | None -> None
-    | Some c ->
-        Sthread.charge_read c.addr;
-        if c == t.tail then begin
-          Sthread.flush ();
-          None
-        end
-        else if c.marked then go c
-        else begin
-          Sthread.flush ();
-          Some (c.key, c.value)
-        end
+    let c = n.next.(0) in
+    Sthread.charge_read c.addr;
+    if c == t.tail then begin
+      Sthread.flush ();
+      None
+    end
+    else if c.marked then go c
+    else begin
+      Sthread.flush ();
+      Some (c.key, c.value)
+    end
   in
   go t.head
 
 let rec remove_min t =
   Sthread.charge_read t.head.addr;
   let rec first_unmarked n =
-    match n.next.(0) with
-    | None -> None
-    | Some c ->
-        Sthread.charge_read c.addr;
-        if c == t.tail then None
-        else if c.marked then first_unmarked c
-        else Some c
+    let c = n.next.(0) in
+    Sthread.charge_read c.addr;
+    if c == t.tail then None else if c.marked then first_unmarked c else Some c
   in
   match first_unmarked t.head with
   | None ->
@@ -206,11 +191,9 @@ let rec remove_min t =
 
 let to_list t =
   let rec go acc n =
-    match n.next.(0) with
-    | None -> List.rev acc
-    | Some c ->
-        if c.key = max_int then List.rev acc
-        else go (if c.marked then acc else (c.key, c.value) :: acc) c
+    let c = n.next.(0) in
+    if c == t.tail then List.rev acc
+    else go (if c.marked then acc else (c.key, c.value) :: acc) c
   in
   go [] t.head
 
@@ -220,11 +203,9 @@ let check_invariants t =
      any level until a later search passes by — that is legal garbage. *)
   let level_keys ~include_marked lvl =
     let rec go acc n =
-      match n.next.(lvl) with
-      | None -> List.rev acc
-      | Some c ->
-          if c == t.tail then List.rev acc
-          else go (if c.marked && not include_marked then acc else (c.key, c.marked) :: acc) c
+      let c = n.next.(lvl) in
+      if c == t.tail then List.rev acc
+      else go (if c.marked && not include_marked then acc else (c.key, c.marked) :: acc) c
     in
     go [] t.head
   in

@@ -15,34 +15,23 @@ type node = {
   key : int;
   mutable value : int;
   addr : int;
-  level : int;
   lock : Spinlock.t;
   mutable marked : bool;
   mutable fully_linked : bool;
-  next : node option array;
+  next : node array;  (* one successor per level; the tail has none *)
 }
 
 type t = { alloc : Alloc.t; head : node; tail : node; cold_prng : Prng.t }
 
 let name = "lb-h"
 
-let mk_node alloc key value level =
+let mk_node alloc key value next =
   let addr = Alloc.line alloc in
-  {
-    key;
-    value;
-    addr;
-    level;
-    lock = Spinlock.embed ~addr;
-    marked = false;
-    fully_linked = false;
-    next = Array.make level None;
-  }
+  { key; value; addr; lock = Spinlock.embed ~addr; marked = false; fully_linked = false; next }
 
 let create alloc =
-  let tail = mk_node alloc max_int 0 max_level in
-  let head = mk_node alloc min_int 0 max_level in
-  Array.fill head.next 0 max_level (Some tail);
+  let tail = mk_node alloc max_int 0 [||] in
+  let head = mk_node alloc min_int 0 (Array.make max_level tail) in
   head.fully_linked <- true;
   tail.fully_linked <- true;
   { alloc; head; tail; cold_prng = Prng.create 0x5EEDL }
@@ -62,7 +51,7 @@ let find t key preds succs =
   for lvl = max_level - 1 downto 0 do
     let continue_level = ref true in
     while !continue_level do
-      let curr = Option.get !pred.next.(lvl) in
+      let curr = !pred.next.(lvl) in
       Sthread.charge_read_racy curr.addr;
       if curr.key < key then pred := curr
       else begin
@@ -79,21 +68,13 @@ let find t key preds succs =
 (* Lock preds.(0..level-1) bottom-up, skipping duplicates (identical preds
    are contiguous across levels). *)
 let lock_preds preds level =
-  let prev = ref None in
   for lvl = 0 to level - 1 do
-    let p = preds.(lvl) in
-    let dup = match !prev with Some q -> q == p | None -> false in
-    if not dup then Spinlock.acquire p.lock;
-    prev := Some p
+    if lvl = 0 || preds.(lvl - 1) != preds.(lvl) then Spinlock.acquire preds.(lvl).lock
   done
 
 let unlock_preds preds level =
-  let prev = ref None in
   for lvl = 0 to level - 1 do
-    let p = preds.(lvl) in
-    let dup = match !prev with Some q -> q == p | None -> false in
-    if not dup then Spinlock.release p.lock;
-    prev := Some p
+    if lvl = 0 || preds.(lvl - 1) != preds.(lvl) then Spinlock.release preds.(lvl).lock
   done
 
 let rec insert t ~key ~value =
@@ -118,24 +99,20 @@ let rec insert t ~key ~value =
     let valid = ref true in
     for lvl = 0 to level - 1 do
       let p = preds.(lvl) and s = succs.(lvl) in
-      let linked = match p.next.(lvl) with Some c -> c == s | None -> false in
-      if p.marked || s.marked || not linked then valid := false
+      if p.marked || s.marked || p.next.(lvl) != s then valid := false
     done;
     if not !valid then begin
       unlock_preds preds level;
       insert t ~key ~value
     end
     else begin
-      let n = mk_node t.alloc key value level in
-      for lvl = 0 to level - 1 do
-        n.next.(lvl) <- Some succs.(lvl)
-      done;
+      let n = mk_node t.alloc key value (Array.sub succs 0 level) in
       (* releasing init publish: once the bottom link lands, other threads
          may lock [n] as a predecessor and write its line — their lock
          acquisition (an atomic on [n.addr]) must be ordered after this *)
       Sthread.write_release n.addr;
       for lvl = 0 to level - 1 do
-        preds.(lvl).next.(lvl) <- Some n;
+        preds.(lvl).next.(lvl) <- n;
         Sthread.write preds.(lvl).addr
       done;
       (* fully_linked is set without holding [n]'s lock, exactly as the
@@ -163,7 +140,7 @@ let remove t key =
       !is_marked
       ||
       match candidate with
-      | Some v -> v.fully_linked && v.level - 1 = lfound && not v.marked
+      | Some v -> v.fully_linked && Array.length v.next - 1 = lfound && not v.marked
       | None -> false
     in
     if not ok then result := Some false
@@ -171,7 +148,7 @@ let remove t key =
       (match candidate with Some v when not !is_marked -> victim := Some v | _ -> ());
       let v = Option.get !victim in
       if not !is_marked then begin
-        top_level := v.level;
+        top_level := Array.length v.next;
         Spinlock.acquire v.lock;
         if v.marked then begin
           Spinlock.release v.lock;
@@ -188,8 +165,7 @@ let remove t key =
         let valid = ref true in
         for lvl = 0 to !top_level - 1 do
           let p = preds.(lvl) in
-          let linked = match p.next.(lvl) with Some c -> c == v | None -> false in
-          if p.marked || not linked then valid := false
+          if p.marked || p.next.(lvl) != v then valid := false
         done;
         if !valid then begin
           for lvl = !top_level - 1 downto 0 do
@@ -217,26 +193,22 @@ let lookup t key =
 
 let to_list t =
   let rec go acc n =
-    match n.next.(0) with
-    | None -> List.rev acc
-    | Some c ->
-        if c.key = max_int then List.rev acc
-        else go (if c.marked || not c.fully_linked then acc else (c.key, c.value) :: acc) c
+    let c = n.next.(0) in
+    if c == t.tail then List.rev acc
+    else go (if c.marked || not c.fully_linked then acc else (c.key, c.value) :: acc) c
   in
   go [] t.head
 
 let check_invariants t =
   for lvl = 0 to max_level - 1 do
     let rec go prev n =
-      match n.next.(lvl) with
-      | None -> ()
-      | Some c ->
-          if c != t.tail then begin
-            if c.key <= prev then failwith (Printf.sprintf "sl_herlihy: level %d unsorted" lvl);
-            if c.marked then failwith "sl_herlihy: reachable marked node at quiescence";
-            if not c.fully_linked then failwith "sl_herlihy: reachable half-linked node";
-            go c.key c
-          end
+      let c = n.next.(lvl) in
+      if c != t.tail then begin
+        if c.key <= prev then failwith (Printf.sprintf "sl_herlihy: level %d unsorted" lvl);
+        if c.marked then failwith "sl_herlihy: reachable marked node at quiescence";
+        if not c.fully_linked then failwith "sl_herlihy: reachable half-linked node";
+        go c.key c
+      end
     in
     go min_int t.head
   done

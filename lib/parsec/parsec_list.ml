@@ -2,7 +2,7 @@ module Sthread = Dps_sthread.Sthread
 module Alloc = Dps_sthread.Alloc
 module Mcs = Dps_sync.Mcs
 
-type node = { key : int; mutable value : int; addr : int; mutable next : node option }
+type node = { key : int; mutable value : int; addr : int; mutable next : node }
 
 type t = { alloc : Alloc.t; rt : Parsec.t; wlock : Mcs.t; head : node }
 
@@ -10,14 +10,11 @@ let name = "parsec-ll"
 
 let mk_node alloc key value next = { key; value; addr = Alloc.line alloc; next }
 
+(* The tail links to itself: every node has a successor. *)
 let create alloc =
-  let tail = mk_node alloc max_int 0 None in
-  {
-    alloc;
-    rt = Parsec.create alloc;
-    wlock = Mcs.create alloc;
-    head = mk_node alloc min_int 0 (Some tail);
-  }
+  let addr = Alloc.line alloc in
+  let rec tail = { key = max_int; value = 0; addr; next = tail } in
+  { alloc; rt = Parsec.create alloc; wlock = Mcs.create alloc; head = mk_node alloc min_int 0 tail }
 
 (* Traversal is safe under quiescence: a concurrently unlinked node still
    points into the list, and it cannot be reclaimed until we exit. *)
@@ -27,7 +24,7 @@ let create alloc =
 let search t key =
   Sthread.charge_read_racy t.head.addr;
   let rec go pred =
-    let curr = Option.get pred.next in
+    let curr = pred.next in
     Sthread.charge_read_racy curr.addr;
     if curr.key >= key then (pred, curr) else go curr
   in
@@ -50,9 +47,9 @@ let insert t ~key ~value =
   let result =
     if curr.key = key then false
     else begin
-      let n = mk_node t.alloc key value (Some curr) in
+      let n = mk_node t.alloc key value curr in
       Sthread.write n.addr;
-      pred.next <- Some n;
+      pred.next <- n;
       Sthread.write pred.addr;
       true
     end
@@ -78,19 +75,19 @@ let remove t key =
 
 let to_list t =
   let rec go acc n =
-    match n.next with
-    | None -> List.rev acc
-    | Some c -> if c.key = max_int then List.rev acc else go ((c.key, c.value) :: acc) c
+    let c = n.next in
+    if c.key = max_int then List.rev acc else go ((c.key, c.value) :: acc) c
   in
   go [] t.head
 
 let check_invariants t =
+  (* a self-linked node other than the tail fails the ordering check *)
   let rec go prev n =
-    match n.next with
-    | None -> if n.key <> max_int then failwith "parsec_list: missing tail sentinel"
-    | Some c ->
-        if c.key <= prev then failwith "parsec_list: keys not strictly increasing";
-        go c.key c
+    if n.key <> max_int then begin
+      let c = n.next in
+      if c.key <= prev then failwith "parsec_list: keys not strictly increasing";
+      go c.key c
+    end
   in
   go min_int t.head
 

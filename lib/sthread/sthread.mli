@@ -215,10 +215,10 @@ val park : unit -> unit
 val park_for : int -> bool
 (** Like {!park} but with a timeout of [d > 0] cycles: returns [true] if
     the timeout fired first, [false] if an {!unpark} (or pending permit)
-    woke the thread sooner. The epoll-with-timeout of the simulated world —
-    event-loop pollers use it to alternate blocking with bounded background
-    serving (e.g. draining DPS delegation rings). The deadline saturates: a
-    [d] that reaches past [max_int] never times out. *)
+    woke the thread sooner. The periodic sleep of the simulated world: the
+    adaptive mode controller waits out each sampling epoch with it, and
+    fig_adapt's mode-flip writer its flip period. The deadline saturates:
+    a [d] that reaches past [max_int] never times out. *)
 
 val unpark : t -> tid:int -> bool
 (** Wake thread [tid]: resume it at the current simulated time if it is

@@ -17,10 +17,10 @@ type part_data = {
 
 let mk_sched () = Sthread.create (Machine.create Machine.config_default)
 
-let mk_dps ?(nclients = 20) ?(locality_size = 10) ?ring_slots sched =
+let mk_dps ?(nclients = 20) ?(locality_size = 10) ?ring_slots ?serving sched =
   Dps.create sched ~nclients ~locality_size
     ~hash:(fun k -> k)
-    ?ring_slots
+    ?ring_slots ?serving
     ~mk_data:(fun (info : Dps.partition_info) ->
       { node = info.Dps.node; cells = Array.make 64 0; ops_run = 0; hw_seen = [] })
     ()
@@ -526,6 +526,72 @@ let test_dead_sender_rings_doorbell () =
     (!applied_at >= 40_000 && !applied_at <= 60_000);
   Alcotest.(check int) "every thread finished" 0 (Sthread.live_threads sched)
 
+(* A server that dies inside a dispatch leaves the ring lock held over a
+   published batch; only an awaiting sender's escalation would break it,
+   and a fire-and-forget delegation has none. The peer that adopts the
+   share must break the lock itself. Client 1 sends asynchronously into
+   partition 1, where client 3 (parked in [poll]) serves its ring and dies
+   inside the dispatch; [peer] is what client 2 does meanwhile, and
+   [poller] optionally starts a dedicated poller for partition 1 at 45,000
+   cycles. Returns when the delegation ran (-1 if never). *)
+let dead_holder_run ~serving ~peer ~poller =
+  let sched = mk_sched () in
+  let dps = mk_dps ~nclients:4 ~locality_size:2 ~serving sched in
+  let stop = ref false and applied_at = ref (-1) in
+  for c = 0 to 3 do
+    Sthread.spawn sched ~hw:(Dps.client_hw dps c) (fun () ->
+        Dps.attach dps ~client:c;
+        (match c with
+        | 1 ->
+            Sthread.work 40_000;
+            Dps.execute_async dps ~key:1 (fun _ ->
+                if Sthread.self_id () = 3 then ignore (Sthread.kill sched ~tid:3);
+                Sthread.work 100;
+                applied_at := Sthread.time ();
+                0)
+        | 2 -> peer dps stop
+        | 3 ->
+            while not !stop do
+              ignore (Dps.poll dps ~max:16)
+            done
+        | _ -> ());
+        Dps.client_done dps;
+        Dps.drain dps)
+  done;
+  if poller then
+    Sthread.spawn sched ~hw:(Dps.client_hw dps 2) (fun () ->
+        Sthread.work 45_000;
+        Dps.run_poller dps ~pid:1);
+  Sthread.at sched ~time:100_000 (fun () ->
+      stop := true;
+      ignore (Sthread.unpark sched ~tid:2));
+  Sthread.run ~until:1_000_000 sched;
+  Alcotest.(check int) "the serving client crashed" 1 (Dps.health dps).Dps.crashes;
+  Alcotest.(check int) "every thread finished" 0 (Sthread.live_threads sched);
+  !applied_at
+
+let check_dead_holder ~peer ~poller =
+  List.iter
+    (fun serving ->
+      let applied_at = dead_holder_run ~serving ~peer ~poller in
+      Alcotest.(check bool)
+        (Printf.sprintf "the delegation ran at %d" applied_at)
+        true
+        (applied_at >= 40_000 && applied_at <= 60_000))
+    [ Dps.pollers; Dps.self_healing ]
+
+let test_poll_breaks_dead_holder () =
+  check_dead_holder ~poller:false ~peer:(fun dps stop ->
+      while not !stop do
+        ignore (Dps.poll dps ~max:16)
+      done)
+
+let test_run_poller_breaks_dead_holder () =
+  check_dead_holder ~poller:true ~peer:(fun _ _ -> Sthread.work 200_000)
+
+let test_drain_breaks_dead_holder () =
+  check_dead_holder ~poller:false ~peer:(fun _ _ -> ())
+
 let suite =
   [
     ("partition mapping", `Quick, test_partition_mapping);
@@ -551,4 +617,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_every_ring_served;
     ("adopted share wakes a parked server", `Quick, test_adopted_share_wakes_parked_server);
     ("a sender killed at its publish rings the doorbell", `Quick, test_dead_sender_rings_doorbell);
+    ("poll breaks a dead holder's ring lock", `Quick, test_poll_breaks_dead_holder);
+    ("run_poller breaks a dead holder's ring lock", `Quick, test_run_poller_breaks_dead_holder);
+    ("drain breaks a dead holder's ring lock", `Quick, test_drain_breaks_dead_holder);
   ]
