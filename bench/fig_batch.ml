@@ -23,10 +23,7 @@ module Sthread = Dps_sthread.Sthread
 module Prng = Dps_simcore.Prng
 module Histogram = Dps_simcore.Histogram
 module Driver = Dps_workload.Driver
-module Net = Dps_net.Net
-module Server = Dps_server.Server
 module Netload = Dps_workload.Netload
-module Variants = Dps_memcached.Variants
 
 let threads = 80
 let op_len = 50
@@ -153,29 +150,7 @@ let fig_age () =
 
 (* (c): the network figure's DPS-ParSec point, batched vs unbatched. *)
 let run_net ~batch =
-  let m = Machine.create scaled_config in
-  let sched = Sthread.create m in
-  let net = Net.create sched () in
-  let npollers = 40 in
-  let items = if quick then 4096 else 16384 in
-  let backend =
-    Variants.dps_parsec sched ~serving:Dps.self_healing ~batch ~nclients:npollers
-      ~locality_size:10 ~buckets:items ~capacity:(2 * items) ()
-  in
-  backend.Variants.populate ~keys:(Array.init items Fun.id) ~val_lines:2;
-  let srv = Server.start sched net ~backend { Server.default_config with npollers } in
-  let nclients = 4096 in
-  let sp =
-    Netload.spec ~nclients ~nconns:(max 32 (min 256 (nclients / 16))) ~set_pct:10
-      ~key_range:items ()
-  in
-  let rr =
-    Netload.run_routed sched (Netload.single net) (Netload.rspec ~base:sp ())
-      ~duration:default_duration
-      ~stop:(fun () -> Server.stop srv)
-      ()
-  in
-  rr.Netload.agg
+  (Fig_net.run ~batch Fig_net.Dps_parsec ~nclients:4096 ~set_pct:10 ~mode:None ()).Fig_net.r
 
 let fig_net () =
   print_header "Batch (c): memcached/net DPS-ParSec at 4096 clients, batched vs unbatched sets";

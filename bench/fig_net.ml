@@ -20,23 +20,24 @@ type which = Stock | Ffwd_mc | Dps_parsec
 let name_of = function Stock -> "stock" | Ffwd_mc -> "ffwd" | Dps_parsec -> "DPS-ParSec"
 let backends = [ Dps_parsec; Stock; Ffwd_mc ]
 
-let make which sched ~npollers =
+let make ?batch which sched ~npollers =
   let buckets = items and capacity = 2 * items in
   match which with
   | Stock -> Variants.stock sched ~nclients:npollers ~buckets ~capacity
   | Ffwd_mc -> Variants.ffwd_mc sched ~nclients:npollers ~buckets ~capacity
   | Dps_parsec ->
-      Variants.dps_parsec sched ~serving:Dps.self_healing ~nclients:npollers ~locality_size:10
-        ~buckets ~capacity ()
+      Variants.dps_parsec sched ~serving:Dps.self_healing ?batch ~nclients:npollers
+        ~locality_size:10 ~buckets ~capacity ()
 
 type point = { r : Netload.result; local_pct : float; requests : int }
 
-let run which ~nclients ~set_pct ~mode () =
+(* One point; [batch] (default 1) is DPS-ParSec's coalescing bound. *)
+let run ?batch which ~nclients ~set_pct ~mode () =
   let m = Machine.create scaled_config in
   let sched = Sthread.create m in
   let net = Net.create sched () in
   let npollers = 40 in
-  let backend = make which sched ~npollers in
+  let backend = make ?batch which sched ~npollers in
   backend.Variants.populate ~keys:(Array.init items Fun.id) ~val_lines:2;
   let srv = Server.start sched net ~backend { Server.default_config with npollers } in
   let nconns = max 32 (min 256 (nclients / 16)) in

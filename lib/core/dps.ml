@@ -132,13 +132,11 @@ let no_bell = { bsid = -1; armed = false }
    [recv_idx]; the toggle bit replaces head/tail comparison. [rlock] exists
    only under a [Shared] serving policy: whoever else serves the ring
    serializes with its peer through it, "rarely contended" as the paper
-   notes. [last_served] is the ring-granularity liveness timestamp behind
-   the sender-side timeouts. *)
+   notes. *)
 type ring = {
   slots : msg array;
   mutable send_idx : int;
   mutable recv_idx : int;
-  mutable last_served : int;
   rlock : Spinlock.t option;
   (* published-but-unserved count: an occupancy hint (host metadata, like
      [pending]) that lets mode transitions and direct holders skip the
@@ -156,11 +154,10 @@ type cstate = Issuing | Done_issuing | Gone
 type client = {
   sid : int;  (* simulated thread id *)
   tid : int;  (* client slot, in [0, nclients) *)
-  hw : int;
   my_pid : int;
-  mutable served : (int * int) array;
-      (* (partition never <> my_pid, ring index) — my serving share; grows
-         when this client adopts an exiting peer's share *)
+  mutable served : ring array;
+      (* my serving share of [my_pid]'s rings; grows when this client
+         adopts an exiting peer's share *)
   mutable cursor : int;  (* round-robin scan position, for serving fairness *)
   mutable cstate : cstate;
   mutable flushing : bool;  (* re-entrancy guard: flush → serve → flush *)
@@ -188,7 +185,6 @@ let pollers = Shared { heal_after = None; adaptive = None }
 
 type health = {
   pending_depth : int array;  (** per partition: delegations queued, unserved *)
-  time_since_served : int array;  (** per partition: now - last served op *)
   dead_partitions : bool array;
   takeovers : int;  (** foreign serves of a stuck partition's rings *)
   adoptions : int;  (** serving shares handed to a live peer *)
@@ -196,8 +192,6 @@ type health = {
   failovers : int;  (** partitions retired and retargeted *)
   crashes : int;  (** clients that vanished without [client_done] *)
   lock_breaks : int;  (** ring locks reclaimed from dead holders *)
-  takeovers_by_partition : int array;
-  lock_breaks_by_partition : int array;
 }
 
 type 'a t = {
@@ -317,7 +311,6 @@ type signal = {
   s_mode : mode;
   s_pending : int;  (** delegations queued in the rings right now *)
   s_remote_ops : int;  (** remote ops issued at this partition, cumulative *)
-  s_direct_ops : int;  (** ops run via the direct path, cumulative *)
   s_lat_sum : int;  (** summed issue->done latency, cumulative *)
   s_lat_cnt : int;  (** remote completions measured, cumulative *)
 }
@@ -327,7 +320,6 @@ let signals t ~pid =
     s_mode = t.modes.(pid);
     s_pending = t.pending.(pid);
     s_remote_ops = t.remote_pid.(pid);
-    s_direct_ops = t.direct_pid.(pid);
     s_lat_sum = t.lat_sum_pid.(pid);
     s_lat_cnt = t.lat_cnt_pid.(pid);
   }
@@ -366,10 +358,8 @@ let require t ~fn ~adaptive =
       invalid_arg (Printf.sprintf "Dps.%s: create with ~serving:(%s)" fn needs)
 
 let health t =
-  let now = Sthread.now t.sched in
   {
     pending_depth = Array.copy t.pending;
-    time_since_served = Array.map (fun ls -> now - ls) t.last_served;
     dead_partitions = Array.copy t.dead;
     takeovers = t.n_takeovers;
     adoptions = t.n_adoptions;
@@ -377,8 +367,6 @@ let health t =
     failovers = t.n_failovers;
     crashes = t.n_crashes;
     lock_breaks = t.n_lock_breaks;
-    takeovers_by_partition = Array.copy t.takeovers_pid;
-    lock_breaks_by_partition = Array.copy t.lock_breaks_pid;
   }
 
 (* Ring a doorbell: wake the server parked behind it, at no charge. A
@@ -537,7 +525,6 @@ let create sched ~nclients ~locality_size ~hash ?(ring_slots = 16) ?(check_budge
         slots = Array.init ring_slots mk_slot;
         send_idx = 0;
         recv_idx = 0;
-        last_served = 0;
         rlock;
         rpending = 0;
         bell = no_bell;
@@ -645,18 +632,14 @@ let attach t ~client =
      stream) is unchanged. *)
   let nmembers = Int.min t.locality_size (t.nclients - (my_pid * t.locality_size)) in
   let served =
-    Array.of_list
-      (List.filter_map
-         (fun c ->
-           if c mod t.locality_size mod nmembers = my_index then Some (my_pid, c)
-           else None)
-         (List.init t.nclients Fun.id))
+    Array.to_list t.partitions.(my_pid).rings
+    |> List.filteri (fun c _ -> c mod t.locality_size mod nmembers = my_index)
+    |> Array.of_list
   in
   let cl =
     {
       sid;
       tid = client;
-      hw = Sthread.self_hw ();
       my_pid;
       served;
       cursor = 0;
@@ -733,8 +716,7 @@ let dispatch t ~pid ring slot =
   (* one releasing store acks the whole batch: fill every completion cell,
      clear the toggle, then a single line transfer *)
   retire t ~pid ring slot;
-  ring.last_served <- Sthread.time ();
-  t.last_served.(pid) <- ring.last_served;
+  t.last_served.(pid) <- Sthread.time ();
   if !failpoint_skip_completion_fence then Sthread.write slot.maddr
   else Sthread.write_release slot.maddr;
   !served
@@ -799,17 +781,18 @@ let break_dead t pid holder break =
       true
   | _ -> false
 
-(* Break the lock of each of the [n] rings [ring_at] names whose holder
-   died inside it. [serve_ring] skips a held lock, so a batch published
-   behind a dead holder's lock is otherwise served only by an awaiting
-   sender's escalation, and a fire-and-forget delegation has none. Charges
-   nothing unless a lock is broken. *)
-let break_dead_rings t pid n ring_at =
-  for i = 0 to n - 1 do
-    match (ring_at i).rlock with
-    | Some l -> ignore (break_dead t pid (Spinlock.owner l) (fun () -> Spinlock.break_lock l))
-    | None -> ()
-  done
+(* Break the lock of each of [pid]'s [rings] whose holder died inside it.
+   [serve_ring] skips a held lock, so a batch published behind a dead
+   holder's lock is otherwise served only by an awaiting sender's
+   escalation, and a fire-and-forget delegation has none. Charges nothing
+   unless a lock is broken. *)
+let break_dead_rings t pid rings =
+  Array.iter
+    (fun ring ->
+      match ring.rlock with
+      | Some l -> ignore (break_dead t pid (Spinlock.owner l) (fun () -> Spinlock.break_lock l))
+      | None -> ())
+    rings
 
 (* Forced-serve patience under a policy that does not heal *)
 let unhealed_patience = default_heal_after / 16
@@ -1125,13 +1108,12 @@ and flush_aged t cl ~age =
    ring starves under load; returns the number served. *)
 and serve_as t cl ~max:budget =
   flush_aged t cl ~age:t.batch_age;
-  let p = t.partitions.(cl.my_pid) in
   let served = ref 0 in
   let i = ref 0 in
   let n = Array.length cl.served in
   while !served < budget && !i < n do
-    let _, ring_idx = cl.served.((cl.cursor + !i) mod n) in
-    served := !served + serve_ring t ~pid:cl.my_pid p.rings.(ring_idx) ~budget:(budget - !served);
+    let ring = cl.served.((cl.cursor + !i) mod n) in
+    served := !served + serve_ring t ~pid:cl.my_pid ring ~budget:(budget - !served);
     incr i
   done;
   if n > 0 then cl.cursor <- (cl.cursor + Int.max 1 !i) mod n;
@@ -1150,50 +1132,48 @@ let published ring =
   Sthread.charge_read_racy slot.maddr;
   slot.toggle
 
-(* The park both polling loops share. In one atomic block: probe the next
-   slot of each of the [n] rings [ring_at] names and, if none holds a
-   published batch, arm [bell], point every ring at it and park with no
-   timer. A publisher sets its toggle before its store's charge and rings
-   after it, so a batch the probe missed finds the bell armed; a bell rung
-   while the probe's reads settle leaves a wakeup permit, and the park
-   returns at once. [true] if the caller parked. *)
-let park_unless_published bell n ring_at =
-  let rec any i = i < n && (published (ring_at i) || any (i + 1)) in
-  if any 0 then false
+(* The park of the idle loop. In one atomic block: probe the next slot of
+   each of [rings] and, if none holds a published batch, arm [bell], point
+   every ring at it and park with no timer. A publisher sets its toggle
+   before its store's charge and rings after it, so a batch the probe
+   missed finds the bell armed; a bell rung while the probe's reads settle
+   leaves a wakeup permit, and the park returns at once. [true] if the
+   caller parked. *)
+let park_unless_published bell rings =
+  if Array.exists published rings then false
   else begin
     bell.armed <- true;
-    for i = 0 to n - 1 do
-      (ring_at i).bell <- bell
-    done;
+    Array.iter (fun (ring : ring) -> ring.bell <- bell) rings;
     Sthread.park ();
     bell.armed <- false;
     true
   end
 
-(* A client's share of its partition's rings, as [park_unless_published]
-   and [break_dead_rings] take them *)
-let share_at t cl =
-  let rings = t.partitions.(cl.my_pid).rings in
-  fun i -> rings.(snd cl.served.(i))
-
-(* The idle duty of a client with nothing else to do: publish its staged
-   batches, serve its share, and park once the share holds nothing. A
-   published batch the scan could not serve may sit behind a dead
-   holder's lock. *)
-let poll t ~max =
-  let cl = me t in
-  flush_all t cl;
-  let ring_at = share_at t cl in
+(* The one idle loop, behind [poll] and [run_poller]: [scan] the share of
+   [pid]'s rings; when it served nothing and a client is still issuing,
+   park unless a batch is published in [share ()], the share as it stands
+   after the scan. The run's end rings only armed bells, so the
+   [remaining] test shares the park's atomic block. A published batch the
+   scan could not serve may sit behind a dead holder's lock: break such
+   locks and scan again. Returns what the last scan served. *)
+let idle_loop t ~pid bell ~share ~scan =
   let rec go () =
-    let served = serve_as t cl ~max in
-    if served > 0 then served
-    else if park_unless_published cl.bell (Array.length cl.served) ring_at then 0
+    let served = scan () in
+    if served > 0 || t.remaining = 0 || park_unless_published bell (share ()) then served
     else begin
-      break_dead_rings t cl.my_pid (Array.length cl.served) ring_at;
+      break_dead_rings t pid (share ());
       go ()
     end
   in
   go ()
+
+(* The idle duty of a client with nothing else to do: publish its staged
+   batches, then the idle loop over its share. *)
+let poll t ~max =
+  let cl = me t in
+  flush_all t cl;
+  let scan () = serve_as t cl ~max in
+  idle_loop t ~pid:cl.my_pid cl.bell ~share:(fun () -> cl.served) ~scan
 
 (* The [batch = 1] send, identical to the paper's one-op-per-line
    protocol. It marshals straight into the message line rather than
@@ -1459,29 +1439,23 @@ let detach t =
   adopt_share t cl;
   t.members.(cl.my_pid) <- List.filter (fun p -> p != cl) t.members.(cl.my_pid)
 
-(* S4.4 liveness: a dedicated polling thread for one locality. It checks
-   every ring of the partition (not just one peer's share), so delegations
-   make progress even when all the locality's clients are busy outside
-   DPS. Requires a [Shared] serving policy (ring locks). A scan that serves
-   nothing parks until a publish into the partition rings the doorbell, or
-   the last client stops issuing. *)
+(* S4.4 liveness: a dedicated polling thread for one locality. Its share is
+   every ring of the partition (not just one peer's), so delegations make
+   progress even when all the locality's clients are busy outside DPS.
+   Requires a [Shared] serving policy (ring locks). It runs the idle loop
+   until the last client stops issuing. *)
 let run_poller t ~pid =
   require t ~fn:"run_poller" ~adaptive:false;
   let rings = t.partitions.(pid).rings in
   let bell = { bsid = Sthread.self_id (); armed = false } in
   if Obs.tracing_on () then
     Obs.thread_name ~tid:bell.bsid (Printf.sprintf "dps-poller p%d" pid);
+  let scan () =
+    Array.fold_left (fun n ring -> n + serve_ring t ~pid ring ~budget:max_int) 0 rings
+  in
   obs_span ~args:[ ("pid", Obs.A_int pid) ] "dps.poll" (fun () ->
       while t.remaining > 0 do
-        let served =
-          Array.fold_left (fun n ring -> n + serve_ring t ~pid ring ~budget:max_int) 0 rings
-        in
-        (* the run's end rings only armed bells, so the [remaining] test
-           shares the park's atomic block *)
-        if
-          served = 0 && t.remaining > 0
-          && not (park_unless_published bell (Array.length rings) (Array.get rings))
-        then break_dead_rings t pid (Array.length rings) (Array.get rings)
+        ignore (idle_loop t ~pid bell ~share:(fun () -> rings) ~scan)
       done)
 
 (* Dynamic repartitioning (the paper assumes static partitioning and notes
@@ -1537,7 +1511,7 @@ let drain t =
   (* No client will issue again; flush leftover (e.g. asynchronous)
      requests still sitting in this peer's share of the rings, including
      any behind the lock of a server that died mid-dispatch. *)
-  break_dead_rings t cl.my_pid (Array.length cl.served) (share_at t cl);
+  break_dead_rings t cl.my_pid cl.served;
   while serve_as t cl ~max:max_int > 0 do
     ()
   done;

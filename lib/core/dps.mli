@@ -233,16 +233,18 @@ val serve : 'a t -> max:int -> int
 
 val poll : 'a t -> max:int -> int
 (** The idle duty of a client with nothing else to do, such as a server
-    poller with no readable connection: publish its staged batches, serve
-    up to [max] requests from its share of the rings and return the
-    number served. When the share holds nothing, park with no timer until
-    a publish into one of its rings rings the doorbell, an adoption hands
-    it more rings, or anything else unparks the thread; then return 0.
-    The probe, the registration and the park share one atomic block, and
-    a publisher rings after its releasing store, so no wakeup is lost.
+    poller with no readable connection: publish its staged batches, then
+    run the idle loop over its share of the rings. The loop serves up to
+    [max] requests and returns the number served. When the share holds
+    nothing, it parks with no timer until a publish into one of its rings
+    rings the doorbell, an adoption hands it more rings, the last client
+    stops issuing, or anything else unparks the thread; then it returns
+    0. The probe, the registration and the park share one atomic block,
+    and a publisher rings after its releasing store, so no wakeup is lost.
     When the scan served nothing but the probe saw a published batch, the
-    lock of any share ring whose holder died inside it is broken, so a
-    server that crashed mid-dispatch does not wedge the loop. *)
+    lock of any share ring whose holder died inside it is broken and the
+    share is scanned again, so a server that crashed mid-dispatch does not
+    wedge the loop. *)
 
 val flush_pending : 'a t -> unit
 (** Publish every batch the calling client still has staged, regardless of
@@ -259,11 +261,10 @@ val call_on : 'a t -> pid:int -> ('a -> int) -> int
 
 val run_poller : 'a t -> pid:int -> unit
 (** §4.4 liveness: body for a dedicated polling thread devoted to locality
-    [pid]. Serves every ring of the partition (serializing with peers
-    through the per-ring locks) until all clients are done, parking like
-    {!poll} whenever the partition's rings hold nothing, and breaking
-    like {!poll} the lock of any ring whose holder died inside it. Raises
-    [Invalid_argument] under the [Owner] serving policy. *)
+    [pid]. Runs {!poll}'s idle loop, with every ring of the partition as
+    its share and no budget (serializing with peers through the per-ring
+    locks), until all clients are done. Raises [Invalid_argument] under
+    the [Owner] serving policy. *)
 
 val client_done : 'a t -> unit
 (** Signal that this client has finished issuing operations. *)
@@ -312,7 +313,6 @@ type signal = {
   s_mode : mode;
   s_pending : int;  (** delegations queued in the rings right now *)
   s_remote_ops : int;  (** remote ops issued at this partition, cumulative *)
-  s_direct_ops : int;  (** ops run via the direct path, cumulative *)
   s_lat_sum : int;  (** summed issue->done latency, cumulative *)
   s_lat_cnt : int;  (** remote completions measured, cumulative *)
 }
@@ -336,7 +336,6 @@ val mode_flips : 'a t -> int * int
 
 type health = {
   pending_depth : int array;  (** per partition: delegations queued, unserved *)
-  time_since_served : int array;  (** per partition: now - last served op *)
   dead_partitions : bool array;
   takeovers : int;  (** foreign serves of a stuck partition's rings *)
   adoptions : int;  (** serving shares handed to a live peer *)
@@ -344,16 +343,11 @@ type health = {
   failovers : int;  (** partitions retired and retargeted *)
   crashes : int;  (** clients that vanished without [client_done] *)
   lock_breaks : int;  (** ring locks reclaimed from dead holders *)
-  takeovers_by_partition : int array;
-      (** per partition: foreign serves of its rings (where the healing
-          landed, not who performed it) *)
-  lock_breaks_by_partition : int array;
-      (** per partition: ring locks reclaimed from dead holders *)
 }
 
 val health : 'a t -> health
 (** Snapshot of the runtime's liveness counters — per-partition pending
-    depth and staleness plus the cumulative self-healing event counts.
+    depth and dead flags plus the cumulative self-healing event counts.
     Deterministic: the same seed and fault plan reproduce identical
     values. Callable from inside or outside the simulation; charges
     nothing. *)
@@ -363,7 +357,7 @@ val register_obs : ?labels:(string * string) list -> 'a t -> Dps_obs.Registry.t 
     cumulative totals as [dps.<counter>] plus per-partition
     [dps.pending_depth] / [dps.time_since_served] / [dps.dead] /
     [dps.takeovers_p] / [dps.lock_breaks_p] gauges labelled
-    [{partition,socket}] — the same watchdog fields {!health} snapshots,
-    so the cluster health probe and exported metrics share one source of
-    truth. [labels] (e.g. [("node", "2")]) prefix every metric's label set
-    so several runtimes can share a registry. *)
+    [{partition,socket}]: the counters {!health} snapshots, plus each
+    partition's staleness and healing tallies. [labels] (e.g.
+    [("node", "2")]) prefix every metric's label set so several runtimes
+    can share a registry. *)

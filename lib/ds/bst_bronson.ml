@@ -52,6 +52,7 @@ let rec descend_from n key =
         `Slot n
 
 let rec insert t ~key ~value =
+  Set_intf.check_key key;
   match descend_from t.root key with
   | `Found n ->
       if n.present then false
@@ -95,6 +96,7 @@ let rec insert t ~key ~value =
       end
 
 let remove t key =
+  Set_intf.check_key key;
   match descend_from t.root key with
   | `Slot _ -> false
   | `Found n ->
@@ -113,6 +115,7 @@ let remove t key =
       end
 
 let lookup t key =
+  Set_intf.check_key key;
   match descend_from t.root key with
   | `Slot _ -> None
   | `Found n -> if n.present then Some n.value else None

@@ -40,9 +40,8 @@ type t = { alloc : Alloc.t; root : internal }
 
 let name = "lf-n"
 
-(* Sentinels: inf2 = max_int, inf1 = max_int - 1; real keys < inf1. *)
-let inf1 = max_int - 1
-let inf2 = max_int
+(* The sentinel key: real keys lie below it. *)
+let inf = max_int
 
 let mk_leaf alloc k v = { lkey = k; lvalue = v; laddr = Alloc.line alloc }
 
@@ -61,13 +60,13 @@ let mk_update state =
 let mk_internal alloc key left right =
   { key; addr = Alloc.line alloc; upd = mk_update Clean; left; right }
 
-(* Root (key inf2) with sentinel leaves inf1/inf2: the first real insert
-   replaces the inf1 leaf, so real leaves always sit at depth >= 2 and a
+(* Root (key inf) with two sentinel leaves: the first real insert
+   replaces the left one, so real leaves always sit at depth >= 2 and a
    delete always finds a grandparent. *)
 let create alloc =
   {
     alloc;
-    root = mk_internal alloc inf2 (Leaf (mk_leaf alloc inf1 0)) (Leaf (mk_leaf alloc inf2 0));
+    root = mk_internal alloc inf (Leaf (mk_leaf alloc inf 0)) (Leaf (mk_leaf alloc inf 0));
   }
 
 (* All CASes: one charged atomic on the owner's line; the compare and the
@@ -169,6 +168,7 @@ let help u =
   | Clean -> ()
 
 let rec insert t ~key ~value =
+  Set_intf.check_key key;
   let s = search t key in
   if s.l.lkey = key then false
   else if s.pupd.state <> Clean then begin
@@ -196,6 +196,7 @@ let rec insert t ~key ~value =
   end
 
 let rec remove t key =
+  Set_intf.check_key key;
   let s = search t key in
   if s.l.lkey <> key then false
   else begin
@@ -222,10 +223,11 @@ let rec remove t key =
   end
 
 let lookup t key =
+  Set_intf.check_key key;
   let s = search t key in
   if s.l.lkey = key then Some s.l.lvalue else None
 
-let sentinel k = k >= inf1
+let sentinel k = k = inf
 
 let to_list t =
   let rec go acc = function

@@ -33,11 +33,11 @@ let mk_internal alloc key left right =
   { key; addr; lock = Ticket.embed ~addr; removed = false; left; right }
 
 (* Super-root guarantees every real leaf has both a parent and a
-   grandparent. Real keys are strictly below [max_int - 1]. *)
+   grandparent. Real keys lie strictly between the sentinels. *)
 let create alloc =
   let l_min = Leaf (mk_leaf alloc min_int 0) in
-  let l_inf = Leaf (mk_leaf alloc (max_int - 1) 0) in
-  let root = mk_internal alloc (max_int - 1) l_min l_inf in
+  let l_inf = Leaf (mk_leaf alloc max_int 0) in
+  let root = mk_internal alloc max_int l_min l_inf in
   { alloc; super = mk_internal alloc max_int (Node root) (Leaf (mk_leaf alloc max_int 0)) }
 
 (* Route: key < node.key goes left. Returns (grandparent, parent, leaf). *)
@@ -74,6 +74,7 @@ let node_is p n = (match p.left with Node n' -> n' == n | Leaf _ -> false)
   || (match p.right with Node n' -> n' == n | Leaf _ -> false)
 
 let rec insert t ~key ~value =
+  Set_intf.check_key key;
   let _, p, l = search t key in
   if l.lkey = key then false
   else begin
@@ -100,6 +101,7 @@ let rec insert t ~key ~value =
   end
 
 let rec remove t key =
+  Set_intf.check_key key;
   let gp, p, l = search t key in
   if l.lkey <> key then false
   else begin
@@ -126,10 +128,11 @@ let rec remove t key =
   end
 
 let lookup t key =
+  Set_intf.check_key key;
   let _, _, l = search t key in
   if l.lkey = key then Some l.lvalue else None
 
-let sentinel k = k = min_int || k >= max_int - 1
+let sentinel k = k = min_int || k = max_int
 
 let to_list t =
   let rec go acc = function

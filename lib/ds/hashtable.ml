@@ -30,6 +30,7 @@ let create alloc =
 let bucket_of t key = (key * 0x9E3779B1) lsr 7 land t.mask
 
 let insert t ~key ~value =
+  Set_intf.check_key key;
   let b = t.buckets.(bucket_of t key) in
   Spinlock.acquire b.lock;
   let rec walk = function
@@ -54,6 +55,7 @@ let insert t ~key ~value =
   result
 
 let remove t key =
+  Set_intf.check_key key;
   let b = t.buckets.(bucket_of t key) in
   Spinlock.acquire b.lock;
   let rec unlink prev = function
@@ -79,6 +81,7 @@ let remove t key =
   result
 
 let lookup t key =
+  Set_intf.check_key key;
   (* racy by design: the read path takes no lock (memcached-style); it may
      observe a bucket mid-update, which chain walking tolerates *)
   let b = t.buckets.(bucket_of t key) in

@@ -32,6 +32,7 @@ let search t key =
   go t.head
 
 let insert t ~key ~value =
+  Set_intf.check_key key;
   Mcs.acquire t.lock;
   let pred, curr = search t key in
   let result =
@@ -49,6 +50,7 @@ let insert t ~key ~value =
   result
 
 let remove t key =
+  Set_intf.check_key key;
   Mcs.acquire t.lock;
   let pred, curr = search t key in
   let result =
@@ -64,6 +66,7 @@ let remove t key =
   result
 
 let lookup t key =
+  Set_intf.check_key key;
   Mcs.acquire t.lock;
   let _, curr = search t key in
   let result = match curr with Some c when c.key = key -> Some c.value | Some _ | None -> None in

@@ -46,6 +46,7 @@ let search t key =
 let validate pred curr = (not pred.marked) && (not curr.marked) && pred.next == curr
 
 let rec insert t ~key ~value =
+  Set_intf.check_key key;
   let pred, curr = search t key in
   Sthread.flush ();
   Spinlock.acquire pred.lock;
@@ -74,6 +75,7 @@ let rec insert t ~key ~value =
   end
 
 let rec remove t key =
+  Set_intf.check_key key;
   let pred, curr = search t key in
   Sthread.flush ();
   if curr.key <> key then false
@@ -104,6 +106,7 @@ let rec remove t key =
 
 (* Wait-free: no locks, no retries. *)
 let lookup t key =
+  Set_intf.check_key key;
   let _, curr = search t key in
   Sthread.flush ();
   if curr.key = key && not curr.marked then Some curr.value else None

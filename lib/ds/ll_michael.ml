@@ -71,6 +71,7 @@ let rec search t key =
   with Restart -> search t key
 
 let rec insert t ~key ~value =
+  Set_intf.check_key key;
   let pred, curr = search t key in
   if curr.key = key then false
   else begin
@@ -82,6 +83,7 @@ let rec insert t ~key ~value =
   end
 
 let rec remove t key =
+  Set_intf.check_key key;
   let _, curr = search t key in
   if curr.key <> key then false
   else begin
@@ -97,6 +99,7 @@ let rec remove t key =
 
 (* Wait-free in the original sense: a plain traversal with a final check. *)
 let lookup t key =
+  Set_intf.check_key key;
   Sthread.charge_read t.head.addr;
   let rec go n =
     let curr = n.next in

@@ -50,6 +50,7 @@ let search t key =
    already released the lock (the version is stable again). Re-checking
    [removed] *after* acquiring is sound — a held lock blocks any remover. *)
 let rec insert t ~key ~value =
+  Set_intf.check_key key;
   let pred, vpred, curr = search t key in
   if curr.key = key && not curr.removed then false
   else if curr.key = key then (* concurrently removed; wait out the unlink *)
@@ -70,6 +71,7 @@ let rec insert t ~key ~value =
   else insert t ~key ~value
 
 let rec remove t key =
+  Set_intf.check_key key;
   let pred, vpred, curr = search t key in
   if curr.key <> key then false
   else begin
@@ -98,6 +100,7 @@ let rec remove t key =
   end
 
 let lookup t key =
+  Set_intf.check_key key;
   let _, _, curr = search t key in
   if curr.key = key && not curr.removed then Some curr.value else None
 

@@ -47,6 +47,7 @@ let search t key =
   r
 
 let lookup t key =
+  Set_intf.check_key key;
   Rlu.reader_lock t.rlu;
   let _, curr = search t key in
   let r = if curr.key = key && not curr.removed then Some curr.value else None in
@@ -54,6 +55,7 @@ let lookup t key =
   r
 
 let rec insert t ~key ~value =
+  Set_intf.check_key key;
   Rlu.reader_lock t.rlu;
   let pred, curr = search t key in
   if curr.key = key then begin
@@ -84,6 +86,7 @@ let rec insert t ~key ~value =
   end
 
 let rec remove t key =
+  Set_intf.check_key key;
   Rlu.reader_lock t.rlu;
   let pred, curr = search t key in
   if curr.key <> key || curr.removed then begin

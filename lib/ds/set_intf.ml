@@ -2,7 +2,8 @@
     (§5.2): linked lists, binary search trees and skip lists all represent a
     set of nodes with unique integer keys and three operations. Keys lie
     strictly between [min_int] and [max_int]: the lists and skip lists
-    keep their head and tail sentinels there, and nothing checks it.
+    keep their head and tail sentinels there, and every [insert], [remove]
+    and [lookup] raises [Invalid_argument] on either ({!check_key}).
 
     Every implementation charges its operations against the simulated
     machine when called from a simulated thread and is free (single-threaded)
@@ -37,6 +38,12 @@ module type SET = sig
       the head); trees and skip lists take a balanced order or the given
       (shuffled) order, whose depth matches random insertion. *)
 end
+
+(* The key contract's one check, uncharged: every set's [insert], [remove]
+   and [lookup] call it first. *)
+let check_key key =
+  if key = min_int || key = max_int then
+    invalid_arg (Printf.sprintf "Set_intf: key %d is a sentinel" key)
 
 (* The population orders, over a structure's own [insert]. *)
 

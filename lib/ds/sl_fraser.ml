@@ -89,6 +89,7 @@ let rec find t key preds succs =
   with Restart -> find t key preds succs
 
 let rec insert t ~key ~value =
+  Set_intf.check_key key;
   let preds = Array.make max_level t.head and succs = Array.make max_level t.tail in
   find t key preds succs;
   if succs.(0).key = key then false
@@ -117,6 +118,7 @@ let rec insert t ~key ~value =
   end
 
 let remove t key =
+  Set_intf.check_key key;
   let preds = Array.make max_level t.head and succs = Array.make max_level t.tail in
   find t key preds succs;
   let victim = succs.(0) in
@@ -134,6 +136,7 @@ let remove t key =
 
 (* Wait-free: plain traversal, no helping. *)
 let lookup t key =
+  Set_intf.check_key key;
   Sthread.charge_read t.head.addr;
   let pred = ref t.head in
   for lvl = max_level - 1 downto 0 do

@@ -78,6 +78,7 @@ let unlock_preds preds level =
   done
 
 let rec insert t ~key ~value =
+  Set_intf.check_key key;
   let preds = Array.make max_level t.head and succs = Array.make max_level t.tail in
   let lfound = find t key preds succs in
   if lfound <> -1 then begin
@@ -126,6 +127,7 @@ let rec insert t ~key ~value =
   end
 
 let remove t key =
+  Set_intf.check_key key;
   let preds = Array.make max_level t.head and succs = Array.make max_level t.tail in
   let victim = ref None in
   let is_marked = ref false in
@@ -184,6 +186,7 @@ let remove t key =
   Option.get !result
 
 let lookup t key =
+  Set_intf.check_key key;
   let preds = Array.make max_level t.head and succs = Array.make max_level t.tail in
   let lfound = find t key preds succs in
   if lfound = -1 then None

@@ -33,6 +33,7 @@ let search t key =
   r
 
 let lookup t key =
+  Dps_ds.Set_intf.check_key key;
   Parsec.enter t.rt;
   let _, curr = search t key in
   let r = if curr.key = key then Some curr.value else None in
@@ -42,6 +43,7 @@ let lookup t key =
 (* The single writer lock serializes updates (the paper names this as the
    reason the ParSec list degrades with update ratio in Figure 10(c)). *)
 let insert t ~key ~value =
+  Dps_ds.Set_intf.check_key key;
   Mcs.acquire t.wlock;
   let pred, curr = search t key in
   let result =
@@ -58,6 +60,7 @@ let insert t ~key ~value =
   result
 
 let remove t key =
+  Dps_ds.Set_intf.check_key key;
   Mcs.acquire t.wlock;
   let pred, curr = search t key in
   let result =

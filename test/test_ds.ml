@@ -82,6 +82,31 @@ let cold_populate (module S : SET) () =
   let accesses = Dps_simcore.Stats.get (Machine.stats (Sthread.machine s)) "accesses" in
   Alcotest.(check int) (S.name ^ " populate charges nothing") 0 accesses
 
+(* --- the sentinel keys: every operation rejects them, changing nothing --- *)
+
+let sentinel_keys (module S : SET) () =
+  let _, alloc = fresh_alloc () in
+  let t = S.create alloc in
+  ignore (S.insert t ~key:5 ~value:5);
+  let accepted =
+    List.concat_map
+      (fun (op, run) ->
+        List.filter_map
+          (fun key ->
+            match run key with
+            | () -> Some (Printf.sprintf "%s %d" op key)
+            | exception Invalid_argument _ -> None)
+          [ min_int; max_int ])
+      [
+        ("insert", fun key -> ignore (S.insert t ~key ~value:key));
+        ("remove", fun key -> ignore (S.remove t key));
+        ("lookup", fun key -> ignore (S.lookup t key));
+      ]
+  in
+  Alcotest.(check (list string)) (S.name ^ " accepted sentinel keys") [] accepted;
+  S.check_invariants t;
+  Alcotest.(check (list (pair int int))) (S.name ^ " contents") [ (5, 5) ] (S.to_list t)
+
 (* --- concurrent inserts over disjoint ranges: nothing may be lost --- *)
 
 let concurrent_disjoint (module S : SET) () =
@@ -179,10 +204,14 @@ let concurrent_readers (module S : SET) () =
   S.check_invariants t;
   Alcotest.(check bool) (S.name ^ " lookups saw data") true (!hits > 0)
 
+(* A small key range, plus the keys just inside the sentinels *)
+let model_key =
+  QCheck.Gen.(frequency [ (8, int_range 1 30); (2, oneofl [ min_int + 1; max_int - 1 ]) ])
+
 let qcheck_sequential (module S : SET) =
   let op_gen =
     QCheck.Gen.(
-      pair (int_range 0 2) (int_range 1 30) |> list_size (int_range 1 200))
+      pair (int_range 0 2) model_key |> list_size (int_range 1 200))
   in
   QCheck.Test.make
     ~name:(S.name ^ " matches model (random programs)")
@@ -330,6 +359,7 @@ let set_cases =
       [
         (S.name ^ " sequential vs model", `Quick, sequential_ops (module S));
         (S.name ^ " cold populate", `Quick, cold_populate (module S));
+        (S.name ^ " rejects the sentinel keys", `Quick, sentinel_keys (module S));
         (S.name ^ " concurrent disjoint", `Quick, concurrent_disjoint (module S));
         (S.name ^ " concurrent conflict", `Quick, concurrent_conflict (module S));
         QCheck_alcotest.to_alcotest (qcheck_conflict_seeds (module S));
