@@ -21,12 +21,15 @@ let config_default =
     tlb_entries = 512 (* 2 MB of reach *);
   }
 
-let config_scaled ?(factor = 16) () =
+(* benchmarks shrink caches and working sets by the same factor *)
+let scale = 16
+
+let config_scaled () =
   {
     config_default with
-    priv_lines = Int.max 64 (config_default.priv_lines / factor);
-    llc_lines = Int.max 512 (config_default.llc_lines / factor);
-    tlb_entries = Int.max 16 (config_default.tlb_entries / factor);
+    priv_lines = Int.max 64 (config_default.priv_lines / scale);
+    llc_lines = Int.max 512 (config_default.llc_lines / scale);
+    tlb_entries = Int.max 16 (config_default.tlb_entries / scale);
   }
 
 (* [wbusy]: the simulated time until which the line's ownership is in
@@ -161,6 +164,16 @@ let create ?(seed = 42L) cfg =
     invalid_arg
       (Printf.sprintf "Machine.create: %d cores on %d sockets exceed the %d-bit presence masks"
          (Topology.ncores topo) topo.Topology.sockets Sys.int_size);
+  List.iter
+    (fun (field, n) ->
+      if n < 1 || n > Cachebox.max_capacity then
+        invalid_arg
+          (Printf.sprintf "Machine.create: %s = %d outside [1, %d]" field n Cachebox.max_capacity))
+    [
+      ("priv_lines", cfg.priv_lines);
+      ("llc_lines", cfg.llc_lines);
+      ("tlb_entries", cfg.tlb_entries);
+    ];
   let root = Prng.create seed in
   let bw = cfg.costs.Costs.bw in
   let stats = Stats.create () in
@@ -540,6 +553,17 @@ let check_presence t =
       (fun c box -> expect "page" page "TLB of core" c box (cores land (1 lsl c) <> 0))
       t.tlb
   done;
+  List.iter
+    (fun (box_name, boxes) ->
+      Array.iteri
+        (fun i box ->
+          if !err = None && not (Cachebox.index_ok box) then
+            err :=
+              Some
+                (Printf.sprintf "the address index of the %s %d disagrees with its slots" box_name
+                   i))
+        boxes)
+    [ ("private cache of core", t.priv); ("LLC of socket", t.llc); ("TLB of core", t.tlb) ];
   match !err with None -> Ok () | Some e -> Error e
 
 (* Pipelined access for streaming code (memory-level parallelism): the

@@ -25,14 +25,20 @@ val config_default : config
 (** The paper's machine: 256 KB private per core, 24 MB LLC per socket,
     64 B lines — scaled only in the test topology. *)
 
-val config_scaled : ?factor:int -> unit -> config
-(** The default machine with both cache capacities divided by [factor]
-    (default 16). Benchmarks shrink caches and working sets together so the
-    capacity knees land at the same relative spot with less simulation work. *)
+val config_scaled : unit -> config
+(** The default machine with its private, LLC and TLB capacities divided by
+    16 (floors 64, 512 and 16). Benchmarks shrink caches and working sets
+    together so the capacity knees land at the same relative spot with less
+    simulation work. *)
 
 type t
 
 val create : ?seed:int64 -> config -> t
+(** Raises [Invalid_argument] naming the field when [priv_lines],
+    [llc_lines] or [tlb_entries] lies outside [1, Cachebox.max_capacity],
+    or when the topology has more cores or sockets than an int has bits
+    (the presence masks). *)
+
 val topology : t -> Topology.t
 val config : t -> config
 
@@ -56,8 +62,9 @@ val check_presence : t -> (unit, string) result
     exactly when the directory has [c] as its owner or a sharer, and socket
     [s]'s LLC exactly when the line's socket mask has bit [s]; for every
     page, core [c]'s TLB holds it exactly when the page's core mask has bit
-    [c]. [Error] names the first disagreement. For tests: it probes every
-    box for every allocated address. *)
+    [c]. Every box's address index, once built, must map each held address
+    to its slot. [Error] names the first disagreement. For tests: it probes
+    every box for every allocated address. *)
 
 val access_mlp : t -> now:int -> thread:int -> addr:int -> kind:kind -> factor:int -> int
 (** Pipelined access for streaming code: like {!access} but the latency

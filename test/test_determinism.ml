@@ -14,7 +14,6 @@ module Machine = Dps_machine.Machine
 module Topology = Dps_machine.Topology
 module Prng = Dps_simcore.Prng
 module Stats = Dps_simcore.Stats
-module Itbl = Dps_simcore.Itbl
 module Par = Dps_simcore.Par
 
 (* --- (b) machine charge digest ------------------------------------- *)
@@ -225,32 +224,6 @@ let test_explore_clean_jobs_invariant () =
   | Ok () -> ()
   | Error f -> Alcotest.fail f.Check.message
 
-(* --- (d) Itbl vs Hashtbl model --------------------------------------- *)
-
-let qcheck_itbl_model =
-  QCheck.Test.make ~name:"itbl agrees with Hashtbl model" ~count:300
-    QCheck.(list (pair (int_bound 2) (int_bound 63)))
-    (fun ops ->
-      let t = Itbl.create ~capacity:4 () in
-      let model = Hashtbl.create 16 in
-      List.for_all
-        (fun (op, key) ->
-          match op with
-          | 0 ->
-              Itbl.set t key (key * 7);
-              Hashtbl.replace model key (key * 7);
-              true
-          | 1 ->
-              Itbl.remove t key;
-              Hashtbl.remove model key;
-              true
-          | _ ->
-              Itbl.find_opt t key = Hashtbl.find_opt model key
-              && Itbl.mem t key = Hashtbl.mem model key)
-        ops
-      && Itbl.length t = Hashtbl.length model
-      && Hashtbl.fold (fun k v acc -> acc && Itbl.find_opt t k = Some v) model true)
-
 let suite =
   [
     ("machine trace digest", `Quick, test_machine_digest);
@@ -259,5 +232,4 @@ let suite =
     ("runner: point isolation back-to-back and cross-domain", `Quick, test_point_isolation);
     ("explore: planted bug found at same index for any -j", `Quick, test_explore_jobs_invariant);
     ("explore: clean pass for any -j", `Quick, test_explore_clean_jobs_invariant);
-    QCheck_alcotest.to_alcotest qcheck_itbl_model;
   ]

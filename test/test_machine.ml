@@ -111,6 +111,80 @@ let qcheck_cachebox_capacity =
       && List.length (List.filter (Cachebox.mem cb) (List.sort_uniq compare addrs))
          = Cachebox.size cb)
 
+(* The address index is built at a box's first [remove]; it must not
+   change a single replacement decision. Two boxes share a PRNG seed and
+   run the same adds and removes; one builds its index before its first
+   add (a [remove] of an absent address), the other whenever the sequence
+   first removes. Victims and sizes must match, and both must hold exactly
+   what a list model holds. *)
+let qcheck_cachebox_lazy_index =
+  QCheck.Test.make ~name:"cachebox lazy index is exact" ~count:200
+    QCheck.(pair (int_range 1 16) (list (pair bool (int_bound 63))))
+    (fun (capacity, ops) ->
+      let early = Cachebox.create ~capacity (Prng.create 5L) in
+      let late = Cachebox.create ~capacity (Prng.create 5L) in
+      Cachebox.remove early 64;
+      let agree model =
+        Cachebox.size early = List.length model
+        && Cachebox.size late = List.length model
+        && Cachebox.index_ok early && Cachebox.index_ok late
+        && List.for_all
+             (fun a ->
+               let held = List.mem a model in
+               Cachebox.mem early a = held && Cachebox.mem late a = held)
+             (List.init 65 Fun.id)
+      in
+      let model = ref [] in
+      List.for_all
+        (fun (is_add, a) ->
+          let same_victim =
+            if not is_add then begin
+              Cachebox.remove early a;
+              Cachebox.remove late a;
+              model := List.filter (( <> ) a) !model;
+              true
+            end
+            else if List.mem a !model then true
+            else begin
+              let v = Cachebox.add early a in
+              Option.iter (fun v -> model := List.filter (( <> ) v) !model) v;
+              model := a :: !model;
+              Cachebox.add late a = v
+            end
+          in
+          same_victim && agree !model)
+        ops)
+
+(* A cache size outside [1, Cachebox.max_capacity] (the slot numbers an
+   index cell packs) is refused at [create], naming the field; both bounds
+   are accepted and run. *)
+let test_cache_size_guard () =
+  let cfg = Machine.config_scaled () in
+  let top = Cachebox.max_capacity in
+  List.iter
+    (fun (field, n, cfg) ->
+      let name = Printf.sprintf "%s = %d" field n in
+      if n >= 1 && n <= top then begin
+        let m = Machine.create cfg in
+        let a = Machine.alloc m Machine.Interleave ~lines:130 in
+        for i = 0 to 129 do
+          ignore (Machine.access m ~now:i ~thread:(i mod 80) ~addr:(a + i) ~kind:Machine.Write)
+        done;
+        Alcotest.(check (result unit string)) name (Ok ()) (Machine.check_presence m)
+      end
+      else
+        Alcotest.check_raises name
+          (Invalid_argument (Printf.sprintf "Machine.create: %s = %d outside [1, %d]" field n top))
+          (fun () -> ignore (Machine.create cfg)))
+    (List.concat_map
+       (fun n ->
+         [
+           ("priv_lines", n, { cfg with Machine.priv_lines = n });
+           ("llc_lines", n, { cfg with Machine.llc_lines = n });
+           ("tlb_entries", n, { cfg with Machine.tlb_entries = n });
+         ])
+       [ min_int; -1; 0; 1; top; top + 1; max_int ])
+
 let mk_machine () = Machine.create Machine.config_default
 
 let kinds = [| Machine.Read; Machine.Write; Machine.Rmw |]
@@ -448,6 +522,8 @@ let suite =
     ("cachebox basic", `Quick, test_cachebox_basic);
     ("cachebox no duplicate", `Quick, test_cachebox_no_duplicate);
     QCheck_alcotest.to_alcotest qcheck_cachebox_capacity;
+    QCheck_alcotest.to_alcotest qcheck_cachebox_lazy_index;
+    ("cache size guard", `Quick, test_cache_size_guard);
     ("alloc homes", `Quick, test_alloc_homes);
     ("alloc rejects bad arguments", `Quick, test_alloc_rejects_bad);
     QCheck_alcotest.to_alcotest qcheck_region_runs;
