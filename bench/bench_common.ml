@@ -69,11 +69,11 @@ let run_series (series : (string * (string * (unit -> 'r)) list) list) :
     series
 
 (* Full-size machine for contention experiments; capacity experiments use
-   the scaled machine with working sets scaled the same way (factor 16), so
-   the LLC knee falls at the same relative position. *)
+   the scaled machine with working sets scaled the same way
+   ([Machine.scale_factor]), so the LLC knee falls at the same relative
+   position. *)
 let full_config = Machine.config_default
 let scaled_config = Machine.config_scaled ()
-let scale_factor = 16
 
 let default_duration = if quick then 100_000 else 300_000
 

@@ -10,7 +10,7 @@ module Driver = Dps_workload.Driver
 module type SET = Dps_ds.Set_intf.SET
 
 (* Sizes quoted from the paper, divided by the machine scale factor. *)
-let scaled n = max 128 (n / scale_factor)
+let scaled n = max 128 (n / Machine.scale_factor)
 
 let lists : (module SET) list =
   [

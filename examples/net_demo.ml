@@ -34,7 +34,7 @@ let raw_connection () =
   let dec = Wire.decoder () in
   let c =
     Net.connect net ~nic:0
-      ~rx:(fun data ->
+      ~tag:0 ~rx:(fun _ data ->
         Wire.feed dec data;
         let rec drain () =
           match Wire.next_response dec with

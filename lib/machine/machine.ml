@@ -21,15 +21,14 @@ let config_default =
     tlb_entries = 512 (* 2 MB of reach *);
   }
 
-(* benchmarks shrink caches and working sets by the same factor *)
-let scale = 16
+let scale_factor = 16
 
 let config_scaled () =
   {
     config_default with
-    priv_lines = Int.max 64 (config_default.priv_lines / scale);
-    llc_lines = Int.max 512 (config_default.llc_lines / scale);
-    tlb_entries = Int.max 16 (config_default.tlb_entries / scale);
+    priv_lines = Int.max 64 (config_default.priv_lines / scale_factor);
+    llc_lines = Int.max 512 (config_default.llc_lines / scale_factor);
+    tlb_entries = Int.max 16 (config_default.tlb_entries / scale_factor);
   }
 
 (* [wbusy]: the simulated time until which the line's ownership is in

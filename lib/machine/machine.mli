@@ -25,11 +25,14 @@ val config_default : config
 (** The paper's machine: 256 KB private per core, 24 MB LLC per socket,
     64 B lines — scaled only in the test topology. *)
 
+val scale_factor : int
+(** 16: the factor by which benchmarks shrink caches and working sets
+    together, so the capacity knees land at the same relative spot with
+    less simulation work. *)
+
 val config_scaled : unit -> config
 (** The default machine with its private, LLC and TLB capacities divided by
-    16 (floors 64, 512 and 16). Benchmarks shrink caches and working sets
-    together so the capacity knees land at the same relative spot with less
-    simulation work. *)
+    {!scale_factor} (floors 64, 512 and 16). *)
 
 type t
 

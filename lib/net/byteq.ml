@@ -4,12 +4,13 @@
    to fit, doubling from [min_cap] bytes. Draining to empty drops a buffer
    of at most [keep_max] bytes; a larger one marks a busy connection and
    stays, so batched replies do not re-create it on the major heap each
-   time. *)
-type t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
+   time. [skip] counts bytes still to be discarded as they arrive; the
+   queue is empty whenever it is positive. *)
+type t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int; mutable skip : int }
 
 let min_cap = 64
 let keep_max = 256
-let create () = { buf = Bytes.empty; start = 0; stop = 0 }
+let create () = { buf = Bytes.empty; start = 0; stop = 0; skip = 0 }
 let length q = q.stop - q.start
 
 let ensure q extra =
@@ -27,13 +28,19 @@ let ensure q extra =
     q.stop <- len
   end
 
-let push q s =
-  let n = String.length s in
+(* Bytes [pos, pos + n) of an arriving chunk, of which the first [skip]
+   are discarded. *)
+let[@inline] append q blit src ~pos ~n =
+  let k = Int.min n q.skip in
+  q.skip <- q.skip - k;
+  let n = n - k in
   if n > 0 then begin
     ensure q n;
-    Bytes.blit_string s 0 q.buf q.stop n;
+    blit src (pos + k) q.buf q.stop n;
     q.stop <- q.stop + n
   end
+
+let push q s = append q Bytes.blit_string s ~pos:0 ~n:(String.length s)
 
 let get q i =
   if i < 0 || i >= length q then invalid_arg "Byteq.get";
@@ -43,18 +50,29 @@ let sub q ~pos ~len =
   if pos < 0 || len < 0 || pos + len > length q then invalid_arg "Byteq.sub";
   Bytes.sub_string q.buf (q.start + pos) len
 
-let clear q =
+let reset q =
   q.start <- 0;
   q.stop <- 0;
   if Bytes.length q.buf <= keep_max then q.buf <- Bytes.empty
 
+let clear q =
+  reset q;
+  q.skip <- 0
+
 let drop q n =
   if n < 0 || n > length q then invalid_arg "Byteq.drop";
   q.start <- q.start + n;
-  if q.start = q.stop then clear q
+  if q.start = q.stop then reset q
 
-let take q ~max =
-  let n = Int.min max (length q) in
-  let s = sub q ~pos:0 ~len:n in
+let skip q n =
+  if n < 0 then invalid_arg "Byteq.skip";
+  let k = Int.min n (length q) in
+  drop q k;
+  q.skip <- q.skip + (n - k)
+
+let move q ~into ~max =
+  if q == into then invalid_arg "Byteq.move";
+  let n = Int.max 0 (Int.min max (length q)) in
+  append into Bytes.blit q.buf ~pos:q.start ~n;
   drop q n;
-  s
+  n

@@ -40,22 +40,28 @@ type nic = {
 
 type conn_state = Connecting | Open | Refused | Closed
 
+(* The handlers are shared by all of a client's or a poller's connections:
+   [rx_cb] and [on_refused] receive the connection's [tag], [on_readable]
+   the connection itself. *)
 type conn = {
   id : int;
+  tag : int;
   nic : nic;
   mutable state : conn_state;
   rx : Byteq.t;  (** delivered, awaiting server recv *)
   mutable rx_pending : int;  (** bytes DMA'd but not yet delivered *)
-  backlog : string Queue.t;  (** packets held at the NIC by the rx window *)
+  mutable backlog : string Queue.t option;
+      (** packets held at the NIC by the rx window; [None] until the window
+          first holds one back *)
   rx_ring : int;
   tx_ring : int;
   mutable rx_wr : int;  (** ring write cursor, in lines *)
   mutable rx_rd : int;
   mutable tx_wr : int;
   mutable deliver_free : int;  (** FIFO horizon for post-DMA delivery *)
-  mutable on_readable : (unit -> unit) option;
-  rx_cb : string -> unit;
-  on_refused : unit -> unit;
+  mutable on_readable : conn -> unit;
+  rx_cb : int -> string -> unit;
+  on_refused : int -> unit;
 }
 
 type t = {
@@ -161,15 +167,21 @@ let dma_in t c ~bytes =
      queueing debt delays delivery (0 when bandwidth modeling is off) *)
   !cost + Machine.bw_charge_dma t.m ~now:(Sthread.now t.sched) ~socket:c.nic.socket ~bytes
 
-let notify_readable c = match c.on_readable with None -> () | Some f -> f ()
-
 (* A packet has crossed the link: DMA it in (unless the window is full, in
    which case it waits at the NIC) and hand the bytes to the server side. *)
 let rec deliver_pkt t c data =
   if c.state = Open then begin
     (* ring occupancy counts bytes mid-DMA too, not just delivered ones *)
     if Byteq.length c.rx + c.rx_pending >= t.cfg.rx_window then begin
-      Queue.push data c.backlog;
+      let q =
+        match c.backlog with
+        | Some q -> q
+        | None ->
+            let q = Queue.create () in
+            c.backlog <- Some q;
+            q
+      in
+      Queue.push data q;
       t.st.backpressured <- t.st.backpressured + 1
     end
     else begin
@@ -196,40 +208,42 @@ let rec deliver_pkt t c data =
                 ~now:(Sthread.now t.sched) ~cat:"net"
                 ~args:[ ("conn", Obs.A_int c.id); ("bytes", Obs.A_int (String.length data)) ]
                 "net.rx_pkt";
-            if was_empty then notify_readable c
+            if was_empty then c.on_readable c
           end)
     end
   end
 
 and release_backlog t c =
-  while
-    (not (Queue.is_empty c.backlog)) && Byteq.length c.rx + c.rx_pending < t.cfg.rx_window
-  do
-    deliver_pkt t c (Queue.pop c.backlog)
-  done
+  match c.backlog with
+  | None -> ()
+  | Some q ->
+      while (not (Queue.is_empty q)) && Byteq.length c.rx + c.rx_pending < t.cfg.rx_window do
+        deliver_pkt t c (Queue.pop q)
+      done
 
 let refuse_conn t c =
   if c.state <> Refused then begin
     c.state <- Refused;
     t.st.refused <- t.st.refused + 1;
     Byteq.clear c.rx;
-    Queue.clear c.backlog;
+    c.backlog <- None;
     Sthread.at t.sched
       ~time:(Sthread.now t.sched + link_latency)
-      (fun () -> c.on_refused ())
+      (fun () -> c.on_refused c.tag)
   end
 
-let connect t ~nic ~rx ?(on_refused = fun () -> ()) () =
+let connect t ~nic ~tag ~rx ?(on_refused = ignore) () =
   let nic = t.nics.(nic) in
   let rings = Machine.alloc t.m (Machine.On_node nic.socket) ~lines:(2 * t.cfg.ring_lines) in
   let c =
     {
       id = t.next_conn;
+      tag;
       nic;
       state = Connecting;
       rx = Byteq.create ();
       rx_pending = 0;
-      backlog = Queue.create ();
+      backlog = None;
       (* both rings in ONE allocation: same addresses as the two
          back-to-back allocs this replaces, but half the region metadata —
          at fleet scale the region table, not the payload, is the memory
@@ -242,7 +256,7 @@ let connect t ~nic ~rx ?(on_refused = fun () -> ()) () =
       rx_rd = 0;
       tx_wr = 0;
       deliver_free = 0;
-      on_readable = None;
+      on_readable = ignore;
       rx_cb = rx;
       on_refused;
     }
@@ -299,16 +313,16 @@ let close _t c =
   if c.state = Open || c.state = Connecting then begin
     c.state <- Closed;
     Byteq.clear c.rx;
-    Queue.clear c.backlog;
+    c.backlog <- None;
     (* nudge the serving side so it can observe the close and release the
        connection's slot — without this a churny client leaks server
        state on every disconnect *)
-    match c.on_readable with Some f -> f () | None -> ()
+    c.on_readable c
   end
 
 let is_closed c = c.state = Closed
 
-let set_on_readable c f = c.on_readable <- Some f
+let set_on_readable c f = c.on_readable <- f
 let recv_ready c = Byteq.length c.rx
 
 (* Tally a server-side touch of [lines] ring lines: socket-local iff the
@@ -318,9 +332,9 @@ let tally_locality t c ~lines =
     t.st.local_lines <- t.st.local_lines + lines
   else t.st.remote_lines <- t.st.remote_lines + lines
 
-let recv t c ~max =
+let recv t c dec ~max =
   let avail = Int.min max (Byteq.length c.rx) in
-  if avail = 0 then ""
+  if avail <= 0 then 0
   else begin
     let lines = lines_of_bytes avail in
     for _ = 1 to lines do
@@ -329,13 +343,13 @@ let recv t c ~max =
     done;
     Sthread.flush ();
     tally_locality t c ~lines;
-    let data = Byteq.take c.rx ~max:avail in
+    ignore (Wire.feed_from dec c.rx ~max:avail);
     release_backlog t c;
-    data
+    avail
   end
 
-let reply t c data =
-  let len = String.length data in
+let reply t c out =
+  let len = Buffer.length out in
   if c.state = Open && len > 0 then begin
     (* the server thread streams the response into the transmit ring *)
     let lines = lines_of_bytes len in
@@ -360,7 +374,7 @@ let reply t c data =
     let pos = ref 0 in
     while !pos < len do
       let n = Int.min mtu (len - !pos) in
-      let chunk = if n = len then data else String.sub data !pos n in
+      let chunk = Buffer.sub out !pos n in
       pos := !pos + n;
       let arrive = reserve t c.nic.tx_link ~lines:(lines_of_bytes n) in
       t.st.pkts_tx <- t.st.pkts_tx + 1;
@@ -371,7 +385,7 @@ let reply t c data =
           ~now:(Sthread.now t.sched) ~cat:"net"
           ~args:[ ("conn", Obs.A_int c.id); ("bytes", Obs.A_int n) ]
           "net.tx_pkt";
-      Sthread.at t.sched ~time:arrive (fun () -> if c.state = Open then c.rx_cb chunk)
+      Sthread.at t.sched ~time:arrive (fun () -> if c.state = Open then c.rx_cb c.tag chunk)
     done
   end
 

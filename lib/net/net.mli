@@ -48,11 +48,20 @@ val nic_count : t -> int
 (** {1 Client side — callable from event callbacks, never charged} *)
 
 val connect :
-  t -> nic:int -> rx:(string -> unit) -> ?on_refused:(unit -> unit) -> unit -> conn
+  t ->
+  nic:int ->
+  tag:int ->
+  rx:(int -> string -> unit) ->
+  ?on_refused:(int -> unit) ->
+  unit ->
+  conn
 (** Open a connection to NIC [nic]. The SYN rides the link like any packet;
-    once it lands the connection is queued for {!accept}. [rx] receives
-    response bytes (per delivered packet); [on_refused] fires if the server
-    refuses the connection (listener down or {!refuse}). *)
+    once it lands the connection is queued for {!accept}. [rx tag bytes]
+    receives response bytes (per delivered packet); [on_refused tag] fires
+    if the server refuses the connection (listener down or {!refuse}). Both
+    get the connection's [tag], so a client with many connections passes
+    the same two handlers to every [connect] and tells the connections
+    apart by tag: a connection keeps no closure of its own. *)
 
 val send : t -> conn -> string -> unit
 (** Client-to-server bytes: split into MTU-sized packets, serialized onto
@@ -85,33 +94,40 @@ val close : t -> conn -> unit
 
 val is_closed : conn -> bool
 
-val set_on_readable : conn -> (unit -> unit) -> unit
-(** Install the server-side readiness callback, fired (as a bare event)
-    edge-triggered: only when delivered bytes turn an *empty* receive
-    buffer readable. A consumer that leaves bytes buffered must re-arm
-    itself (re-queue the connection while {!recv_ready} is positive) — it
-    will not be notified again for packets landing on a non-empty buffer.
-    Use it to queue the connection and {!Sthread.unpark} its poller. *)
+val set_on_readable : conn -> (conn -> unit) -> unit
+(** Install the server-side readiness callback, which receives the
+    connection, so one handler serves every connection of a poller. It
+    fires (as a bare event) edge-triggered: only when delivered bytes turn
+    an *empty* receive buffer readable. A consumer that leaves bytes
+    buffered must re-arm itself (re-queue the connection while
+    {!recv_ready} is positive) — it will not be notified again for packets
+    landing on a non-empty buffer. Use it to queue the connection and
+    {!Sthread.unpark} its poller. *)
 
-val recv : t -> conn -> max:int -> string
-(** Consume up to [max] buffered request bytes, charging the calling
-    thread one read per cache line against the connection's receive ring
-    (socket-local iff the caller sits on the NIC's socket). Returns [""]
-    when nothing is buffered. Draining may release backpressured packets. *)
+val recv : t -> conn -> Wire.decoder -> max:int -> int
+(** Move up to [max] buffered request bytes into the caller's decoder
+    ({!Wire.feed_from}), charging the calling thread one read per cache
+    line against the connection's receive ring (socket-local iff the
+    caller sits on the NIC's socket). Returns the bytes moved, [0] when
+    nothing is buffered. Draining may release backpressured packets. *)
 
 val recv_ready : conn -> int
 (** Buffered request bytes available to {!recv}. *)
 
-val reply : t -> conn -> string -> unit
-(** Server-to-client bytes: the calling thread writes the response into
-    the connection's transmit ring (charged per line), the NIC DMA-reads
-    it, and the packets ride the tx link back; the client's [rx] callback
-    fires on arrival. *)
+val reply : t -> conn -> Buffer.t -> unit
+(** Server-to-client bytes, the whole of the buffer: the calling thread
+    writes the response into the connection's transmit ring (charged per
+    line), the NIC DMA-reads it, and the packets ride the tx link back;
+    the client's [rx] callback fires on arrival. Each MTU-sized packet is
+    cut straight from the buffer, which the caller may clear or reuse as
+    soon as [reply] returns. *)
 
 val socket_of_conn : conn -> int
 (** The NIC's socket — where this connection's rings live. *)
 
 val conn_id : conn -> int
+(** Dense per [t]: 0, 1, 2, ... in {!connect} order, so a server can keep
+    its per-connection state in an array indexed by it. *)
 
 (** {1 Statistics} *)
 

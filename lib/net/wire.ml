@@ -89,33 +89,28 @@ let encode_response b = function
 
 type 'a parse = Item of 'a | Need_more | Bad of { msg : string; reply : response }
 
-type decoder = { q : Byteq.t; mutable skip : int }
+(* A decoder is its byte queue: one block per connection end. An
+   announced-but-rejected data block (oversized set payload) is burnt off
+   by the queue's skip count, so the payload the client still transmits is
+   never parsed as commands. *)
+type decoder = Byteq.t
 
 let max_line = 8192
-let decoder () = { q = Byteq.create (); skip = 0 }
-let feed d s = Byteq.push d.q s
-let buffered d = Byteq.length d.q
-
-(* Burn off an announced-but-rejected data block (oversized set payload):
-   the command line was consumed and answered, but the client will still
-   transmit the [skip] payload bytes, which must not be parsed as commands. *)
-let drain_skip d =
-  if d.skip > 0 then begin
-    let n = Int.min d.skip (Byteq.length d.q) in
-    Byteq.drop d.q n;
-    d.skip <- d.skip - n
-  end
+let decoder = Byteq.create
+let feed = Byteq.push
+let feed_from d q ~max = Byteq.move q ~into:d ~max
+let buffered = Byteq.length
 
 (* A protocol line starting at [pos]: [`Line (content, end_pos)] with
    [end_pos] just past the CRLF, [`Need_more] if the CRLF has not arrived,
    [`Too_long] if [max_line] bytes arrived without one. *)
 let read_line d ~pos =
-  let len = Byteq.length d.q in
+  let len = Byteq.length d in
   let limit = Int.min len (pos + max_line + 2) in
   let rec scan i =
     if i + 1 >= limit then if len - pos > max_line then `Too_long else `Need_more
-    else if Byteq.get d.q i = '\r' && Byteq.get d.q (i + 1) = '\n' then
-      `Line (Byteq.sub d.q ~pos ~len:(i - pos), i + 2)
+    else if Byteq.get d i = '\r' && Byteq.get d (i + 1) = '\n' then
+      `Line (Byteq.sub d ~pos ~len:(i - pos), i + 2)
     else scan (i + 1)
   in
   scan pos
@@ -132,77 +127,73 @@ let data_len_of s =
 (* Drop everything we have buffered — used for over-long garbage lines
    whose frame boundary cannot be found. *)
 let drop_all d msg =
-  Byteq.clear d.q;
+  Byteq.clear d;
   Bad { msg; reply = Client_error msg }
 
 (* A data block of [n] bytes expected at [pos], CRLF-terminated:
    [`Data (bytes, end_pos)], [`Need_more], or [`Bad_term end_pos]. *)
 let read_data d ~pos ~n =
-  if Byteq.length d.q < pos + n + 2 then `Need_more
-  else if Byteq.get d.q (pos + n) = '\r' && Byteq.get d.q (pos + n + 1) = '\n' then
-    `Data (Byteq.sub d.q ~pos ~len:n, pos + n + 2)
+  if Byteq.length d < pos + n + 2 then `Need_more
+  else if Byteq.get d (pos + n) = '\r' && Byteq.get d (pos + n + 1) = '\n' then
+    `Data (Byteq.sub d ~pos ~len:n, pos + n + 2)
   else `Bad_term (pos + n + 2)
 
 let next_request d =
-  drain_skip d;
-  if d.skip > 0 then Need_more
-  else
-    match read_line d ~pos:0 with
-    | `Need_more -> Need_more
-    | `Too_long -> drop_all d "line too long"
-    | `Line (line, e) -> (
-        let bad msg =
-          Byteq.drop d.q e;
-          Bad { msg; reply = Client_error msg }
-        in
-        match tokens line with
-        | "get" :: (_ :: _ as keys) ->
-            Byteq.drop d.q e;
-            Item (Get keys)
-        | [ "get" ] -> bad "get: missing keys"
-        | "set" :: key :: flags :: exptime :: bytes :: rest -> (
-            let noreply =
-              match rest with [] -> Some false | [ "noreply" ] -> Some true | _ -> None
-            in
-            match
-              (int_of_string_opt flags, int_of_string_opt exptime, int_of_string_opt bytes,
-               noreply)
-            with
-            | Some _, Some _, Some n, Some _ when n > max_data_len ->
-                (* The client announced a payload we refuse to buffer.  Answer
-                   now, and resynchronize by skipping the n+2 bytes (data +
-                   CRLF) it will transmit anyway, so the stream stays framed. *)
-                Byteq.drop d.q e;
-                d.skip <- n + 2;
-                drain_skip d;
-                Bad
-                  {
-                    msg = "set: object too large";
-                    reply = Server_error "object too large for cache";
-                  }
-            | Some flags, Some exptime, Some n, Some noreply when n >= 0 -> (
-                match read_data d ~pos:e ~n with
-                | `Need_more -> Need_more
-                | `Bad_term e' ->
-                    Byteq.drop d.q e';
-                    let msg = "set: data block not CRLF-terminated" in
-                    Bad { msg; reply = Client_error msg }
-                | `Data (data, e') ->
-                    Byteq.drop d.q e';
-                    Item (Set { key; flags; exptime; data; noreply }))
-            | _ -> bad "set: bad argument")
-        | "set" :: _ -> bad "set: wrong number of arguments"
-        | [ "delete"; key ] ->
-            Byteq.drop d.q e;
-            Item (Delete { key; noreply = false })
-        | [ "delete"; key; "noreply" ] ->
-            Byteq.drop d.q e;
-            Item (Delete { key; noreply = true })
-        | "delete" :: _ -> bad "delete: wrong number of arguments"
-        | [] -> bad "empty command line"
-        | verb :: _ ->
-            Byteq.drop d.q e;
-            Bad { msg = Printf.sprintf "unknown command %S" verb; reply = Error })
+  match read_line d ~pos:0 with
+  | `Need_more -> Need_more
+  | `Too_long -> drop_all d "line too long"
+  | `Line (line, e) -> (
+      let bad msg =
+        Byteq.drop d e;
+        Bad { msg; reply = Client_error msg }
+      in
+      match tokens line with
+      | "get" :: (_ :: _ as keys) ->
+          Byteq.drop d e;
+          Item (Get keys)
+      | [ "get" ] -> bad "get: missing keys"
+      | "set" :: key :: flags :: exptime :: bytes :: rest -> (
+          let noreply =
+            match rest with [] -> Some false | [ "noreply" ] -> Some true | _ -> None
+          in
+          match
+            (int_of_string_opt flags, int_of_string_opt exptime, int_of_string_opt bytes,
+             noreply)
+          with
+          | Some _, Some _, Some n, Some _ when n > max_data_len ->
+              (* The client announced a payload we refuse to buffer.  Answer
+                 now, and resynchronize by skipping the n+2 bytes (data +
+                 CRLF) it will transmit anyway, so the stream stays framed. *)
+              Byteq.drop d e;
+              Byteq.skip d (n + 2);
+              Bad
+                {
+                  msg = "set: object too large";
+                  reply = Server_error "object too large for cache";
+                }
+          | Some flags, Some exptime, Some n, Some noreply when n >= 0 -> (
+              match read_data d ~pos:e ~n with
+              | `Need_more -> Need_more
+              | `Bad_term e' ->
+                  Byteq.drop d e';
+                  let msg = "set: data block not CRLF-terminated" in
+                  Bad { msg; reply = Client_error msg }
+              | `Data (data, e') ->
+                  Byteq.drop d e';
+                  Item (Set { key; flags; exptime; data; noreply }))
+          | _ -> bad "set: bad argument")
+      | "set" :: _ -> bad "set: wrong number of arguments"
+      | [ "delete"; key ] ->
+          Byteq.drop d e;
+          Item (Delete { key; noreply = false })
+      | [ "delete"; key; "noreply" ] ->
+          Byteq.drop d e;
+          Item (Delete { key; noreply = true })
+      | "delete" :: _ -> bad "delete: wrong number of arguments"
+      | [] -> bad "empty command line"
+      | verb :: _ ->
+          Byteq.drop d e;
+          Bad { msg = Printf.sprintf "unknown command %S" verb; reply = Error })
 
 (* "CLIENT_ERROR <msg>" -> "<msg>" (both verbs are 12 characters) *)
 let error_message line =
@@ -218,12 +209,12 @@ let next_response d =
     | `Too_long -> drop_all d "line too long"
     | `Line (line, e) -> (
         let bad msg =
-          Byteq.drop d.q e;
+          Byteq.drop d e;
           Bad { msg; reply = Client_error msg }
         in
         match tokens line with
         | [ "END" ] ->
-            Byteq.drop d.q e;
+            Byteq.drop d e;
             Item (Values (List.rev acc))
         | [ "VALUE"; vkey; vflags; bytes ] -> (
             match (int_of_string_opt vflags, data_len_of bytes) with
@@ -231,7 +222,7 @@ let next_response d =
                 match read_data d ~pos:e ~n with
                 | `Need_more -> Need_more
                 | `Bad_term e' ->
-                    Byteq.drop d.q e';
+                    Byteq.drop d e';
                     let msg = "VALUE: data block not CRLF-terminated" in
                     Bad { msg; reply = Client_error msg }
                 | `Data (vdata, e') -> values ({ vkey; vflags; vdata } :: acc) e')
@@ -240,11 +231,11 @@ let next_response d =
         | _ -> status line e)
   and status line e =
     let bad msg =
-      Byteq.drop d.q e;
+      Byteq.drop d e;
       Bad { msg; reply = Client_error msg }
     in
     let item r =
-      Byteq.drop d.q e;
+      Byteq.drop d e;
       Item r
     in
     match tokens line with

@@ -49,10 +49,17 @@ type decoder
 
 val decoder : unit -> decoder
 (** A single protocol line holds at most 8192 bytes; a longer one is
-    rejected as [Bad] without waiting for its CRLF. *)
+    rejected as [Bad] without waiting for its CRLF. A decoder is one block:
+    its byte queue, which also counts the bytes of a rejected data block
+    still to be discarded. *)
 
 val feed : decoder -> string -> unit
 (** Append raw connection bytes. *)
+
+val feed_from : decoder -> Byteq.t -> max:int -> int
+(** [feed_from d q ~max] moves up to [max] bytes from the head of [q] into
+    [d], as {!feed} of those bytes would, with no intermediate string.
+    Returns the bytes moved. *)
 
 val buffered : decoder -> int
 (** Bytes fed but not yet consumed by a parse. *)

@@ -51,25 +51,28 @@ type stats = {
   mutable closed : int;
 }
 
-type sconn = {
-  c : Net.conn;
-  dec : Wire.decoder;
-  mutable queued : bool;
-  mutable dead : bool;  (* close observed and slot released; count once *)
-}
+(* A served connection's state, found by [Net.conn_id] in the server's
+   [sconns] table: the connection itself rides the ready queue. *)
+type sconn = { dec : Wire.decoder; mutable queued : bool }
+
+(* The table slot of a connection this server does not (or no longer)
+   serve. [queued] reads true, so it is never enqueued. *)
+let vacant = { dec = Wire.decoder (); queued = true }
 
 type poller = {
   idx : int;
   hw : int;
   socket : int;
   mutable tid : int;  (** simulated thread id, known once the poller runs *)
-  ready : sconn Queue.t;
+  ready : Net.conn Queue.t;
   out : Buffer.t;
       (* response scratch, shared by every connection this poller serves: a
          service round drains it before returning, and rounds never
          interleave within a poller, so one buffer replaces one-per-conn —
          the difference between 40 buffers and 250k at fleet scale *)
   fc : Frontcache.t option;  (* per-poller front cache; None when disabled *)
+  mutable on_readable : Net.conn -> unit;
+      (* installed on every connection placed here: queue it and wake *)
 }
 
 type t = {
@@ -80,6 +83,7 @@ type t = {
   pollers : poller array;
   by_socket : poller list array;
   rr : int array;  (** per-socket round-robin cursor *)
+  mutable sconns : sconn array;  (** by [Net.conn_id]; [vacant] when not served *)
   mutable acceptor_tid : int;
   mutable stopping : bool;
   st : stats;
@@ -101,10 +105,13 @@ let front_cache_on t = Array.exists (fun p -> p.fc <> None) t.pollers
 
 let wake_poller t p = if p.tid >= 0 then ignore (Sthread.unpark t.sched ~tid:p.tid)
 
-let enqueue t p sc =
-  if (not sc.queued) && not sc.dead then begin
+let sconn t c = t.sconns.(Net.conn_id c)
+
+let enqueue t p c =
+  let sc = sconn t c in
+  if not sc.queued then begin
     sc.queued <- true;
-    Queue.push sc p.ready;
+    Queue.push c p.ready;
     wake_poller t p
   end
 
@@ -165,25 +172,21 @@ let handle t p req =
           t.st.bad_requests <- t.st.bad_requests + 1;
           if not noreply then out (Wire.Client_error "bad key"))
 
-(* The peer closed: count it once and release the connection's slot (the
-   acceptor admits against live = accepted - closed). The sconn simply
-   stops being re-enqueued; its decoder and buffers go with it. *)
-let release t sc =
-  if not sc.dead then begin
-    sc.dead <- true;
-    t.st.closed <- t.st.closed + 1
-  end
+(* The peer closed: release the connection's slot (the acceptor admits
+   against live = accepted - closed). Its table slot turns [vacant], so it
+   is never enqueued again and its decoder goes with its sconn. *)
+let release t c =
+  t.sconns.(Net.conn_id c) <- vacant;
+  t.st.closed <- t.st.closed + 1
 
 (* One service round for a readable connection: drain bytes, serve up to
    [batch_limit] requests, write the batched response. Here and in
    [service], a span is opened only under [Obs.on ()]: its closure and
    arguments would otherwise be allocated on every call. *)
-let serve_conn t p sc =
-  let data =
-    if Obs.on () then obs_span "srv.rx" (fun () -> Net.recv t.net sc.c ~max:recv_chunk)
-    else Net.recv t.net sc.c ~max:recv_chunk
-  in
-  Wire.feed sc.dec data;
+let serve_conn t p c sc =
+  if Obs.on () then
+    obs_span "srv.rx" (fun () -> ignore (Net.recv t.net c sc.dec ~max:recv_chunk))
+  else ignore (Net.recv t.net c sc.dec ~max:recv_chunk);
   (* bounded-queue load shedding: when this poller's ready backlog exceeds
      the threshold, answer SERVER_ERROR busy without touching the backend —
      clients back off and retry instead of queueing into unbounded latency *)
@@ -220,22 +223,22 @@ let serve_conn t p sc =
     t.st.batches <- t.st.batches + 1;
     if Obs.on () then
       obs_span ~args:[ ("bytes", Obs.A_int (Buffer.length p.out)) ] "srv.tx" (fun () ->
-          Net.reply t.net sc.c (Buffer.contents p.out))
-    else Net.reply t.net sc.c (Buffer.contents p.out);
+          Net.reply t.net c p.out)
+    else Net.reply t.net c p.out;
     Buffer.clear p.out
   end;
   (* More buffered bytes, or a full batch with frames still in the decoder:
      take another round (after peers get their turn). A partial frame alone
      parks until more bytes arrive. *)
-  if Net.recv_ready sc.c > 0 || (!served >= batch_limit && Wire.buffered sc.dec > 0)
-  then enqueue t p sc
+  if Net.recv_ready c > 0 || (!served >= batch_limit && Wire.buffered sc.dec > 0)
+  then enqueue t p c
 
-let service t p sc =
-  if Net.is_closed sc.c then release t sc
+let service t p c sc =
+  if Net.is_closed c then release t c
   else if Obs.on () then
-    obs_span ~args:[ ("conn", Obs.A_int (Net.conn_id sc.c)) ] "srv.service" (fun () ->
-        serve_conn t p sc)
-  else serve_conn t p sc
+    obs_span ~args:[ ("conn", Obs.A_int (Net.conn_id c)) ] "srv.service" (fun () ->
+        serve_conn t p c sc)
+  else serve_conn t p c sc
 
 let poller_body t p () =
   p.tid <- Sthread.self_id ();
@@ -244,9 +247,10 @@ let poller_body t p () =
   t.backend.Variants.attach p.idx;
   while not t.stopping do
     match Queue.take_opt p.ready with
-    | Some sc ->
+    | Some c ->
+        let sc = sconn t c in
         sc.queued <- false;
-        service t p sc
+        service t p c sc
     | None ->
         (* Nothing readable: park until a connection turns readable. A DPS
            poller cannot block unconditionally — peers' delegated
@@ -286,9 +290,15 @@ let acceptor_body t () =
           let n = List.length candidates in
           let p = List.nth candidates (t.rr.(socket) mod n) in
           t.rr.(socket) <- t.rr.(socket) + 1;
-          let sc = { c; dec = Wire.decoder (); queued = false; dead = false } in
-          Net.set_on_readable c (fun () -> enqueue t p sc);
-          if Net.recv_ready c > 0 then enqueue t p sc
+          let id = Net.conn_id c in
+          if id >= Array.length t.sconns then begin
+            let grown = Array.make (Int.max 64 (2 * id)) vacant in
+            Array.blit t.sconns 0 grown 0 (Array.length t.sconns);
+            t.sconns <- grown
+          end;
+          t.sconns.(id) <- { dec = Wire.decoder (); queued = false };
+          Net.set_on_readable c p.on_readable;
+          if Net.recv_ready c > 0 then enqueue t p c
         end
   done
 
@@ -311,7 +321,16 @@ let start sched net ~backend cfg =
                    ~version_of ())
           | _ -> None
         in
-        { idx = i; hw; socket; tid = -1; ready = Queue.create (); out = Buffer.create 256; fc })
+        {
+          idx = i;
+          hw;
+          socket;
+          tid = -1;
+          ready = Queue.create ();
+          out = Buffer.create 256;
+          fc;
+          on_readable = ignore;
+        })
   in
   let by_socket = Array.make topo.Topology.sockets [] in
   Array.iter (fun p -> by_socket.(p.socket) <- by_socket.(p.socket) @ [ p ]) pollers;
@@ -324,6 +343,7 @@ let start sched net ~backend cfg =
       pollers;
       by_socket;
       rr = Array.make topo.Topology.sockets 0;
+      sconns = [||];
       acceptor_tid = -1;
       stopping = false;
       st =
@@ -343,7 +363,11 @@ let start sched net ~backend cfg =
         };
     }
   in
-  Array.iter (fun p -> Sthread.spawn sched ~hw:p.hw (poller_body t p)) pollers;
+  Array.iter
+    (fun p ->
+      p.on_readable <- enqueue t p;
+      Sthread.spawn sched ~hw:p.hw (poller_body t p))
+    pollers;
   (* acceptor on the machine's last hardware thread by default: a second
      hyperthread the placement rule leaves free below full occupancy, and it
      parks (releasing the core) whenever no connection is pending. Cluster

@@ -120,31 +120,28 @@ type rop = {
           declared dead (a timer watches those) *)
 }
 
-(* Connection table in structure-of-arrays form: slot [s] of node [n] is
-   row [cid = n * nconns + s]. Per-connection closures and buffers are
-   what bound fleet size — a million-row table is a handful of flat
-   arrays, and the per-row heap objects (decoder, inflight FIFO) are
-   materialized only when a row actually dials, so slots that never carry
-   traffic cost three words each. *)
+(* One row per dialed connection slot: slot [s] of node [n] is row
+   [cid = n * nconns + s], made at the slot's first dial and kept across
+   reopens. Per-connection heap state is what bounds fleet size, so a
+   slot that never dials costs one word and a byte, and a dialed one its
+   row. The connection's handlers are the fleet's two, which get [cid] as
+   the connection's tag. *)
+type row = {
+  mutable conn : Net.conn;  (** the latest (re)open *)
+  mutable dec : Wire.decoder;  (** fresh on every (re)open *)
+  inflight : rop Queue.t;  (** survives reopens *)
+}
+
 type ctable = {
   cnconns : int;  (** rows per node *)
-  cconn : Net.conn option array;
-  cdec : Wire.decoder option array;  (** lazy; fresh on every (re)open *)
-  cinflight : rop Queue.t option array;  (** lazy; survives reopens *)
+  rows : row option array;
   cdead : Bytes.t;  (** '\001' = unusable, reconnect before use *)
   mutable copened : int;  (** [Net.connect] calls: first opens + reopens *)
 }
 
 let ct_make ~nnodes ~nconns =
   let n = nnodes * nconns in
-  {
-    cnconns = nconns;
-    cconn = Array.make n None;
-    cdec = Array.make n None;
-    cinflight = Array.make n None;
-    cdead = Bytes.make n '\001';
-    copened = 0;
-  }
+  { cnconns = nconns; rows = Array.make n None; cdead = Bytes.make n '\001'; copened = 0 }
 
 let ct_dead ct cid = Bytes.get ct.cdead cid = '\001'
 let ct_node ct cid = cid / ct.cnconns
@@ -161,6 +158,8 @@ type fleet = {
   rhist : Histogram.t;
   node_hist : Histogram.t array;
   table : ctable;
+  crx : int -> string -> unit;  (** every connection's [rx] handler *)
+  crefused : int -> unit;  (** every connection's [on_refused] handler *)
   renc : Buffer.t;  (** encode scratch, shared by every send *)
   key_prng : Prng.t;
   jitter_prng : Prng.t;
@@ -182,13 +181,9 @@ type fleet = {
   node_completed : int array;
 }
 
-let ct_inflight f cid =
-  match f.table.cinflight.(cid) with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      f.table.cinflight.(cid) <- Some q;
-      q
+(* The row of a slot that has dialed. *)
+let ct_row ct cid =
+  match ct.rows.(cid) with Some r -> r | None -> invalid_arg "Netload: slot never dialed"
 
 let sample_key f =
   match f.rs.key_pool with
@@ -231,23 +226,25 @@ let record_completion f node latency =
 
 let rec ensure_conn f cid =
   let ct = f.table in
-  if ct_dead ct cid || ct.cconn.(cid) = None then begin
+  if ct_dead ct cid then begin
     Bytes.set ct.cdead cid '\000';
-    ct.cdec.(cid) <- Some (Wire.decoder ());
-    ignore (ct_inflight f cid);
     let node = ct_node ct cid in
     let conn =
       Net.connect (f.router.net_of node)
         ~nic:(f.router.nic_of node (cid mod ct.cnconns))
-        ~rx:(fun data -> on_rx f cid data)
-        ~on_refused:(fun () ->
-          f.rrefused <- f.rrefused + 1;
-          fail_conn f cid ~close:false)
-        ()
+        ~tag:cid ~rx:f.crx ~on_refused:f.crefused ()
     in
     ct.copened <- ct.copened + 1;
-    ct.cconn.(cid) <- Some conn
+    match ct.rows.(cid) with
+    | Some r ->
+        r.conn <- conn;
+        r.dec <- Wire.decoder ()
+    | None -> ct.rows.(cid) <- Some { conn; dec = Wire.decoder (); inflight = Queue.create () }
   end
+
+and on_refused f cid =
+  f.rrefused <- f.rrefused + 1;
+  fail_conn f cid ~close:false
 
 (* The connection is unusable (refused, or its node was declared dead):
    close it so late responses cannot double-complete, and push every
@@ -256,20 +253,15 @@ and fail_conn f cid ~close =
   let ct = f.table in
   if not (ct_dead ct cid) then begin
     Bytes.set ct.cdead cid '\001';
-    (match ct.cconn.(cid) with
-    | Some c when close -> Net.close (f.router.net_of (ct_node ct cid)) c
-    | _ -> ());
-    ct.cconn.(cid) <- None;
-    match ct.cinflight.(cid) with
-    | None -> ()
-    | Some q ->
-        let orphans = Queue.fold (fun acc op -> op :: acc) [] q in
-        Queue.clear q;
-        List.iter
-          (fun op ->
-            leave_conn f op;
-            retry_op f op)
-          (List.rev orphans)
+    let r = ct_row ct cid in
+    if close then Net.close (f.router.net_of (ct_node ct cid)) r.conn;
+    let orphans = Queue.fold (fun acc op -> op :: acc) [] r.inflight in
+    Queue.clear r.inflight;
+    List.iter
+      (fun op ->
+        leave_conn f op;
+        retry_op f op)
+      (List.rev orphans)
   end
 
 (* Capped exponential backoff with jitter: delay in [b/2, b) where
@@ -307,37 +299,35 @@ and send_op f op =
   let node = target_node f op.key in
   let cid = (node * f.table.cnconns) + (op.user mod f.table.cnconns) in
   ensure_conn f cid;
-  match f.table.cconn.(cid) with
-  | None -> retry_op f op
-  | Some conn ->
-      if op.attempts > 0 && node <> op.last_node then f.rrerouted <- f.rrerouted + 1;
-      op.last_node <- node;
-      op.attempts <- op.attempts + 1;
-      op.on_cid <- cid;
-      Buffer.clear f.renc;
-      (match op.rkind with
-      | `Set ->
-          Wire.encode_request f.renc
-            (Wire.Set
-               {
-                 key = string_of_int op.key;
-                 flags = op.opid;
-                 exptime = 0;
-                 data = f.rset_data;
-                 noreply = false;
-               })
-      | `Get -> Wire.encode_request f.renc (Wire.Get [ string_of_int op.key ]));
-      Queue.push op (ct_inflight f cid);
-      Net.send (f.router.net_of node) conn (Buffer.contents f.renc);
-      if f.router.node_up node then op.sent_at <- Sthread.now f.rsched
-      else begin
-        (* owner and failover both declared dead: no [subscribe_down]
-           callback will drain this connection, so a timer watches it *)
-        op.sent_at <- -1;
-        let gen = op.attempts in
-        Sthread.at f.rsched ~time:(Sthread.now f.rsched + req_timeout) (fun () ->
-            on_timeout f op ~gen)
-      end
+  let r = ct_row f.table cid in
+  if op.attempts > 0 && node <> op.last_node then f.rrerouted <- f.rrerouted + 1;
+  op.last_node <- node;
+  op.attempts <- op.attempts + 1;
+  op.on_cid <- cid;
+  Buffer.clear f.renc;
+  (match op.rkind with
+  | `Set ->
+      Wire.encode_request f.renc
+        (Wire.Set
+           {
+             key = string_of_int op.key;
+             flags = op.opid;
+             exptime = 0;
+             data = f.rset_data;
+             noreply = false;
+           })
+  | `Get -> Wire.encode_request f.renc (Wire.Get [ string_of_int op.key ]));
+  Queue.push op r.inflight;
+  Net.send (f.router.net_of node) r.conn (Buffer.contents f.renc);
+  if f.router.node_up node then op.sent_at <- Sthread.now f.rsched
+  else begin
+    (* owner and failover both declared dead: no [subscribe_down]
+       callback will drain this connection, so a timer watches it *)
+    op.sent_at <- -1;
+    let gen = op.attempts in
+    Sthread.at f.rsched ~time:(Sthread.now f.rsched + req_timeout) (fun () ->
+        on_timeout f op ~gen)
+  end
 
 (* Still on the connection [req_timeout] cycles after a send to a dead
    node (dead for good): the connection is orphaned, so drain it, which
@@ -350,21 +340,16 @@ and on_timeout f op ~gen =
   if (not op.resolved) && op.attempts = gen && cid >= 0 then fail_conn f cid ~close:true
 
 and on_rx f cid data =
-  let dec =
-    match f.table.cdec.(cid) with
-    | Some d -> d
-    | None -> assert false  (* installed at connect, before rx can fire *)
-  in
+  let r = ct_row f.table cid in
   let node = ct_node f.table cid in
-  let inflight = ct_inflight f cid in
-  Wire.feed dec data;
+  Wire.feed r.dec data;
   let parsing = ref true in
   while !parsing do
-    match Wire.next_response dec with
+    match Wire.next_response r.dec with
     | Wire.Need_more -> parsing := false
     | Wire.Bad _ -> f.rerrors <- f.rerrors + 1
     | Wire.Item resp -> (
-        match Queue.take_opt inflight with
+        match Queue.take_opt r.inflight with
         | None -> f.rerrors <- f.rerrors + 1
         | Some op -> (
             leave_conn f op;
@@ -447,8 +432,7 @@ let rec churn_tick f ~cursor =
     let total = f.router.nnodes * ct.cnconns in
     let usable cid =
       (not (ct_dead ct cid))
-      && ct.cconn.(cid) <> None
-      && (match ct.cinflight.(cid) with None -> true | Some q -> Queue.is_empty q)
+      && Queue.is_empty (ct_row ct cid).inflight
       && f.router.node_up (ct_node ct cid)
     in
     let rec find i left =
@@ -459,10 +443,7 @@ let rec churn_tick f ~cursor =
     in
     (match find cursor total with
     | Some cid ->
-        (match ct.cconn.(cid) with
-        | Some c -> Net.close (f.router.net_of (ct_node ct cid)) c
-        | None -> ());
-        ct.cconn.(cid) <- None;
+        Net.close (f.router.net_of (ct_node ct cid)) (ct_row ct cid).conn;
         Bytes.set ct.cdead cid '\001';
         f.rchurned <- f.rchurned + 1
     | None -> ());
@@ -482,7 +463,7 @@ let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
   let grace = (10 * Net.link_latency) + req_timeout + 20_000 in
   let master = Prng.create sp.seed in
   let twindow = Int.max 1 (duration / 32) in
-  let f =
+  let rec f =
     {
       rsched = sched;
       router;
@@ -497,6 +478,8 @@ let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
       rhist = Histogram.create ();
       node_hist = Array.init router.nnodes (fun _ -> Histogram.create ());
       table = ct_make ~nnodes:router.nnodes ~nconns:sp.nconns;
+      crx = (fun cid data -> on_rx f cid data);
+      crefused = (fun cid -> on_refused f cid);
       renc = Buffer.create 256;
       key_prng = Prng.split master;
       jitter_prng = Prng.split master;
@@ -545,7 +528,7 @@ let run_routed sched router rs ~duration ?(stop = fun () -> ()) () =
   Sthread.at sched ~time:(horizon + grace) (fun () -> stop ());
   Sthread.run sched;
   (* a send still on its connection never got an answer: it timed out *)
-  Array.iter (function Some q -> Queue.iter (count_timeout f) q | None -> ()) f.table.cinflight;
+  Array.iter (function Some r -> Queue.iter (count_timeout f) r.inflight | None -> ()) f.table.rows;
   let seconds = Machine.cycles_to_seconds (Sthread.machine sched) duration in
   {
     agg =

@@ -242,7 +242,7 @@ let mk_conn s net =
   let shapes = ref [] in
   let c =
     Net.connect net ~nic:0
-      ~rx:(fun data ->
+      ~tag:0 ~rx:(fun _ data ->
         Wire.feed dec data;
         let rec drain () =
           match Wire.next_response dec with

@@ -268,15 +268,17 @@ let test_byteq () =
   Alcotest.(check char) "get" 'w' (Byteq.get q 6);
   Alcotest.(check string) "sub" "lo wo" (Byteq.sub q ~pos:3 ~len:5);
   Byteq.drop q 6;
-  Alcotest.(check string) "take after drop" "wor" (Byteq.take q ~max:3);
-  Alcotest.(check string) "take rest" "ld" (Byteq.take q ~max:100);
+  let into = Byteq.create () in
+  Alcotest.(check int) "move after drop" 3 (Byteq.move q ~into ~max:3);
+  Alcotest.(check int) "move rest" 2 (Byteq.move q ~into ~max:100);
+  Alcotest.(check string) "moved bytes" "world" (Byteq.sub into ~pos:0 ~len:5);
   Alcotest.(check int) "empty" 0 (Byteq.length q);
   (* interleaved push/drop exercises compaction *)
   for i = 0 to 999 do
     Byteq.push q (string_of_int i);
     Byteq.drop q (min 2 (Byteq.length q))
   done;
-  ignore (Byteq.take q ~max:max_int);
+  Byteq.drop q (Byteq.length q);
   Alcotest.(check int) "drained" 0 (Byteq.length q)
 
 (* A random [Byteq] program against a string model. Chunks run both under
@@ -285,10 +287,14 @@ let test_byteq () =
    many times. Whenever the queue is empty it must hold no buffer of at
    most 256 B: it is then as small as a fresh queue, or it kept a buffer
    of more than 256 B (buffer sizes are powers of two, so 512 B or
-   more). *)
+   more). [Move] carries bytes into a second queue and [Refill] back, and
+   [Skip] discards bytes now and as they arrive, by push or by move; the
+   model keeps both queues' strings and the first one's skip count. *)
 type byteq_op =
   | Push of int
-  | Take of int
+  | Move of int
+  | Refill of int
+  | Skip of int
   | Drop of int
   | Sub of int * int
   | Get of int
@@ -300,7 +306,9 @@ let byteq_op_gen =
     frequency
       [
         (4, map (fun n -> Push n) (oneof [ int_bound 40; int_range 200 700 ]));
-        (2, map (fun n -> Take n) (int_bound 300));
+        (2, map (fun n -> Move n) (int_bound 300));
+        (2, map (fun n -> Refill n) (int_bound 300));
+        (1, map (fun n -> Skip n) (int_bound 300));
         (2, map (fun n -> Drop n) (int_bound 300));
         (1, map2 (fun p l -> Sub (p, l)) (int_bound 300) (int_bound 300));
         (1, map (fun i -> Get i) (int_bound 300));
@@ -313,8 +321,8 @@ let qcheck_byteq_model =
   QCheck.Test.make ~name:"byte queue agrees with a string model" ~count:300
     (QCheck.make QCheck.Gen.(list_size (1 -- 80) byteq_op_gen))
     (fun ops ->
-      let q = Byteq.create () in
-      let model = ref "" in
+      let q = Byteq.create () and other = Byteq.create () in
+      let model = ref "" and other_model = ref "" and skip = ref 0 in
       let next = ref 0 in
       let chunk n =
         incr next;
@@ -326,6 +334,12 @@ let qcheck_byteq_model =
         model := String.sub !model n (len - n);
         got
       in
+      (* bytes reaching [q], less those a skip still discards *)
+      let arrive c =
+        let k = Int.min !skip (String.length c) in
+        skip := !skip - k;
+        model := !model ^ String.sub c k (String.length c - k)
+      in
       List.iteri
         (fun step op ->
           let len = String.length !model in
@@ -334,8 +348,26 @@ let qcheck_byteq_model =
           | Push n ->
               let c = chunk n in
               Byteq.push q c;
-              model := !model ^ c
-          | Take n -> if Byteq.take q ~max:n <> consume (Int.min n len) then fail "take"
+              arrive c
+          | Move n ->
+              let moved = Byteq.move q ~into:other ~max:n in
+              if moved <> Int.min n len then fail "move count";
+              other_model := !other_model ^ consume moved
+          | Refill n ->
+              let c = chunk n in
+              Byteq.push other c;
+              other_model := !other_model ^ c;
+              let olen = String.length !other_model in
+              let moved = Byteq.move other ~into:q ~max:n in
+              if moved <> Int.min n olen then fail "refill count";
+              let c = String.sub !other_model 0 moved in
+              other_model := String.sub !other_model moved (olen - moved);
+              arrive c
+          | Skip n ->
+              Byteq.skip q n;
+              let k = Int.min n len in
+              ignore (consume k);
+              skip := !skip + (n - k)
           | Drop n ->
               let n = n mod (len + 1) in
               Byteq.drop q n;
@@ -345,11 +377,16 @@ let qcheck_byteq_model =
               let l = l mod (len - p + 1) in
               if Byteq.sub q ~pos:p ~len:l <> String.sub !model p l then fail "sub"
           | Get i -> if len > 0 && Byteq.get q (i mod len) <> !model.[i mod len] then fail "get"
-          | Drain -> if Byteq.take q ~max:max_int <> consume len then fail "drain"
+          | Drain ->
+              Byteq.drop q len;
+              model := ""
           | Clear ->
               Byteq.clear q;
-              model := "");
+              model := "";
+              skip := 0);
           if Byteq.length q <> String.length !model then fail "length";
+          if Byteq.sub other ~pos:0 ~len:(Byteq.length other) <> !other_model then
+            fail "second queue";
           if Byteq.sub q ~pos:0 ~len:(Byteq.length q) <> !model then fail "contents";
           let words = Obj.reachable_words (Obj.repr q) in
           if Byteq.length q = 0 && words > fresh_words && words <= fresh_words + (256 / 8) then
@@ -360,18 +397,21 @@ let qcheck_byteq_model =
 
 (* An idle connection's queues hold no buffer: drained after a small
    exchange, a queue is as small as a fresh one, its record plus the
-   shared empty buffer. A queue that needed more than 256 B keeps its
-   buffer, which its next burst reuses: single pushes of 256 B and 257 B
-   sit on either side of the boundary. *)
+   shared empty buffer: 5 words (four fields, one of them the skip count a
+   decoder keeps in the same block) and 2. A decoder is that one block. A
+   queue that needed more than 256 B keeps its buffer, which its next
+   burst reuses: single pushes of 256 B and 257 B sit on either side of
+   the boundary. *)
 let test_byteq_drops_idle_buffer () =
   let words q = Obj.reachable_words (Obj.repr q) in
   let q = Byteq.create () in
   let fresh = words q in
-  Alcotest.(check bool) "fresh queue is a record and an empty buffer" true (fresh <= 6);
+  Alcotest.(check int) "fresh queue is a record and an empty buffer" 7 fresh;
+  Alcotest.(check int) "a decoder is one queue" fresh (words (Wire.decoder ()));
   Byteq.push q (String.make 40 'a');
   Byteq.push q (String.make 100 'b');
   Alcotest.(check bool) "a pushed queue holds a buffer" true (words q > fresh);
-  ignore (Byteq.take q ~max:max_int);
+  Byteq.drop q (Byteq.length q);
   Alcotest.(check int) "drained small queue" fresh (words q);
   Byteq.push q (String.make 256 'c');
   Byteq.drop q 100;
@@ -387,8 +427,8 @@ let test_link_timing () =
   let s = mk () in
   let net = Net.create s () in
   let readable_at = ref (-1) in
-  let c = Net.connect net ~nic:0 ~rx:(fun _ -> ()) () in
-  Net.set_on_readable c (fun () -> if !readable_at < 0 then readable_at := Sthread.now s);
+  let c = Net.connect net ~nic:0 ~tag:0 ~rx:(fun _ _ -> ()) () in
+  Net.set_on_readable c (fun _ -> if !readable_at < 0 then readable_at := Sthread.now s);
   Net.send net c (String.make 64 'x');
   Sthread.run s;
   (* SYN serializes (1 line), then the data line behind it, plus one
@@ -410,13 +450,14 @@ let test_backpressure () =
   (* a small window and a slow consumer: the link outruns the drain *)
   let net = Net.create s ~config:{ Net.default_config with Net.rx_window = 2048 } () in
   let total = 16384 in
-  let c = Net.connect net ~nic:0 ~rx:(fun _ -> ()) () in
+  let c = Net.connect net ~nic:0 ~tag:0 ~rx:(fun _ _ -> ()) () in
   let got = ref 0 in
+  let dec = Wire.decoder () in
   Sthread.spawn s ~hw:2 (fun () ->
       (* accept-less raw drain: poll the connection until all bytes arrive *)
       while !got < total do
-        let data = Net.recv net c ~max:1024 in
-        if data = "" then ignore (Sthread.park_for 1000) else got := !got + String.length data
+        let n = Net.recv net c dec ~max:1024 in
+        if n = 0 then ignore (Sthread.park_for 1000) else got := !got + n
       done);
   Net.send net c (String.make total 'x');
   Sthread.run s;
@@ -448,22 +489,24 @@ let test_locality_tally () =
   let s = mk () in
   let topo = Machine.topology (Sthread.machine s) in
   let net = Net.create s () in
-  let c0 = Net.connect net ~nic:0 ~rx:(fun _ -> ()) () in
-  let c1 = Net.connect net ~nic:1 ~rx:(fun _ -> ()) () in
+  let c0 = Net.connect net ~nic:0 ~tag:0 ~rx:(fun _ _ -> ()) () in
+  let c1 = Net.connect net ~nic:1 ~tag:0 ~rx:(fun _ _ -> ()) () in
   Net.send net c0 (String.make 256 'a');
   Net.send net c1 (String.make 256 'b');
   (* one server thread on socket 0: local for c0's NIC, remote for c1's *)
   Sthread.spawn s ~hw:2 (fun () ->
       let drain c =
-        let got = ref 0 in
+        let got = ref 0 and dec = Wire.decoder () in
         while !got < 256 do
-          let data = Net.recv net c ~max:4096 in
-          if data = "" then ignore (Sthread.park_for 500) else got := !got + String.length data
+          let n = Net.recv net c dec ~max:4096 in
+          if n = 0 then ignore (Sthread.park_for 500) else got := !got + n
         done
       in
       drain c0;
       drain c1;
-      Net.reply net c0 (String.make 128 'r'));
+      let out = Buffer.create 128 in
+      Buffer.add_string out (String.make 128 'r');
+      Net.reply net c0 out);
   Sthread.run s;
   let st = Net.stats net in
   Alcotest.(check bool) "sockets >= 2 in this topology" true (topo.Topology.sockets >= 2);
@@ -477,7 +520,7 @@ let test_refusal () =
   let s = mk () in
   let net = Net.create s () in
   let refused = ref 0 in
-  let _c = Net.connect net ~nic:0 ~rx:(fun _ -> ()) ~on_refused:(fun () -> incr refused) () in
+  let _c = Net.connect net ~nic:0 ~tag:0 ~rx:(fun _ _ -> ()) ~on_refused:(fun _ -> incr refused) () in
   let accepted = ref [] in
   Sthread.spawn s ~hw:0 (fun () ->
       let rec loop () =
@@ -489,7 +532,7 @@ let test_refusal () =
   (* close the listener before the SYN lands: the connection is refused and
      the blocked acceptor unblocks with None *)
   Sthread.at s ~time:100 (fun () -> Net.unlisten net);
-  let _late = Net.connect net ~nic:0 ~rx:(fun _ -> ()) ~on_refused:(fun () -> incr refused) () in
+  let _late = Net.connect net ~nic:0 ~tag:0 ~rx:(fun _ _ -> ()) ~on_refused:(fun _ -> incr refused) () in
   Sthread.run s;
   Alcotest.(check int) "none accepted" 0 (List.length !accepted);
   Alcotest.(check int) "both refused" 2 !refused;
@@ -507,7 +550,7 @@ let test_server_end_to_end () =
   let responses = ref [] in
   let c =
     Net.connect net ~nic:0
-      ~rx:(fun data ->
+      ~tag:0 ~rx:(fun _ data ->
         Wire.feed dec data;
         let rec drain () =
           match Wire.next_response dec with
@@ -566,7 +609,7 @@ let test_server_connection_limit () =
   in
   let refused = ref 0 in
   for _ = 1 to 4 do
-    ignore (Net.connect net ~nic:0 ~rx:(fun _ -> ()) ~on_refused:(fun () -> incr refused) ())
+    ignore (Net.connect net ~nic:0 ~tag:0 ~rx:(fun _ _ -> ()) ~on_refused:(fun _ -> incr refused) ())
   done;
   Sthread.at s ~time:100_000 (fun () -> Server.stop srv);
   Sthread.run s;
@@ -626,7 +669,7 @@ let test_connection_churn_soak () =
       let c =
         Net.connect net
           ~nic:(loop mod Net.nic_count net)
-          ~rx:(fun data ->
+          ~tag:0 ~rx:(fun _ data ->
             Wire.feed dec data;
             match Wire.next_response dec with
             | Wire.Item _ ->
@@ -639,7 +682,7 @@ let test_connection_churn_soak () =
                 | None -> ())
             | Wire.Need_more -> ()
             | Wire.Bad { msg; _ } -> Alcotest.failf "soak: bad response: %s" msg)
-          ~on_refused:(fun () -> Alcotest.fail "soak: connection refused (slot leak?)")
+          ~on_refused:(fun _ -> Alcotest.fail "soak: connection refused (slot leak?)")
           ()
       in
       conn := Some c;
@@ -872,7 +915,7 @@ let qcheck_parked_servers_wake =
         List.map
           (fun at ->
             let lat = ref (-1) in
-            let c = Net.connect net ~nic:0 ~rx:(fun _ -> lat := Sthread.now s - at) () in
+            let c = Net.connect net ~nic:0 ~tag:0 ~rx:(fun _ _ -> lat := Sthread.now s - at) () in
             Sthread.at s ~time:at (fun () -> Net.send net c get);
             lat)
           times
@@ -946,6 +989,172 @@ let test_timeouts_count_unanswered () =
   Alcotest.(check int) "all abandoned" issued rr.Netload.abandoned;
   Alcotest.(check int) "every unanswered request timed out" issued rr.Netload.timeouts
 
+(* A reply longer than one MTU leaves as packets cut straight from the
+   poller's buffer: 1536 B each and then the rest, in order, holding the
+   bytes the buffer held at the call even though the caller reuses the
+   buffer at once. *)
+let test_reply_chunks () =
+  let s = mk () in
+  let net = Net.create s () in
+  let chunks = ref [] in
+  let c = Net.connect net ~nic:0 ~tag:0 ~rx:(fun _ data -> chunks := data :: !chunks) () in
+  let len = 4000 and mtu = 1536 in
+  let payload = String.init len (fun i -> Char.chr (i mod 251)) in
+  Sthread.spawn s ~hw:2 (fun () ->
+      ignore (Sthread.park_for 10_000) (* the SYN lands *);
+      let out = Buffer.create 64 in
+      Buffer.add_string out payload;
+      Net.reply net c out;
+      Buffer.clear out;
+      Buffer.add_string out (String.make len 'z'));
+  Sthread.run s;
+  let expected = [ String.sub payload 0 mtu; String.sub payload mtu mtu; String.sub payload (2 * mtu) (len - (2 * mtu)) ] in
+  Alcotest.(check (list string)) "MTU chunks of the buffer, in order" expected (List.rev !chunks);
+  let st = Net.stats net in
+  Alcotest.(check int) "one packet per chunk" 3 st.Net.pkts_tx;
+  Alcotest.(check int) "every byte sent" len st.Net.bytes_tx;
+  Alcotest.(check int) "one ring line per 64 B" ((len + 63) / 64) st.Net.local_lines
+
+(* [recv] moves [min max ready] bytes from the connection into the
+   caller's decoder, charges one ring line per started 64 B it moved, and
+   lets in the packets the window held back. The bytes parse as the
+   requests sent, in order. *)
+let test_recv_into_decoder () =
+  let s = mk () in
+  let net = Net.create s ~config:{ Net.default_config with Net.rx_window = 2048 } () in
+  let c = Net.connect net ~nic:0 ~tag:0 ~rx:(fun _ _ -> ()) () in
+  let nreq = 600 in
+  let b = Buffer.create 8192 in
+  for i = 1 to nreq do
+    Wire.encode_request b (Wire.Get [ string_of_int i ])
+  done;
+  let total = Buffer.length b in
+  Net.send net c (Buffer.contents b);
+  let dec = Wire.decoder () in
+  let moved = ref 0 in
+  Sthread.spawn s ~hw:2 (fun () ->
+      let maxes = [| 0; 1; 63; 64; 65; 700; 4096 |] in
+      let step = ref 0 in
+      while !moved < total do
+        ignore (Sthread.park_for 20_000);
+        let max = maxes.(!step mod Array.length maxes) in
+        incr step;
+        let ready = Net.recv_ready c and before = Wire.buffered dec in
+        let st = Net.stats net in
+        let lines = st.Net.local_lines + st.Net.remote_lines in
+        let n = Net.recv net c dec ~max in
+        Alcotest.(check int) "moved min max ready" (Int.min max ready) n;
+        Alcotest.(check int) "into the decoder" (before + n) (Wire.buffered dec);
+        Alcotest.(check int) "left on the connection" (ready - n) (Net.recv_ready c);
+        Alcotest.(check int) "ring lines charged" ((n + 63) / 64)
+          (st.Net.local_lines + st.Net.remote_lines - lines);
+        moved := !moved + n
+      done);
+  Sthread.run s;
+  Alcotest.(check int) "every byte moved" total !moved;
+  Alcotest.(check bool) "the window held packets back" true
+    ((Net.stats net).Net.backpressured > 0);
+  for i = 1 to nreq do
+    match Wire.next_request dec with
+    | Wire.Item (Wire.Get [ k ]) when k = string_of_int i -> ()
+    | _ -> Alcotest.failf "request %d did not parse in order" i
+  done;
+  Alcotest.(check int) "decoder drained" 0 (Wire.buffered dec)
+
+(* One [rx] and one [on_refused] handler serve every connection of a
+   client, told apart by the tag each [connect] gave: three connections
+   under the server's limit are answered, two over it refused. *)
+let test_handlers_get_tags () =
+  let s = mk () in
+  let net = Net.create s () in
+  let backend = Variants.stock s ~nclients:2 ~buckets:64 ~capacity:128 in
+  backend.Variants.populate ~keys:[| 1 |] ~val_lines:1;
+  let srv =
+    Server.start s net ~backend { Server.default_config with npollers = 2; max_conns = 3 }
+  in
+  let answered = ref [] and refused = ref [] in
+  let rx tag _ = answered := tag :: !answered in
+  let on_refused tag = refused := tag :: !refused in
+  (* one NIC: the SYNs serialize on its link, so they land in this order *)
+  List.iter
+    (fun tag -> Net.send net (Net.connect net ~nic:0 ~tag ~rx ~on_refused ()) "get 1\r\n")
+    [ 10; 11; 12; 13; 14 ];
+  Sthread.at s ~time:200_000 (fun () -> Server.stop srv);
+  Sthread.run s;
+  Alcotest.(check (list int)) "rx got the answered tags" [ 10; 11; 12 ]
+    (List.sort compare !answered);
+  Alcotest.(check (list int)) "on_refused got the refused tags" [ 13; 14 ]
+    (List.sort compare !refused)
+
+(* A connection makes its backlog queue only when the window first holds
+   a packet back: after both drain, a connection that backpressured holds
+   more words of its own than one that never did, whose rx queue dropped
+   its buffer. Packets of 64 B against a 128 B window keep every buffer
+   under the 256 B a drained queue drops. *)
+let test_backlog_only_under_backpressure () =
+  let s = mk () in
+  let net = Net.create s ~config:{ Net.default_config with Net.rx_window = 128 } () in
+  let rx _ _ = () in
+  let calm = Net.connect net ~nic:0 ~tag:0 ~rx () in
+  let pressed = Net.connect net ~nic:0 ~tag:1 ~rx () in
+  let unused = Net.connect net ~nic:0 ~tag:2 ~rx () in
+  Net.send net calm (String.make 64 'a');
+  for _ = 1 to 8 do
+    Net.send net pressed (String.make 64 'b')
+  done;
+  Sthread.spawn s ~hw:2 (fun () ->
+      let dec = Wire.decoder () in
+      let got = ref 0 in
+      while !got < 9 * 64 do
+        ignore (Sthread.park_for 1_000);
+        got := !got + Net.recv net calm dec ~max:4096 + Net.recv net pressed dec ~max:4096
+      done);
+  Sthread.run s;
+  Alcotest.(check int) "only the pressed connection was held back" 6
+    (Net.stats net).Net.backpressured;
+  (* the words only [c] holds: the connections share their NIC and [rx] *)
+  let own c other = Obj.reachable_words (Obj.repr (c, other)) - Obj.reachable_words (Obj.repr other) in
+  Alcotest.(check int) "a drained calm connection is as small as an unused one"
+    (own unused pressed) (own calm pressed);
+  Alcotest.(check bool) "only a backpressured connection keeps a backlog queue" true
+    (own pressed calm > own calm pressed)
+
+(* A released connection leaves nothing in its server but its slot in the
+   table indexed by connection id: over 1,000 accept/close cycles the
+   words the server reaches grow by at most 3 a cycle (the slot, at most
+   2 with the table's doubling slack), where a kept sconn and its decoder
+   would add 8 more. No byte moves, and 1,100 one-line ring pairs fit the machine's
+   first directory chunk, so nothing else the server reaches grows. *)
+let test_server_releases_closed_conns () =
+  let s = mk () in
+  let net = Net.create s ~config:{ Net.default_config with Net.ring_lines = 1 } () in
+  let backend = Variants.stock s ~nclients:2 ~buckets:64 ~capacity:128 in
+  let srv =
+    Server.start s net ~backend { Server.default_config with npollers = 2; max_conns = 4 }
+  in
+  let gap = 20_000 and cycles = 1_100 and from = 100 in
+  (* each cycle schedules the next, so the event queue stays as short *)
+  let rec cycle i =
+    if i < cycles then begin
+      let c = Net.connect net ~nic:0 ~tag:i ~rx:(fun _ _ -> ()) () in
+      Sthread.at s ~time:(Sthread.now s + (gap / 2)) (fun () -> Net.close net c);
+      Sthread.at s ~time:(Sthread.now s + gap) (fun () -> cycle (i + 1))
+    end
+  in
+  Sthread.at s ~time:1 (fun () -> cycle 0);
+  let words = Array.make 2 0 in
+  List.iteri
+    (fun k at ->
+      Sthread.at s ~time:at (fun () -> words.(k) <- Obj.reachable_words (Obj.repr srv)))
+    [ from * gap; cycles * gap ];
+  Sthread.at s ~time:((cycles * gap) + 1) (fun () -> Server.stop srv);
+  Sthread.run s;
+  Alcotest.(check int) "every connection accepted" cycles (Server.stats srv).Server.conns;
+  Alcotest.(check int) "every close released" cycles (Server.stats srv).Server.closed;
+  let per_cycle = float_of_int (words.(1) - words.(0)) /. float_of_int (cycles - from) in
+  if per_cycle > 3.0 then
+    Alcotest.failf "server grew %.2f words per accept/close cycle, budget 3" per_cycle
+
 let suite =
   [
     ("open-loop rate checked", `Quick, test_open_loop_rate_checked);
@@ -961,6 +1170,11 @@ let suite =
     ("byte queue drops an idle buffer", `Quick, test_byteq_drops_idle_buffer);
     ("link timing", `Quick, test_link_timing);
     ("backpressure", `Quick, test_backpressure);
+    ("reply cuts MTU packets from the buffer", `Quick, test_reply_chunks);
+    ("recv moves bytes into the decoder", `Quick, test_recv_into_decoder);
+    ("rx and on_refused get the connection's tag", `Quick, test_handlers_get_tags);
+    ("backlog queue only under backpressure", `Quick, test_backlog_only_under_backpressure);
+    ("server keeps nothing of closed connections", `Quick, test_server_releases_closed_conns);
   ]
   @ create_rejects_impossible
   @ [
